@@ -1,24 +1,21 @@
 """Command-line interface: every analysis as a subcommand with CSV/JSON output.
 
-Each subcommand resolves its parameters (JSON config as the base, flags win),
-runs the corresponding module operation, writes CSV files with a '#'-metadata
-header, and records a manifest alongside the outputs.  Re-running with the
-parameters in a manifest reproduces the outputs bit-for-bit.
+Each subcommand is a table of parameters plus a compute-and-write body.  A value
+comes from its flag, else the ``--config`` JSON (same validators, unknown keys
+rejected), else the default; the resolved values are the manifest's
+``parameters`` and, fed back as ``--config``, reproduce the run bit-for-bit.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure (machine-readable
-error JSON on stderr).
+Exit codes: 0 success, 2 usage error, 3 numerical failure (error JSON on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,593 +23,327 @@ from . import __version__
 from ._csvio import write_csv, write_manifest
 from .errors import ShearlabError
 from .material import MaterialParams, ScalingParams, uniform_shear, tau_of_t, t_of_tau
-from .stability import (spectrum, integrate_mode, energy_certificate,
-                        energy_decay_check)
+from .stability import spectrum, integrate_mode, energy_certificate, energy_decay_check
 from .orbit import PlanarParams, shoot_heteroclinic, reparametrize
 from .profile import reconstruct, ode_residual, endpoint_report
 from .localization import LocalizedSolution, residual_convergence, band_diagnostics
 from .pdesim import SimConfig, run as run_sim
 
 
-def _threads_default() -> int:
-    return int(os.environ.get("SHEARLAB_THREADS", "1"))
+class Param(NamedTuple):
+    """One settable value: ``key`` is the config key, argparse dest and manifest key;
+    ``kind`` converts and validates flag text and config values alike (``bool``
+    makes a flag without a value); ``flag`` defaults to ``--key`` with ``-`` for ``_``."""
+
+    key: str
+    kind: Callable
+    default: object
+    flag: str | None = None
 
 
-def _add_common(sp):
-    sp.add_argument("--config", type=Path, default=None,
-                    help="JSON file with parameter defaults (flags win)")
-    sp.add_argument("--out-dir", type=Path, default=Path("."),
-                    help="directory for output files")
-    sp.add_argument("--prefix", type=str, default=None,
-                    help="output file prefix (default: subcommand name)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for grid evaluation "
-                         "(default: SHEARLAB_THREADS or 1)")
-
-
-def _resolve(args, key, fallback):
-    """Flag value if given, else config value, else fallback."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if getattr(args, "_config", None) and key in args._config:
-        return args._config[key]
-    return fallback
-
-
-def _load_config(args):
-    args._config = {}
-    if args.config is not None:
-        with open(args.config) as f:
-            args._config = json.load(f)
-
-
-def _prefix(args, default):
-    name = args.prefix if args.prefix is not None else default
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return args.out_dir / name
-
-
-def _positive(kind=float, name="value"):
-    def convert(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be > 0, got {value}")
-        return value
+def _checked(kind, test, what):
+    def convert(value):
+        v = kind(value)
+        if not test(v):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {v!r}")
+        return v
+    convert.__name__ = kind.__name__   # argparse names the type in "invalid ... value"
     return convert
 
 
-# --- subcommand implementations ---
+def _ints(text) -> list[int]:
+    return [int(j) for j in text.split(",") if j.strip()]
 
 
-def cmd_uniform_shear(args):
-    _load_config(args)
-    alpha = _resolve(args, "alpha", 0.5)
-    theta0 = _resolve(args, "theta0", 0.0)
-    tmax = _resolve(args, "tmax", 100.0)
-    samples = int(_resolve(args, "samples", 201))
-    params = MaterialParams(n=0.0, alpha=alpha, kappa=0.0, theta0=theta0)
-    ts = np.linspace(0.0, tmax, samples)
+POS = _checked(float, lambda v: v > 0, "> 0")
+NONNEG = _checked(float, lambda v: v >= 0, ">= 0")
+POS_INT = _checked(int, lambda v: v > 0, "> 0")
+INT_LIST = _checked(str, lambda t: min(_ints(t), default=0) > 0, "a comma list of positive ints")
+# rows that several subcommands share
+EPS_TOL = (Param("eps", float, 1e-6), Param("tol", float, 1e-8))
+MATERIAL = (Param("n", NONNEG, 0.05), Param("alpha", POS, 0.5), Param("kappa", NONNEG, 0.5),
+            Param("theta0", float, 0.0))
+ORBIT = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("nu", POS, 0.1), *EPS_TOL)
+SOLUTION = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("theta0", float, 10.0),
+            Param("lam", POS, 0.1, "--lambda"), Param("sigma0", POS, 1.88),
+            Param("xmax", POS, 5.0))
+
+
+def _choice(*options):
+    return _checked(str, lambda v: v in options, "one of " + ", ".join(options))
+
+
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(name: str, help: str, *params: Param):
+    """Register ``body(p, out) -> (output paths, summary line)`` as ``name``;
+    a body may fill in a value of ``p`` it derived, for the manifest to record."""
+    def register(body):
+        COMMANDS[name] = (help, params, body)
+        return body
+    return register
+
+
+def _material(p) -> MaterialParams:
+    return MaterialParams(**{k: p.get(k, 0.0) for k in ("n", "alpha", "kappa", "theta0")})
+
+
+@command("uniform-shear", "tabulate the uniform shearing base state",
+         Param("alpha", POS, 0.5), Param("theta0", float, 0.0),
+         Param("tmax", POS, 100.0), Param("samples", POS_INT, 201))
+def _uniform_shear(p, out):
+    params = _material(p)
+    ts = np.linspace(0.0, p["tmax"], p["samples"])
     states = [uniform_shear(params, t) for t in ts]
-    out = _prefix(args, "uniform_shear")
     csv = out.with_suffix(".csv")
-    t0 = time.time()
-    write_csv(csv, {
-        "t": ts,
-        "theta_s": [s.theta_s for s in states],
-        "sigma_s": [s.sigma_s for s in states],
-        "tau": tau_of_t(params, ts),
-    }, {"alpha": alpha, "theta0": theta0, "c0": params.c0})
-    write_manifest(out.with_suffix(".manifest.json"), "uniform-shear",
-                   {"alpha": alpha, "theta0": theta0, "tmax": tmax, "samples": samples},
-                   [csv], duration=time.time() - t0)
-    print(f"wrote {csv}")
-    return 0
+    write_csv(csv, {"t": ts, "theta_s": [s.theta_s for s in states],
+                    "sigma_s": [s.sigma_s for s in states], "tau": tau_of_t(params, ts)},
+              {"alpha": p["alpha"], "theta0": p["theta0"], "c0": params.c0})
+    return [csv], f"c0={params.c0:.6g}"
 
 
 _REGIMES = {(True, True): "hadamard", (True, False): "turing",
             (False, True): "rate-insensitive-diffusive", (False, False): "diffusive"}
 
 
-def cmd_spectrum(args):
-    _load_config(args)
-    n = _resolve(args, "n", 0.1)
-    alpha = _resolve(args, "alpha", 0.5)
-    k = _resolve(args, "k", 0.0)
-    jmax = int(_resolve(args, "jmax", 64))
-    params = MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=0.0)
-    sp = spectrum(params, k, jmax)
-    regime = _REGIMES[(k == 0.0, n == 0.0)]
-    out = _prefix(args, "spectrum")
+@command("spectrum", "frozen-coefficient mode spectrum",
+         Param("n", NONNEG, 0.1), Param("alpha", POS, 0.5), Param("k", NONNEG, 0.0),
+         Param("jmax", POS_INT, 64))
+def _spectrum(p, out):
+    sp = spectrum(_material(p), p["k"], p["jmax"])
+    regime = _REGIMES[(p["k"] == 0.0, p["n"] == 0.0)]
     csv = out.with_suffix(".csv")
-    t0 = time.time()
-    write_csv(csv, {
-        "j": [m.j for m in sp.modes],
-        "lambda_minus": [m.lambda_minus for m in sp.modes],
-        "lambda_plus": [m.lambda_plus for m in sp.modes],
-        "classification": [m.classification for m in sp.modes],
-    }, {"n": n, "alpha": alpha, "k": k, "jmax": jmax,
-        "num_unstable": sp.num_unstable, "regime": regime})
-    write_manifest(out.with_suffix(".manifest.json"), "spectrum",
-                   {"n": n, "alpha": alpha, "k": k, "jmax": jmax},
-                   [csv], duration=time.time() - t0)
-    print(f"num_unstable={sp.num_unstable} regime={regime}")
-    print(f"wrote {csv}")
-    return 0
+    write_csv(csv, {k: [getattr(m, k) for m in sp.modes]
+                    for k in ("j", "lambda_minus", "lambda_plus", "classification")},
+              {**p, "num_unstable": sp.num_unstable, "regime": regime})
+    return [csv], f"num_unstable={sp.num_unstable} regime={regime}"
 
 
-def cmd_modes(args):
-    _load_config(args)
-    n = _resolve(args, "n", 0.05)
-    alpha = _resolve(args, "alpha", 0.5)
-    kappa = _resolve(args, "kappa", 0.5)
-    theta0 = _resolve(args, "theta0", 0.0)
-    j = int(_resolve(args, "j", 1))
-    init_u = _resolve(args, "init_u", 1.0)
-    init_theta = _resolve(args, "init_theta", 1.0)
-    tau_end = _resolve(args, "tau_end", 5.0)
-    frozen_k = _resolve(args, "frozen_k", None)
-    params = MaterialParams(n=n, alpha=alpha, kappa=kappa, theta0=theta0)
-    traj = integrate_mode(params, j, (init_u, init_theta), tau_end, frozen_k=frozen_k)
-    out = _prefix(args, "modes")
+@command("modes", "integrate one perturbation mode in rescaled time",
+         *MATERIAL, Param("j", int, 1), Param("init_u", float, 1.0),
+         Param("init_theta", float, 1.0), Param("tau_end", POS, 5.0),
+         Param("frozen_k", float, None))
+def _modes(p, out):
+    params = _material(p)
+    traj = integrate_mode(params, p["j"], (p["init_u"], p["init_theta"]), p["tau_end"],
+                          frozen_k=p["frozen_k"])
     csv = out.with_suffix(".csv")
-    t0 = time.time()
-    write_csv(csv, {
-        "tau": traj.taus,
-        "t": t_of_tau(params, traj.taus),
-        "u": traj.u,
-        "theta": traj.theta,
-    }, {"n": n, "alpha": alpha, "kappa": kappa, "theta0": theta0, "j": j,
-        "frozen_k": frozen_k if frozen_k is not None else "none",
-        "method": traj.method})
-    write_manifest(out.with_suffix(".manifest.json"), "modes",
-                   {"n": n, "alpha": alpha, "kappa": kappa, "theta0": theta0,
-                    "j": j, "init": [init_u, init_theta], "tau_end": tau_end,
-                    "frozen_k": frozen_k},
-                   [csv], duration=time.time() - t0)
-    print(f"wrote {csv}")
-    return 0
+    meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "j")}
+    write_csv(csv, {"tau": traj.taus, "t": t_of_tau(params, traj.taus), "u": traj.u,
+                    "theta": traj.theta},
+              {**meta, "frozen_k": "none" if p["frozen_k"] is None else p["frozen_k"],
+               "method": traj.method})
+    return [csv], f"method={traj.method}"
 
 
-def cmd_energy(args):
-    _load_config(args)
-    n = _resolve(args, "n", 0.05)
-    alpha = _resolve(args, "alpha", 0.5)
-    kappa = _resolve(args, "kappa", 0.5)
-    theta0 = _resolve(args, "theta0", 0.0)
-    jmodes = _resolve(args, "jmodes", "1,2,3")
-    tau_end = _resolve(args, "tau_end", None)
-    params = MaterialParams(n=n, alpha=alpha, kappa=kappa, theta0=theta0)
-    cert = energy_certificate(params) if kappa > 0 and n > 0 else None
-    if tau_end is None:
-        tau_end = 1.2 * cert.tau_T if cert is not None and cert.tau_T > 0 else 5.0
-    modes = [(int(j), (1.0, 1.0)) for j in str(jmodes).split(",") if j.strip()]
-    report = energy_decay_check(params, cert, modes, float(tau_end))
-    out = _prefix(args, "energy")
+@command("energy", "energy certificate and decay check",
+         *MATERIAL, Param("jmodes", INT_LIST, "1,2,3"), Param("tau_end", POS, None))
+def _energy(p, out):
+    params = _material(p)
+    cert = energy_certificate(params) if p["kappa"] > 0 and p["n"] > 0 else None
+    if p["tau_end"] is None:
+        p["tau_end"] = float(1.2 * cert.tau_T if cert is not None and cert.tau_T > 0 else 5.0)
+    modes = [(j, (1.0, 1.0)) for j in _ints(p["jmodes"])]
+    report = energy_decay_check(params, cert, modes, p["tau_end"])
     csv = out.with_suffix(".csv")
-    t0 = time.time()
-    after = (report.taus >= report.tau_T) if report.tau_T is not None else \
-        np.zeros_like(report.taus, dtype=bool)
-    flag = bool(report.monotone_after_T) if report.monotone_after_T is not None else False
-    meta = {"n": n, "alpha": alpha, "kappa": kappa, "theta0": theta0,
+    # monotone_after_T is None exactly when there is no tau_T
+    after = report.taus >= report.tau_T if report.monotone_after_T else \
+        np.zeros(report.taus.shape, dtype=bool)
+    meta = {**{k: p[k] for k in ("n", "alpha", "kappa", "theta0")},
             "certificate_applicable": report.certificate_applicable,
             "E_end_over_E0": report.E_end_over_E0}
     if cert is not None:
         meta.update({"A": cert.A, "B": cert.B, "C_B": cert.C_B, "Cp": cert.Cp,
                      "T": cert.T, "tau_T": cert.tau_T,
                      "monotone_after_T": report.monotone_after_T})
-    write_csv(csv, {
-        "tau": report.taus,
-        "t": report.ts,
-        "E": report.E,
-        "monotone_after_T": (after & flag).astype(int),
-    }, meta)
-    write_manifest(out.with_suffix(".manifest.json"), "energy",
-                   {"n": n, "alpha": alpha, "kappa": kappa, "theta0": theta0,
-                    "jmodes": str(jmodes), "tau_end": float(tau_end)},
-                   [csv], duration=time.time() - t0)
-    if cert is not None:
-        print(f"A={cert.A:.6g} B={cert.B:.6g} C_B={cert.C_B:.6g} T={cert.T:.6g} "
-              f"monotone_after_T={report.monotone_after_T}")
-    else:
-        print("certificate not applicable (needs kappa > 0 and n > 0)")
-    print(f"wrote {csv}")
-    return 0
+    write_csv(csv, {"tau": report.taus, "t": report.ts, "E": report.E,
+                    "monotone_after_T": after.astype(int)}, meta)
+    return [csv], ("certificate not applicable (needs kappa > 0 and n > 0)" if cert is None else
+                   f"A={cert.A:.6g} B={cert.B:.6g} C_B={cert.C_B:.6g} T={cert.T:.6g} "
+                   f"monotone_after_T={report.monotone_after_T}")
 
 
-def _shoot(args):
-    n = _resolve(args, "n", 0.1)
-    alpha = _resolve(args, "alpha", 0.5)
-    nu = _resolve(args, "nu", None)
-    if nu is None:
-        nu = _resolve(args, "lam", 0.1)
-    eps = _resolve(args, "eps", 1e-6)
-    tol = _resolve(args, "tol", 1e-8)
-    p = PlanarParams(n=n, alpha=alpha, nu=nu)
-    return p, shoot_heteroclinic(p, eps=eps, tol=tol), eps, tol
-
-
-def _orbit_csv(planar, orbit, csv_path):
-    write_csv(csv_path, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b}, {
-        "n": planar.n, "alpha": planar.alpha, "nu": planar.nu,
-        "c_nu": planar.c_nu, "eta0": orbit.eta0,
-        "kappa1": orbit.kappa1 if orbit.kappa1 is not None else "none",
-    })
-
-
-def cmd_heteroclinic(args):
-    _load_config(args)
-    p, orbit, eps, tol = _shoot(args)
-    sigma0 = _resolve(args, "sigma0", None)
-    if sigma0 is not None:
-        orbit = reparametrize(orbit, sigma0)
-    out = _prefix(args, "heteroclinic")
-    csv = out.with_suffix(".csv")
-    t0 = time.time()
-    _orbit_csv(p, orbit, csv)
-    write_manifest(out.with_suffix(".manifest.json"), "heteroclinic",
-                   {"n": p.n, "alpha": p.alpha, "nu": p.nu, "eps": eps,
-                    "tol": tol, "sigma0": sigma0},
-                   [csv], tolerances={"tol": tol, "eps": eps},
-                   duration=time.time() - t0)
-    print(f"samples={orbit.eta.size} kappa1={orbit.kappa1} wrote {csv}")
-    return 0
+def _shoot(p, nu):
+    planar = PlanarParams(n=p["n"], alpha=p["alpha"], nu=nu)
+    try:
+        return planar, shoot_heteroclinic(planar, eps=p["eps"], tol=p["tol"])
+    except ShearlabError as exc:
+        raise type(exc)(f"{exc}; try reducing --eps or loosening --tol") from exc
 
 
 def _profile_csv(prof, csv_path):
-    write_csv(csv_path, {"xi": prof.xi, "U": prof.U, "Sigma": prof.Sigma,
-                         "Theta": prof.Theta},
-              {"n": prof.p.n, "alpha": prof.p.alpha, "nu": prof.p.nu,
-               "sigma0": prof.sigma0, "U0": prof.U0, "Theta0": prof.Theta0,
-               "c_nu": prof.p.c_nu})
+    write_csv(csv_path, {"xi": prof.xi, "U": prof.U, "Sigma": prof.Sigma, "Theta": prof.Theta},
+              {"n": prof.p.n, "alpha": prof.p.alpha, "nu": prof.p.nu, "sigma0": prof.sigma0,
+               "U0": prof.U0, "Theta0": prof.Theta0, "c_nu": prof.p.c_nu})
 
 
-def cmd_profile(args):
-    _load_config(args)
-    p, orbit, eps, tol = _shoot(args)
-    sigma0 = _resolve(args, "sigma0", 1.0)
-    prof = reconstruct(reparametrize(orbit, sigma0))
-    out = _prefix(args, "profile")
+@command("heteroclinic", "shoot the heteroclinic orbit",
+         *ORBIT, Param("sigma0", POS, None))
+def _heteroclinic(p, out):
+    planar, orbit = _shoot(p, p["nu"])
+    if p["sigma0"] is not None:
+        orbit = reparametrize(orbit, p["sigma0"])
     csv = out.with_suffix(".csv")
-    t0 = time.time()
+    write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},
+              {"n": planar.n, "alpha": planar.alpha, "nu": planar.nu, "c_nu": planar.c_nu,
+               "eta0": orbit.eta0, "kappa1": "none" if orbit.kappa1 is None else orbit.kappa1})
+    return [csv], f"samples={orbit.eta.size} kappa1={orbit.kappa1}"
+
+
+@command("profile", "self-similar profile with residual report",
+         *ORBIT, Param("sigma0", POS, 1.0))
+def _profile(p, out):
+    planar, orbit = _shoot(p, p["nu"])
+    prof = reconstruct(reparametrize(orbit, p["sigma0"]))
+    csv = out.with_suffix(".csv")
     _profile_csv(prof, csv)
-    res = ode_residual(prof, p.nu, p.n, p.alpha,
-                       xi=np.geomspace(max(1e-2, 2 * prof.xi_min),
-                                       min(1e2, prof.xi_max / 2), 20001))
-    rep = endpoint_report(prof)
-    report_path = out.parent / (out.name + "_report.json")
+    xi = np.geomspace(max(1e-2, 2 * prof.xi_min), min(1e2, prof.xi_max / 2), 20001)
+    res = ode_residual(prof, planar.nu, planar.n, planar.alpha, xi=xi)
+    report_path = Path(f"{out}_report.json")
     report_path.write_text(json.dumps({
-        "residual_sup": res.sup, "residual_l2": res.l2,
-        "fd_error_estimate": res.fd_error_estimate,
-        "grid_too_coarse": res.grid_too_coarse,
-        "endpoints": {k: getattr(rep, k) for k in (
-            "sigma_origin_gap", "product_origin_gap", "dU0", "dSigma0", "dTheta0",
-            "taylor_coeff", "taylor_coeff_target", "tail_xi", "tail_sigma_dev",
-            "tail_u_dev", "tail_theta_dev")},
+        "residual_sup": res.sup, "residual_l2": res.l2, "fd_error_estimate": res.fd_error_estimate,
+        "grid_too_coarse": res.grid_too_coarse, "endpoints": vars(endpoint_report(prof)),
     }, indent=2) + "\n")
-    write_manifest(out.with_suffix(".manifest.json"), "profile",
-                   {"n": p.n, "alpha": p.alpha, "nu": p.nu, "sigma0": sigma0,
-                    "eps": eps, "tol": tol},
-                   [csv, report_path], tolerances={"tol": tol, "eps": eps},
-                   duration=time.time() - t0)
-    print(f"residual_sup={max(res.sup):.3e} wrote {csv}")
-    return 0
+    return [csv, report_path], f"residual_sup={max(res.sup):.3e}"
 
 
-def _evaluate_grid(sol, x, ts, threads):
-    """u, sigma, theta on x (space) times ts (times); deterministic row order."""
-    def one(i):
-        return sol.evaluate(x, ts[i])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(len(ts))))
-    else:
-        results = [one(i) for i in range(len(ts))]
-    return results
+def _solution(p, orbit):
+    """The profile of ``orbit`` at ``sigma0`` and the localizing solution built on it."""
+    prof = reconstruct(reparametrize(orbit, p["sigma0"]))
+    scaling = ScalingParams(lam=p["lam"], sigma0=p["sigma0"])
+    return prof, LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
 
 
-def cmd_localize(args):
-    _load_config(args)
-    n = _resolve(args, "n", 0.1)
-    alpha = _resolve(args, "alpha", 0.5)
-    theta0 = _resolve(args, "theta0", 10.0)
-    lam = _resolve(args, "lam", 0.1)
-    sigma0 = _resolve(args, "sigma0", 1.88)
-    xmax = _resolve(args, "xmax", 5.0)
-    tmax = _resolve(args, "tmax", 200.0)
-    frames = int(_resolve(args, "frames", 9))
-    nx = int(_resolve(args, "nx", 401))
-    eps = _resolve(args, "eps", 1e-6)
-    tol = _resolve(args, "tol", 1e-8)
-    threads = args.threads if args.threads is not None else _threads_default()
-
-    t_start = time.time()
-    p = PlanarParams(n=n, alpha=alpha, nu=lam)
-    try:
-        orbit = shoot_heteroclinic(p, eps=eps, tol=tol)
-    except ShearlabError as exc:
-        raise type(exc)(f"{exc}; try reducing --eps or loosening --tol") from exc
-    prof = reconstruct(reparametrize(orbit, sigma0))
-    params = MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=theta0)
-    sol = LocalizedSolution(params=params, scaling=ScalingParams(lam=lam, sigma0=sigma0),
-                            profile=prof)
-
-    out = _prefix(args, "localize")
-    paths = {}
-    paths["profile"] = Path(f"{out}_profile.csv")
-    _profile_csv(prof, paths["profile"])
-
-    x = np.linspace(-xmax, xmax, nx)
-    ts = np.linspace(0.0, tmax, frames)
-    fields = _evaluate_grid(sol, x, ts, threads)
-    long_t = np.repeat(ts, x.size)
-    long_x = np.tile(x, ts.size)
-    paths["spacetime"] = Path(f"{out}_spacetime.csv")
-    write_csv(paths["spacetime"], {
-        "x": long_x, "t": long_t,
-        "u": np.concatenate([f[0] for f in fields]),
-        "sigma": np.concatenate([f[1] for f in fields]),
-        "theta": np.concatenate([f[2] for f in fields]),
-    }, {"n": n, "alpha": alpha, "theta0": theta0, "lambda": lam,
-        "sigma0": sigma0, "xmax": xmax, "tmax": tmax})
-
-    tpos = ts[1:] if ts[0] == 0.0 else ts
-    diag = band_diagnostics(sol, tpos if tpos.size else np.array([tmax]))
-    paths["diagnostics"] = Path(f"{out}_diagnostics.csv")
-    write_csv(paths["diagnostics"], {
-        "t": diag.t, "peak_u": diag.peak_u, "halfwidth": diag.halfwidth,
-        "theta_excess": diag.theta_excess,
-    }, {"n": n, "alpha": alpha, "theta0": theta0, "lambda": lam, "sigma0": sigma0})
-
-    reports, orders, order = residual_convergence(
-        sol, x_span=(-xmax, xmax), t_span=(0.0, min(tmax, 10.0)))
-    paths["residual"] = Path(f"{out}_residual.json")
-    paths["residual"].write_text(json.dumps({
-        "levels": [{"nx": r.nx, "nt": r.nt, "sup": r.sup, "l2": r.l2,
-                    "fd_error_estimate": r.fd_error_estimate,
-                    "at_interpolation_floor": r.at_interpolation_floor}
-                   for r in reports],
-        "orders": list(orders), "fitted_order": order,
-    }, indent=2) + "\n")
-
-    write_manifest(out.with_suffix(".manifest.json"), "localize",
-                   {"n": n, "alpha": alpha, "theta0": theta0, "lambda": lam,
-                    "sigma0": sigma0, "xmax": xmax, "tmax": tmax,
-                    "frames": frames, "nx": nx, "eps": eps, "tol": tol,
-                    "threads": threads},
-                   list(paths.values()), tolerances={"tol": tol, "eps": eps},
-                   duration=time.time() - t_start)
-    print(f"fitted_order={order:.3f} sup_residual={max(reports[-1].sup):.3e}")
-    print("wrote " + " ".join(str(v) for v in paths.values()))
-    return 0
-
-
-def cmd_residual(args):
-    _load_config(args)
-    n = _resolve(args, "n", 0.1)
-    alpha = _resolve(args, "alpha", 0.5)
-    theta0 = _resolve(args, "theta0", 10.0)
-    lam = _resolve(args, "lam", 0.1)
-    sigma0 = _resolve(args, "sigma0", 1.88)
-    xmax = _resolve(args, "xmax", 5.0)
-    tmax = _resolve(args, "tmax", 10.0)
-    nx0 = int(_resolve(args, "nx0", 33))
-    nt0 = int(_resolve(args, "nt0", 17))
-    levels = int(_resolve(args, "levels", 4))
-    t_start = time.time()
-    p = PlanarParams(n=n, alpha=alpha, nu=lam)
-    prof = reconstruct(reparametrize(shoot_heteroclinic(p), sigma0))
-    params = MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=theta0)
-    sol = LocalizedSolution(params=params, scaling=ScalingParams(lam=lam, sigma0=sigma0),
-                            profile=prof)
-    reports, orders, order = residual_convergence(
-        sol, x_span=(-xmax, xmax), t_span=(0.0, tmax), nx0=nx0, nt0=nt0, levels=levels)
-    out = _prefix(args, "residual")
-    path = out.with_suffix(".json")
+def _residual_study(sol, path, **kwargs):
+    """Run the space-time residual study on ``sol``; write its JSON report to ``path``."""
+    reports, orders, order = residual_convergence(sol, **kwargs)
     path.write_text(json.dumps({
-        "levels": [{"nx": r.nx, "nt": r.nt, "sup": r.sup, "l2": r.l2,
-                    "fd_error_estimate": r.fd_error_estimate,
-                    "at_interpolation_floor": r.at_interpolation_floor}
-                   for r in reports],
+        "levels": [{k: getattr(r, k) for k in ("nx", "nt", "sup", "l2", "fd_error_estimate",
+                                               "at_interpolation_floor")} for r in reports],
         "orders": list(orders), "fitted_order": order,
     }, indent=2) + "\n")
-    write_manifest(out.with_suffix(".manifest.json"), "residual",
-                   {"n": n, "alpha": alpha, "theta0": theta0, "lambda": lam,
-                    "sigma0": sigma0, "xmax": xmax, "tmax": tmax,
-                    "nx0": nx0, "nt0": nt0, "levels": levels},
-                   [path], duration=time.time() - t_start)
-    print(f"fitted_order={order:.3f} wrote {path}")
-    return 0
+    return reports, order
 
 
-def cmd_simulate(args):
-    _load_config(args)
-    cfg_dict = dict(args._config)
-    for key in ("n", "alpha", "kappa", "theta0", "N", "t_end", "frames", "init",
-                "center", "width", "amplitude", "noise_amp", "seed", "method",
-                "rtol", "atol", "log_frames", "init_path"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg_dict[key] = flag
-    config = SimConfig.from_dict(cfg_dict)
-    t_start = time.time()
+@command("localize", "full localizing-solution pipeline",
+         *SOLUTION, Param("tmax", POS, 200.0), Param("frames", POS_INT, 9),
+         Param("nx", POS_INT, 401), *EPS_TOL)
+def _localize(p, out):
+    prof, sol = _solution(p, _shoot(p, p["lam"])[1])
+    paths = [Path(f"{out}_{name}") for name in (
+        "profile.csv", "spacetime.csv", "diagnostics.csv", "residual.json")]
+    _profile_csv(prof, paths[0])
+    xmax, tmax = p["xmax"], p["tmax"]
+    x = np.linspace(-xmax, xmax, p["nx"])
+    ts = np.linspace(0.0, tmax, p["frames"])
+    u, sigma, theta = (np.concatenate(c) for c in zip(*(sol.evaluate(x, t) for t in ts)))
+    meta = {"n": p["n"], "alpha": p["alpha"], "theta0": p["theta0"], "lambda": p["lam"],
+            "sigma0": p["sigma0"]}
+    write_csv(paths[1], {"x": np.tile(x, ts.size), "t": np.repeat(ts, x.size),
+                         "u": u, "sigma": sigma, "theta": theta},
+              {**meta, "xmax": xmax, "tmax": tmax})
+    diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
+    write_csv(paths[2], vars(diag), meta)
+    reports, order = _residual_study(sol, paths[3], x_span=(-xmax, xmax),
+                                     t_span=(0.0, min(tmax, 10.0)))
+    return paths, f"fitted_order={order:.3f} sup_residual={max(reports[-1].sup):.3e}"
+
+
+@command("residual", "space-time residual convergence study",
+         *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", POS_INT, 33),
+         Param("nt0", POS_INT, 17), Param("levels", POS_INT, 4))
+def _residual(p, out):
+    _, sol = _solution(p, shoot_heteroclinic(
+        PlanarParams(n=p["n"], alpha=p["alpha"], nu=p["lam"])))
+    path = out.with_suffix(".json")
+    _, order = _residual_study(sol, path, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
+                               nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
+    return [path], f"fitted_order={order:.3f}"
+
+
+@command("simulate", "direct nonlinear simulation",
+         *(Param(key, kind, getattr(SimConfig, key)) for key, kind in (
+             ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", float), ("N", int),
+             ("t_end", POS), ("frames", POS_INT),
+             ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", float),
+             ("width", POS), ("amplitude", float), ("noise_amp", float), ("seed", int),
+             ("init_path", str), ("method", _choice("auto", "rk45", "lsoda")),
+             ("rtol", float), ("atol", float), ("log_frames", bool))))
+def _simulate(p, out):
+    config = SimConfig.from_dict(p)
     result = run_sim(config)
-    out = _prefix(args, "simulate")
-
-    snaps = Path(f"{out}_snapshots.csv")
-    x = result.snapshots[0].grid.x
-    rows_t, rows_x, rows_v, rows_u, rows_th, rows_s = [], [], [], [], [], []
     params = config.material()
-    for st in result.snapshots:
-        u = st.strain_rate()
-        sigma = st.stress(params)
-        rows_t.append(np.full(x.size, st.t))
-        rows_x.append(x)
-        rows_v.append(st.v)
-        rows_u.append(u)
-        rows_th.append(st.theta)
-        rows_s.append(sigma)
-    write_csv(snaps, {
-        "t": np.concatenate(rows_t), "x": np.concatenate(rows_x),
-        "v": np.concatenate(rows_v), "u": np.concatenate(rows_u),
-        "theta": np.concatenate(rows_th), "sigma": np.concatenate(rows_s),
-    }, {"n": config.n, "alpha": config.alpha, "kappa": config.kappa,
-        "theta0": config.theta0, "N": config.N})
-
-    diag = Path(f"{out}_diagnostics.csv")
-    write_csv(diag, {
-        "t": result.times,
-        "inhomogeneity": result.inhomogeneity,
-        "max_u": result.max_u,
-        "mode1_u": result.mode1_u,
-        "mode1_theta": result.mode1_theta,
-        "energy": result.energy,
-    }, {"n": config.n, "alpha": config.alpha, "kappa": config.kappa,
-        "theta0": config.theta0, "N": config.N,
-        "energy_weight_A": result.energy_weight_A})
-
-    write_manifest(out.with_suffix(".manifest.json"), "simulate",
-                   {f: getattr(config, f) for f in config.__dataclass_fields__},
-                   [snaps, diag], tolerances={"rtol": config.rtol, "atol": config.atol},
-                   seed=config.seed, duration=time.time() - t_start)
+    x = result.snapshots[0].grid.x
+    meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "N")}
+    snaps, diag = Path(f"{out}_snapshots.csv"), Path(f"{out}_diagnostics.csv")
+    rows = [(np.full(x.size, st.t), x, st.v, st.strain_rate(), st.theta, st.stress(params))
+            for st in result.snapshots]
+    write_csv(snaps, {k: np.concatenate(c) for k, c in
+                      zip(("t", "x", "v", "u", "theta", "sigma"), zip(*rows))}, meta)
+    write_csv(diag, {"t": result.times, "inhomogeneity": result.inhomogeneity,
+                     "max_u": result.max_u, "mode1_u": result.mode1_u,
+                     "mode1_theta": result.mode1_theta, "energy": result.energy},
+              {**meta, "energy_weight_A": result.energy_weight_A})
     rise = result.inhomogeneity.max() / result.inhomogeneity[0] \
-        if result.inhomogeneity[0] > 0 else math.nan
-    print(f"inhomogeneity rise={rise:.3f} final={result.inhomogeneity[-1]:.3e}")
-    print(f"wrote {snaps} {diag}")
-    return 0
+        if result.inhomogeneity[0] > 0 else float("nan")
+    return [snaps, diag], f"inhomogeneity rise={rise:.3f} final={result.inhomogeneity[-1]:.3e}"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="shearlab",
-        description="Shear-band stability analysis, exact localizing solutions, "
-                    "and direct nonlinear simulation")
+    ap = argparse.ArgumentParser(prog="shearlab", description="Shear-band stability analysis, "
+                                 "exact localizing solutions, and direct nonlinear simulation")
     ap.add_argument("--version", action="version", version=f"shearlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("uniform-shear", help="tabulate the uniform shearing base state")
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--tmax", type=_positive(name="tmax"))
-    sp.add_argument("--samples", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_uniform_shear)
-
-    sp = sub.add_parser("spectrum", help="frozen-coefficient mode spectrum")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--jmax", type=_positive(int, "jmax"))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("modes", help="integrate one perturbation mode in rescaled time")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--init-u", dest="init_u", type=float)
-    sp.add_argument("--init-theta", dest="init_theta", type=float)
-    sp.add_argument("--tau-end", dest="tau_end", type=_positive(name="tau-end"))
-    sp.add_argument("--frozen-k", dest="frozen_k", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_modes)
-
-    sp = sub.add_parser("energy", help="energy certificate and decay check")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--jmodes", type=str)
-    sp.add_argument("--tau-end", dest="tau_end", type=_positive(name="tau-end"))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_energy)
-
-    sp = sub.add_parser("heteroclinic", help="shoot the heteroclinic orbit")
-    sp.add_argument("--n", type=_positive(name="n"))
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--nu", type=_positive(name="nu"))
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--sigma0", type=_positive(name="sigma0"))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_heteroclinic)
-
-    sp = sub.add_parser("profile", help="self-similar profile with residual report")
-    sp.add_argument("--n", type=_positive(name="n"))
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--nu", type=_positive(name="nu"))
-    sp.add_argument("--sigma0", type=_positive(name="sigma0"))
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--tol", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_profile)
-
-    sp = sub.add_parser("localize", help="full localizing-solution pipeline")
-    sp.add_argument("--n", type=_positive(name="n"))
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--lambda", dest="lam", type=_positive(name="lambda"))
-    sp.add_argument("--sigma0", type=_positive(name="sigma0"))
-    sp.add_argument("--xmax", type=_positive(name="xmax"))
-    sp.add_argument("--tmax", type=_positive(name="tmax"))
-    sp.add_argument("--frames", type=_positive(int, "frames"))
-    sp.add_argument("--nx", type=_positive(int, "nx"))
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--tol", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_localize)
-
-    sp = sub.add_parser("residual", help="space-time residual convergence study")
-    sp.add_argument("--n", type=_positive(name="n"))
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--lambda", dest="lam", type=_positive(name="lambda"))
-    sp.add_argument("--sigma0", type=_positive(name="sigma0"))
-    sp.add_argument("--xmax", type=_positive(name="xmax"))
-    sp.add_argument("--tmax", type=_positive(name="tmax"))
-    sp.add_argument("--nx0", type=_positive(int, "nx0"))
-    sp.add_argument("--nt0", type=_positive(int, "nt0"))
-    sp.add_argument("--levels", type=_positive(int, "levels"))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_residual)
-
-    sp = sub.add_parser("simulate", help="direct nonlinear simulation")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--alpha", type=_positive(name="alpha"))
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--t-end", dest="t_end", type=_positive(name="t-end"))
-    sp.add_argument("--frames", type=_positive(int, "frames"))
-    sp.add_argument("--init", choices=["uniform", "gaussian-bump", "from-file"])
-    sp.add_argument("--center", type=float)
-    sp.add_argument("--width", type=_positive(name="width"))
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--noise-amp", dest="noise_amp", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--init-path", dest="init_path", type=str)
-    sp.add_argument("--method", choices=["auto", "rk45", "lsoda"])
-    sp.add_argument("--rtol", type=float)
-    sp.add_argument("--atol", type=float)
-    sp.add_argument("--log-frames", dest="log_frames", action="store_const", const=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
+    for name, (help_, params, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for key, kind, _, flag in params:
+            flag = flag or "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key, **(
+                {"action": "store_const", "const": True} if kind is bool else {"type": kind}))
+        sp.add_argument("--config", type=Path, help="JSON file of parameter values (flags win)")
+        sp.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
+        sp.add_argument("--prefix", help="output file prefix (default: subcommand name)")
+        sp.set_defaults(usage_error=sp.error)
     return ap
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _resolve(args, params) -> dict:
+    """Each parameter's flag, else its config value, else its default."""
+    kinds = {prm.key: prm.kind for prm in params}
+    config, key = {}, None
     try:
-        return args.func(args)
+        if args.config is not None:
+            config = dict(json.loads(args.config.read_text()))
+        for key, value in config.items():
+            if key not in kinds:
+                raise ValueError("not a parameter of this subcommand")
+            config[key] = value if value is None else kinds[key](value)
+    except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        args.usage_error(f"--config {args.config}" + (f": {key}" if key else "") + f": {exc}")
+    return {prm.key: next((v for v in (getattr(args, prm.key), config.get(prm.key))
+                           if v is not None), prm.default)
+            for prm in params}
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    _, params, body = COMMANDS[args.command]
+    p = _resolve(args, params)
+    t0 = time.perf_counter()
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        out = args.out_dir / (args.prefix or args.command.replace("-", "_"))
+        outputs, summary = body(p, out)
+        write_manifest(out.with_suffix(".manifest.json"), args.command, p, outputs,
+                       tolerances={k: p[k] for k in ("eps", "tol", "rtol", "atol") if k in p},
+                       seed=p.get("seed"), duration=time.perf_counter() - t0)
     except (ShearlabError, OverflowError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, indent=None)
-        sys.stderr.write("\n")
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3
+    print(summary)
+    print("wrote " + " ".join(str(o) for o in outputs))
+    return 0
 
 
 if __name__ == "__main__":

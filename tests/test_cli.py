@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,47 @@ def test_spectrum_stabilized(tmp_path):
 def test_spectrum_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("spectrum", "--jmax", "0")
+    assert exc.value.code == 2
+
+
+# (subcommand, config key with a plain --key flag, invalid value)
+USAGE_ERRORS = [
+    ("spectrum", "jmax", 0),
+    ("spectrum", "n", -1),
+    ("spectrum", "k", -1),
+    ("energy", "kappa", -1),
+    ("energy", "jmodes", "a"),
+    ("uniform-shear", "samples", -1),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("cmd, key, value", USAGE_ERRORS)
+def test_invalid_value_is_usage_error(tmp_path, cmd, key, value, via):
+    if via == "flag":
+        argv = [cmd, f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = [cmd, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("cmd", ["heteroclinic", "simulate"])
+def test_unknown_config_key_is_usage_error(tmp_path, cmd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamda": 0.4}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(cmd, "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+
+
+def test_missing_config_file_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--config", str(tmp_path / "absent.json"))
     assert exc.value.code == 2
 
 
@@ -129,9 +171,9 @@ def test_golden_localization_bundle(tmp_path):
     assert code == 0
     _compare_to_golden(tmp_path / "localization_diagnostics.csv",
                        GOLDEN / "localization_diagnostics.csv")
-    # determinism: a rerun with a different thread count is bit-identical
+    # determinism: a rerun is bit-identical
     code = run_cli("localize", "--config", str(REPO / "configs" / "localization.json"),
-                   "--prefix", "localizationb", "--threads", "2", "--out-dir", str(tmp_path))
+                   "--prefix", "localizationb", "--out-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "localization_spacetime.csv").read_bytes() == \
         (tmp_path / "localizationb_spacetime.csv").read_bytes()
@@ -170,3 +212,47 @@ def test_residual_cmd(tmp_path):
     report = json.loads((tmp_path / "residual.json").read_text())
     assert len(report["levels"]) == 3
     assert report["fitted_order"] == pytest.approx(4.0, abs=0.3)
+
+
+# one small run per subcommand, each off the defaults that a config could miss
+ROUND_TRIP = [
+    ("uniform-shear", "--theta0", "3", "--samples", "7"),
+    ("spectrum", "--n", "0.05", "--k", "0.5", "--jmax", "8"),
+    ("modes", "--j", "2", "--init-u", "0.5", "--init-theta", "2", "--tau-end", "1"),
+    ("energy", "--jmodes", "1,2", "--tau-end", "2"),
+    ("heteroclinic", "--nu", "0.2", "--sigma0", "1.5"),
+    ("profile", "--nu", "0.2", "--sigma0", "1.5"),
+    ("localize", "--lambda", "0.4", "--sigma0", "1.0", "--frames", "3", "--nx", "21"),
+    ("residual", "--lambda", "0.4", "--levels", "2"),
+    ("simulate", "--N", "32", "--frames", "3", "--t-end", "1", "--amplitude", "0.05"),
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP, ids=lambda argv: argv[0])
+def test_manifest_parameters_reproduce_run(tmp_path, argv):
+    assert run_cli(*argv, "--prefix", "first", "--out-dir", str(tmp_path)) == 0
+    first = json.loads((tmp_path / "first.manifest.json").read_text())
+    cfg = tmp_path / "parameters.json"
+    cfg.write_text(json.dumps(first["parameters"]))
+    assert run_cli(argv[0], "--config", str(cfg), "--prefix", "second",
+                   "--out-dir", str(tmp_path)) == 0
+    second = json.loads((tmp_path / "second.manifest.json").read_text())
+    assert second["parameters"] == first["parameters"]
+    assert len(second["outputs"]) == len(first["outputs"])
+    for a, b in zip(first["outputs"], second["outputs"]):
+        assert Path(a).read_bytes() == Path(b).read_bytes(), a
+
+
+def test_wall_seconds_covers_compute(tmp_path, monkeypatch):
+    import shearlab.cli as cli
+    original = cli.energy_decay_check
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return original(*args, **kwargs)
+
+    # also pins that the CLI looks the name up at call time
+    monkeypatch.setattr(cli, "energy_decay_check", slow)
+    assert run_cli("energy", "--jmodes", "1", "--tau-end", "1", "--out-dir", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "energy.manifest.json").read_text())
+    assert manifest["wall_seconds"] >= 0.05
