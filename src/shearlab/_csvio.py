@@ -25,21 +25,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# rows formatted and written at a time: bounds the memory of the text in flight
+_BLOCK_ROWS = 4096
+
+
+def _row_values(a: np.ndarray) -> list:
+    """The elements of a 1-D array as values that ``_row_field(a)`` formats like ``_fmt``."""
+    kind = a.dtype.kind
+    if kind == "f":
+        return a.astype(float, copy=False).tolist()
+    if kind in "iu":
+        return a.tolist()
+    return [_fmt(v) for v in a]
+
+
+def _row_field(a: np.ndarray) -> str:
+    return "{:.17g}" if a.dtype.kind == "f" else "{}"
+
+
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
     """Write named columns with an optional metadata header."""
-    path = Path(path)
     names = list(columns)
     arrays = [np.asarray(columns[k]).ravel() for k in names]
     length = arrays[0].size
     if any(a.size != length for a in arrays):
         raise ValueError("all columns must have equal length")
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key} = {_fmt(value)}")
-    lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    path.write_text("\n".join(lines) + "\n")
+    header = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
+    header.append(",".join(names))
+    row = ",".join(map(_row_field, arrays)).format
+    with Path(path).open("w") as f:
+        f.write("\n".join(header) + "\n")
+        for start in range(0, length, _BLOCK_ROWS):
+            values = [_row_values(a[start:start + _BLOCK_ROWS]) for a in arrays]
+            f.write("\n".join([row(*r) for r in zip(*values)]) + "\n")
 
 
 def read_csv(path):

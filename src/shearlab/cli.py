@@ -58,9 +58,11 @@ def _ints(text) -> list[int]:
 POS = _checked(float, lambda v: v > 0, "> 0")
 NONNEG = _checked(float, lambda v: v >= 0, ">= 0")
 POS_INT = _checked(int, lambda v: v > 0, "> 0")
+NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
 INT_LIST = _checked(str, lambda t: min(_ints(t), default=0) > 0, "a comma list of positive ints")
 # rows that several subcommands share
-EPS_TOL = (Param("eps", float, 1e-6), Param("tol", float, 1e-8))
+EPS_TOL = (Param("eps", _checked(float, lambda v: 0 < v <= 1e-3, "in (0, 1e-3]"), 1e-6),
+           Param("tol", POS, 1e-8))
 MATERIAL = (Param("n", NONNEG, 0.05), Param("alpha", POS, 0.5), Param("kappa", NONNEG, 0.5),
             Param("theta0", float, 0.0))
 ORBIT = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("nu", POS, 0.1), *EPS_TOL)
@@ -96,7 +98,7 @@ def _uniform_shear(p, out):
     params = _material(p)
     ts = np.linspace(0.0, p["tmax"], p["samples"])
     states = [uniform_shear(params, t) for t in ts]
-    csv = out.with_suffix(".csv")
+    csv = Path(f"{out}.csv")
     write_csv(csv, {"t": ts, "theta_s": [s.theta_s for s in states],
                     "sigma_s": [s.sigma_s for s in states], "tau": tau_of_t(params, ts)},
               {"alpha": p["alpha"], "theta0": p["theta0"], "c0": params.c0})
@@ -113,7 +115,7 @@ _REGIMES = {(True, True): "hadamard", (True, False): "turing",
 def _spectrum(p, out):
     sp = spectrum(_material(p), p["k"], p["jmax"])
     regime = _REGIMES[(p["k"] == 0.0, p["n"] == 0.0)]
-    csv = out.with_suffix(".csv")
+    csv = Path(f"{out}.csv")
     write_csv(csv, {k: [getattr(m, k) for m in sp.modes]
                     for k in ("j", "lambda_minus", "lambda_plus", "classification")},
               {**p, "num_unstable": sp.num_unstable, "regime": regime})
@@ -121,14 +123,14 @@ def _spectrum(p, out):
 
 
 @command("modes", "integrate one perturbation mode in rescaled time",
-         *MATERIAL, Param("j", int, 1), Param("init_u", float, 1.0),
+         *MATERIAL, Param("j", NONNEG_INT, 1), Param("init_u", float, 1.0),
          Param("init_theta", float, 1.0), Param("tau_end", POS, 5.0),
-         Param("frozen_k", float, None))
+         Param("frozen_k", NONNEG, None))
 def _modes(p, out):
     params = _material(p)
     traj = integrate_mode(params, p["j"], (p["init_u"], p["init_theta"]), p["tau_end"],
                           frozen_k=p["frozen_k"])
-    csv = out.with_suffix(".csv")
+    csv = Path(f"{out}.csv")
     meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "j")}
     write_csv(csv, {"tau": traj.taus, "t": t_of_tau(params, traj.taus), "u": traj.u,
                     "theta": traj.theta},
@@ -146,7 +148,7 @@ def _energy(p, out):
         p["tau_end"] = float(1.2 * cert.tau_T if cert is not None and cert.tau_T > 0 else 5.0)
     modes = [(j, (1.0, 1.0)) for j in _ints(p["jmodes"])]
     report = energy_decay_check(params, cert, modes, p["tau_end"])
-    csv = out.with_suffix(".csv")
+    csv = Path(f"{out}.csv")
     # monotone_after_T is None exactly when there is no tau_T
     after = report.taus >= report.tau_T if report.monotone_after_T else \
         np.zeros(report.taus.shape, dtype=bool)
@@ -184,7 +186,7 @@ def _heteroclinic(p, out):
     planar, orbit = _shoot(p, p["nu"])
     if p["sigma0"] is not None:
         orbit = reparametrize(orbit, p["sigma0"])
-    csv = out.with_suffix(".csv")
+    csv = Path(f"{out}.csv")
     write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},
               {"n": planar.n, "alpha": planar.alpha, "nu": planar.nu, "c_nu": planar.c_nu,
                "eta0": orbit.eta0, "kappa1": "none" if orbit.kappa1 is None else orbit.kappa1})
@@ -196,7 +198,7 @@ def _heteroclinic(p, out):
 def _profile(p, out):
     planar, orbit = _shoot(p, p["nu"])
     prof = reconstruct(reparametrize(orbit, p["sigma0"]))
-    csv = out.with_suffix(".csv")
+    csv = Path(f"{out}.csv")
     _profile_csv(prof, csv)
     xi = np.geomspace(max(1e-2, 2 * prof.xi_min), min(1e2, prof.xi_max / 2), 20001)
     res = ode_residual(prof, planar.nu, planar.n, planar.alpha, xi=xi)
@@ -252,11 +254,10 @@ def _localize(p, out):
 
 @command("residual", "space-time residual convergence study",
          *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", POS_INT, 33),
-         Param("nt0", POS_INT, 17), Param("levels", POS_INT, 4))
+         Param("nt0", POS_INT, 17), Param("levels", POS_INT, 4), *EPS_TOL)
 def _residual(p, out):
-    _, sol = _solution(p, shoot_heteroclinic(
-        PlanarParams(n=p["n"], alpha=p["alpha"], nu=p["lam"])))
-    path = out.with_suffix(".json")
+    _, sol = _solution(p, _shoot(p, p["lam"])[1])
+    path = Path(f"{out}.json")
     _, order = _residual_study(sol, path, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
                                nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
     return [path], f"fitted_order={order:.3f}"
@@ -264,7 +265,8 @@ def _residual(p, out):
 
 @command("simulate", "direct nonlinear simulation",
          *(Param(key, kind, getattr(SimConfig, key)) for key, kind in (
-             ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", float), ("N", int),
+             ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", float),
+             ("N", _checked(int, lambda v: v >= 16, ">= 16")),
              ("t_end", POS), ("frames", POS_INT),
              ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", float),
              ("width", POS), ("amplitude", float), ("noise_amp", float), ("seed", int),
@@ -335,7 +337,7 @@ def main(argv=None) -> int:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         out = args.out_dir / (args.prefix or args.command.replace("-", "_"))
         outputs, summary = body(p, out)
-        write_manifest(out.with_suffix(".manifest.json"), args.command, p, outputs,
+        write_manifest(Path(f"{out}.manifest.json"), args.command, p, outputs,
                        tolerances={k: p[k] for k in ("eps", "tol", "rtol", "atol") if k in p},
                        seed=p.get("seed"), duration=time.perf_counter() - t0)
     except (ShearlabError, OverflowError) as exc:

@@ -206,31 +206,29 @@ class BandDiagnostics:
 
 
 def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
-    """peak_u = u(0,t); halfwidth solves u(x,t) = peak/2 by bisection;
-    theta_excess = theta(0,t) - theta_s(t)."""
+    """peak_u = u(0,t); halfwidth solves u(x,t) = peak/2; theta_excess = theta(0,t) - theta_s(t).
+
+    Since u = phi U(sqrt(lam) x phi), the half width is xi_half / (sqrt(lam) phi(t))
+    with xi_half the root of U(xi) = U(0)/2, found once by bisection on the profile.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or np.any(t_grid < 0):
         raise ParameterError("t grid must be positive and increasing")
-    lam = sol.scaling.lam
-    peaks = np.empty(t_grid.size)
-    widths = np.empty(t_grid.size)
-    excess = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        u0, _, th0 = sol.evaluate(0.0, t)
-        peaks[i] = u0
-        theta_s, _ = uniform_shear_arrays(sol.params, t)
-        excess[i] = th0 - float(theta_s)
-        phi = sol.phi(t)
-        # bracket: U decays like 1/xi, so u < peak/2 well before xi ~ 4 sigma0-ish
-        hi = 1.0 / (math.sqrt(lam) * phi)
-        while sol.evaluate(hi, t)[0] > 0.5 * u0:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if sol.evaluate(mid, t)[0] > 0.5 * u0:
-                lo = mid
-            else:
-                hi = mid
-        widths[i] = 0.5 * (lo + hi)
-    return BandDiagnostics(t=t_grid, peak_u=peaks, halfwidth=widths, theta_excess=excess)
+    half = 0.5 * sol.profile(0.0)[0]
+    # U decays like 1/xi, so doubling from xi = 1 brackets the root
+    hi = 1.0
+    while sol.profile(hi)[0] > half:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if sol.profile(mid)[0] > half:
+            lo = mid
+        else:
+            hi = mid
+    xi_half = 0.5 * (lo + hi)
+    peaks, _, theta0 = sol.evaluate(0.0, t_grid)
+    theta_s, _ = uniform_shear_arrays(sol.params, t_grid)
+    widths = xi_half / (math.sqrt(sol.scaling.lam) * sol.phi(t_grid))
+    return BandDiagnostics(t=t_grid, peak_u=peaks, halfwidth=widths,
+                           theta_excess=theta0 - theta_s)

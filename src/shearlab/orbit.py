@@ -195,14 +195,23 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     r = saddle.eigenvectors[0]
     r_hat = r / np.linalg.norm(r)
     seed = p.saddle - eps * r_hat
-    P = p.node
+    node_a, node_b = p.node.tolist()
+    # vector_field's coefficients, hoisted out of the RHS; the scalar arithmetic
+    # below keeps vector_field's order of operations, so the orbit is bit-identical
+    # to integrating vector_field itself
+    g = p.alpha / (p.nu * p.n)
+    c = p.c_nu
+    k = (p.n + 1.0) * p.nu / p.alpha
 
     def backward(s, y):
-        da, db = vector_field(p, y)
-        return (-da, -db)
+        a, b = y.tolist()
+        if b <= 0.0:
+            raise ParameterError("vector field undefined for b <= 0")
+        return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
     def reach_node(s, y):
-        return math.hypot(y[0] - P[0], y[1] - P[1]) - tol
+        a, b = y.tolist()
+        return math.hypot(a - node_a, b - node_b) - tol
 
     reach_node.terminal = True
     reach_node.direction = -1
@@ -212,7 +221,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     if sol.status == 0:
         raise MaxStepsError(
             f"orbit did not reach the node within s = {s_max} (distance "
-            f"{math.hypot(sol.y[0, -1] - P[0], sol.y[1, -1] - P[1]):.3e})")
+            f"{math.hypot(sol.y[0, -1] - node_a, sol.y[1, -1] - node_b):.3e})")
     if sol.status < 0:
         raise MaxStepsError(f"orbit integration failed: {sol.message}")
 

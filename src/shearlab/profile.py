@@ -50,8 +50,7 @@ def _triple_from_ab(p: PlanarParams, xi, a, b):
 class Profile:
     """Sampled localizing profile with an evaluator valid on all of R (even in xi).
 
-    Immutable after construction; evaluation is reentrant, so grids may be
-    filled from concurrent workers.
+    Immutable after construction.
     """
 
     p: PlanarParams

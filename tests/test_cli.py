@@ -40,7 +40,7 @@ def test_spectrum_usage_error():
     assert exc.value.code == 2
 
 
-# (subcommand, config key with a plain --key flag, invalid value)
+# (subcommand, config key, invalid value); the flag is --key with - for _
 USAGE_ERRORS = [
     ("spectrum", "jmax", 0),
     ("spectrum", "n", -1),
@@ -48,6 +48,12 @@ USAGE_ERRORS = [
     ("energy", "kappa", -1),
     ("energy", "jmodes", "a"),
     ("uniform-shear", "samples", -1),
+    ("modes", "j", -1),
+    ("modes", "frozen_k", -1),
+    ("heteroclinic", "eps", 0),
+    ("heteroclinic", "eps", 0.01),
+    ("profile", "tol", 0),
+    ("simulate", "N", 8),
 ]
 
 
@@ -55,7 +61,7 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("cmd, key, value", USAGE_ERRORS)
 def test_invalid_value_is_usage_error(tmp_path, cmd, key, value, via):
     if via == "flag":
-        argv = [cmd, f"--{key}", str(value)]
+        argv = [cmd, "--" + key.replace("_", "-"), str(value)]
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -93,6 +99,28 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert payload["error"] == "ParameterError"
+
+
+def test_residual_shoot_failure_carries_hint(tmp_path, capsys, monkeypatch):
+    import shearlab.cli as cli
+    from shearlab.errors import RegionExitError
+
+    def fail(*args, **kwargs):
+        raise RegionExitError("left the region R")
+
+    monkeypatch.setattr(cli, "shoot_heteroclinic", fail)
+    assert run_cli("residual", "--out-dir", str(tmp_path)) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "RegionExitError"
+    assert "try reducing --eps" in payload["message"]
+
+
+def test_dotted_prefixes_keep_distinct_files(tmp_path):
+    for prefix in ("run.1", "run.2"):
+        assert run_cli("spectrum", "--jmax", "3", "--prefix", prefix,
+                       "--out-dir", str(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.1.csv", "run.1.manifest.json", "run.2.csv", "run.2.manifest.json"]
 
 
 def test_uniform_shear_cmd(tmp_path):
@@ -223,7 +251,7 @@ ROUND_TRIP = [
     ("heteroclinic", "--nu", "0.2", "--sigma0", "1.5"),
     ("profile", "--nu", "0.2", "--sigma0", "1.5"),
     ("localize", "--lambda", "0.4", "--sigma0", "1.0", "--frames", "3", "--nx", "21"),
-    ("residual", "--lambda", "0.4", "--levels", "2"),
+    ("residual", "--lambda", "0.4", "--levels", "2", "--eps", "5e-7"),
     ("simulate", "--N", "32", "--frames", "3", "--t-end", "1", "--amplitude", "0.05"),
 ]
 

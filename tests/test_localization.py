@@ -178,6 +178,32 @@ def test_band_diagnostics_self_similarity(showcase_solution):
     assert np.all(np.diff(diag.theta_excess) > 0)
 
 
+def _bisect_halfwidth(sol, t):
+    """Root of u(x, t) = u(0, t)/2 by bisection in x, bracketed from xi = 1."""
+    u0 = sol.evaluate(0.0, t)[0]
+    hi = 1.0 / (math.sqrt(LAM) * sol.phi(t))
+    while sol.evaluate(hi, t)[0] > 0.5 * u0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if sol.evaluate(mid, t)[0] > 0.5 * u0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_band_halfwidth_matches_space_bisection(showcase_solution):
+    sol = showcase_solution
+    ts = np.linspace(0.0, 200.0, 9)[1:]
+    diag = band_diagnostics(sol, ts)
+    expected = [_bisect_halfwidth(sol, t) for t in ts]
+    assert np.allclose(diag.halfwidth, expected, rtol=1e-14, atol=0.0)
+    u_half = np.array([sol.evaluate(w, t)[0] for w, t in zip(diag.halfwidth, ts)])
+    assert np.allclose(u_half / diag.peak_u, 0.5, rtol=1e-12, atol=0.0)
+
+
 def test_larger_lambda_localizes_faster():
     params = MaterialParams(n=N, alpha=ALPHA, kappa=0.0, theta0=THETA0)
     sols = {}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from shearlab import (
     ParameterError,
@@ -224,3 +225,48 @@ def test_acceptance_sweep_orbits_exist():
                 path = shoot_heteroclinic(p)
                 assert math.hypot(path.a[0], path.b[0] - 1.0 / p.c_nu) <= 1.001 * path.tol
                 assert np.all(np.diff(path.a) > 0)
+
+
+def _reference_shoot(p, eps, tol=1e-8):
+    """The shoot as a plain solve_ivp on vector_field, with the shooter's settings."""
+    _, saddle = equilibria(p)
+    r = saddle.eigenvectors[0]
+    seed = p.saddle - eps * r / np.linalg.norm(r)
+    P = p.node
+
+    def backward(s, y):
+        da, db = vector_field(p, y)
+        return (-da, -db)
+
+    def reach_node(s, y):
+        return math.hypot(y[0] - P[0], y[1] - P[1]) - tol
+
+    reach_node.terminal = True
+    reach_node.direction = -1
+    sol = solve_ivp(backward, (0.0, 400.0), seed, method="RK45", rtol=1e-10,
+                    atol=1e-14, max_step=0.01, events=reach_node)
+    a, b = sol.y[0][::-1], sol.y[1][::-1]
+    return (-sol.t[::-1], a, b, *vector_field(p, (a, b)))
+
+
+@pytest.mark.parametrize("n, alpha, nu", [(0.05, 0.5, 0.05), (0.05, 1.0, 0.5),
+                                          (0.1, 0.5, 0.1), (0.1, 1.0, 0.05)])
+def test_shooter_matches_vector_field_reference(n, alpha, nu):
+    # the shooter's inlined scalar RHS must reproduce vector_field bit for bit
+    p = PlanarParams(n=n, alpha=alpha, nu=nu)
+    path = shoot_heteroclinic(p)
+    ref = _reference_shoot(p, path.eps)
+    for name, expected in zip(("eta", "a", "b", "da", "db"), ref):
+        assert np.array_equal(getattr(path, name), expected), name
+
+
+@pytest.mark.parametrize("b", [0.0, -1e-3])
+def test_shooter_rhs_guards_nonpositive_b(monkeypatch, b):
+    import shearlab.orbit as orbit
+
+    def probe(fun, t_span, y0, **kwargs):
+        fun(0.0, np.array([0.5, b]))
+
+    monkeypatch.setattr(orbit, "solve_ivp", probe)
+    with pytest.raises(ParameterError, match="b <= 0"):
+        shoot_heteroclinic(REF)
