@@ -97,10 +97,10 @@ def _material(p) -> MaterialParams:
 def _uniform_shear(p, out):
     params = _material(p)
     ts = np.linspace(0.0, p["tmax"], p["samples"])
-    states = [uniform_shear(params, t) for t in ts]
+    base = uniform_shear(params, ts)
     csv = Path(f"{out}.csv")
-    write_csv(csv, {"t": ts, "theta_s": [s.theta_s for s in states],
-                    "sigma_s": [s.sigma_s for s in states], "tau": tau_of_t(params, ts)},
+    write_csv(csv, {"t": ts, "theta_s": base.theta_s, "sigma_s": base.sigma_s,
+                    "tau": tau_of_t(params, ts)},
               {"alpha": p["alpha"], "theta0": p["theta0"], "c0": params.c0})
     return [csv], f"c0={params.c0:.6g}"
 
@@ -267,11 +267,12 @@ def _residual(p, out):
          *(Param(key, kind, getattr(SimConfig, key)) for key, kind in (
              ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", float),
              ("N", _checked(int, lambda v: v >= 16, ">= 16")),
-             ("t_end", POS), ("frames", POS_INT),
+             ("t_end", POS), ("frames", _checked(int, lambda v: v >= 2, ">= 2")),
              ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", float),
              ("width", POS), ("amplitude", float), ("noise_amp", float), ("seed", int),
-             ("init_path", str), ("method", _choice("auto", "rk45", "lsoda")),
-             ("rtol", float), ("atol", float), ("log_frames", bool))))
+             ("init_path", _checked(str, lambda v: Path(v).is_file(), "an existing file")),
+             ("method", _choice("auto", "rk45", "lsoda")),
+             ("rtol", POS), ("atol", NONNEG), ("log_frames", bool))))
 def _simulate(p, out):
     config = SimConfig.from_dict(p)
     result = run_sim(config)

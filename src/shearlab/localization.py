@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .material import MaterialParams, ScalingParams
+from .material import MaterialParams, ScalingParams, uniform_shear
+from .profile import _d4
 
 __all__ = [
     "LocalizedSolution",
@@ -87,29 +88,12 @@ class LocalizedSolution:
                 f"validity window ({xi_cap:.3e})")
         U, Sigma, Theta = self.profile(xi)
 
-        base = uniform_shear_arrays(self.params, t)
-        theta_s, sigma_s = base
+        base = uniform_shear(self.params, t)
         na = lam * (self.params.n + 1.0) / self.params.alpha
         u = phi * U
-        sigma = sigma_s / phi * Sigma
-        theta = (1.0 + na) * theta_s - na * self.params.theta0 + Theta
+        sigma = base.sigma_s / phi * Sigma
+        theta = (1.0 + na) * base.theta_s - na * self.params.theta0 + Theta
         return u, sigma, theta
-
-
-def uniform_shear_arrays(params: MaterialParams, t):
-    """(theta_s, sigma_s) vectorized over t."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_at_c0 = np.logaddexp(np.log(params.alpha * t), params.log_c0)
-    return log_at_c0 / params.alpha, np.exp(-log_at_c0)
-
-
-def _d4(values, h, axis):
-    """4th-order central first derivative along an axis; edges invalid."""
-    v = np.moveaxis(values, axis, 0)
-    d = np.full_like(v, np.nan)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    return np.moveaxis(d, 0, axis)
 
 
 @dataclass(frozen=True)
@@ -228,7 +212,6 @@ def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
             hi = mid
     xi_half = 0.5 * (lo + hi)
     peaks, _, theta0 = sol.evaluate(0.0, t_grid)
-    theta_s, _ = uniform_shear_arrays(sol.params, t_grid)
     widths = xi_half / (math.sqrt(sol.scaling.lam) * sol.phi(t_grid))
     return BandDiagnostics(t=t_grid, peak_u=peaks, halfwidth=widths,
-                           theta_excess=theta0 - theta_s)
+                           theta_excess=theta0 - uniform_shear(sol.params, t_grid).theta_s)

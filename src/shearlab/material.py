@@ -7,8 +7,9 @@ simulation) is expressed relative to the uniform shearing solution
 
     theta_s(t) = (1/alpha) log(alpha*t + c0),   sigma_s(t) = 1/(alpha*t + c0),
 
-with c0 = exp(alpha*theta0).  Closed forms are evaluated in log space so that
-large t or large alpha*theta0 cannot overflow.
+with c0 = exp(alpha*theta0); ``uniform_shear`` evaluates it at a scalar or an
+array of t.  Closed forms are evaluated in log space so that large t or large
+alpha*theta0 cannot overflow.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class UniformShearState:
-    """Base temperature and stress of the uniform shearing solution at time t."""
+    """Base temperature and stress of the uniform shearing solution at time(s) t."""
 
-    t: float
-    theta_s: float
-    sigma_s: float
+    t: float | np.ndarray
+    theta_s: float | np.ndarray
+    sigma_s: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,23 @@ class ScalingParams:
 
 
 def uniform_shear(params: MaterialParams, t) -> UniformShearState:
-    """Uniform shearing base state (theta_s, sigma_s) at time t >= 0.
+    """Uniform shearing base state (theta_s, sigma_s) at time(s) t >= 0.
 
     Evaluated as theta_s = (1/alpha) * logaddexp(log(alpha*t), alpha*theta0),
-    which is exact at t = 0 and overflow-safe for large t.
+    which is exact at t = 0 and overflow-safe for large t.  Accepts a scalar
+    (the fields are floats) or an array (the fields are arrays of its shape).
     """
-    t = float(t)
-    if t < 0.0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ParameterError(f"t must be >= 0, got {t[t < 0.0].min()}")
     a = params.alpha
     with np.errstate(divide="ignore"):  # log(0) at t = 0 feeds logaddexp(-inf, .)
         log_at_c0 = np.logaddexp(np.log(a * t), params.log_c0)
     theta_s = log_at_c0 / a
     sigma_s = np.exp(-log_at_c0)
-    return UniformShearState(t=t, theta_s=float(theta_s), sigma_s=float(sigma_s))
+    if t.ndim == 0:
+        return UniformShearState(t=float(t), theta_s=float(theta_s), sigma_s=float(sigma_s))
+    return UniformShearState(t=t, theta_s=theta_s, sigma_s=sigma_s)
 
 
 def tau_of_t(params: MaterialParams, t):

@@ -356,6 +356,8 @@ def run(config: SimConfig) -> SimResult:
         A = energy_certificate(params).A
 
     x = state0.grid.x
+    times = np.array([s.t for s in states])
+    theta_s = uniform_shear(params, times).theta_s
     m = len(states)
     inhom = np.empty(m)
     max_u = np.empty(m)
@@ -367,15 +369,14 @@ def run(config: SimConfig) -> SimResult:
         if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
             raise PositivityError(
                 f"strain rate lost positivity at t = {st.t:.6g}", state=st)
-        theta_s = uniform_shear(params, st.t).theta_s
         ubar = u - 1.0
-        tbar = st.theta - theta_s
+        tbar = st.theta - theta_s[i]
         inhom[i] = st.theta.max() - st.theta.min()
         max_u[i] = u.max()
         m1u[i] = _mode1_amplitude(x, u)
         m1t[i] = _mode1_amplitude(x, st.theta)
         energy[i] = float(np.trapezoid(0.5 * A * ubar ** 2 + 0.5 * tbar ** 2, x))
-    return SimResult(config=config, times=np.array([s.t for s in states]),
+    return SimResult(config=config, times=times,
                      snapshots=states, inhomogeneity=inhom, max_u=max_u,
                      mode1_u=m1u, mode1_theta=m1t, energy=energy,
                      energy_weight_A=A)

@@ -167,6 +167,14 @@ def scale_invariant_solution(n: float, alpha: float):
     return evaluate
 
 
+def _d4(values, h, axis):
+    """4th-order central first derivative along an axis; NaN at the two points of each edge."""
+    v = np.moveaxis(values, axis, 0)
+    d = np.full_like(v, np.nan)
+    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    return np.moveaxis(d, 0, axis)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Sup and L2 norms of the three profile-system equation residuals."""
@@ -181,25 +189,6 @@ class ResidualReport:
     @property
     def sup_total(self) -> float:
         return max(self.sup)
-
-
-def _derivative_log_grid(values, eta, xi):
-    # 4th-order central differences in eta = log xi, chain rule d/dxi = (1/xi) d/deta
-    h = eta[1] - eta[0]
-    d = np.empty_like(values)
-    d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)
-    d[:2] = d[2]
-    d[-2:] = d[-3]
-    return d / xi
-
-
-def _derivative_uniform(values, x):
-    h = x[1] - x[0]
-    d = np.empty_like(values)
-    d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)
-    d[:2] = d[2]
-    d[-2:] = d[-3]
-    return d
 
 
 def ode_residual(evaluator, nu: float, n: float, alpha: float,
@@ -217,17 +206,19 @@ def ode_residual(evaluator, nu: float, n: float, alpha: float,
     xi = np.asarray(xi, dtype=float)
     if xi.size < 9:
         raise ParameterError("need at least 9 grid points for the stride-2 estimate")
+    # d/dxi = (1/scale) d/dgrid: the chain rule on a log grid, exact division by 1 otherwise
     logs = np.log(xi)
     if np.allclose(np.diff(logs), logs[1] - logs[0], rtol=1e-8, atol=1e-12):
-        deriv = lambda v: _derivative_log_grid(v, logs, xi)
+        grid, scale = logs, xi
     elif np.allclose(np.diff(xi), xi[1] - xi[0], rtol=1e-8, atol=1e-12):
-        deriv = lambda v: _derivative_uniform(v, xi)
+        grid, scale = xi, np.ones_like(xi)
     else:
         raise ParameterError("xi grid must be uniform in xi or in log xi")
+    h = grid[1] - grid[0]
 
     U, Sigma, Theta = evaluator(xi)
-    dSigma = deriv(Sigma)
-    dTheta = deriv(Theta)
+    dSigma = _d4(Sigma, h, 0) / scale
+    dTheta = _d4(Theta, h, 0) / scale
 
     r1 = dSigma - xi * U
     r2 = nu * ((n + 1.0) / alpha + xi * dTheta) - (Sigma * U - 1.0)
@@ -239,21 +230,13 @@ def ode_residual(evaluator, nu: float, n: float, alpha: float,
     # stencil is round-off dominated (the two stencils' noises do not cancel,
     # so pure noise cannot slip through a (d_h - d_2h)/15 comparison).
     sub = slice(None, None, 2)
-    xi2, Sigma2, Theta2 = xi[sub], Sigma[sub], Theta[sub]
-    logs2 = logs[sub]
-    if np.allclose(np.diff(logs2), logs2[1] - logs2[0], rtol=1e-8, atol=1e-12):
-        d2 = lambda v: _derivative_log_grid(v, logs2, xi2)
-        h_eff = logs[1] - logs[0]
-        scale = xi2
-    else:
-        d2 = lambda v: _derivative_uniform(v, xi2)
-        h_eff = xi[1] - xi[0]
-        scale = np.ones_like(xi2)
+    xi2, Sigma2, Theta2, scale2 = xi[sub], Sigma[sub], Theta[sub], scale[sub]
+    h2 = grid[2] - grid[0]
     eps = np.finfo(float).eps
-    errS = (2.0 / 3.0) * np.abs(d2(Sigma2) - dSigma[sub]) \
-        + 2 * eps * np.abs(Sigma2) / (h_eff * scale)
-    errT = (2.0 / 3.0) * np.abs(d2(Theta2) - dTheta[sub]) \
-        + 2 * eps * np.abs(Theta2) / (h_eff * scale)
+    errS = (2.0 / 3.0) * np.abs(_d4(Sigma2, h2, 0) / scale2 - dSigma[sub]) \
+        + 2 * eps * np.abs(Sigma2) / (h * scale2)
+    errT = (2.0 / 3.0) * np.abs(_d4(Theta2, h2, 0) / scale2 - dTheta[sub]) \
+        + 2 * eps * np.abs(Theta2) / (h * scale2)
     fd_err = float(max(errS[2:-2].max(), (nu * xi2 * errT)[2:-2].max()))
 
     interior = slice(4, -4)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ParameterError, StiffnessError
-from .material import MaterialParams, t_of_tau
+from .material import MaterialParams, t_of_tau, tau_of_t
 
 __all__ = [
     "ModeEigen",
@@ -323,13 +323,8 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
                     t_eval=tau_eval, dense_output=tau_eval is None)
     if sol.status != 0:
         raise StiffnessError(f"mode integration failed: {sol.message}")
-    if tau_eval is None:
-        taus = sol.t
-        states = sol.y
-    else:
-        taus = np.asarray(tau_eval, dtype=float)
-        states = sol.y
-    return ModeTrajectory(j=j, taus=taus, u=states[0], theta=states[1], method="rk45")
+    taus = sol.t if tau_eval is None else np.asarray(tau_eval, dtype=float)
+    return ModeTrajectory(j=j, taus=taus, u=sol.y[0], theta=sol.y[1], method="rk45")
 
 
 @dataclass(frozen=True)
@@ -352,11 +347,11 @@ class EnergyCertificate:
 
     @property
     def tau_T(self) -> float:
-        from .material import tau_of_t
         return tau_of_t(self.params, self.T)
 
 
 _HEADROOM = 1.1
+_MONOTONE_SLACK = 1e-9
 
 
 def energy_certificate(params: MaterialParams) -> EnergyCertificate:
@@ -387,7 +382,7 @@ class DecayReport:
     monotone_after_T: bool | None
     E_end_over_E0: float
     certificate_applicable: bool
-    monotone_slack: float = 1e-9
+    monotone_slack: float = _MONOTONE_SLACK
 
 
 def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
@@ -414,7 +409,6 @@ def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
     ts = t_of_tau(params, taus)
 
     T = tau_T = max_before = monotone = None
-    slack = 1e-9
     if applicable:
         T = cert.T
         tau_T = cert.tau_T
@@ -424,11 +418,11 @@ def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
         if np.any(after):
             seg = E[after]
             # below integrator tolerance the energy is solver noise
-            tol = slack * max(seg.max(), 1e-300)
+            tol = _MONOTONE_SLACK * max(seg.max(), 1e-300)
             monotone = bool(np.all(np.diff(seg) <= tol))
         else:
             monotone = True
     return DecayReport(taus=taus, ts=ts, E=E, T=T, tau_T=tau_T,
                        max_E_before_T=max_before, monotone_after_T=monotone,
                        E_end_over_E0=float(E[-1] / E[0]) if E[0] > 0 else math.nan,
-                       certificate_applicable=applicable, monotone_slack=slack)
+                       certificate_applicable=applicable)

@@ -54,6 +54,10 @@ USAGE_ERRORS = [
     ("heteroclinic", "eps", 0.01),
     ("profile", "tol", 0),
     ("simulate", "N", 8),
+    ("simulate", "frames", 1),
+    ("simulate", "atol", -1),
+    ("simulate", "rtol", -1),
+    ("simulate", "init_path", "no-such-dir/init.npz"),
 ]
 
 

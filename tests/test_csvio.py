@@ -1,7 +1,10 @@
 from pathlib import Path
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shearlab._csvio import _BLOCK_ROWS, _fmt, read_csv, write_csv
 
@@ -45,3 +48,22 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "x.csv", {"a": [1.0, 2.0], "b": [1.0]})
     assert not (tmp_path / "x.csv").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda rows: st.lists(
+    hnp.arrays(np.float64, rows, elements=st.floats(width=64)), min_size=1, max_size=4)))
+def test_read_csv_inverts_write_csv_on_float64(columns):
+    named = {f"c{i}": c for i, c in enumerate(columns)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_csv(path, named, {"k": 1.5})
+        meta, data = read_csv(path)
+    assert meta == {"k": "1.5"} and list(data) == list(named)
+    for name, col in named.items():
+        back = data[name]
+        assert back.dtype == np.float64
+        nan = np.isnan(col)
+        assert np.array_equal(np.isnan(back), nan)
+        # bit patterns, so that -0.0 must come back as -0.0
+        assert np.array_equal(back[~nan].view(np.uint64), col[~nan].view(np.uint64))

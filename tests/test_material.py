@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad, solve_ivp
 
 from shearlab import (
@@ -198,3 +200,25 @@ def test_rescale_empty_overlap():
         rescale_triple(tr, 100.0, 0.1, 0.5)
     with pytest.raises(ParameterError):
         rescale_triple(tr, -1.0, 0.1, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(0.0, 1e6)),
+       alpha=st.floats(1e-3, 20.0), theta0=st.floats(-30.0, 30.0))
+def test_uniform_shear_array_matches_scalar_calls(t, alpha, theta0):
+    mp = MaterialParams(alpha=alpha, theta0=theta0)
+    t = np.concatenate([[0.0, 1e6], t])
+    base = uniform_shear(mp, t)
+    scalar = [uniform_shear(mp, float(ti)) for ti in t]
+    assert np.array_equal(base.t, t)
+    assert np.array_equal(base.theta_s, [s.theta_s for s in scalar])
+    assert np.array_equal(base.sigma_s, [s.sigma_s for s in scalar])
+
+
+def test_uniform_shear_zero_d_returns_floats():
+    mp = MaterialParams(alpha=0.7, theta0=1.3)
+    for t in (2.5, np.float64(2.5), np.array(2.5)):
+        st_ = uniform_shear(mp, t)
+        assert all(type(v) is float for v in (st_.t, st_.theta_s, st_.sigma_s))
+    with pytest.raises(ParameterError):
+        uniform_shear(mp, np.array([0.0, -1e-3, 2.0]))

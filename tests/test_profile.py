@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shearlab import (
     ParameterError,
@@ -17,6 +18,7 @@ from shearlab import (
     rescale_triple,
     GridTriple,
 )
+from shearlab.profile import _d4
 
 REF = PlanarParams(n=0.1, alpha=0.5, nu=0.1)
 
@@ -221,3 +223,21 @@ def test_scaling_coherence(ref_profile):
     assert max(rep.sup) <= 10.0 * max(max(base.sup), 1e-12)
     # and the scaled amplitude is sigma0 / b
     assert scaled_eval(1e-5)[1] == pytest.approx(prof.sigma0 / b, rel=1e-4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coef=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+       x0=st.floats(-10.0, 10.0), h=st.floats(1e-2, 1.0), size=st.integers(5, 60),
+       axis=st.integers(0, 1))
+def test_d4_exact_on_quartics(coef, x0, h, size, axis):
+    x = x0 + h * np.arange(size)
+    poly = np.polynomial.Polynomial(coef)
+    values = np.outer([1.0, 2.0], poly(x))
+    exact = np.outer([1.0, 2.0], poly.deriv()(x))
+    d = _d4(values, h, 1) if axis == 1 else _d4(values.T, h, 0).T
+    assert np.all(np.isnan(d[:, :2])) and np.all(np.isnan(d[:, -2:]))
+    # the stencil is exact through degree 4; what is left is round-off of values / h
+    # (and underflow, for tiny coefficients)
+    tol = 64 * np.finfo(float).eps * (np.max(np.abs(values)) / h + np.max(np.abs(exact))) \
+        + np.finfo(float).tiny
+    assert np.max(np.abs(d[:, 2:-2] - exact[:, 2:-2])) <= tol

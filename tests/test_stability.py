@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shearlab import (
     MaterialParams,
@@ -17,7 +18,7 @@ from shearlab import (
     energy_certificate,
     energy_decay_check,
 )
-from shearlab.stability import STABLE, UNSTABLE, MARGINAL
+from shearlab.stability import STABLE, UNSTABLE, MARGINAL, _quadratic_coeffs
 
 
 def binomial_residual(params, k, j, lam):
@@ -370,3 +371,16 @@ def test_decay_check_metastable_signature():
     assert report.max_E_before_T > report.E[0]           # transient growth
     assert report.monotone_after_T
     assert report.E[-1] < report.E[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.floats(0.0, 2.0), alpha=st.floats(1e-2, 10.0), k=st.floats(0.0, 2.0),
+       j=st.integers(0, 2000))
+def test_eigenvalue_sum_and_product(n, alpha, k, j):
+    params = MaterialParams(n=n, alpha=alpha)
+    m = mode_eigen(params, k, j)
+    _, b, c = _quadratic_coeffs(params, k, j)
+    lm, lp = m.lambda_minus, m.lambda_plus
+    eps = np.finfo(float).eps
+    assert abs((lm + lp) + b) <= 8 * eps * (abs(lm) + abs(lp))
+    assert abs(lm * lp - c) <= 8 * eps * abs(c)
