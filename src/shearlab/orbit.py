@@ -11,8 +11,10 @@ are the repelling node P = (0, 1/c_nu) and the saddle Q = (1, 1); the orbit
 joining them generates every localizing profile.  The shooter seeds just off
 Q along the stable eigendirection, integrates backward inside the invariant
 triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1}, and stops within a
-tolerance of P.  Reparametrization shifts eta so that the node-departure
-coefficient of a matches a requested amplitude.
+tolerance of P.  The integration is DOPRI5 (``_dopri.solve_ivp``: SciPy RK45's
+tableau and step controller on Python floats), with the node reached as a
+terminal event on its dense output.  Reparametrization shifts eta so that the
+node-departure coefficient of a matches a requested amplitude.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
+from ._dopri import solve_ivp
 from .errors import ParameterError, RegionExitError, MaxStepsError, UnresolvedTailError
 
 __all__ = [
@@ -197,20 +199,19 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     seed = p.saddle - eps * r_hat
     node_a, node_b = p.node.tolist()
     # vector_field's coefficients, hoisted out of the RHS; the scalar arithmetic
-    # below keeps vector_field's order of operations, so the orbit is bit-identical
-    # to integrating vector_field itself
+    # below keeps vector_field's order of operations
     g = p.alpha / (p.nu * p.n)
     c = p.c_nu
     k = (p.n + 1.0) * p.nu / p.alpha
 
     def backward(s, y):
-        a, b = y.tolist()
+        a, b = y
         if b <= 0.0:
             raise ParameterError("vector field undefined for b <= 0")
         return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
     def reach_node(s, y):
-        a, b = y.tolist()
+        a, b = y
         return math.hypot(a - node_a, b - node_b) - tol
 
     reach_node.terminal = True

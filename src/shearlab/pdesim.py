@@ -275,6 +275,14 @@ class SimConfig:
     atol: float = 1e-10
     log_frames: bool = False          # geometric frame spacing (early transient)
 
+    def __post_init__(self):
+        if self.frames < 2:
+            raise ParameterError(f"frames must be >= 2, got {self.frames}")
+        if not self.rtol > 0.0:
+            raise ParameterError(f"rtol must be > 0, got {self.rtol}")
+        if not self.atol >= 0.0:
+            raise ParameterError(f"atol must be >= 0, got {self.atol}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         known = {f for f in cls.__dataclass_fields__}

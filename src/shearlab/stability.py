@@ -9,7 +9,9 @@ with x = (j pi)^2 and diffusion coefficient k; the physical problem has the
 non-autonomous coefficient k(tau) = kappa c0 exp(alpha tau).  The two real
 eigenvalues per mode classify stability: mode j >= 1 is asymptotically stable
 iff n k (j pi)^2 > alpha.  Energy weights (A, B) certify decay of the full
-non-autonomous system after a computable stabilization time T.
+non-autonomous system after a computable stabilization time T.  The mode ODEs
+are integrated by DOPRI5 with SciPy RK45's tableau and step controller
+(``_dopri``), or by the trapezoidal rule when explicit stepping is too stiff.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dopri import solve_ivp
 from .errors import ParameterError, StiffnessError
 from .material import MaterialParams, t_of_tau, tau_of_t
 
@@ -239,24 +241,29 @@ def _trapezoid_mode(params: MaterialParams, j: int, init, tau_end: float,
     a11 = -params.n * x
     a12 = params.alpha * x
     a21 = params.n + 1.0
-    a22 = -params.alpha - kvals * x
+    a22 = (-params.alpha - kvals * x).tolist()
 
-    ys = np.empty((nsteps + 1, 2))
-    ys[0] = init
-    hh = 0.5 * h
+    # the loop runs on Python floats: the same IEEE operations as on float64
+    # array elements, without the per-element indexing
+    hh = 0.5 * float(h)
+    m11 = 1.0 - hh * a11
+    m12 = -hh * a12
+    m21 = -hh * a21
+    u0, th0 = (float(v) for v in init)
+    us = [u0]
+    ths = [th0]
     for m in range(nsteps):
-        r0 = ys[m, 0] + hh * (a11 * ys[m, 0] + a12 * ys[m, 1])
-        r1 = ys[m, 1] + hh * (a21 * ys[m, 0] + a22[m] * ys[m, 1])
+        r0 = u0 + hh * (a11 * u0 + a12 * th0)
+        r1 = th0 + hh * (a21 * u0 + a22[m] * th0)
         # solve (I - hh*A(tau_{m+1})) y = r
-        m11 = 1.0 - hh * a11
-        m12 = -hh * a12
-        m21 = -hh * a21
         m22 = 1.0 - hh * a22[m + 1]
         det = m11 * m22 - m12 * m21
-        ys[m + 1, 0] = (m22 * r0 - m12 * r1) / det
-        ys[m + 1, 1] = (m11 * r1 - m21 * r0) / det
+        u0 = (m22 * r0 - m12 * r1) / det
+        th0 = (m11 * r1 - m21 * r0) / det
+        us.append(u0)
+        ths.append(th0)
 
-    u, th = ys[:, 0], ys[:, 1]
+    u, th = np.array(us), np.array(ths)
     if tau_eval is not None:
         tau_eval = np.asarray(tau_eval, dtype=float)
         u = np.interp(tau_eval, taus, u)
@@ -275,10 +282,11 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     exp(alpha tau) is evaluated analytically inside the right-hand side (never
     tabulated: it is the stiffness-critical coefficient).
 
-    method 'auto' uses the adaptive embedded Runge-Kutta 5(4) pair and
-    switches to the fixed-step trapezoidal rule when the stiffness estimate
-    k(tau_end) (j pi)^2 tau_end makes explicit stepping hopeless; 'rk45'
-    raises StiffnessError in that situation instead.
+    method 'auto' uses the adaptive embedded Runge-Kutta 5(4) pair, DOPRI5
+    (``_dopri.solve_ivp``: SciPy RK45's tableau and step controller on Python
+    floats), and switches to the fixed-step trapezoidal rule when the
+    stiffness estimate k(tau_end) (j pi)^2 tau_end makes explicit stepping
+    hopeless; 'rk45' raises StiffnessError in that situation instead.
     """
     if tau_end <= 0.0:
         raise ParameterError(f"tau_end must be > 0, got {tau_end}")
@@ -313,14 +321,15 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     a12 = params.alpha * x
     a21 = params.n + 1.0
 
-    def rhs(tau, y):
-        k = float(k_of_tau(tau))
-        return (a11 * y[0] + a12 * y[1],
-                a21 * y[0] - (params.alpha + k * x) * y[1])
+    alpha, kappa, log_c0 = params.alpha, params.kappa, params.log_c0
 
-    sol = solve_ivp(rhs, (0.0, tau_end), np.asarray(init, dtype=float),
-                    method="RK45", rtol=rtol, atol=1e-14,
-                    t_eval=tau_eval, dense_output=tau_eval is None)
+    def rhs(tau, y):
+        u, th = y
+        k = frozen_k if frozen_k is not None else kappa * math.exp(log_c0 + alpha * tau)
+        return (a11 * u + a12 * th, a21 * u - (alpha + k * x) * th)
+
+    sol = solve_ivp(rhs, (0.0, tau_end), init, method="RK45", rtol=rtol, atol=1e-14,
+                    t_eval=tau_eval)
     if sol.status != 0:
         raise StiffnessError(f"mode integration failed: {sol.message}")
     taus = sol.t if tau_eval is None else np.asarray(tau_eval, dtype=float)

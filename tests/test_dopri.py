@@ -1,0 +1,124 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+from shearlab import MaterialParams, frozen_mode_solution, mode_matrix
+from shearlab._dopri import solve_ivp
+
+PARAMS = MaterialParams(n=0.1, alpha=0.5, kappa=0.0)
+INIT = (0.3, -0.7)
+
+
+def mode_rhs(k, j):
+    (a11, a12), (a21, a22) = mode_matrix(PARAMS, k, j).tolist()
+
+    def rhs(tau, y):
+        u, th = y
+        return (a11 * u + a12 * th, a21 * u + a22 * th)
+    return rhs
+
+
+def oscillator(t, y):
+    u, v = y
+    return (v, -u)
+
+
+def test_frozen_mode_matches_closed_form():
+    for k, j, tau in ((0.3, 1, 2.0), (0.0, 1, 1.0), (0.05, 2, 0.5)):
+        sol = solve_ivp(mode_rhs(k, j), (0.0, tau), INIT, rtol=1e-10, atol=1e-14)
+        assert sol.status == 0 and sol.t[-1] == tau
+        u, th = frozen_mode_solution(PARAMS, k, j, INIT, sol.t)
+        scale = np.maximum(np.abs(u), np.abs(th))
+        assert np.max(np.abs(sol.y[0] - u) / scale) < 1e-8
+        assert np.max(np.abs(sol.y[1] - th) / scale) < 1e-8
+
+
+@pytest.mark.parametrize("k, j, tau, rtol", [(0.3, 1, 2.0, 1e-10), (0.0, 1, 1.0, 1e-6),
+                                             (0.05, 2, 0.5, 1e-8)])
+def test_step_sequence_matches_scipy_rk45(k, j, tau, rtol):
+    rhs = mode_rhs(k, j)
+    ours = solve_ivp(rhs, (0.0, tau), INIT, rtol=rtol, atol=1e-14)
+    ref = scipy_solve_ivp(rhs, (0.0, tau), INIT, method="RK45", rtol=rtol, atol=1e-14)
+    assert ours.nfev == ref.nfev
+    assert ours.t.size == ref.t.size
+    # rounding in the error estimate (a difference of stages) moves each step
+    # size at the 1e-8 level, so the samples agree to that, not bit for bit
+    assert np.allclose(ours.t, ref.t, rtol=1e-7, atol=0.0)
+    assert np.allclose(ours.y, ref.y, rtol=1e-7, atol=1e-14)
+    assert ours.njev == 0 and ours.nlu == 0
+
+
+def test_never_exceeds_max_step():
+    sol = solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), rtol=1e-3, atol=1e-6,
+                    max_step=0.37)
+    assert np.all(np.diff(sol.t) <= 0.37 * (1.0 + 1e-14))   # t_new - t rounds
+    assert sol.t[-1] == 10.0
+    free = solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), rtol=1e-3, atol=1e-6)
+    assert np.diff(free.t).max() > 0.37      # the bound is what limits the steps
+
+
+def test_t_eval_samples_the_dense_output():
+    rhs = mode_rhs(0.3, 1)
+    steps = solve_ivp(rhs, (0.0, 2.0), INIT, rtol=1e-8, atol=1e-14)
+    mids = 0.5 * (steps.t[:-1] + steps.t[1:])
+    t_eval = np.sort(np.concatenate([steps.t, mids]))
+    sol = solve_ivp(rhs, (0.0, 2.0), INIT, rtol=1e-8, atol=1e-14, t_eval=t_eval)
+    # sampling does not change the steps
+    assert sol.nfev == steps.nfev
+    assert np.array_equal(sol.t, t_eval)
+    # at x = 0 the interpolant is the step's start, at x = 1 its end
+    assert sol.y[:, 0].tolist() == list(INIT)
+    at_steps = np.isin(t_eval, steps.t)
+    assert np.allclose(sol.y[:, at_steps], steps.y, rtol=1e-14, atol=1e-16)
+    # between the steps it is 4th-order accurate
+    u, th = frozen_mode_solution(PARAMS, 0.3, 1, INIT, t_eval[~at_steps])
+    assert np.allclose(sol.y[0, ~at_steps], u, rtol=1e-6, atol=0.0)
+    assert np.allclose(sol.y[1, ~at_steps], th, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("direction, root", [(-1, 0.5 * math.pi), (1, 1.5 * math.pi)])
+def test_terminal_event_is_located_and_appended(direction, root):
+    def crossing(t, y):
+        return y[0]
+
+    crossing.terminal = True
+    crossing.direction = direction
+    sol = solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), rtol=1e-10, atol=1e-14,
+                    max_step=0.1, events=crossing)
+    assert sol.status == 1 and sol.message == "A termination event occurred."
+    assert sol.t[-1] == pytest.approx(root, abs=1e-9)
+    # the appended point lies on the event to brentq's tolerance in t
+    assert abs(sol.y[0, -1]) <= 1e-14
+    assert np.all(np.diff(sol.t) > 0)
+    ref = scipy_solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), method="RK45",
+                          rtol=1e-10, atol=1e-14, max_step=0.1, events=crossing)
+    assert sol.t.size == ref.t.size and sol.nfev == ref.nfev
+    assert sol.t[-1] == pytest.approx(ref.t[-1], rel=1e-12)
+    assert np.allclose(sol.y[:, -1], ref.y[:, -1], rtol=1e-10, atol=1e-14)
+
+
+def test_step_collapse_returns_failure():
+    def blowup(t, y):
+        return (y[0] * y[0], 0.0)      # y = 1/(1 - t)
+
+    sol = solve_ivp(blowup, (0.0, 2.0), (1.0, 1.0), rtol=1e-6, atol=1e-9)
+    assert sol.status == -1 and not sol.success
+    assert sol.message == "Required step size is less than spacing between numbers."
+    assert sol.t[-1] == pytest.approx(1.0, abs=1e-5) and sol.y[0, -1] > 1e12
+    ref = scipy_solve_ivp(blowup, (0.0, 2.0), (1.0, 1.0), method="RK45",
+                          rtol=1e-6, atol=1e-9)
+    assert ref.status == -1 and sol.t.size == ref.t.size and sol.nfev == ref.nfev
+
+
+def test_name_and_argument_checks():
+    assert solve_ivp.__name__ == "solve_ivp"
+    with pytest.raises(ValueError):
+        solve_ivp(oscillator, (1.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError):
+        solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), max_step=0.0)
+    with pytest.raises(ValueError):
+        solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), atol=-1.0)
+    with pytest.raises(ValueError):
+        solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0, 0.0))

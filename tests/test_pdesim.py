@@ -192,6 +192,20 @@ def test_config_helpers(tmp_path):
     assert np.array_equal(c1.theta, c2.theta)
 
 
+@pytest.mark.parametrize("bad", [{"frames": 1}, {"frames": 0}, {"rtol": 0.0},
+                                 {"rtol": -1.0}, {"rtol": float("nan")}, {"atol": -1.0}])
+def test_config_rejects_bad_frames_and_tolerances(bad):
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        SimConfig(N=32, t_end=1.0, **bad)
+    with pytest.raises(ParameterError):
+        SimConfig.from_dict({"N": 32, "t_end": 1.0, **bad})
+
+
+def test_config_accepts_edge_frames_and_tolerances():
+    result = run(SimConfig(N=32, t_end=1.0, frames=2, atol=0.0))
+    assert result.times.tolist() == [0.0, 1.0]
+
+
 def test_small_amplitude_late_time_energy_monotone():
     # discrete analogue of the certified weighted-energy decay after T; kappa
     # is chosen so T ~ 23 while the perturbation is still far above the

@@ -267,6 +267,55 @@ def test_integrate_mode_trapezoid_agrees_with_rk45():
     assert np.allclose(a.theta, b.theta, rtol=5e-6, atol=1e-10)
 
 
+def _trapezoid_elementwise(params, j, init, tau_end, k_of_tau):
+    # the trapezoid loop as it indexed float64 arrays element by element
+    x = (j * math.pi) ** 2
+    k_end = float(k_of_tau(tau_end))
+    h = min(1e-3, 0.1 / max(k_end, 1e-30))
+    nsteps = max(2, int(math.ceil(tau_end / h)))
+    taus = np.linspace(0.0, tau_end, nsteps + 1)
+    h = taus[1] - taus[0]
+    a11 = -params.n * x
+    a12 = params.alpha * x
+    a21 = params.n + 1.0
+    a22 = -params.alpha - np.asarray(k_of_tau(taus), dtype=float) * x
+    ys = np.empty((nsteps + 1, 2))
+    ys[0] = init
+    hh = 0.5 * h
+    for m in range(nsteps):
+        r0 = ys[m, 0] + hh * (a11 * ys[m, 0] + a12 * ys[m, 1])
+        r1 = ys[m, 1] + hh * (a21 * ys[m, 0] + a22[m] * ys[m, 1])
+        m11 = 1.0 - hh * a11
+        m12 = -hh * a12
+        m21 = -hh * a21
+        m22 = 1.0 - hh * a22[m + 1]
+        det = m11 * m22 - m12 * m21
+        ys[m + 1, 0] = (m22 * r0 - m12 * r1) / det
+        ys[m + 1, 1] = (m11 * r1 - m21 * r0) / det
+    return taus, ys[:, 0], ys[:, 1]
+
+
+@pytest.mark.parametrize("frozen_k", [None, 0.7])
+def test_trapezoid_loop_on_floats_is_bit_identical(frozen_k):
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
+    if frozen_k is None:
+        k_of_tau = lambda tau: params.kappa * np.exp(params.log_c0 + params.alpha * tau)
+    else:
+        k_of_tau = lambda tau: np.full_like(np.asarray(tau, dtype=float), frozen_k)
+    for j, init, tau_end in ((3, (1.0, -0.5), 2.0), (40, (0.3, 0.9), 1.3)):
+        taus, u, th = _trapezoid_elementwise(params, j, init, tau_end, k_of_tau)
+        traj = integrate_mode(params, j, init, tau_end, frozen_k=frozen_k,
+                              method="trapezoid")
+        assert np.array_equal(traj.taus, taus)
+        assert np.array_equal(traj.u, u)
+        assert np.array_equal(traj.theta, th)
+        tau_eval = np.linspace(0.0, tau_end, 37)
+        sampled = integrate_mode(params, j, init, tau_end, frozen_k=frozen_k,
+                                 method="trapezoid", tau_eval=tau_eval)
+        assert np.array_equal(sampled.u, np.interp(tau_eval, taus, u))
+        assert np.array_equal(sampled.theta, np.interp(tau_eval, taus, th))
+
+
 def test_integrate_mode_stiffness_guard():
     params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
     with pytest.raises(StiffnessError):
