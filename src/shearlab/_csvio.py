@@ -40,7 +40,7 @@ def _row_values(a: np.ndarray) -> list:
 
 
 def _row_field(a: np.ndarray) -> str:
-    return "{:.17g}" if a.dtype.kind == "f" else "{}"
+    return "%.17g" if a.dtype.kind == "f" else "%s"
 
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
@@ -52,12 +52,12 @@ def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
         raise ValueError("all columns must have equal length")
     header = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     header.append(",".join(names))
-    row = ",".join(map(_row_field, arrays)).format
+    row = ",".join(map(_row_field, arrays))
     with Path(path).open("w") as f:
         f.write("\n".join(header) + "\n")
         for start in range(0, length, _BLOCK_ROWS):
             values = [_row_values(a[start:start + _BLOCK_ROWS]) for a in arrays]
-            f.write("\n".join([row(*r) for r in zip(*values)]) + "\n")
+            f.write("\n".join([row % r for r in zip(*values)]) + "\n")
 
 
 def read_csv(path):

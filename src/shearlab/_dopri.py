@@ -1,17 +1,22 @@
 """Dormand-Prince 5(4) on Python floats for 2-component systems.
 
 A drop-in for the part of ``scipy.integrate.solve_ivp(method="RK45")`` that
-the orbit shooter and the mode integrator use.  It takes SciPy's RK45 tableau
-(A, B, C, E and the dense-output matrix P), its initial-step rule, its step
-controller (safety 0.9, factors 0.2 and 10, RMS error norm, ``max_step`` and
-a minimum step of 10 spacings of t) and its 4th-order dense output, so it
-takes SciPy's step sequence.  SciPy forms each stage with ``np.dot`` on
-length-2 arrays, where the NumPy overhead is most of the cost of a step;
-here the stages are unrolled sums of Python floats, so the values agree with
-SciPy's to rounding, not bit for bit.
+the orbit shooter and the mode integrator use, with no SciPy import.  The
+tableau (A, B, C, E and the dense-output matrix P) is written out with the
+same expressions as SciPy's RK45 (``scipy/integrate/_ivp/rk.py``), and the
+tests check it against SciPy's arrays bit for bit.  The initial-step rule,
+the step controller (safety 0.9, factors 0.2 and 10, RMS error norm,
+``max_step`` and a minimum step of 10 spacings of t) and the 4th-order dense
+output are SciPy's too, so it takes SciPy's step sequence.  SciPy forms each
+stage with ``np.dot`` on length-2 arrays, where the NumPy overhead is most of
+the cost of a step; here the stages are unrolled sums of Python floats, so
+the values agree with SciPy's to rounding, not bit for bit.  A terminal event
+is located on the dense output by ``_brentq``, a port of SciPy's ``brentq.c``
+that returns the same bits.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26; Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.4-II.6.
+Norsett & Wanner, Solving ODEs I, sec. II.4-II.6; Brent, Algorithms for
+Minimization without Derivatives (1973), ch. 4.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from dataclasses import dataclass
 from warnings import warn
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import OptimizeResult, brentq
 
 __all__ = ["solve_ivp"]
 
@@ -31,18 +35,114 @@ _EPS = sys.float_info.epsilon
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)   # error ~ h^(order + 1)
+ERROR_ESTIMATOR_ORDER = 4
+_EXPONENT = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)   # error ~ h^(order + 1)
 
-_C2, _C3, _C4, _C5 = RK45.C.tolist()[1:5]
+# SciPy's RK45 tableau, expression for expression
+C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+A = [
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+]
+B = [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]
+E = [-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+P = [
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]
+
+_C2, _C3, _C4, _C5 = C[1:5]
 (_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65)) = [row[:i] for i, row in enumerate(RK45.A.tolist())]
-_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()      # B2 = 0
-_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()  # E2 = 0
-_P = RK45.P.tolist()
+ (_A61, _A62, _A63, _A64, _A65)) = [row[:i] for i, row in enumerate(A)]
+_B1, _, _B3, _B4, _B5, _B6 = B      # B2 = 0
+_E1, _, _E3, _E4, _E5, _E6, _E7 = E  # E2 = 0
 
 _MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred.",
              -1: "Required step size is less than spacing between numbers."}
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """The fields of SciPy's ``solve_ivp`` result that the callers read."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    nfev: int
+    njev: int = 0   # an explicit method forms no Jacobian
+    nlu: int = 0    # and factors no matrix
+
+    @property
+    def message(self) -> str:
+        return _MESSAGES[self.status]
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
+    """A root of f in [xa, xb]: SciPy's ``brentq.c``, step for step.
+
+    Raises ValueError, as ``scipy.optimize.brentq`` does, if f has the same
+    sign at both ends or returns NaN, and RuntimeError after ``maxiter``
+    iterations without convergence.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry      # good short step
+            else:
+                spre = scur = sbis           # bisect
+        else:
+            spre = scur = sbis               # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _rms(x0, x1):
@@ -51,8 +151,8 @@ def _rms(x0, x1):
 
 def _dense(t_old, h, ya, yb, K):
     """The step's 4th-order interpolant y(t) = y_old + h sum_j Q_j x^(j+1)."""
-    qa = [sum(k[0] * p[j] for k, p in zip(K, _P)) for j in range(4)]
-    qb = [sum(k[1] * p[j] for k, p in zip(K, _P)) for j in range(4)]
+    qa = [sum(k[0] * p[j] for k, p in zip(K, P)) for j in range(4)]
+    qb = [sum(k[1] * p[j] for k, p in zip(K, P)) for j in range(4)]
 
     def sol(t):
         x = (t - t_old) / h
@@ -70,7 +170,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
 
     ``fun`` gets a tuple of two floats and returns two numbers.  ``events`` is
     one terminal event function ``g(t, y)``, with SciPy's optional
-    ``direction`` attribute; it is located by brentq on the dense output and
+    ``direction`` attribute; it is located by ``_brentq`` on the dense output and
     its point ends ``t``/``y`` (status 1).  ``t_eval`` (sorted, inside
     ``t_span``) samples the dense output.  ``method`` is accepted for SciPy's
     signature and ignored.  A step below the minimum returns status -1.
@@ -166,8 +266,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
             g_new = events(t_new, (na, nb))
             if (direction >= 0 and g <= 0 <= g_new) or (direction <= 0 and g >= 0 >= g_new):
                 sol = _dense(t, h, ya, yb, K)
-                t_end = brentq(lambda s: events(s, sol(s)), t, t_new,
-                               xtol=4 * _EPS, rtol=4 * _EPS)
+                t_end = _brentq(lambda s: events(s, sol(s)), t, t_new)
                 end_a, end_b = sol(t_end)
                 status = 1
             g = g_new
@@ -189,6 +288,4 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
 
         t, ya, yb, fa, fb = t_new, na, nb, ka7, kb7
 
-    return OptimizeResult(t=np.array(ts), y=np.array([ays, bys]), status=status,
-                          message=_MESSAGES[status], success=status >= 0,
-                          nfev=nfev, njev=0, nlu=0)
+    return OdeResult(t=np.array(ts), y=np.array([ays, bys]), status=status, nfev=nfev)

@@ -206,6 +206,8 @@ def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break   # lo and hi are adjacent floats: no later step can move them
         if sol.profile(mid)[0] > half:
             lo = mid
         else:

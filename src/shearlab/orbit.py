@@ -13,8 +13,10 @@ Q along the stable eigendirection, integrates backward inside the invariant
 triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1}, and stops within a
 tolerance of P.  The integration is DOPRI5 (``_dopri.solve_ivp``: SciPy RK45's
 tableau and step controller on Python floats), with the node reached as a
-terminal event on its dense output.  Reparametrization shifts eta so that the
-node-departure coefficient of a matches a requested amplitude.
+terminal event on its dense output, located by a port of SciPy's brentq.
+Between samples the orbit is a cubic Hermite interpolant in (log a, log b)
+evaluated with NumPy; neither step imports SciPy.  Reparametrization shifts
+eta so that the node-departure coefficient of a matches a requested amplitude.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from ._dopri import solve_ivp
 from .errors import ParameterError, RegionExitError, MaxStepsError, UnresolvedTailError
@@ -131,11 +132,12 @@ class OrbitPath:
 
     eta increases along the orbit from the node end to the saddle end; a is
     strictly increasing.  da/deta and db/deta at the samples come from the
-    exact vector field, so the cubic Hermite evaluators are 4th-order
-    accurate between samples.  ``eta0`` is the shift applied to match an
-    amplitude sigma0 (0 for a freshly shot orbit) and ``kappa1`` the
-    node-departure coefficient lim a(eta) e^(-eta) in the current
-    parametrization (None until estimated).
+    exact vector field, so the cubic Hermite interpolant (NumPy arrays of
+    CubicHermiteSpline's coefficients) is 4th-order accurate between
+    samples.  ``eta0`` is the shift applied to match an amplitude sigma0 (0
+    for a freshly shot orbit) and ``kappa1`` the node-departure coefficient
+    lim a(eta) e^(-eta) in the current parametrization (None until
+    estimated).
     """
 
     params: PlanarParams
@@ -159,19 +161,34 @@ class OrbitPath:
     # tail, so the interpolation error stays *relative* there instead of
     # blowing up against the vanishing a.
     @cached_property
-    def _la_spline(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.eta, np.log(self.a), self.da / self.a)
-
-    @cached_property
-    def _lb_spline(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.eta, np.log(self.b), self.db / self.b)
+    def _hermite(self) -> np.ndarray:
+        """Rows c0..c3 of log a, then of log b, per interval: the cubic Hermite
+        coefficients of scipy.interpolate.CubicHermiteSpline, same formulas."""
+        dx = np.diff(self.eta)
+        rows = []
+        for y, dydx in ((np.log(self.a), self.da / self.a), (np.log(self.b), self.db / self.b)):
+            slope = np.diff(y) / dx
+            t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+            rows += [t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]]
+        return np.array(rows)
 
     def states_at(self, eta):
-        """Interpolated (a, b) inside the sampled eta range."""
+        """Interpolated (a, b) inside the sampled eta range.
+
+        The interval search (closed on the right at the last sample) and the
+        order of the polynomial sum are those of SciPy's PPoly, so the values
+        are bit for bit those of a CubicHermiteSpline on the same data.
+        """
         eta = np.asarray(eta, dtype=float)
         if np.any(eta < self.eta[0]) or np.any(eta > self.eta[-1]):
             raise ParameterError("eta outside the sampled orbit range")
-        return np.exp(self._la_spline(eta)), np.exp(self._lb_spline(eta))
+        i = np.searchsorted(self.eta[1:-1], eta, side="right")
+        s = eta - self.eta[i]
+        s2 = s * s
+        s3 = s2 * s
+        a0, a1, a2, a3, b0, b1, b2, b3 = self._hermite[:, i]
+        return (np.exp(a3 + a2 * s + a1 * s2 + a0 * s3),
+                np.exp(b3 + b2 * s + b1 * s2 + b0 * s3))
 
 
 _REGION_SLACK = 1e-9

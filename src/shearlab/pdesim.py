@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ParameterError, PositivityError, StiffnessError
 from .material import MaterialParams, uniform_shear
@@ -177,6 +176,14 @@ def _pick_method(params: MaterialParams, state: FieldState, t_span: float) -> st
     rate = max(params.kappa, nu_mom) / h ** 2
     est_steps = rate * t_span / 0.4
     return "rk45" if est_steps < 3e5 else "lsoda"
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call, so that
+    importing shearlab (and running any subcommand but ``simulate``) does not
+    load SciPy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _integrate(state: FieldState, params: MaterialParams, t_eval, method="auto",

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -288,3 +291,38 @@ def test_wall_seconds_covers_compute(tmp_path, monkeypatch):
     assert run_cli("energy", "--jmodes", "1", "--tau-end", "1", "--out-dir", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "energy.manifest.json").read_text())
     assert manifest["wall_seconds"] >= 0.05
+
+
+# Run in a fresh interpreter: records which SciPy subpackages are loaded after
+# the parser is built, after each subcommand that needs no SciPy, and after
+# `simulate`, whose LSODA/RK45 come from scipy.integrate.
+IMPORT_PROBE = """
+import json, sys
+from shearlab.cli import build_parser, main
+
+GUARDED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+out = sys.argv[1]
+build_parser()
+seen = {"parser": [m for m in GUARDED if m in sys.modules]}
+for argv in (["localize"], ["profile"], ["heteroclinic", "--sigma0", "1.3"], ["residual"],
+             ["energy"], ["modes"], ["spectrum"], ["uniform-shear"],
+             ["simulate", "--N", "32", "--t-end", "1", "--frames", "2"]):
+    if main([*argv, "--out-dir", out]) != 0:
+        raise SystemExit(f"{argv} failed")
+    seen[argv[0]] = [m for m in GUARDED if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_simulate_imports_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["parser", "localize", "profile", "heteroclinic", "residual",
+                          "energy", "modes", "spectrum", "uniform-shear", "simulate"]
+    simulate = seen.pop("simulate")
+    assert all(loaded == [] for loaded in seen.values()), seen
+    assert "scipy.integrate" in simulate

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate import RK45, solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
-from shearlab import MaterialParams, frozen_mode_solution, mode_matrix
-from shearlab._dopri import solve_ivp
+from shearlab import MaterialParams, PlanarParams, frozen_mode_solution, mode_matrix
+from shearlab import _dopri, shoot_heteroclinic
+from shearlab._dopri import _brentq, solve_ivp
 
 PARAMS = MaterialParams(n=0.1, alpha=0.5, kappa=0.0)
 INIT = (0.3, -0.7)
@@ -122,3 +124,98 @@ def test_name_and_argument_checks():
         solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), atol=-1.0)
     with pytest.raises(ValueError):
         solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0, 0.0))
+
+
+def test_tableau_is_scipy_rk45_bit_for_bit():
+    assert _dopri.ERROR_ESTIMATOR_ORDER == RK45.error_estimator_order
+    for name in ("A", "B", "C", "E", "P"):
+        ours = np.array(getattr(_dopri, name), dtype=float)
+        ref = getattr(RK45, name)
+        assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), name
+
+
+def _recorded(f):
+    """f, and the list of the points it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+SWEEP = [(n, alpha, nu) for n in (0.05, 0.1) for alpha in (0.5, 1.0)
+         for nu in (0.05, 0.1, 0.5)]
+
+
+def test_brentq_port_matches_scipy_on_the_node_event(monkeypatch):
+    roots = []
+
+    def both(f, a, b):
+        ours, ref = _brentq(f, a, b), scipy_brentq(f, a, b, xtol=4 * _dopri._EPS,
+                                                      rtol=4 * _dopri._EPS)
+        roots.append((ours, ref))
+        return ours
+
+    monkeypatch.setattr(_dopri, "_brentq", both)
+    for key in SWEEP:
+        shoot_heteroclinic(PlanarParams(*key))
+    assert len(roots) == len(SWEEP)
+    assert all(ours.hex() == ref.hex() for ours, ref in roots), roots
+
+
+def _random_bracket(rng):
+    """A function with one sign change in a random bracket, from a few families."""
+    lo = rng.uniform(-10.0, 10.0)
+    hi = lo + 10.0 ** rng.uniform(-8.0, 2.0)
+    r = rng.uniform(lo, hi)
+    kind = rng.integers(5)
+    c = rng.uniform(0.1, 10.0)
+    if kind == 0:
+        f = lambda x: (x - r) * (1.0 + c * (x - lo) ** 2)
+    elif kind == 1:
+        f = lambda x: math.tanh(c * (x - r))
+    elif kind == 2:
+        f = lambda x: math.exp(c * (x - r)) - 1.0
+    elif kind == 3:
+        f = lambda x: (x - r) ** 3 + c * 1e-6 * (x - r)
+    else:
+        f = lambda x: math.atan(c * (x - r)) - 1e-3 * math.sin(x)
+    if f(lo) * f(hi) >= 0:   # the perturbed families may lose the sign change
+        f = lambda x: x - r
+    return f, lo, hi
+
+
+def test_brentq_port_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(20141)
+    for i in range(1200):
+        f, lo, hi = _random_bracket(rng)
+        xtol = (4 * _dopri._EPS, 1e-12, 1e-6)[i % 3]
+        a, b = (lo, hi) if i % 2 else (hi, lo)
+        ours, our_calls = _recorded(f)
+        ref, ref_calls = _recorded(f)
+        root = _brentq(ours, a, b, xtol=xtol)
+        assert root.hex() == scipy_brentq(ref, a, b, xtol=xtol).hex(), (i, a, b)
+        assert our_calls == ref_calls, i
+
+
+def test_brentq_port_raises_as_scipy_does():
+    same_sign = (lambda x: x * x + 1.0, -1.0, 1.0)
+    nan_inside = (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0)
+    slow = (lambda x: math.exp(x) - 2.0, 0.0, 1.0)
+    for f, a, b in (same_sign, nan_inside):
+        with pytest.raises(ValueError):
+            scipy_brentq(f, a, b)
+        with pytest.raises(ValueError):
+            _brentq(f, a, b)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0)
+    f, a, b = slow
+    with pytest.raises(RuntimeError):
+        scipy_brentq(f, a, b, maxiter=4)
+    with pytest.raises(RuntimeError):
+        _brentq(f, a, b, maxiter=4)
+    eps4 = 4 * _dopri._EPS
+    assert _brentq(f, a, b).hex() == scipy_brentq(f, a, b, xtol=eps4, rtol=eps4).hex()
+    # a root at an end is returned without iterating
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0 == scipy_brentq(lambda x: x, 0.0, 1.0)

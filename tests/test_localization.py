@@ -204,6 +204,55 @@ def test_band_halfwidth_matches_space_bisection(showcase_solution):
     assert np.allclose(u_half / diag.peak_u, 0.5, rtol=1e-12, atol=0.0)
 
 
+def _full_bisection_xi_half(profile):
+    """The root of U(xi) = U(0)/2 by all 80 bisection steps, without the early exit."""
+    half = 0.5 * profile(0.0)[0]
+    hi = 1.0
+    while profile(hi)[0] > half:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if profile(mid)[0] > half:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class _CountingProfile:
+    def __init__(self, profile):
+        self.profile, self.nu, self.xi_max, self.calls = profile, profile.nu, profile.xi_max, 0
+
+    def __call__(self, xi):
+        self.calls += 1
+        return self.profile(xi)
+
+
+SWEEP = [(n, alpha, nu) for n in (0.05, 0.1) for alpha in (0.5, 1.0)
+         for nu in (0.05, 0.1, 0.5)]
+
+
+@pytest.mark.parametrize("n, alpha, lam", SWEEP)
+def test_band_bisection_early_exit_is_bit_identical(n, alpha, lam):
+    prof = reconstruct(reparametrize(shoot_heteroclinic(PlanarParams(n, alpha, lam)), SIGMA0))
+    sol = LocalizedSolution(params=MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=THETA0),
+                            scaling=ScalingParams(lam=lam, sigma0=SIGMA0), profile=prof)
+    ts = np.linspace(0.0, 200.0, 9)
+    expected = _full_bisection_xi_half(prof) / (math.sqrt(lam) * sol.phi(ts))
+    assert np.array_equal(band_diagnostics(sol, ts).halfwidth, expected)
+
+
+def test_band_bisection_stops_at_adjacent_floats(showcase_solution):
+    """The showcase bracket shrinks to adjacent floats after 53 halvings; the
+    27 profile calls the full loop makes after that are skipped."""
+    full = _CountingProfile(showcase_solution.profile)
+    _full_bisection_xi_half(full)
+    counting = _CountingProfile(showcase_solution.profile)
+    band_diagnostics(replace(showcase_solution, profile=counting), np.linspace(0.0, 200.0, 9))
+    assert counting.calls - 1 == full.calls - (80 - 53)   # - 1: the grid evaluation
+
+
 def test_larger_lambda_localizes_faster():
     params = MaterialParams(n=N, alpha=ALPHA, kappa=0.0, theta0=THETA0)
     sols = {}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 
 from shearlab import (
     ParameterError,
@@ -226,6 +227,24 @@ def test_hermite_interpolation_preserves_monotonicity(ref_orbit):
     assert np.all(b > 0)
     with pytest.raises(ParameterError):
         ref_orbit.states_at(ref_orbit.eta[-1] + 1.0)
+
+
+@pytest.mark.parametrize("n, alpha, nu", SWEEP)
+def test_hermite_matches_scipy_cubic_hermite_spline(n, alpha, nu):
+    path = reparametrize(shoot_heteroclinic(PlanarParams(n=n, alpha=alpha, nu=nu)), 1.3)
+    eta = path.eta
+    rng = np.random.default_rng(7)
+    points = np.concatenate([
+        eta, 0.5 * (eta[:-1] + eta[1:]), rng.uniform(eta[0], eta[-1], 2000),
+        [eta[0], np.nextafter(eta[0], np.inf), np.nextafter(eta[-1], -np.inf), eta[-1]]])
+    a, b = path.states_at(points)
+    la = CubicHermiteSpline(eta, np.log(path.a), path.da / path.a)
+    lb = CubicHermiteSpline(eta, np.log(path.b), path.db / path.b)
+    assert np.array_equal(a, np.exp(la(points)))
+    assert np.array_equal(b, np.exp(lb(points)))
+    # a scalar gives a 0-d result, as the spline does
+    a0, b0 = path.states_at(eta[-1])
+    assert np.ndim(a0) == 0 and a0 == np.exp(la(eta[-1])) and b0 == np.exp(lb(eta[-1]))
 
 
 def test_acceptance_sweep_orbits_exist():

@@ -106,6 +106,24 @@ def test_profile_is_even(ref_profile):
         assert np.array_equal(l, r)
 
 
+def _bits(values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.sampled_from(("inner", "resolved", "outer")),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=20))
+def test_profile_is_even_bit_for_bit(ref_profile, points):
+    lo, hi = ref_profile.xi_min, ref_profile.xi_max
+    to_xi = {"inner": lambda u: lo * u,                  # Taylor data, 0 included
+             "resolved": lambda u: lo * (hi / lo) ** u,  # the orbit
+             "outer": lambda u: hi * (1.0 + 1e3 * u)}    # the limiting forms
+    xi = np.array([to_xi[region](u) for region, u in points])
+    assert _bits(ref_profile(-xi)) == _bits(ref_profile(xi))
+    for x in xi:
+        assert _bits(ref_profile(-x)) == _bits(ref_profile(x))
+
+
 def test_profile_ordering_and_monotonicity(ref_profile):
     prof = ref_profile
     xi = np.geomspace(prof.xi_min, prof.xi_max, 5000)
@@ -241,3 +259,19 @@ def test_d4_exact_on_quartics(coef, x0, h, size, axis):
     tol = 64 * np.finfo(float).eps * (np.max(np.abs(values)) / h + np.max(np.abs(exact))) \
         + np.finfo(float).tiny
     assert np.max(np.abs(d[:, 2:-2] - exact[:, 2:-2])) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(0.2, 5.0))
+def test_rescale_maps_profile_to_the_rescaled_amplitude(ref_profile, a):
+    """rescale_triple(profile at sigma0, a) is the profile at sigma0 / a."""
+    prof = ref_profile
+    xi = np.geomspace(0.05, 20.0, 401)
+    U, Sigma, Theta = prof(xi)
+    scaled = rescale_triple(GridTriple(xi=xi, U=U, Sigma=Sigma, Theta=Theta), a,
+                            REF.n, REF.alpha, evaluator=prof)
+    target = reconstruct(reparametrize(prof.path, prof.sigma0 / a))
+    tU, tSigma, tTheta = target(scaled.xi)
+    assert np.allclose(scaled.U, tU, rtol=1e-12, atol=0.0)
+    assert np.allclose(scaled.Sigma, tSigma, rtol=1e-12, atol=0.0)
+    assert np.allclose(scaled.Theta, tTheta, rtol=0.0, atol=1e-12)
