@@ -164,7 +164,7 @@ def _dense(t_old, h, ya, yb, K):
     return sol
 
 
-def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
+def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
               rtol=1e-3, atol=1e-6, max_step=math.inf):
     """Integrate y' = fun(t, y) for a 2-component y forward over ``t_span``.
 
@@ -172,8 +172,8 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
     one terminal event function ``g(t, y)``, with SciPy's optional
     ``direction`` attribute; it is located by ``_brentq`` on the dense output and
     its point ends ``t``/``y`` (status 1).  ``t_eval`` (sorted, inside
-    ``t_span``) samples the dense output.  ``method`` is accepted for SciPy's
-    signature and ignored.  A step below the minimum returns status -1.
+    ``t_span``) samples the dense output.  A step below the minimum returns
+    status -1.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:

@@ -271,7 +271,6 @@ def _residual(p, out):
              ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", float),
              ("width", POS), ("amplitude", float), ("noise_amp", float), ("seed", int),
              ("init_path", _checked(str, lambda v: Path(v).is_file(), "an existing file")),
-             ("method", _choice("auto", "rk45", "lsoda")),
              ("rtol", POS), ("atol", NONNEG), ("log_frames", bool))))
 def _simulate(p, out):
     config = SimConfig.from_dict(p)

@@ -26,7 +26,7 @@ class UnresolvedTailError(ShearlabError):
 
 
 class StiffnessError(ShearlabError):
-    """An explicit integrator underflowed its step size; use an implicit mode."""
+    """A time integrator gave up before its target time (step size underflow)."""
 
 
 class PositivityError(ShearlabError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .material import MaterialParams, ScalingParams, uniform_shear
+from .material import MaterialParams, ScalingParams, power_law_stress, uniform_shear
 from .profile import _d4
 
 __all__ = [
@@ -138,7 +138,7 @@ def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
 
     r1 = du_dt - d2sig_dx2
     r2 = dth_dt - sigma * u
-    r3 = sigma - np.exp(-sol.params.alpha * theta + sol.params.n * np.log(u))
+    r3 = sigma - power_law_stress(sol.params.alpha, sol.params.n, theta, u)
 
     # stride-2 Richardson estimate of the differentiation error
     u2, sigma2, theta2 = u[::2, ::2], sigma[::2, ::2], theta[::2, ::2]

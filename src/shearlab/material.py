@@ -145,6 +145,12 @@ def t_of_tau(params: MaterialParams, tau):
     return float(out) if out.ndim == 0 else out
 
 
+def power_law_stress(alpha, n, theta, u):
+    """exp(-alpha*theta + n*log(u)), unchecked: the caller guards u > 0 or
+    handles the nan/-inf that a non-positive u gives."""
+    return np.exp(-alpha * theta + n * np.log(u))
+
+
 def constitutive_stress(params: MaterialParams, theta, u):
     """Stress sigma = exp(-alpha*theta) * u^n for strain rate u > 0.
 
@@ -155,7 +161,7 @@ def constitutive_stress(params: MaterialParams, theta, u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise ParameterError("strain rate u must be > 0")
-    out = np.exp(-params.alpha * theta + params.n * np.log(u))
+    out = power_law_stress(params.alpha, params.n, theta, u)
     if out.ndim == 0:
         return float(out)
     return out

@@ -234,7 +234,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     reach_node.terminal = True
     reach_node.direction = -1
 
-    sol = solve_ivp(backward, (0.0, s_max), seed, method="RK45", rtol=rtol,
+    sol = solve_ivp(backward, (0.0, s_max), seed, rtol=rtol,
                     atol=1e-14, max_step=max_step, events=reach_node)
     if sol.status == 0:
         raise MaxStepsError(

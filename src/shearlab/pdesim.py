@@ -9,10 +9,11 @@ with prescribed plate velocities (Dirichlet v, exact by construction: the
 boundary rows are never integrated) and adiabatic plates (Neumann theta via
 ghost-node reflection).  The strain rate at nodes uses 2nd-order central
 differences with one-sided 2nd-order closures at the walls; sigma is then
-pointwise and sigma_x central.  Time integration is the adaptive embedded
-Runge-Kutta 5(4) pair for non-stiff (adiabatic) runs; diffusive runs switch
-to LSODA with a banded Jacobian on an interleaved (v, theta) state, since
-explicit steps collapse under the kappa h^-2 rate.
+pointwise and sigma_x central.  Time integration is LSODA with a banded
+Jacobian on an interleaved (v, theta) state, diffusive (kappa > 0) and
+adiabatic runs alike: LSODA switches between its non-stiff Adams and stiff
+BDF methods by the stiffness it observes, so the kappa h^-2 rate of a
+diffusive run needs no separate solver.
 
 Strain-rate positivity is monitored, not enforced: the unstable regime can
 genuinely drive u toward 0 away from the band, and aborting with the state
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PositivityError, StiffnessError
-from .material import MaterialParams, uniform_shear
+from .material import MaterialParams, power_law_stress, uniform_shear
 
 __all__ = [
     "Grid1D",
@@ -84,13 +85,19 @@ class FieldState:
     def strain_rate(self) -> np.ndarray:
         return _strain_rate(self.v, self.grid.h)
 
-    def stress(self, params: MaterialParams) -> np.ndarray:
+    def positive_strain_rate(self) -> np.ndarray:
+        """The strain rate; raises PositivityError, with this state attached,
+        if any value is <= 0 or not finite."""
         u = self.strain_rate()
-        if np.any(u <= 0.0):
+        if not (u.min() > 0.0 and np.isfinite(u.max())):
             raise PositivityError(
                 f"strain rate lost positivity at t = {self.t:.6g} "
                 f"(min u = {u.min():.3e})", state=self)
-        return np.exp(-params.alpha * self.theta + params.n * np.log(u))
+        return u
+
+    def stress(self, params: MaterialParams) -> np.ndarray:
+        return power_law_stress(params.alpha, params.n, self.theta,
+                                self.positive_strain_rate())
 
     def conservation(self):
         """(midpoint integral of u, nodal-trapezoid integral of u).
@@ -148,7 +155,7 @@ def _make_rhs(grid: Grid1D, params: MaterialParams, bc_v=None, sources=None):
         v, theta = _unpack(z, bc0(t), bc1(t))
         u = _strain_rate(v, h)
         with np.errstate(invalid="ignore", divide="ignore"):
-            sigma = np.exp(-alpha * theta + n * np.log(u))
+            sigma = power_law_stress(alpha, n, theta, u)
         dv = np.empty(N + 1)
         dv[0] = dv[N] = 0.0
         dv[1:N] = (sigma[2:] - sigma[:-2]) / (2.0 * h)
@@ -166,18 +173,6 @@ def _make_rhs(grid: Grid1D, params: MaterialParams, bc_v=None, sources=None):
     return rhs, bc0, bc1
 
 
-def _pick_method(params: MaterialParams, state: FieldState, t_span: float) -> str:
-    h = state.grid.h
-    u = state.strain_rate()
-    if np.any(u <= 0.0):
-        raise PositivityError("initial strain rate must be positive", state=state)
-    sigma = state.stress(params)
-    nu_mom = params.n * float(np.max(sigma / u))
-    rate = max(params.kappa, nu_mom) / h ** 2
-    est_steps = rate * t_span / 0.4
-    return "rk45" if est_steps < 3e5 else "lsoda"
-
-
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call, so that
     importing shearlab (and running any subcommand but ``simulate``) does not
@@ -186,24 +181,17 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _integrate(state: FieldState, params: MaterialParams, t_eval, method="auto",
+def _integrate(state: FieldState, params: MaterialParams, t_eval,
                rtol=1e-8, atol=1e-8, bc_v=None, sources=None):
+    state.positive_strain_rate()
     rhs, bc0, bc1 = _make_rhs(state.grid, params, bc_v, sources)
     z0 = _pack(state.v, state.theta)
     t_eval = np.asarray(t_eval, dtype=float)
     t_end = float(t_eval[-1])
-    if method == "auto":
-        method = _pick_method(params, state, t_end - state.t)
-    if method == "rk45":
-        sol = solve_ivp(rhs, (state.t, t_end), z0, method="RK45",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-    elif method == "lsoda":
-        sol = solve_ivp(rhs, (state.t, t_end), z0, method="LSODA",
-                        rtol=rtol, atol=atol, t_eval=t_eval, lband=4, uband=4)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    sol = solve_ivp(rhs, (state.t, t_end), z0, method="LSODA",
+                    rtol=rtol, atol=atol, t_eval=t_eval, lband=4, uband=4)
     if sol.status != 0:
-        raise StiffnessError(f"time integration failed ({method}): {sol.message}")
+        raise StiffnessError(f"time integration failed (LSODA): {sol.message}")
     states = []
     for i, t in enumerate(sol.t):
         v, theta = _unpack(sol.y[:, i], bc0(t), bc1(t))
@@ -212,24 +200,21 @@ def _integrate(state: FieldState, params: MaterialParams, t_eval, method="auto",
 
 
 def step(state: FieldState, params: MaterialParams, dt: float | None = None,
-         t_target: float | None = None, method: str = "auto",
-         rtol: float = 1e-8, atol: float = 1e-8, bc_v=None, sources=None) -> FieldState:
+         t_target: float | None = None, rtol: float = 1e-8, atol: float = 1e-8,
+         bc_v=None, sources=None) -> FieldState:
     """Advance the state by dt (or to t_target) and verify its invariants.
 
-    Raises PositivityError (with the final state attached) if the strain rate
-    loses positivity, and StiffnessError if the integrator gives up (switch
-    to method='lsoda' in that case).
+    Raises PositivityError (with the offending state attached) if the strain
+    rate is not positive at the start or the end, and StiffnessError if LSODA
+    gives up.
     """
     if (dt is None) == (t_target is None):
         raise ParameterError("give exactly one of dt and t_target")
     t_end = state.t + dt if dt is not None else t_target
     if t_end <= state.t:
         raise ParameterError("target time must exceed the state time")
-    out = _integrate(state, params, [t_end], method, rtol, atol, bc_v, sources)[-1]
-    u = out.strain_rate()
-    if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-        raise PositivityError(
-            f"strain rate lost positivity at t = {out.t:.6g}", state=out)
+    out = _integrate(state, params, [t_end], rtol, atol, bc_v, sources)[-1]
+    out.positive_strain_rate()
     mid, _ = out.conservation()
     drift = abs(mid - (out.v[-1] - out.v[0]))
     if drift > 1e-10:
@@ -277,7 +262,6 @@ class SimConfig:
     noise_amp: float = 0.0
     seed: int | None = None
     init_path: str | None = None      # for init = from-file: npz with v, theta
-    method: str = "auto"
     rtol: float = 1e-8
     atol: float = 1e-10
     log_frames: bool = False          # geometric frame spacing (early transient)
@@ -318,8 +302,12 @@ class SimConfig:
         if self.init == "from-file":
             if not self.init_path:
                 raise ParameterError("init = from-file requires init_path")
-            data = np.load(self.init_path)
-            v, theta = np.asarray(data["v"], dtype=float), np.asarray(data["theta"], dtype=float)
+            try:
+                data = np.load(self.init_path)
+                v, theta = (np.asarray(data[k], dtype=float) for k in ("v", "theta"))
+            except (OSError, ValueError, KeyError, IndexError) as exc:
+                raise ParameterError(f"init_path {self.init_path!r} is not an npz archive "
+                                     f"with arrays v and theta: {exc}") from exc
             if v.size != grid.N + 1 or theta.size != grid.N + 1:
                 raise ParameterError("initial arrays must have N + 1 nodes")
             return FieldState(grid, 0.0, v, theta)
@@ -356,13 +344,13 @@ def run(config: SimConfig) -> SimResult:
     params = config.material()
     state0 = config.initial_state()
     if config.log_frames:
-        interior = np.geomspace(max(config.t_end * 1e-5, 1e-4), config.t_end,
-                                config.frames - 1)
+        # first frame after 0: 1e-5 t_end, at least 1e-4 but at most t_end / 10
+        start = min(max(config.t_end * 1e-5, 1e-4), config.t_end / 10)
+        interior = np.geomspace(start, config.t_end, config.frames - 1)
         t_eval = np.concatenate([[0.0], interior])
     else:
         t_eval = np.linspace(0.0, config.t_end, config.frames)
-    states = _integrate(state0, params, t_eval[1:], config.method,
-                        config.rtol, config.atol)
+    states = _integrate(state0, params, t_eval[1:], config.rtol, config.atol)
     states = [state0] + states
 
     A = 1.0
@@ -380,10 +368,7 @@ def run(config: SimConfig) -> SimResult:
     m1t = np.empty(m)
     energy = np.empty(m)
     for i, st in enumerate(states):
-        u = st.strain_rate()
-        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-            raise PositivityError(
-                f"strain rate lost positivity at t = {st.t:.6g}", state=st)
+        u = st.positive_strain_rate()
         ubar = u - 1.0
         tbar = st.theta - theta_s[i]
         inhom[i] = st.theta.max() - st.theta.min()

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, RangeError
+from .material import power_law_stress
 from .orbit import OrbitPath, PlanarParams
 
 __all__ = [
@@ -222,7 +223,7 @@ def ode_residual(evaluator, nu: float, n: float, alpha: float,
 
     r1 = dSigma - xi * U
     r2 = nu * ((n + 1.0) / alpha + xi * dTheta) - (Sigma * U - 1.0)
-    r3 = Sigma - np.exp(-alpha * Theta + n * np.log(U))
+    r3 = Sigma - power_law_stress(alpha, n, Theta, U)
 
     # Stride-2 derivatives on the even-indexed subgrid bound the FD error.
     # (2/3)|d_h - d_2h| is an upper bound in both regimes: ~10x the 4th-order

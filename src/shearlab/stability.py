@@ -328,7 +328,7 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
         k = frozen_k if frozen_k is not None else kappa * math.exp(log_c0 + alpha * tau)
         return (a11 * u + a12 * th, a21 * u - (alpha + k * x) * th)
 
-    sol = solve_ivp(rhs, (0.0, tau_end), init, method="RK45", rtol=rtol, atol=1e-14,
+    sol = solve_ivp(rhs, (0.0, tau_end), init, rtol=rtol, atol=1e-14,
                     t_eval=tau_eval)
     if sol.status != 0:
         raise StiffnessError(f"mode integration failed: {sol.message}")

@@ -349,7 +349,7 @@ def test_criterion_9_uniform_shear_tracking():
     errs = []
     cur = state
     for t in np.linspace(1.0, 10.0, 10):
-        cur = sl.step(cur, params, t_target=float(t), method="lsoda",
+        cur = sl.step(cur, params, t_target=float(t),
                       rtol=1e-10, atol=1e-12)
         ref = sl.uniform_shear(params, float(t))
         errs.append(max(np.max(np.abs(cur.v - cur.grid.x)),

@@ -108,6 +108,31 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert payload["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("name, save", [
+    ("init.npz", lambda path: np.savez(path, velocity=np.linspace(0.0, 1.0, 33))),
+    ("init.npy", lambda path: np.save(path, np.linspace(0.0, 1.0, 33))),
+], ids=["npz-without-v-theta", "npy"])
+def test_malformed_init_file_is_numerical_failure(tmp_path, capsys, name, save):
+    save(tmp_path / name)
+    code = run_cli("simulate", "--N", "32", "--init", "from-file",
+                   "--init-path", str(tmp_path / name), "--out-dir", str(tmp_path))
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "arrays v and theta" in payload["message"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_simulate_has_no_method_option(tmp_path, via):
+    # LSODA is the only integrator, so there is nothing to choose
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "lsoda"}))
+    extra = ["--method", "lsoda"] if via == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", *extra, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+
+
 def test_residual_shoot_failure_carries_hint(tmp_path, capsys, monkeypatch):
     import shearlab.cli as cli
     from shearlab.errors import RegionExitError
@@ -295,7 +320,7 @@ def test_wall_seconds_covers_compute(tmp_path, monkeypatch):
 
 # Run in a fresh interpreter: records which SciPy subpackages are loaded after
 # the parser is built, after each subcommand that needs no SciPy, and after
-# `simulate`, whose LSODA/RK45 come from scipy.integrate.
+# `simulate`, whose LSODA comes from scipy.integrate.
 IMPORT_PROBE = """
 import json, sys
 from shearlab.cli import build_parser, main

@@ -61,12 +61,69 @@ def test_positivity_guard():
         st.stress(MaterialParams(n=0.1, alpha=0.5))
 
 
+def _bad_velocity(kind, x):
+    if kind == "nonpositive":
+        return x - 0.2 * np.sin(2 * np.pi * x) / (2 * np.pi) * 8.0
+    v = x.copy()
+    if kind == "nan":
+        v[x.size // 2] = np.nan
+    else:
+        v[-1] = np.inf      # u = +inf at the last two nodes, finite elsewhere
+    return v
+
+
+@pytest.mark.parametrize("via", ["stress", "step", "run"])
+@pytest.mark.parametrize("kind", ["nonpositive", "nan", "inf"])
+def test_positivity_check(tmp_path, kind, via):
+    g = Grid1D(32)
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5)
+    state = FieldState(g, 0.0, _bad_velocity(kind, g.x), np.zeros(g.x.size))
+    with pytest.raises(PositivityError, match="t = 0 [(]min u = ") as exc:
+        if via == "stress":
+            state.stress(params)
+        elif via == "step":
+            step(state, params, t_target=1.0)
+        else:
+            path = tmp_path / "init.npz"
+            np.savez(path, v=state.v, theta=state.theta)
+            run(SimConfig(N=32, init="from-file", init_path=str(path), t_end=1.0, frames=2))
+    assert exc.value.state.t == 0.0
+    assert np.array_equal(exc.value.state.v, state.v, equal_nan=True)
+
+
+def test_step_reports_the_state_that_lost_positivity():
+    # an adiabatic bump localizes: by t = 2 the strain rate is no longer positive
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.0, theta0=-4.0)
+    state = initial_gaussian_bump(Grid1D(64), params)
+    with pytest.raises(PositivityError) as exc:
+        step(state, params, t_target=2.0)
+    assert 0.0 < exc.value.state.t <= 2.0
+
+
+def test_every_solve_is_banded_lsoda(monkeypatch):
+    import shearlab.pdesim as pdesim
+    calls = []
+    solve = pdesim.solve_ivp
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pdesim, "solve_ivp", spy)
+    adiabatic = MaterialParams(n=0.05, alpha=0.5, kappa=0.0, theta0=0.0)
+    step(initial_uniform(Grid1D(32), adiabatic), adiabatic, t_target=0.5)
+    run(SimConfig(N=32, t_end=1.0))
+    assert len(calls) == 2
+    for kwargs in calls:
+        assert [kwargs.get(k) for k in ("method", "lband", "uband")] == ["LSODA", 4, 4]
+
+
 def test_uniform_shear_tracking_diffusive():
     # the discrete scheme is exact in space on the uniform state; the error
     # is the time integrator's
     params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
     state = initial_uniform(Grid1D(256), params)
-    out = step(state, params, t_target=10.0, method="lsoda", rtol=1e-10, atol=1e-12)
+    out = step(state, params, t_target=10.0, rtol=1e-10, atol=1e-12)
     ref = uniform_shear(params, 10.0)
     assert np.max(np.abs(out.v - out.grid.x)) < 1e-6
     assert np.max(np.abs(out.theta - ref.theta_s)) < 1e-6
@@ -97,7 +154,7 @@ def test_stress_flux_vanishes_at_walls():
     # sigma_x(0) = sigma_x(1) = 0 within discretization error
     params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
     state = initial_gaussian_bump(Grid1D(256), params, amplitude=0.05)
-    out = step(state, params, t_target=1.0, method="lsoda", rtol=1e-10, atol=1e-12)
+    out = step(state, params, t_target=1.0, rtol=1e-10, atol=1e-12)
     sigma = out.stress(params)
     h = out.grid.h
     left = (-3 * sigma[0] + 4 * sigma[1] - sigma[2]) / (2 * h)
@@ -153,7 +210,7 @@ def test_manufactured_solution_second_order():
     for N in Ns:
         g = Grid1D(N)
         state = FieldState(g, 0.0, v_exact(g.x, 0.0), theta_exact(g.x, 0.0))
-        out = step(state, params, t_target=0.5, method="lsoda",
+        out = step(state, params, t_target=0.5,
                    rtol=1e-11, atol=1e-13, sources=sources)
         err = max(np.max(np.abs(out.v - v_exact(g.x, 0.5))),
                   np.max(np.abs(out.theta - theta_exact(g.x, 0.5))))
@@ -199,6 +256,19 @@ def test_config_rejects_bad_frames_and_tolerances(bad):
         SimConfig(N=32, t_end=1.0, **bad)
     with pytest.raises(ParameterError):
         SimConfig.from_dict({"N": 32, "t_end": 1.0, **bad})
+
+
+@pytest.mark.parametrize("t_end", [5e-5, 1e-4, 5e-4])
+def test_log_frames_stay_inside_short_horizons(t_end):
+    times = run(SimConfig(N=32, t_end=t_end, frames=4, log_frames=True)).times
+    assert times[0] == 0.0 and times[-1] == t_end
+    assert np.all(np.diff(times) > 0.0)
+
+
+@pytest.mark.parametrize("t_end", [1e-3, 1.0, 500.0])
+def test_log_frames_from_t_end_1e_3_start_at_1e_4_or_1e_5_t_end(t_end):
+    times = run(SimConfig(N=32, t_end=t_end, frames=4, log_frames=True)).times
+    assert np.array_equal(times[1:], np.geomspace(max(t_end * 1e-5, 1e-4), t_end, 3))
 
 
 def test_config_accepts_edge_frames_and_tolerances():
@@ -254,7 +324,7 @@ def test_tracks_exact_localizing_solution():
     state = FieldState(g, 0.0, v0, theta0_arr)
     bc_v = (lambda t: float(v_exact(0.0, t)), lambda t: float(v_exact(1.0, t)))
     t_end = 5.0
-    out = _integrate(state, params, [t_end], method="rk45",
+    out = _integrate(state, params, [t_end],
                      rtol=1e-10, atol=1e-12, bc_v=bc_v)[-1]
 
     interior = (g.x >= 1.0 / 3.0) & (g.x <= 2.0 / 3.0)
