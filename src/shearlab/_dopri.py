@@ -2,6 +2,8 @@
 
 A drop-in for the part of ``scipy.integrate.solve_ivp(method="RK45")`` that
 the orbit shooter and the mode integrator use, with no SciPy import.  The
+right-hand side and the event take the two components as scalars,
+``fun(t, a, b)`` and ``g(t, a, b)``, where SciPy passes one array ``y``.  The
 tableau (A, B, C, E and the dense-output matrix P) is written out with the
 same expressions as SciPy's RK45 (``scipy/integrate/_ivp/rk.py``), and the
 tests check it against SciPy's arrays bit for bit.  The initial-step rule,
@@ -10,9 +12,11 @@ the step controller (safety 0.9, factors 0.2 and 10, RMS error norm,
 output are SciPy's too, so it takes SciPy's step sequence.  SciPy forms each
 stage with ``np.dot`` on length-2 arrays, where the NumPy overhead is most of
 the cost of a step; here the stages are unrolled sums of Python floats, so
-the values agree with SciPy's to rounding, not bit for bit.  A terminal event
-is located on the dense output by ``_brentq``, a port of SciPy's ``brentq.c``
-that returns the same bits.
+the values agree with SciPy's to rounding, not bit for bit.  Every sum is
+written out in a fixed order, so a run gives the same bits on every Python
+version.  The dense output is formed only on a step that an event or a
+``t_eval`` point samples.  A terminal event is located on the dense output by
+``_brentq``, a port of SciPy's ``brentq.c`` that returns the same bits.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26; Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.4-II.6; Brent, Algorithms for
@@ -29,7 +33,7 @@ from warnings import warn
 
 import numpy as np
 
-__all__ = ["solve_ivp"]
+__all__ = ["check_t_eval", "solve_ivp"]
 
 _EPS = sys.float_info.epsilon
 SAFETY = 0.9
@@ -64,6 +68,10 @@ _C2, _C3, _C4, _C5 = C[1:5]
  (_A61, _A62, _A63, _A64, _A65)) = [row[:i] for i, row in enumerate(A)]
 _B1, _, _B3, _B4, _B5, _B6 = B      # B2 = 0
 _E1, _, _E3, _E4, _E5, _E6, _E7 = E  # E2 = 0
+((_P11, _P12, _P13, _P14), (_P21, _P22, _P23, _P24), (_P31, _P32, _P33, _P34),
+ (_P41, _P42, _P43, _P44), (_P51, _P52, _P53, _P54), (_P61, _P62, _P63, _P64),
+ (_P71, _P72, _P73, _P74)) = [[float(p) for p in row] for row in P]
+_SQRT2 = math.sqrt(2.0)
 
 _MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred.",
@@ -146,34 +154,73 @@ def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
 
 
 def _rms(x0, x1):
-    return math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)   # as np.linalg.norm(x) / 2 ** 0.5
+    return math.sqrt(x0 * x0 + x1 * x1) / _SQRT2   # as np.linalg.norm(x) / 2 ** 0.5
 
 
-def _dense(t_old, h, ya, yb, K):
-    """The step's 4th-order interpolant y(t) = y_old + h sum_j Q_j x^(j+1)."""
-    qa = [sum(k[0] * p[j] for k, p in zip(K, P)) for j in range(4)]
-    qb = [sum(k[1] * p[j] for k, p in zip(K, P)) for j in range(4)]
+def _dense_coefficients(k1, k2, k3, k4, k5, k6, k7):
+    """One component's interpolant coefficients Q_j = sum_i K_i P_ij, j = 1..4.
+
+    Each is the left-to-right sum ``0.0 + K_1 P_1j + ... + K_7 P_7j`` that the
+    builtin ``sum`` of Python 3.10/3.11 formed; since 3.12 ``sum`` compensates
+    float rounding, so it is written out to give the same bits on every
+    version.  The zero entries of P stay in, so that an infinite stage still
+    makes the coefficient NaN.
+    """
+    return (0.0 + k1 * _P11 + k2 * _P21 + k3 * _P31 + k4 * _P41 + k5 * _P51 + k6 * _P61
+            + k7 * _P71,
+            0.0 + k1 * _P12 + k2 * _P22 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62
+            + k7 * _P72,
+            0.0 + k1 * _P13 + k2 * _P23 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63
+            + k7 * _P73,
+            0.0 + k1 * _P14 + k2 * _P24 + k3 * _P34 + k4 * _P44 + k5 * _P54 + k6 * _P64
+            + k7 * _P74)
+
+
+def _dense(t_old, h, ya, yb, ka, kb):
+    """The step's 4th-order interpolant y(t) = y_old + h sum_j Q_j x^j.
+
+    ``ka`` and ``kb`` are the seven stages of each component.
+    """
+    qa1, qa2, qa3, qa4 = _dense_coefficients(*ka)
+    qb1, qb2, qb3, qb4 = _dense_coefficients(*kb)
 
     def sol(t):
         x = (t - t_old) / h
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return (h * (qa[0] * x + qa[1] * x2 + qa[2] * x3 + qa[3] * x4) + ya,
-                h * (qb[0] * x + qb[1] * x2 + qb[2] * x3 + qb[3] * x4) + yb)
+        return (h * (qa1 * x + qa2 * x2 + qa3 * x3 + qa4 * x4) + ya,
+                h * (qb1 * x + qb2 * x2 + qb3 * x3 + qb4 * x4) + yb)
     return sol
+
+
+def check_t_eval(t_eval, t_span):
+    """``t_eval`` as a float array, with the checks of SciPy's ``solve_ivp``.
+
+    Raises ValueError unless it is 1-D, inside ``t_span`` and strictly
+    increasing.  Unlike SciPy's checks, these also reject NaN.
+    """
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1:
+        raise ValueError("`t_eval` must be 1-dimensional.")
+    if not np.all((t_eval >= t_span[0]) & (t_eval <= t_span[1])):
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
+    if not np.all(np.diff(t_eval) > 0):
+        raise ValueError("Values in `t_eval` are not properly sorted.")
+    return t_eval
 
 
 def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
               rtol=1e-3, atol=1e-6, max_step=math.inf):
-    """Integrate y' = fun(t, y) for a 2-component y forward over ``t_span``.
+    """Integrate (a, b)' = fun(t, a, b) forward over ``t_span`` from ``y0 = (a, b)``.
 
-    ``fun`` gets a tuple of two floats and returns two numbers.  ``events`` is
-    one terminal event function ``g(t, y)``, with SciPy's optional
-    ``direction`` attribute; it is located by ``_brentq`` on the dense output and
-    its point ends ``t``/``y`` (status 1).  ``t_eval`` (sorted, inside
-    ``t_span``) samples the dense output.  A step below the minimum returns
-    status -1.
+    ``fun`` gets the two components as floats and returns two numbers.
+    ``events`` is one terminal event function ``g(t, a, b)``, with SciPy's
+    optional ``direction`` attribute; it is located by ``_brentq`` on the dense
+    output and its point ends ``t``/``y`` (status 1).  ``t_eval`` samples the
+    dense output; like SciPy, it raises ValueError unless ``t_eval`` is 1-D,
+    inside ``t_span`` and strictly increasing.  A step below the minimum
+    returns status -1.  The result is the same bits on every Python version.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -189,9 +236,11 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     if events is not None and not getattr(events, "terminal", False):
         raise ValueError("only one terminal event function is supported")
     direction = getattr(events, "direction", 0)
+    every_step = t_eval is None
+    t_eval = [] if every_step else check_t_eval(t_eval, (t, t_bound)).tolist()
 
     ya, yb = (float(v) for v in y0)
-    fa, fb = fun(t, (ya, yb))
+    fa, fb = fun(t, ya, yb)
 
     # initial step (Hairer, Norsett & Wanner, sec. II.4)
     length = t_bound - t
@@ -201,7 +250,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     d1 = _rms(fa / sa, fb / sb)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
-    ga, gb = fun(t + h0, (ya + h0 * fa, yb + h0 * fb))
+    ga, gb = fun(t + h0, ya + h0 * fa, yb + h0 * fb)
     d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -210,44 +259,53 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     h_abs = min(100 * h0, h1, length, max_step)
     nfev = 2
 
-    g = events(t, (ya, yb)) if events is not None else None
-    t_eval = None if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
-    i_eval = 0
-    ts, ays, bys = ([], [], []) if t_eval is not None else ([t], [ya], [yb])
+    g = events(t, ya, yb) if events is not None else None
+    crossed = False
+    i_eval, n_eval = 0, len(t_eval)
+    next_eval = t_eval[0] if n_eval else math.inf
+    ts, ays, bys = ([t], [ya], [yb]) if every_step else ([], [], [])
     status = None
     while status is None:
+        # In the loop, ``y if y > x else x`` stands for max(x, y) and ``y if y <
+        # x else x`` for min(x, y): the comparison the builtins make, so NaN
+        # goes the same way, without the call.
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max_step if h_abs > max_step else (min_step if min_step > h_abs else h_abs)
+        abs_a, abs_b = abs(ya), abs(yb)
         rejected = False
         while True:
             if h_abs < min_step:
                 status = -1
                 break
-            t_new = min(t + h_abs, t_bound)
+            t_new = t + h_abs
+            t_new = t_bound if t_bound < t_new else t_new
             h = t_new - t
             h_abs = h
 
-            ka2, kb2 = fun(t + _C2 * h, (ya + h * (_A21 * fa), yb + h * (_A21 * fb)))
-            ka3, kb3 = fun(t + _C3 * h, (ya + h * (_A31 * fa + _A32 * ka2),
-                                         yb + h * (_A31 * fb + _A32 * kb2)))
-            ka4, kb4 = fun(t + _C4 * h, (ya + h * (_A41 * fa + _A42 * ka2 + _A43 * ka3),
-                                         yb + h * (_A41 * fb + _A42 * kb2 + _A43 * kb3)))
+            ka2, kb2 = fun(t + _C2 * h, ya + h * (_A21 * fa), yb + h * (_A21 * fb))
+            ka3, kb3 = fun(t + _C3 * h, ya + h * (_A31 * fa + _A32 * ka2),
+                           yb + h * (_A31 * fb + _A32 * kb2))
+            ka4, kb4 = fun(t + _C4 * h, ya + h * (_A41 * fa + _A42 * ka2 + _A43 * ka3),
+                           yb + h * (_A41 * fb + _A42 * kb2 + _A43 * kb3))
             ka5, kb5 = fun(t + _C5 * h,
-                           (ya + h * (_A51 * fa + _A52 * ka2 + _A53 * ka3 + _A54 * ka4),
-                            yb + h * (_A51 * fb + _A52 * kb2 + _A53 * kb3 + _A54 * kb4)))
-            ka6, kb6 = fun(t + h, (ya + h * (_A61 * fa + _A62 * ka2 + _A63 * ka3
-                                             + _A64 * ka4 + _A65 * ka5),
-                                   yb + h * (_A61 * fb + _A62 * kb2 + _A63 * kb3
-                                             + _A64 * kb4 + _A65 * kb5)))
+                           ya + h * (_A51 * fa + _A52 * ka2 + _A53 * ka3 + _A54 * ka4),
+                           yb + h * (_A51 * fb + _A52 * kb2 + _A53 * kb3 + _A54 * kb4))
+            ka6, kb6 = fun(t + h, ya + h * (_A61 * fa + _A62 * ka2 + _A63 * ka3
+                                            + _A64 * ka4 + _A65 * ka5),
+                           yb + h * (_A61 * fb + _A62 * kb2 + _A63 * kb3
+                                     + _A64 * kb4 + _A65 * kb5))
             na = ya + h * (_B1 * fa + _B3 * ka3 + _B4 * ka4 + _B5 * ka5 + _B6 * ka6)
             nb = yb + h * (_B1 * fb + _B3 * kb3 + _B4 * kb4 + _B5 * kb5 + _B6 * kb6)
-            ka7, kb7 = fun(t_new, (na, nb))
+            ka7, kb7 = fun(t_new, na, nb)
             nfev += 6
 
+            # the RMS error norm, _rms inlined
             ea = h * (_E1 * fa + _E3 * ka3 + _E4 * ka4 + _E5 * ka5 + _E6 * ka6 + _E7 * ka7)
             eb = h * (_E1 * fb + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6 + _E7 * kb7)
-            err = _rms(ea / (atol + max(abs(ya), abs(na)) * rtol),
-                       eb / (atol + max(abs(yb), abs(nb)) * rtol))
+            sa, sb = abs(na), abs(nb)
+            ea /= atol + (sa if sa > abs_a else abs_a) * rtol
+            eb /= atol + (sb if sb > abs_b else abs_b) * rtol
+            err = math.sqrt(ea * ea + eb * eb) / _SQRT2
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** _EXPONENT)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -259,32 +317,31 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
 
         if t_new >= t_bound:
             status = 0
-        K = ((fa, fb), (ka2, kb2), (ka3, kb3), (ka4, kb4), (ka5, kb5), (ka6, kb6), (ka7, kb7))
-        sol = None
         t_end, end_a, end_b = t_new, na, nb
         if events is not None:
-            g_new = events(t_new, (na, nb))
-            if (direction >= 0 and g <= 0 <= g_new) or (direction <= 0 and g >= 0 >= g_new):
-                sol = _dense(t, h, ya, yb, K)
-                t_end = _brentq(lambda s: events(s, sol(s)), t, t_new)
+            g_new = events(t_new, na, nb)
+            crossed = (direction >= 0 and g <= 0 <= g_new) or (direction <= 0 and g >= 0 >= g_new)
+            g = g_new
+        # the interpolant only for a step that an event or a t_eval point samples
+        if crossed or not t_new < next_eval:
+            sol = _dense(t, h, ya, yb, (fa, ka2, ka3, ka4, ka5, ka6, ka7),
+                         (fb, kb2, kb3, kb4, kb5, kb6, kb7))
+            if crossed:
+                t_end = _brentq(lambda s: events(s, *sol(s)), t, t_new)
                 end_a, end_b = sol(t_end)
                 status = 1
-            g = g_new
-
-        if t_eval is None:
+            i_new = bisect_right(t_eval, t_end, lo=i_eval)
+            for s in t_eval[i_eval:i_new]:
+                ua, ub = sol(s)
+                ts.append(s)
+                ays.append(ua)
+                bys.append(ub)
+            i_eval = i_new
+            next_eval = t_eval[i_eval] if i_eval < n_eval else math.inf
+        if every_step:
             ts.append(t_end)
             ays.append(end_a)
             bys.append(end_b)
-        else:
-            i_new = bisect_right(t_eval, t_end, lo=i_eval)
-            if i_new > i_eval:
-                sol = sol or _dense(t, h, ya, yb, K)
-                for s in t_eval[i_eval:i_new]:
-                    ua, ub = sol(s)
-                    ts.append(s)
-                    ays.append(ua)
-                    bys.append(ub)
-                i_eval = i_new
 
         t, ya, yb, fa, fb = t_new, na, nb, ka7, kb7
 

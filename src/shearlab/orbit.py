@@ -221,14 +221,12 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     c = p.c_nu
     k = (p.n + 1.0) * p.nu / p.alpha
 
-    def backward(s, y):
-        a, b = y
+    def backward(s, a, b):
         if b <= 0.0:
             raise ParameterError("vector field undefined for b <= 0")
         return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
-    def reach_node(s, y):
-        a, b = y
+    def reach_node(s, a, b):
         return math.hypot(a - node_a, b - node_b) - tol
 
     reach_node.terminal = True

@@ -347,6 +347,7 @@ def run(config: SimConfig) -> SimResult:
         # first frame after 0: 1e-5 t_end, at least 1e-4 but at most t_end / 10
         start = min(max(config.t_end * 1e-5, 1e-4), config.t_end / 10)
         interior = np.geomspace(start, config.t_end, config.frames - 1)
+        interior[-1] = config.t_end   # geomspace of one point is [start]
         t_eval = np.concatenate([[0.0], interior])
     else:
         t_eval = np.linspace(0.0, config.t_end, config.frames)

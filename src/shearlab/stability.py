@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dopri import solve_ivp
+from ._dopri import check_t_eval, solve_ivp
 from .errors import ParameterError, StiffnessError
 from .material import MaterialParams, t_of_tau, tau_of_t
 
@@ -223,7 +223,13 @@ class ModeTrajectory:
 
 
 def _nonautonomous_k(params: MaterialParams, tau):
-    return params.kappa * np.exp(params.log_c0 + params.alpha * tau)
+    with np.errstate(over="ignore"):   # k = inf past the float range; callers reject it
+        return params.kappa * np.exp(params.log_c0 + params.alpha * tau)
+
+
+# The most steps _trapezoid_mode takes: 130x the most any test or benchmark op
+# needs (76,765), and about 1 GB of samples.
+MAX_TRAPEZOID_STEPS = 10_000_000
 
 
 def _trapezoid_mode(params: MaterialParams, j: int, init, tau_end: float,
@@ -232,7 +238,15 @@ def _trapezoid_mode(params: MaterialParams, j: int, init, tau_end: float,
     # is one closed-form 2x2 solve.
     x = (j * math.pi) ** 2
     k_end = float(k_of_tau(tau_end))
+    if not math.isfinite(k_end):
+        raise StiffnessError(f"mode {j}: k(tau_end) = {k_end} is not finite "
+                             f"at tau_end = {tau_end}")
     h = min(1e-3, 0.1 / max(k_end, 1e-30))
+    # checked before anything is allocated; the ratio may be inf
+    if not tau_end / h <= MAX_TRAPEZOID_STEPS:
+        raise StiffnessError(
+            f"mode {j} needs {tau_end / h:.3g} trapezoid steps on [0, {tau_end}] "
+            f"(k(tau_end) = {k_end:.3g}), more than {MAX_TRAPEZOID_STEPS}")
     nsteps = max(2, int(math.ceil(tau_end / h)))
     taus = np.linspace(0.0, tau_end, nsteps + 1)
     h = taus[1] - taus[0]
@@ -265,7 +279,6 @@ def _trapezoid_mode(params: MaterialParams, j: int, init, tau_end: float,
 
     u, th = np.array(us), np.array(ths)
     if tau_eval is not None:
-        tau_eval = np.asarray(tau_eval, dtype=float)
         u = np.interp(tau_eval, taus, u)
         th = np.interp(tau_eval, taus, th)
         taus = tau_eval
@@ -287,11 +300,18 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     floats), and switches to the fixed-step trapezoidal rule when the
     stiffness estimate k(tau_end) (j pi)^2 tau_end makes explicit stepping
     hopeless; 'rk45' raises StiffnessError in that situation instead.
+    ``tau_eval``, if given, must be 1-D, inside [0, tau_end] and strictly
+    increasing (ParameterError otherwise).
     """
     if tau_end <= 0.0:
         raise ParameterError(f"tau_end must be > 0, got {tau_end}")
     if j < 0:
         raise ParameterError(f"mode index must be >= 0, got {j}")
+    if tau_eval is not None:
+        try:
+            tau_eval = check_t_eval(tau_eval, (0.0, tau_end))
+        except ValueError as exc:
+            raise ParameterError(f"tau_eval: {exc}") from None
     x = (j * math.pi) ** 2
 
     if frozen_k is not None:
@@ -323,8 +343,7 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
 
     alpha, kappa, log_c0 = params.alpha, params.kappa, params.log_c0
 
-    def rhs(tau, y):
-        u, th = y
+    def rhs(tau, u, th):
         k = frozen_k if frozen_k is not None else kappa * math.exp(log_c0 + alpha * tau)
         return (a11 * u + a12 * th, a21 * u - (alpha + k * x) * th)
 
@@ -332,8 +351,7 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
                     t_eval=tau_eval)
     if sol.status != 0:
         raise StiffnessError(f"mode integration failed: {sol.message}")
-    taus = sol.t if tau_eval is None else np.asarray(tau_eval, dtype=float)
-    return ModeTrajectory(j=j, taus=taus, u=sol.y[0], theta=sol.y[1], method="rk45")
+    return ModeTrajectory(j=j, taus=sol.t, u=sol.y[0], theta=sol.y[1], method="rk45")
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert payload["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("tau_end", ["40", "2000"])
+def test_modes_past_the_trapezoid_step_bound_is_numerical_failure(tmp_path, capsys, tau_end):
+    # refused before the step arrays are allocated (168 GiB at tau_end = 40)
+    code = run_cli("modes", "--n", "0.05", "--alpha", "0.5", "--kappa", "0.1", "--theta0",
+                   "0.3", "--j", "1", "--tau-end", tau_end, "--out-dir", str(tmp_path))
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "StiffnessError"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("name, save", [
     ("init.npz", lambda path: np.savez(path, velocity=np.linspace(0.0, 1.0, 33))),
     ("init.npy", lambda path: np.save(path, np.linspace(0.0, 1.0, 33))),

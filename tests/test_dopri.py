@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
+import shearlab.orbit as orbit
+from _dopri_reference import reference_solve_ivp
 from shearlab import MaterialParams, PlanarParams, frozen_mode_solution, mode_matrix
 from shearlab import _dopri, shoot_heteroclinic
-from shearlab._dopri import _brentq, solve_ivp
+from shearlab._dopri import _brentq, _dense_coefficients, solve_ivp
 
 PARAMS = MaterialParams(n=0.1, alpha=0.5, kappa=0.0)
 INIT = (0.3, -0.7)
@@ -16,15 +19,21 @@ INIT = (0.3, -0.7)
 def mode_rhs(k, j):
     (a11, a12), (a21, a22) = mode_matrix(PARAMS, k, j).tolist()
 
-    def rhs(tau, y):
-        u, th = y
+    def rhs(tau, u, th):
         return (a11 * u + a12 * th, a21 * u + a22 * th)
     return rhs
 
 
-def oscillator(t, y):
-    u, v = y
+def oscillator(t, u, v):
     return (v, -u)
+
+
+def scipy_form(f):
+    """f(t, a, b) as SciPy's f(t, y), with an event's attributes."""
+    def g(t, y):
+        return f(t, *y)
+    g.__dict__.update(f.__dict__)
+    return g
 
 
 def test_frozen_mode_matches_closed_form():
@@ -42,7 +51,8 @@ def test_frozen_mode_matches_closed_form():
 def test_step_sequence_matches_scipy_rk45(k, j, tau, rtol):
     rhs = mode_rhs(k, j)
     ours = solve_ivp(rhs, (0.0, tau), INIT, rtol=rtol, atol=1e-14)
-    ref = scipy_solve_ivp(rhs, (0.0, tau), INIT, method="RK45", rtol=rtol, atol=1e-14)
+    ref = scipy_solve_ivp(scipy_form(rhs), (0.0, tau), INIT, method="RK45", rtol=rtol,
+                          atol=1e-14)
     assert ours.nfev == ref.nfev
     assert ours.t.size == ref.t.size
     # rounding in the error estimate (a difference of stages) moves each step
@@ -82,8 +92,8 @@ def test_t_eval_samples_the_dense_output():
 
 @pytest.mark.parametrize("direction, root", [(-1, 0.5 * math.pi), (1, 1.5 * math.pi)])
 def test_terminal_event_is_located_and_appended(direction, root):
-    def crossing(t, y):
-        return y[0]
+    def crossing(t, u, v):
+        return u
 
     crossing.terminal = True
     crossing.direction = direction
@@ -94,22 +104,22 @@ def test_terminal_event_is_located_and_appended(direction, root):
     # the appended point lies on the event to brentq's tolerance in t
     assert abs(sol.y[0, -1]) <= 1e-14
     assert np.all(np.diff(sol.t) > 0)
-    ref = scipy_solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), method="RK45",
-                          rtol=1e-10, atol=1e-14, max_step=0.1, events=crossing)
+    ref = scipy_solve_ivp(scipy_form(oscillator), (0.0, 10.0), (1.0, 0.0), method="RK45",
+                          rtol=1e-10, atol=1e-14, max_step=0.1, events=scipy_form(crossing))
     assert sol.t.size == ref.t.size and sol.nfev == ref.nfev
     assert sol.t[-1] == pytest.approx(ref.t[-1], rel=1e-12)
     assert np.allclose(sol.y[:, -1], ref.y[:, -1], rtol=1e-10, atol=1e-14)
 
 
 def test_step_collapse_returns_failure():
-    def blowup(t, y):
-        return (y[0] * y[0], 0.0)      # y = 1/(1 - t)
+    def blowup(t, a, b):
+        return (a * a, 0.0)      # a = 1/(1 - t)
 
     sol = solve_ivp(blowup, (0.0, 2.0), (1.0, 1.0), rtol=1e-6, atol=1e-9)
     assert sol.status == -1 and not sol.success
     assert sol.message == "Required step size is less than spacing between numbers."
     assert sol.t[-1] == pytest.approx(1.0, abs=1e-5) and sol.y[0, -1] > 1e12
-    ref = scipy_solve_ivp(blowup, (0.0, 2.0), (1.0, 1.0), method="RK45",
+    ref = scipy_solve_ivp(scipy_form(blowup), (0.0, 2.0), (1.0, 1.0), method="RK45",
                           rtol=1e-6, atol=1e-9)
     assert ref.status == -1 and sol.t.size == ref.t.size and sol.nfev == ref.nfev
 
@@ -219,3 +229,91 @@ def test_brentq_port_raises_as_scipy_does():
     assert _brentq(f, a, b).hex() == scipy_brentq(f, a, b, xtol=eps4, rtol=eps4).hex()
     # a root at an end is returned without iterating
     assert _brentq(lambda x: x, 0.0, 1.0) == 0.0 == scipy_brentq(lambda x: x, 0.0, 1.0)
+
+
+# --- the unrolled stepper against the tuple-convention oracle ---
+
+
+def _assert_same_bits(ours, ref):
+    assert ours.status == ref.status and ours.nfev == ref.nfev
+    assert ours.t.shape == ref.t.shape and ours.t.tobytes() == ref.t.tobytes()
+    assert ours.y.shape == ref.y.shape and ours.y.tobytes() == ref.y.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       forcing=st.floats(-2.0, 2.0), y0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       t_end=st.floats(0.1, 3.0), rtol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+       fractions=st.none() | st.lists(st.floats(0.0, 1.0), max_size=8),
+       level=st.none() | st.floats(-2.0, 2.0), direction=st.sampled_from([-1, 0, 1]))
+def test_stepper_is_bit_identical_to_the_tuple_oracle(m, forcing, y0, t_end, rtol, fractions,
+                                                      level, direction):
+    # random non-autonomous 2x2 linear systems, with and without t_eval and a
+    # terminal event: the same t, y, status and RHS count, bit for bit
+    m11, m12, m21, m22 = m
+
+    def fun(t, a, b):
+        return (m11 * a + m12 * b + forcing * math.sin(t), m21 * a + m22 * b)
+
+    events = None
+    if level is not None:
+        def events(t, a, b):
+            return a - level
+        events.terminal = True
+        events.direction = direction
+    t_eval = None if fractions is None else sorted({f * t_end for f in fractions})
+    options = dict(rtol=rtol, atol=1e-9, t_eval=t_eval, events=events)
+    _assert_same_bits(solve_ivp(fun, (0.0, t_end), y0, **options),
+                      reference_solve_ivp(fun, (0.0, t_end), y0, **options))
+
+
+def test_sweep_orbits_are_bit_identical_to_the_tuple_oracle(monkeypatch):
+    ours = [shoot_heteroclinic(PlanarParams(*key)) for key in SWEEP]
+    monkeypatch.setattr(orbit, "solve_ivp", reference_solve_ivp)
+    for key, path in zip(SWEEP, ours):
+        ref = shoot_heteroclinic(PlanarParams(*key))
+        for name in ("eta", "a", "b"):
+            assert getattr(path, name).tobytes() == getattr(ref, name).tobytes(), (key, name)
+
+
+def test_mode_samples_are_bit_identical_to_the_tuple_oracle():
+    rhs = mode_rhs(0.3, 1)
+    t_eval = np.linspace(0.0, 2.0, 1200)
+    for options in ({}, {"t_eval": t_eval}):
+        _assert_same_bits(solve_ivp(rhs, (0.0, 2.0), INIT, rtol=1e-10, atol=1e-14, **options),
+                          reference_solve_ivp(rhs, (0.0, 2.0), INIT, rtol=1e-10, atol=1e-14,
+                                              **options))
+
+
+STAGES = (-0.01, -0.058, 0.092, 0.745, -0.037, 0.008, -0.064)
+
+
+def test_dense_coefficients_are_plain_left_to_right_sums():
+    # the bits of Python 3.10/3.11's sum(), on every Python version
+    pinned = [float.fromhex(x) for x in ("-0x1.47ae147ae147bp-7", "-0x1.49b99960eaac6p+1",
+                                         "0x1.d99394408c48fp+2", "-0x1.119d77f2ce4a0p+2")]
+    assert list(_dense_coefficients(*STAGES)) == pinned
+    # a compensated sum (Python 3.12's sum(), math.fsum) rounds three of them otherwise
+    terms = [[k * p[j] for k, p in zip(STAGES, _dopri.P)] for j in range(4)]
+    assert sum(math.fsum(t) != q for t, q in zip(terms, pinned)) == 3
+    # the zero row of P stays in: an infinite stage 2 makes every coefficient NaN
+    assert all(math.isnan(q) for q in _dense_coefficients(1.0, math.inf, *STAGES[2:]))
+
+
+def test_t_eval_is_checked_as_scipy_checks_it():
+    def decay(t, y):
+        return -y
+
+    for t_eval, match in (([[0.5, 1.0]], "1-dimensional"), ([-1.0, 0.5], "within"),
+                          ([0.5, 1.5], "within"), ([1.0, 0.5], "sorted"),
+                          ([0.5, 0.5], "sorted")):
+        with pytest.raises(ValueError, match=match):
+            solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), t_eval=t_eval)
+        with pytest.raises(ValueError, match=match):
+            scipy_solve_ivp(decay, (0.0, 1.0), [1.0], t_eval=t_eval)
+    # SciPy lets NaN through; it is not a point of [t0, t1]
+    with pytest.raises(ValueError, match="within"):
+        solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), t_eval=[0.5, math.nan])
+    # the ends of t_span and an empty t_eval are allowed
+    assert solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), t_eval=[0.0, 1.0]).t.tolist() == [0.0, 1.0]
+    assert solve_ivp(oscillator, (0.0, 1.0), (1.0, 0.0), t_eval=[]).t.size == 0

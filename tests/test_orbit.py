@@ -314,7 +314,7 @@ def test_shooter_rhs_guards_nonpositive_b(monkeypatch, b):
     import shearlab.orbit as orbit
 
     def probe(fun, t_span, y0, **kwargs):
-        fun(0.0, np.array([0.5, b]))
+        fun(0.0, 0.5, b)
 
     monkeypatch.setattr(orbit, "solve_ivp", probe)
     with pytest.raises(ParameterError, match="b <= 0"):

@@ -271,6 +271,11 @@ def test_log_frames_from_t_end_1e_3_start_at_1e_4_or_1e_5_t_end(t_end):
     assert np.array_equal(times[1:], np.geomspace(max(t_end * 1e-5, 1e-4), t_end, 3))
 
 
+def test_log_frames_with_two_frames_end_at_t_end():
+    times = run(SimConfig(N=32, t_end=1.0, frames=2, log_frames=True)).times
+    assert times.tolist() == [0.0, 1.0]
+
+
 def test_config_accepts_edge_frames_and_tolerances():
     result = run(SimConfig(N=32, t_end=1.0, frames=2, atol=0.0))
     assert result.times.tolist() == [0.0, 1.0]

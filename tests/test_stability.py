@@ -18,6 +18,7 @@ from shearlab import (
     energy_certificate,
     energy_decay_check,
 )
+from shearlab import stability
 from shearlab.stability import STABLE, UNSTABLE, MARGINAL, _quadratic_coeffs
 
 
@@ -323,6 +324,50 @@ def test_integrate_mode_stiffness_guard():
     traj = integrate_mode(params, 40, (1.0, 1.0), 14.0)   # auto switches
     assert traj.method == "trapezoid"
     assert np.all(np.isfinite(traj.u))
+
+
+MODE_PARAMS = MaterialParams(n=0.05, alpha=0.5, kappa=0.1, theta0=0.3)
+
+
+@pytest.mark.parametrize("tau_end", [40.0, 2000.0])
+def test_trapezoid_step_count_is_bounded(tau_end):
+    # 2.25e10 steps (168 GiB) at tau_end = 40; k(tau_end) overflows to inf at
+    # 2000.  Both are refused before anything is allocated.
+    with pytest.raises(StiffnessError, match="trapezoid steps|not finite"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), tau_end)
+    with pytest.raises(StiffnessError):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), tau_end, method="trapezoid")
+
+
+def test_trapezoid_step_bound_is_the_module_constant(monkeypatch):
+    # 100x above the most steps any test or benchmark op takes (76,765)
+    assert stability.MAX_TRAPEZOID_STEPS >= 100 * 76_765
+    # tau_end = 2 at k(tau_end) < 100 takes 2,000 steps of h = 1e-3
+    monkeypatch.setattr(stability, "MAX_TRAPEZOID_STEPS", 1_999)
+    with pytest.raises(StiffnessError, match="more than 1999"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method="trapezoid")
+    monkeypatch.setattr(stability, "MAX_TRAPEZOID_STEPS", 2_000)
+    assert integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method="trapezoid").taus.size == 2_001
+    with pytest.raises(StiffnessError, match="not finite"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, frozen_k=math.inf, method="trapezoid")
+
+
+@pytest.mark.parametrize("method", ["rk45", "trapezoid"])
+@pytest.mark.parametrize("tau_eval, match", [
+    ([2.0, 1.0, 0.5], "sorted"), ([0.5, 1.0, 1.0], "sorted"), ([0.5, 1.0, 7.0], "within"),
+    ([-1.0, 0.5], "within"), ([0.5, math.nan], "within"), ([[0.5, 1.0]], "1-dimensional"),
+])
+def test_tau_eval_is_checked_on_both_routes(method, tau_eval, match):
+    with pytest.raises(ParameterError, match=match):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method=method, tau_eval=tau_eval)
+
+
+@pytest.mark.parametrize("method", ["rk45", "trapezoid"])
+def test_tau_eval_samples_every_point(method):
+    tau_eval = [0.0, 0.5, 1.0, 2.0]
+    traj = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method=method, tau_eval=tau_eval)
+    assert traj.taus.tolist() == tau_eval and traj.u.size == traj.theta.size == 4
+    assert traj.u[-1] == pytest.approx(13.93364, rel=1e-5)
 
 
 def test_poincare_constant_oracle():
