@@ -219,8 +219,9 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     optional ``direction`` attribute; it is located by ``_brentq`` on the dense
     output and its point ends ``t``/``y`` (status 1).  ``t_eval`` samples the
     dense output; like SciPy, it raises ValueError unless ``t_eval`` is 1-D,
-    inside ``t_span`` and strictly increasing.  A step below the minimum
-    returns status -1.  The result is the same bits on every Python version.
+    inside ``t_span`` and strictly increasing.  A step below the minimum, or a
+    first step that is not finite, returns status -1.  The result is the same
+    bits on every Python version.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -264,7 +265,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     i_eval, n_eval = 0, len(t_eval)
     next_eval = t_eval[0] if n_eval else math.inf
     ts, ays, bys = ([t], [ya], [yb]) if every_step else ([], [], [])
-    status = None
+    # a NaN first step (a NaN or infinite state or slope) would never fall below min_step
+    status = None if math.isfinite(h_abs) else -1
     while status is None:
         # In the loop, ``y if y > x else x`` stands for max(x, y) and ``y if y <
         # x else x`` for min(x, y): the comparison the builtins make, so NaN

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -56,6 +57,7 @@ def _ints(text) -> list[int]:
 
 
 POS = _checked(float, lambda v: v > 0, "> 0")
+FINITE = _checked(float, math.isfinite, "finite")
 NONNEG = _checked(float, lambda v: v >= 0, ">= 0")
 POS_INT = _checked(int, lambda v: v > 0, "> 0")
 NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
@@ -64,7 +66,7 @@ INT_LIST = _checked(str, lambda t: min(_ints(t), default=0) > 0, "a comma list o
 EPS_TOL = (Param("eps", _checked(float, lambda v: 0 < v <= 1e-3, "in (0, 1e-3]"), 1e-6),
            Param("tol", POS, 1e-8))
 MATERIAL = (Param("n", NONNEG, 0.05), Param("alpha", POS, 0.5), Param("kappa", NONNEG, 0.5),
-            Param("theta0", float, 0.0))
+            Param("theta0", FINITE, 0.0))
 ORBIT = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("nu", POS, 0.1), *EPS_TOL)
 SOLUTION = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("theta0", float, 10.0),
             Param("lam", POS, 0.1, "--lambda"), Param("sigma0", POS, 1.88),
@@ -123,8 +125,8 @@ def _spectrum(p, out):
 
 
 @command("modes", "integrate one perturbation mode in rescaled time",
-         *MATERIAL, Param("j", NONNEG_INT, 1), Param("init_u", float, 1.0),
-         Param("init_theta", float, 1.0), Param("tau_end", POS, 5.0),
+         *MATERIAL, Param("j", NONNEG_INT, 1), Param("init_u", FINITE, 1.0),
+         Param("init_theta", FINITE, 1.0), Param("tau_end", POS, 5.0),
          Param("frozen_k", NONNEG, None))
 def _modes(p, out):
     params = _material(p)

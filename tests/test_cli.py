@@ -362,3 +362,51 @@ def test_only_simulate_imports_scipy(tmp_path):
     simulate = seen.pop("simulate")
     assert all(loaded == [] for loaded in seen.values()), seen
     assert "scipy.integrate" in simulate
+
+
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+STARTUP_PROBE = """
+import json, sys
+import shearlab.cli as cli
+from shearlab import _csvio
+
+cli.build_parser()
+seen = {"tables_built": _csvio._tables.cache_info().currsize,
+        "imported": [m for m in ("fractions", "decimal") if m in sys.modules]}
+_csvio.write_csv(sys.argv[1], {"x": [0.1]})
+seen["tables_after_write"] = _csvio._tables.cache_info().currsize
+print(json.dumps(seen))
+"""
+
+
+def test_cli_start_builds_no_float_tables(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "x.csv")],
+                          env=_cli_env(), capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"tables_built": 0, "imported": [], "tables_after_write": 1}
+
+
+# a non-finite initial state once sent the mode solver into a loop without end
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("cmd, key, value", [
+    ("modes", "init_u", "nan"), ("modes", "init_u", "inf"), ("modes", "init_theta", "-inf"),
+    ("modes", "theta0", "nan"), ("energy", "theta0", "nan"), ("energy", "theta0", "inf")])
+def test_nonfinite_initial_state_is_usage_error(tmp_path, cmd, key, value, via):
+    if via == "flag":
+        argv = [f"--{key.replace('_', '-')}={value}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))
+        argv = ["--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "shearlab.cli", cmd, *argv,
+                           "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "must be finite" in proc.stderr
+    assert not list(tmp_path.glob("*.manifest.json"))

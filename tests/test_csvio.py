@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from shearlab._csvio import _BLOCK_ROWS, _fmt, read_csv, write_csv
+from shearlab._csvio import _BLOCK_ROWS, _decimal17, _fmt, read_csv, write_csv
 
 
 def _reference_write(path, columns, metadata=None):
@@ -67,3 +67,56 @@ def test_read_csv_inverts_write_csv_on_float64(columns):
         assert np.array_equal(np.isnan(back), nan)
         # bit patterns, so that -0.0 must come back as -0.0
         assert np.array_equal(back[~nan].view(np.uint64), col[~nan].view(np.uint64))
+
+
+def _written_floats(tmp_path, values) -> list[bytes]:
+    """The data lines write_csv gives for one float column."""
+    write_csv(tmp_path / "f.csv", {"x": values})
+    return (tmp_path / "f.csv").read_bytes().split(b"\n")[1:-1]
+
+
+def _printf(values) -> list[bytes]:
+    return [b"%.17g" % float(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.uint64, st.integers(1, 300), elements=st.integers(0, 2 ** 64 - 1)))
+def test_write_csv_floats_are_printf_17g_on_any_bit_pattern(bits):
+    values = bits.view(np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _written_floats(Path(tmp), values) == _printf(values)
+
+
+# doubles just below 1e-14 and 1e98 whose 17-digit rounding carries to 1e17
+CARRIES = [float.fromhex("0x1.6849b86a12b9bp-47"), float.fromhex("0x1.7688bb5394c25p+325")]
+
+
+def _edge_values():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    forms = [1e-5, 1.2345e-5, 9.999e-5, 1e-4, 1.2345e-4, 0.5, 1e16, 1.2345e16, 9.999e16,
+             1e17, 1.2345e17, 1.5e-100, 1.5e100, 1e-99, 1e99, 5e-324, 1.7976931348623157e308,
+             0.0, -0.0, 1e15 + 0.25, 2.0 ** -25]
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), twos,
+                             CARRIES, forms])
+    return np.concatenate([values, -values])
+
+
+def test_write_csv_floats_are_printf_17g_at_the_edges(tmp_path):
+    values = _edge_values()
+    assert _written_floats(tmp_path, values) == _printf(values)
+    # both lie below their power of ten, exactly
+    (a, b), (c, d) = (v.as_integer_ratio() for v in CARRIES)
+    assert a * 10 ** 14 < b and c < d * 10 ** 98
+    assert _printf(CARRIES) == [b"1e-14", b"1e+98"]
+    f32 = np.array([1e-40, 0.1, 3.4e38, -2.5, 16777217.0, 1e-45], dtype=np.float32)
+    assert _written_floats(tmp_path, f32) == _printf(f32)
+
+
+def test_only_ties_and_nonfinite_values_leave_the_kernel():
+    values = _edge_values()
+    _, _, fallback = _decimal17(values)
+    # the exact ties at 17 digits: 1e15 + 0.25, 1e15 - 0.125 (the neighbour of 1e15) and 2^-25
+    assert set(np.abs(values[fallback]).tolist()) == {1e15 + 0.25, 1e15 - 0.125, 2.0 ** -25}
+    _, _, fallback = _decimal17(np.array([np.nan, np.inf, -np.inf, 1.0]))
+    assert fallback.tolist() == [True, True, True, False]

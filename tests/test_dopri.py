@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +127,30 @@ def test_step_collapse_returns_failure():
     ref = scipy_solve_ivp(scipy_form(blowup), (0.0, 2.0), (1.0, 1.0), method="RK45",
                           rtol=1e-6, atol=1e-9)
     assert ref.status == -1 and sol.t.size == ref.t.size and sol.nfev == ref.nfev
+
+
+NONFINITE_PROBE = """
+import json, math
+from shearlab._dopri import solve_ivp
+
+out = []
+for y0, t_eval in (((math.nan, 0.0), None), ((math.inf, 0.0), None), ((0.0, -math.inf), None),
+                   ((math.nan, 0.0), [0.5])):
+    sol = solve_ivp(lambda t, a, b: (a, b), (0.0, 1.0), y0, t_eval=t_eval)
+    out.append([sol.status, sol.nfev, sol.t.tolist()])
+print(json.dumps(out))
+"""
+
+
+def test_nonfinite_start_returns_failure():
+    """A NaN first step once made the step loop spin for ever; run it where a timeout ends it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", NONFINITE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    # status -1 after the two calls of the first-step estimate, with only t0 (or no t_eval point)
+    assert json.loads(proc.stdout) == [[-1, 2, [0.0]]] * 3 + [[-1, 2, []]]
 
 
 def test_name_and_argument_checks():
