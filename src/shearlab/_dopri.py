@@ -1,9 +1,9 @@
 """Dormand-Prince 5(4) on Python floats for 2-component systems.
 
 A drop-in for the part of ``scipy.integrate.solve_ivp(method="RK45")`` that
-the orbit shooter and the mode integrator use, with no SciPy import.  The
-right-hand side and the event take the two components as scalars,
-``fun(t, a, b)`` and ``g(t, a, b)``, where SciPy passes one array ``y``.  The
+the orbit shooter uses, with no SciPy import.  The right-hand side and the
+event take the two components as scalars, ``fun(t, a, b)`` and
+``g(t, a, b)``, where SciPy passes one array ``y``.  The
 tableau (A, B, C, E and the dense-output matrix P) is written out with the
 same expressions as SciPy's RK45 (``scipy/integrate/_ivp/rk.py``), and the
 tests check it against SciPy's arrays bit for bit.  The initial-step rule,
@@ -14,9 +14,9 @@ stage with ``np.dot`` on length-2 arrays, where the NumPy overhead is most of
 the cost of a step; here the stages are unrolled sums of Python floats, so
 the values agree with SciPy's to rounding, not bit for bit.  Every sum is
 written out in a fixed order, so a run gives the same bits on every Python
-version.  The dense output is formed only on a step that an event or a
-``t_eval`` point samples.  A terminal event is located on the dense output by
-``_brentq``, a port of SciPy's ``brentq.c`` that returns the same bits.
+version.  The result holds every step; the dense output is formed only on
+the step where a terminal event changes sign, and the event is located on it
+by ``_brentq``, a port of SciPy's ``brentq.c`` that returns the same bits.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26; Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.4-II.6; Brent, Algorithms for
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from warnings import warn
 
 import numpy as np
 
-__all__ = ["check_t_eval", "solve_ivp"]
+__all__ = ["OdeResult", "solve_ivp"]
 
 _EPS = sys.float_info.epsilon
 SAFETY = 0.9
@@ -194,34 +193,15 @@ def _dense(t_old, h, ya, yb, ka, kb):
     return sol
 
 
-def check_t_eval(t_eval, t_span):
-    """``t_eval`` as a float array, with the checks of SciPy's ``solve_ivp``.
-
-    Raises ValueError unless it is 1-D, inside ``t_span`` and strictly
-    increasing.  Unlike SciPy's checks, these also reject NaN.
-    """
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.ndim != 1:
-        raise ValueError("`t_eval` must be 1-dimensional.")
-    if not np.all((t_eval >= t_span[0]) & (t_eval <= t_span[1])):
-        raise ValueError("Values in `t_eval` are not within `t_span`.")
-    if not np.all(np.diff(t_eval) > 0):
-        raise ValueError("Values in `t_eval` are not properly sorted.")
-    return t_eval
-
-
-def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
-              rtol=1e-3, atol=1e-6, max_step=math.inf):
+def solve_ivp(fun, t_span, y0, events=None, rtol=1e-3, atol=1e-6, max_step=math.inf):
     """Integrate (a, b)' = fun(t, a, b) forward over ``t_span`` from ``y0 = (a, b)``.
 
     ``fun`` gets the two components as floats and returns two numbers.
     ``events`` is one terminal event function ``g(t, a, b)``, with SciPy's
     optional ``direction`` attribute; it is located by ``_brentq`` on the dense
-    output and its point ends ``t``/``y`` (status 1).  ``t_eval`` samples the
-    dense output; like SciPy, it raises ValueError unless ``t_eval`` is 1-D,
-    inside ``t_span`` and strictly increasing.  A step below the minimum, or a
-    first step that is not finite, returns status -1.  The result is the same
-    bits on every Python version.
+    output and its point ends ``t``/``y`` (status 1).  A step below the
+    minimum, or a first step that is zero or not finite, returns status -1.
+    The result is the same bits on every Python version.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -237,8 +217,6 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     if events is not None and not getattr(events, "terminal", False):
         raise ValueError("only one terminal event function is supported")
     direction = getattr(events, "direction", 0)
-    every_step = t_eval is None
-    t_eval = [] if every_step else check_t_eval(t_eval, (t, t_bound)).tolist()
 
     ya, yb = (float(v) for v in y0)
     fa, fb = fun(t, ya, yb)
@@ -251,6 +229,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     d1 = _rms(fa / sa, fb / sb)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
+    if h0 == 0.0:   # a finite state whose scaled slope overflows: d1 = inf
+        return OdeResult(t=np.array([t]), y=np.array([[ya], [yb]]), status=-1, nfev=1)
     ga, gb = fun(t + h0, ya + h0 * fa, yb + h0 * fb)
     d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -261,10 +241,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     nfev = 2
 
     g = events(t, ya, yb) if events is not None else None
-    crossed = False
-    i_eval, n_eval = 0, len(t_eval)
-    next_eval = t_eval[0] if n_eval else math.inf
-    ts, ays, bys = ([t], [ya], [yb]) if every_step else ([], [], [])
+    ts, ays, bys = [t], [ya], [yb]
     # a NaN first step (a NaN or infinite state or slope) would never fall below min_step
     status = None if math.isfinite(h_abs) else -1
     while status is None:
@@ -322,28 +299,16 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
         t_end, end_a, end_b = t_new, na, nb
         if events is not None:
             g_new = events(t_new, na, nb)
-            crossed = (direction >= 0 and g <= 0 <= g_new) or (direction <= 0 and g >= 0 >= g_new)
-            g = g_new
-        # the interpolant only for a step that an event or a t_eval point samples
-        if crossed or not t_new < next_eval:
-            sol = _dense(t, h, ya, yb, (fa, ka2, ka3, ka4, ka5, ka6, ka7),
-                         (fb, kb2, kb3, kb4, kb5, kb6, kb7))
-            if crossed:
+            if (direction >= 0 and g <= 0 <= g_new) or (direction <= 0 and g >= 0 >= g_new):
+                sol = _dense(t, h, ya, yb, (fa, ka2, ka3, ka4, ka5, ka6, ka7),
+                             (fb, kb2, kb3, kb4, kb5, kb6, kb7))
                 t_end = _brentq(lambda s: events(s, *sol(s)), t, t_new)
                 end_a, end_b = sol(t_end)
                 status = 1
-            i_new = bisect_right(t_eval, t_end, lo=i_eval)
-            for s in t_eval[i_eval:i_new]:
-                ua, ub = sol(s)
-                ts.append(s)
-                ays.append(ua)
-                bys.append(ub)
-            i_eval = i_new
-            next_eval = t_eval[i_eval] if i_eval < n_eval else math.inf
-        if every_step:
-            ts.append(t_end)
-            ays.append(end_a)
-            bys.append(end_b)
+            g = g_new
+        ts.append(t_end)
+        ays.append(end_a)
+        bys.append(end_b)
 
         t, ya, yb, fa, fb = t_new, na, nb, ka7, kb7
 

@@ -56,9 +56,9 @@ def _ints(text) -> list[int]:
     return [int(j) for j in text.split(",") if j.strip()]
 
 
-POS = _checked(float, lambda v: v > 0, "> 0")
+POS = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 FINITE = _checked(float, math.isfinite, "finite")
-NONNEG = _checked(float, lambda v: v >= 0, ">= 0")
+NONNEG = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 POS_INT = _checked(int, lambda v: v > 0, "> 0")
 NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
 INT_LIST = _checked(str, lambda t: min(_ints(t), default=0) > 0, "a comma list of positive ints")
@@ -68,7 +68,7 @@ EPS_TOL = (Param("eps", _checked(float, lambda v: 0 < v <= 1e-3, "in (0, 1e-3]")
 MATERIAL = (Param("n", NONNEG, 0.05), Param("alpha", POS, 0.5), Param("kappa", NONNEG, 0.5),
             Param("theta0", FINITE, 0.0))
 ORBIT = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("nu", POS, 0.1), *EPS_TOL)
-SOLUTION = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("theta0", float, 10.0),
+SOLUTION = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("theta0", FINITE, 10.0),
             Param("lam", POS, 0.1, "--lambda"), Param("sigma0", POS, 1.88),
             Param("xmax", POS, 5.0))
 
@@ -94,7 +94,7 @@ def _material(p) -> MaterialParams:
 
 
 @command("uniform-shear", "tabulate the uniform shearing base state",
-         Param("alpha", POS, 0.5), Param("theta0", float, 0.0),
+         Param("alpha", POS, 0.5), Param("theta0", FINITE, 0.0),
          Param("tmax", POS, 100.0), Param("samples", POS_INT, 201))
 def _uniform_shear(p, out):
     params = _material(p)
@@ -267,11 +267,11 @@ def _residual(p, out):
 
 @command("simulate", "direct nonlinear simulation",
          *(Param(key, kind, getattr(SimConfig, key)) for key, kind in (
-             ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", float),
+             ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", FINITE),
              ("N", _checked(int, lambda v: v >= 16, ">= 16")),
              ("t_end", POS), ("frames", _checked(int, lambda v: v >= 2, ">= 2")),
-             ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", float),
-             ("width", POS), ("amplitude", float), ("noise_amp", float), ("seed", int),
+             ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", FINITE),
+             ("width", POS), ("amplitude", FINITE), ("noise_amp", FINITE), ("seed", int),
              ("init_path", _checked(str, lambda v: Path(v).is_file(), "an existing file")),
              ("rtol", POS), ("atol", NONNEG), ("log_frames", bool))))
 def _simulate(p, out):

@@ -26,7 +26,7 @@ class UnresolvedTailError(ShearlabError):
 
 
 class StiffnessError(ShearlabError):
-    """A time integrator gave up before its target time (step size underflow)."""
+    """A time integrator gave up before its target time."""
 
 
 class PositivityError(ShearlabError):

@@ -10,8 +10,8 @@ non-autonomous coefficient k(tau) = kappa c0 exp(alpha tau).  The two real
 eigenvalues per mode classify stability: mode j >= 1 is asymptotically stable
 iff n k (j pi)^2 > alpha.  Energy weights (A, B) certify decay of the full
 non-autonomous system after a computable stabilization time T.  The mode ODEs
-are integrated by DOPRI5 with SciPy RK45's tableau and step controller
-(``_dopri``), or by the trapezoidal rule when explicit stepping is too stiff.
+are integrated by the fourth-order Magnus propagator of ``_magnus``, exact
+for frozen k, with the substeps of each output interval set to meet rtol.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dopri import check_t_eval, solve_ivp
-from .errors import ParameterError, StiffnessError
+from ._magnus import check_t_eval, solve_ivp
+from .errors import ParameterError
 from .material import MaterialParams, t_of_tau, tau_of_t
 
 __all__ = [
@@ -47,6 +47,8 @@ UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
 DEFAULT_JMAX = 256
+# samples of a mode trajectory, and of the energy, when no grid is given
+MODE_POINTS = 1200
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class ModeSpectrum:
     k: float
     modes: tuple
     num_unstable: int
-
-    def __iter__(self):
-        return iter(self.modes)
 
 
 def _quadratic_coeffs(params: MaterialParams, k: float, j: int):
@@ -160,11 +159,14 @@ def asymptotic_eigen(params: MaterialParams, k: float, j: int):
     return lam_m, lam_p, "diffusive"
 
 
-def mode_matrix(params: MaterialParams, k: float, j: int) -> np.ndarray:
-    """The 2x2 coefficient matrix of mode j at frozen diffusion k."""
+def mode_matrix(params: MaterialParams, k, j: int) -> np.ndarray:
+    """The 2x2 coefficient matrix of mode j at diffusion k; a stack of them for an array k."""
     x = (j * math.pi) ** 2
-    return np.array([[-params.n * x, params.alpha * x],
-                     [params.n + 1.0, -params.alpha - k * x]])
+    k = np.asarray(k, dtype=float)
+    a = np.empty(k.shape + (2, 2))
+    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0] = -params.n * x, params.alpha * x, params.n + 1.0
+    a[..., 1, 1] = -params.alpha - k * x
+    return a
 
 
 def trotter_split(params: MaterialParams, j: int):
@@ -217,141 +219,39 @@ class ModeTrajectory:
     theta: np.ndarray
     method: str
 
-    @property
-    def endpoint(self):
-        return self.u[-1], self.theta[-1]
-
-
-def _nonautonomous_k(params: MaterialParams, tau):
-    with np.errstate(over="ignore"):   # k = inf past the float range; callers reject it
-        return params.kappa * np.exp(params.log_c0 + params.alpha * tau)
-
-
-# The most steps _trapezoid_mode takes: 130x the most any test or benchmark op
-# needs (76,765), and about 1 GB of samples.
-MAX_TRAPEZOID_STEPS = 10_000_000
-
-
-def _trapezoid_mode(params: MaterialParams, j: int, init, tau_end: float,
-                    k_of_tau, tau_eval=None) -> ModeTrajectory:
-    # A-stable fixed-step trapezoidal rule; the system is linear so each step
-    # is one closed-form 2x2 solve.
-    x = (j * math.pi) ** 2
-    k_end = float(k_of_tau(tau_end))
-    if not math.isfinite(k_end):
-        raise StiffnessError(f"mode {j}: k(tau_end) = {k_end} is not finite "
-                             f"at tau_end = {tau_end}")
-    h = min(1e-3, 0.1 / max(k_end, 1e-30))
-    # checked before anything is allocated; the ratio may be inf
-    if not tau_end / h <= MAX_TRAPEZOID_STEPS:
-        raise StiffnessError(
-            f"mode {j} needs {tau_end / h:.3g} trapezoid steps on [0, {tau_end}] "
-            f"(k(tau_end) = {k_end:.3g}), more than {MAX_TRAPEZOID_STEPS}")
-    nsteps = max(2, int(math.ceil(tau_end / h)))
-    taus = np.linspace(0.0, tau_end, nsteps + 1)
-    h = taus[1] - taus[0]
-    kvals = np.asarray(k_of_tau(taus), dtype=float)
-
-    a11 = -params.n * x
-    a12 = params.alpha * x
-    a21 = params.n + 1.0
-    a22 = (-params.alpha - kvals * x).tolist()
-
-    # the loop runs on Python floats: the same IEEE operations as on float64
-    # array elements, without the per-element indexing
-    hh = 0.5 * float(h)
-    m11 = 1.0 - hh * a11
-    m12 = -hh * a12
-    m21 = -hh * a21
-    u0, th0 = (float(v) for v in init)
-    us = [u0]
-    ths = [th0]
-    for m in range(nsteps):
-        r0 = u0 + hh * (a11 * u0 + a12 * th0)
-        r1 = th0 + hh * (a21 * u0 + a22[m] * th0)
-        # solve (I - hh*A(tau_{m+1})) y = r
-        m22 = 1.0 - hh * a22[m + 1]
-        det = m11 * m22 - m12 * m21
-        u0 = (m22 * r0 - m12 * r1) / det
-        th0 = (m11 * r1 - m21 * r0) / det
-        us.append(u0)
-        ths.append(th0)
-
-    u, th = np.array(us), np.array(ths)
-    if tau_eval is not None:
-        u = np.interp(tau_eval, taus, u)
-        th = np.interp(tau_eval, taus, th)
-        taus = tau_eval
-    return ModeTrajectory(j=j, taus=taus, u=u, theta=th, method="trapezoid")
-
 
 def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
                    frozen_k: float | None = None, rtol: float = 1e-10,
-                   method: str = "auto", tau_eval=None) -> ModeTrajectory:
-    """Integrate the mode-j ODE on [0, tau_end].
+                   tau_eval=None) -> ModeTrajectory:
+    """Integrate the mode-j ODE on [0, tau_end] with the Magnus propagator.
 
-    With ``frozen_k`` the 2x2 system is autonomous at that diffusion value;
-    without it the true non-autonomous coefficient k(tau) = kappa c0
-    exp(alpha tau) is evaluated analytically inside the right-hand side (never
-    tabulated: it is the stiffness-critical coefficient).
-
-    method 'auto' uses the adaptive embedded Runge-Kutta 5(4) pair, DOPRI5
-    (``_dopri.solve_ivp``: SciPy RK45's tableau and step controller on Python
-    floats), and switches to the fixed-step trapezoidal rule when the
-    stiffness estimate k(tau_end) (j pi)^2 tau_end makes explicit stepping
-    hopeless; 'rk45' raises StiffnessError in that situation instead.
-    ``tau_eval``, if given, must be 1-D, inside [0, tau_end] and strictly
-    increasing (ParameterError otherwise).
+    With ``frozen_k`` the system is autonomous and propagated exactly; without
+    it k(tau) = kappa c0 exp(alpha tau) is evaluated, never tabulated, at the
+    Gauss points of every substep.  The trajectory is sampled at ``tau_eval``
+    (1-D, inside [0, tau_end], strictly increasing; ParameterError otherwise)
+    or at MODE_POINTS uniform points.
     """
     if tau_end <= 0.0:
         raise ParameterError(f"tau_end must be > 0, got {tau_end}")
     if j < 0:
         raise ParameterError(f"mode index must be >= 0, got {j}")
-    if tau_eval is not None:
-        try:
-            tau_eval = check_t_eval(tau_eval, (0.0, tau_end))
-        except ValueError as exc:
-            raise ParameterError(f"tau_eval: {exc}") from None
-    x = (j * math.pi) ** 2
+    if frozen_k is not None and frozen_k < 0.0:
+        raise ParameterError(f"frozen_k must be >= 0, got {frozen_k}")
+    try:
+        taus = (np.linspace(0.0, tau_end, MODE_POINTS) if tau_eval is None
+                else check_t_eval(tau_eval, (0.0, tau_end)))
+    except ValueError as exc:
+        raise ParameterError(f"tau_eval: {exc}") from None
 
-    if frozen_k is not None:
-        if frozen_k < 0.0:
-            raise ParameterError(f"frozen_k must be >= 0, got {frozen_k}")
-        k_of_tau = lambda tau: np.full_like(np.asarray(tau, dtype=float), frozen_k)
-        k_end = frozen_k
-    else:
-        k_of_tau = lambda tau: _nonautonomous_k(params, tau)
-        k_end = float(_nonautonomous_k(params, tau_end))
+    def matrix(tau):   # k = inf past the float range, which the propagator reports
+        return mode_matrix(params, np.full(tau.shape, frozen_k) if frozen_k is not None
+                           else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)
 
-    # fastest rate in the system over the horizon; explicit steps ~ 3/rate
-    rate = params.alpha + (params.n + k_end) * x
-    est_steps = rate * tau_end / 3.0
-    if method == "auto":
-        method = "trapezoid" if est_steps > 2e4 else "rk45"
-    if method == "trapezoid":
-        return _trapezoid_mode(params, j, init, tau_end, k_of_tau, tau_eval)
-    if method != "rk45":
-        raise ParameterError(f"unknown method {method!r}")
-    if est_steps > 2e5:
-        raise StiffnessError(
-            f"mode {j} needs ~{est_steps:.1e} explicit steps on [0, {tau_end}]; "
-            "use method='trapezoid'")
-
-    a11 = -params.n * x
-    a12 = params.alpha * x
-    a21 = params.n + 1.0
-
-    alpha, kappa, log_c0 = params.alpha, params.kappa, params.log_c0
-
-    def rhs(tau, u, th):
-        k = frozen_k if frozen_k is not None else kappa * math.exp(log_c0 + alpha * tau)
-        return (a11 * u + a12 * th, a21 * u - (alpha + k * x) * th)
-
-    sol = solve_ivp(rhs, (0.0, tau_end), init, rtol=rtol, atol=1e-14,
-                    t_eval=tau_eval)
-    if sol.status != 0:
-        raise StiffnessError(f"mode integration failed: {sol.message}")
-    return ModeTrajectory(j=j, taus=sol.t, u=sol.y[0], theta=sol.y[1], method="rk45")
+    grid = np.union1d(0.0, taus)    # the solution starts at tau = 0, which taus need not hold
+    sol = solve_ivp(matrix, grid, init, rtol=rtol, atol=1e-14)
+    skip = grid.size - taus.size
+    return ModeTrajectory(j=j, taus=taus, u=sol.y[0, skip:], theta=sol.y[1, skip:],
+                          method="magnus")
 
 
 @dataclass(frozen=True)
@@ -413,7 +313,7 @@ class DecayReport:
 
 
 def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
-                       modes, tau_end: float, npoints: int = 1200) -> DecayReport:
+                       modes, tau_end: float, npoints: int = MODE_POINTS) -> DecayReport:
     """Integrate the given modes (non-autonomous) and report on the energy.
 
     ``modes`` is a sequence of (j, (u0, theta0)) with j >= 1: the j = 0 strain

@@ -1,7 +1,8 @@
 """The DOPRI5 stepper before its inner loop was unrolled, kept as a test oracle.
 
 ``_rms``, ``_dense`` and ``solve_ivp`` below are verbatim copies of the
-tuple-convention version of ``shearlab._dopri``: ``fun(t, y)`` and
+tuple-convention version of ``shearlab._dopri``, less the ``t_eval``
+sampling that the package has since dropped: ``fun(t, y)`` and
 ``g(t, y)`` get ``y`` as a pair, the stage tuple is built on every step and
 the dense coefficients are generator sums.  The tableau, ``_brentq`` and the
 result type are imported from the package, whose tests pin them to SciPy.
@@ -14,7 +15,6 @@ convention ``fun(t, a, b)``.
 """
 
 import math
-from bisect import bisect_right
 from warnings import warn
 
 import numpy as np
@@ -62,15 +62,13 @@ def _dense(t_old, h, ya, yb, K):
     return sol
 
 
-def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
-              rtol=1e-3, atol=1e-6, max_step=math.inf):
+def solve_ivp(fun, t_span, y0, events=None, rtol=1e-3, atol=1e-6, max_step=math.inf):
     """Integrate y' = fun(t, y) for a 2-component y forward over ``t_span``.
 
     ``fun`` gets a tuple of two floats and returns two numbers.  ``events`` is
     one terminal event function ``g(t, y)``, with SciPy's optional
     ``direction`` attribute; it is located by ``_brentq`` on the dense output and
-    its point ends ``t``/``y`` (status 1).  ``t_eval`` (sorted, inside
-    ``t_span``) samples the dense output.  A step below the minimum returns
+    its point ends ``t``/``y`` (status 1).  A step below the minimum returns
     status -1.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
@@ -109,9 +107,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
     nfev = 2
 
     g = events(t, (ya, yb)) if events is not None else None
-    t_eval = None if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
-    i_eval = 0
-    ts, ays, bys = ([], [], []) if t_eval is not None else ([t], [ya], [yb])
+    ts, ays, bys = [t], [ya], [yb]
     status = None
     while status is None:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -158,7 +154,6 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
         if t_new >= t_bound:
             status = 0
         K = ((fa, fb), (ka2, kb2), (ka3, kb3), (ka4, kb4), (ka5, kb5), (ka6, kb6), (ka7, kb7))
-        sol = None
         t_end, end_a, end_b = t_new, na, nb
         if events is not None:
             g_new = events(t_new, (na, nb))
@@ -169,20 +164,9 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None,
                 status = 1
             g = g_new
 
-        if t_eval is None:
-            ts.append(t_end)
-            ays.append(end_a)
-            bys.append(end_b)
-        else:
-            i_new = bisect_right(t_eval, t_end, lo=i_eval)
-            if i_new > i_eval:
-                sol = sol or _dense(t, h, ya, yb, K)
-                for s in t_eval[i_eval:i_new]:
-                    ua, ub = sol(s)
-                    ts.append(s)
-                    ays.append(ua)
-                    bys.append(ub)
-                i_eval = i_new
+        ts.append(t_end)
+        ays.append(end_a)
+        bys.append(end_b)
 
         t, ya, yb, fa, fb = t_new, na, nb, ka7, kb7
 

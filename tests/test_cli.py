@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from shearlab._csvio import read_csv
-from shearlab.cli import main
+from shearlab.cli import COMMANDS, main
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,13 +110,39 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("tau_end", ["40", "2000"])
 def test_modes_past_the_trapezoid_step_bound_is_numerical_failure(tmp_path, capsys, tau_end):
-    # refused before the step arrays are allocated (168 GiB at tau_end = 40)
+    """Both horizons were once past the trapezoid rule's step bound (2.25e10 steps at 40).
+
+    The Magnus propagator finishes tau_end = 40; at 2000 k(tau) overflows, which
+    is a numerical failure before anything is written.
+    """
     code = run_cli("modes", "--n", "0.05", "--alpha", "0.5", "--kappa", "0.1", "--theta0",
                    "0.3", "--j", "1", "--tau-end", tau_end, "--out-dir", str(tmp_path))
+    if tau_end == "40":
+        assert code == 0
+        meta, data = read_csv(tmp_path / "modes.csv")
+        assert meta["method"] == "magnus" and data["tau"][-1] == 40.0
+        assert all(np.all(np.isfinite(col)) for col in data.values())
+        return
     assert code == 3
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "StiffnessError"
     assert not list(tmp_path.iterdir())
+
+
+def test_huge_initial_state_is_solved_or_numerical_failure(tmp_path, capsys):
+    # 1e308 once crashed the explicit solver's first-step estimate (exit 1); the
+    # linear solution scales with it, and overflows only where the mode grows 1.8x
+    assert run_cli("modes", "--init-u", "1e308", "--out-dir", str(tmp_path / "huge")) == 0
+    assert run_cli("modes", "--init-u", "1", "--init-theta", "0",
+                   "--out-dir", str(tmp_path / "unit")) == 0
+    _, huge = read_csv(tmp_path / "huge" / "modes.csv")
+    _, unit = read_csv(tmp_path / "unit" / "modes.csv")
+    assert np.allclose(huge["u"], 1e308 * unit["u"], rtol=1e-9, atol=0.0)
+    capsys.readouterr()
+    assert run_cli("modes", "--init-u", "1e308", "--kappa", "0.1",
+                   "--out-dir", str(tmp_path / "grows")) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "StiffnessError" and "not finite" in payload["message"]
 
 
 @pytest.mark.parametrize("name, save", [
@@ -409,4 +435,25 @@ def test_nonfinite_initial_state_is_usage_error(tmp_path, cmd, key, value, via):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "must be finite" in proc.stderr
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+FLOAT_PARAMS = [(cmd, prm.key, prm.flag or "--" + prm.key.replace("_", "-"))
+                for cmd, (_, params, _) in COMMANDS.items() for prm in params
+                if prm.kind.__name__ == "float"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("cmd, key, flag", FLOAT_PARAMS)
+def test_nonfinite_float_is_usage_error(tmp_path, cmd, key, flag, value, via):
+    if via == "flag":
+        argv = [f"{flag}={value}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))    # NaN / Infinity, as json writes them
+        argv = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(cmd, *argv, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
     assert not list(tmp_path.glob("*.manifest.json"))

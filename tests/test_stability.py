@@ -18,7 +18,7 @@ from shearlab import (
     energy_certificate,
     energy_decay_check,
 )
-from shearlab import stability
+from shearlab import _magnus, stability
 from shearlab.stability import STABLE, UNSTABLE, MARGINAL, _quadratic_coeffs
 
 
@@ -257,117 +257,197 @@ def test_integrate_mode_matches_closed_form():
         assert traj.theta[-1] == pytest.approx(th_ref, rel=1e-8)
 
 
-def test_integrate_mode_trapezoid_agrees_with_rk45():
-    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
-    tau_end = 2.0
-    a = integrate_mode(params, 1, (1.0, 1.0), tau_end, method="rk45",
-                       tau_eval=np.linspace(0, tau_end, 11))
-    b = integrate_mode(params, 1, (1.0, 1.0), tau_end, method="trapezoid",
-                       tau_eval=np.linspace(0, tau_end, 11))
-    assert np.allclose(a.u, b.u, rtol=5e-6, atol=1e-10)
-    assert np.allclose(a.theta, b.theta, rtol=5e-6, atol=1e-10)
-
-
-def _trapezoid_elementwise(params, j, init, tau_end, k_of_tau):
-    # the trapezoid loop as it indexed float64 arrays element by element
-    x = (j * math.pi) ** 2
-    k_end = float(k_of_tau(tau_end))
-    h = min(1e-3, 0.1 / max(k_end, 1e-30))
-    nsteps = max(2, int(math.ceil(tau_end / h)))
-    taus = np.linspace(0.0, tau_end, nsteps + 1)
-    h = taus[1] - taus[0]
-    a11 = -params.n * x
-    a12 = params.alpha * x
-    a21 = params.n + 1.0
-    a22 = -params.alpha - np.asarray(k_of_tau(taus), dtype=float) * x
-    ys = np.empty((nsteps + 1, 2))
-    ys[0] = init
-    hh = 0.5 * h
-    for m in range(nsteps):
-        r0 = ys[m, 0] + hh * (a11 * ys[m, 0] + a12 * ys[m, 1])
-        r1 = ys[m, 1] + hh * (a21 * ys[m, 0] + a22[m] * ys[m, 1])
-        m11 = 1.0 - hh * a11
-        m12 = -hh * a12
-        m21 = -hh * a21
-        m22 = 1.0 - hh * a22[m + 1]
-        det = m11 * m22 - m12 * m21
-        ys[m + 1, 0] = (m22 * r0 - m12 * r1) / det
-        ys[m + 1, 1] = (m11 * r1 - m21 * r0) / det
-    return taus, ys[:, 0], ys[:, 1]
-
-
-@pytest.mark.parametrize("frozen_k", [None, 0.7])
-def test_trapezoid_loop_on_floats_is_bit_identical(frozen_k):
-    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
-    if frozen_k is None:
-        k_of_tau = lambda tau: params.kappa * np.exp(params.log_c0 + params.alpha * tau)
-    else:
-        k_of_tau = lambda tau: np.full_like(np.asarray(tau, dtype=float), frozen_k)
-    for j, init, tau_end in ((3, (1.0, -0.5), 2.0), (40, (0.3, 0.9), 1.3)):
-        taus, u, th = _trapezoid_elementwise(params, j, init, tau_end, k_of_tau)
-        traj = integrate_mode(params, j, init, tau_end, frozen_k=frozen_k,
-                              method="trapezoid")
-        assert np.array_equal(traj.taus, taus)
-        assert np.array_equal(traj.u, u)
-        assert np.array_equal(traj.theta, th)
-        tau_eval = np.linspace(0.0, tau_end, 37)
-        sampled = integrate_mode(params, j, init, tau_end, frozen_k=frozen_k,
-                                 method="trapezoid", tau_eval=tau_eval)
-        assert np.array_equal(sampled.u, np.interp(tau_eval, taus, u))
-        assert np.array_equal(sampled.theta, np.interp(tau_eval, taus, th))
-
-
-def test_integrate_mode_stiffness_guard():
-    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
-    with pytest.raises(StiffnessError):
-        integrate_mode(params, 40, (1.0, 1.0), 14.0, method="rk45")
-    traj = integrate_mode(params, 40, (1.0, 1.0), 14.0)   # auto switches
-    assert traj.method == "trapezoid"
-    assert np.all(np.isfinite(traj.u))
-
-
 MODE_PARAMS = MaterialParams(n=0.05, alpha=0.5, kappa=0.1, theta0=0.3)
+# (theta0, kappa) corners and centre of the box the benchmark draws from
+BOX = [(-1.0, 0.01), (-1.0, 0.2), (0.0, 0.1), (1.0, 0.01), (1.0, 0.2)]
 
 
-@pytest.mark.parametrize("tau_end", [40.0, 2000.0])
-def test_trapezoid_step_count_is_bounded(tau_end):
-    # 2.25e10 steps (168 GiB) at tau_end = 40; k(tau_end) overflows to inf at
-    # 2000.  Both are refused before anything is allocated.
-    with pytest.raises(StiffnessError, match="trapezoid steps|not finite"):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), tau_end)
-    with pytest.raises(StiffnessError):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), tau_end, method="trapezoid")
+def test_integrate_mode_stiffness_guard(monkeypatch):
+    # k(tau) past the float range, a state past it, and a substep count past the cap
+    with pytest.raises(StiffnessError, match="not finite on"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2000.0)
+    with pytest.raises(StiffnessError, match="not finite on"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, frozen_k=math.inf)
+    with pytest.raises(StiffnessError, match="state is not finite"):
+        integrate_mode(MODE_PARAMS, 1, (1e308, 1.0), 2.0)
+    monkeypatch.setattr(_magnus, "MAX_SUBSTEPS", 8)
+    with pytest.raises(StiffnessError, match="more than 8 substeps"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 14.0)
 
 
-def test_trapezoid_step_bound_is_the_module_constant(monkeypatch):
-    # 100x above the most steps any test or benchmark op takes (76,765)
-    assert stability.MAX_TRAPEZOID_STEPS >= 100 * 76_765
-    # tau_end = 2 at k(tau_end) < 100 takes 2,000 steps of h = 1e-3
-    monkeypatch.setattr(stability, "MAX_TRAPEZOID_STEPS", 1_999)
-    with pytest.raises(StiffnessError, match="more than 1999"):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method="trapezoid")
-    monkeypatch.setattr(stability, "MAX_TRAPEZOID_STEPS", 2_000)
-    assert integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method="trapezoid").taus.size == 2_001
-    with pytest.raises(StiffnessError, match="not finite"):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, frozen_k=math.inf, method="trapezoid")
+@pytest.mark.parametrize("k, j, tau_end, init", [
+    (0.0, 1, 2.0, (0.3, -0.7)), (0.4, 3, 1.0, (0.3, -0.7)), (2.0, 5, 0.5, (1.0, 1.0)),
+    (0.05, 40, 10.0, (1.0, 1.0))])
+def test_frozen_mode_is_exact_to_rounding(monkeypatch, k, j, tau_end, init):
+    # a constant A needs no refinement: one pass of 1 and 2 substeps per interval
+    params = MaterialParams(n=0.1, alpha=0.7)
+    results = []
+    real = stability.solve_ivp
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(stability, "solve_ivp", recorded)
+    traj = integrate_mode(params, j, init, tau_end, frozen_k=k)
+    assert results[0].nfev == 6 * (stability.MODE_POINTS - 1)
+    u, th = frozen_mode_solution(params, k, j, init, traj.taus)
+    scale = max(np.abs(u).max(), np.abs(th).max())
+    assert np.abs(traj.u - u).max() <= 1e-12 * scale
+    assert np.abs(traj.theta - th).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("method", ["rk45", "trapezoid"])
+def _energy_horizon(params):
+    cert = energy_certificate(params)
+    return float(1.2 * cert.tau_T)      # the energy subcommand's default
+
+
+@pytest.mark.parametrize("theta0, kappa", BOX[::2])
+def test_nonautonomous_modes_match_a_refined_solve(theta0, kappa):
+    # twice the output points and rtol / 16, what halving a 4th-order substep gains
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    tau_end = _energy_horizon(params)
+    taus = np.linspace(0.0, tau_end, stability.MODE_POINTS)
+    fine = np.linspace(0.0, tau_end, 2 * stability.MODE_POINTS - 1)
+    for j in (1, 2, 3):
+        traj = integrate_mode(params, j, (1.0, 1.0), tau_end)
+        ref = integrate_mode(params, j, (1.0, 1.0), tau_end, rtol=1e-10 / 16, tau_eval=fine)
+        assert np.array_equal(traj.taus, taus) and np.array_equal(ref.taus[::2], taus)
+        scale = np.abs(ref.u).max()
+        assert np.abs(traj.u - ref.u[::2]).max() <= 1e-9 * scale, j
+        assert np.abs(traj.theta - ref.theta[::2]).max() <= 1e-9 * scale, j
+
+
+def _radau_mode(params, j, init, tau_end, taus):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    x = (j * math.pi) ** 2
+
+    def jac(tau, y):
+        k = params.kappa * math.exp(params.log_c0 + params.alpha * tau)
+        return np.array([[-params.n * x, params.alpha * x],
+                         [params.n + 1.0, -params.alpha - k * x]])
+
+    sol = scipy_solve_ivp(lambda tau, y: jac(tau, y) @ y, (0.0, tau_end), init,
+                          method="Radau", jac=jac, rtol=1e-12, atol=1e-14, t_eval=taus)
+    assert sol.success
+    return sol.y
+
+
+@pytest.mark.parametrize("theta0, kappa", BOX[::2])
+def test_mode_40_matches_radau(theta0, kappa):
+    # the benchmark's modes op: a lambda ~ -1e4 initial layer, then k(tau) grows 150x
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    traj = integrate_mode(params, 40, (1.0, 1.0), 10.0)
+    u, th = _radau_mode(params, 40, (1.0, 1.0), 10.0, traj.taus)
+    assert np.abs(traj.u - u).max() <= 1e-9
+    assert np.abs(traj.theta - th).max() <= 1e-9
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.1, 0.2])
+@pytest.mark.parametrize("theta0", [-1.0, 0.0, 1.0])
+def test_energy_is_monotone_after_T_across_the_stability_box(theta0, kappa):
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    report = energy_decay_check(params, energy_certificate(params),
+                                [(j, (1.0, 1.0)) for j in (1, 2, 3)], _energy_horizon(params))
+    assert report.monotone_after_T
+
+
+def _expm_cases():
+    rng = np.random.default_rng(1999)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return {
+        "random": rng.normal(size=(400, 2, 2)) * rng.choice([0.01, 1.0, 5.0], (400, 1, 1)),
+        "complex": rot * rng.uniform(0.1, 6.0, (50, 1, 1)) + rng.normal(size=(50, 1, 1)) * np.eye(2),
+        "delta-to-0": (rng.normal(size=(50, 1, 1)) * np.eye(2)
+                       + np.array([[0.0, 1.0], [0.0, 0.0]]) * 10.0 ** rng.uniform(-12, 0, (50, 1, 1))
+                       + rng.normal(size=(50, 2, 2)) * 1e-9),
+        "scalar": rng.normal(size=(10, 1, 1)) * np.eye(2),
+        "very-negative": np.array([[-800.0, 3.0], [2.0, -900.0]]) * rng.uniform(1.0, 4.0, (20, 1, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "complex", "delta-to-0", "scalar", "very-negative"])
+def test_expm2_matches_scipy(case):
+    from scipy.linalg import expm
+    w = _expm_cases()[case]
+    ours = _magnus._expm2(w)
+    ref = np.array([expm(m) for m in w])
+    assert np.all(np.isfinite(ours))
+    # SciPy's Pade approximant is itself off by up to 2e-12 on the random cases
+    scale = np.maximum(np.abs(ref).max(axis=(1, 2)), 1e-300)
+    assert np.all(np.abs(ours - ref).max(axis=(1, 2)) <= 1e-11 * scale)
+    if case == "very-negative":
+        assert np.all(ours == 0.0)
+
+
+def test_expm2_keeps_the_small_entries_of_a_stiff_step():
+    # h A of mode 40 deep in the stiff range: every entry to a few ulps, the slow
+    # eigenvalue (det / fast) included, against 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    x = (40 * math.pi) ** 2
+    for k, h in ((1e3, 0.01), (1e5, 0.01), (1e9, 0.03)):
+        w = h * np.array([[-0.05 * x, 0.5 * x], [1.05, -0.5 - k * x]])
+        with mpmath.workdps(50):
+            ref = np.array(mpmath.expm(mpmath.matrix(w.tolist())).tolist(), dtype=float)
+        assert np.allclose(_magnus._expm2(w), ref, rtol=1e-13, atol=0.0), (k, h)
+
+
+def test_nfev_counts_matrix_evaluations():
+    points = []
+
+    def matrix(t):
+        points.append(t.size)
+        a = np.empty(t.shape + (2, 2))
+        a[..., 0, 0], a[..., 0, 1], a[..., 1, 0] = -1.0, 3.0, 1.0
+        a[..., 1, 1] = -2.0 - 50.0 * t ** 2
+        return a
+
+    sol = _magnus.solve_ivp(matrix, np.linspace(0.0, 3.0, 31), (1.0, 0.5), rtol=1e-10,
+                            atol=1e-14)
+    assert sol.nfev == sum(points) > 6 * 30       # some intervals were refined
+    assert sol.njev == 0 and sol.nlu == 0 and sol.status == 0
+
+
 @pytest.mark.parametrize("tau_eval, match", [
     ([2.0, 1.0, 0.5], "sorted"), ([0.5, 1.0, 1.0], "sorted"), ([0.5, 1.0, 7.0], "within"),
     ([-1.0, 0.5], "within"), ([0.5, math.nan], "within"), ([[0.5, 1.0]], "1-dimensional"),
 ])
-def test_tau_eval_is_checked_on_both_routes(method, tau_eval, match):
+def test_tau_eval_is_checked(tau_eval, match):
     with pytest.raises(ParameterError, match=match):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method=method, tau_eval=tau_eval)
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=tau_eval)
 
 
-@pytest.mark.parametrize("method", ["rk45", "trapezoid"])
-def test_tau_eval_samples_every_point(method):
+def test_tau_eval_samples_every_point():
     tau_eval = [0.0, 0.5, 1.0, 2.0]
-    traj = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, method=method, tau_eval=tau_eval)
+    traj = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=tau_eval)
     assert traj.taus.tolist() == tau_eval and traj.u.size == traj.theta.size == 4
     assert traj.u[-1] == pytest.approx(13.93364, rel=1e-5)
+    # without tau = 0 the solve still starts there; the values are solved for, not interpolated
+    later = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=tau_eval[1:])
+    assert later.taus.tolist() == tau_eval[1:]
+    assert np.allclose(later.u, traj.u[1:], rtol=1e-9, atol=0.0)
+    assert integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=[]).u.size == 0
+
+
+def test_t_eval_is_checked_as_scipy_checks_it():
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    def decay(t, y):
+        return -y
+
+    for t_eval, match in (([[0.5, 1.0]], "1-dimensional"), ([-1.0, 0.5], "within"),
+                          ([0.5, 1.5], "within"), ([1.0, 0.5], "sorted"),
+                          ([0.5, 0.5], "sorted")):
+        with pytest.raises(ValueError, match=match):
+            _magnus.check_t_eval(t_eval, (0.0, 1.0))
+        with pytest.raises(ValueError, match=match):
+            scipy_solve_ivp(decay, (0.0, 1.0), [1.0], t_eval=t_eval)
+    # SciPy lets NaN through; it is not a point of [t0, t1]
+    with pytest.raises(ValueError, match="within"):
+        _magnus.check_t_eval([0.5, math.nan], (0.0, 1.0))
+    # the ends of t_span and an empty t_eval are allowed
+    assert _magnus.check_t_eval([0.0, 1.0], (0.0, 1.0)).tolist() == [0.0, 1.0]
+    assert _magnus.check_t_eval([], (0.0, 1.0)).size == 0
 
 
 def test_poincare_constant_oracle():
