@@ -263,9 +263,7 @@ BOX = [(-1.0, 0.01), (-1.0, 0.2), (0.0, 0.1), (1.0, 0.01), (1.0, 0.2)]
 
 
 def test_integrate_mode_stiffness_guard(monkeypatch):
-    # k(tau) past the float range, a state past it, and a substep count past the cap
-    with pytest.raises(StiffnessError, match="not finite on"):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2000.0)
+    # k frozen past the float range, a state past it, and a substep count past the cap
     with pytest.raises(StiffnessError, match="not finite on"):
         integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, frozen_k=math.inf)
     with pytest.raises(StiffnessError, match="state is not finite"):
@@ -273,6 +271,13 @@ def test_integrate_mode_stiffness_guard(monkeypatch):
     monkeypatch.setattr(_magnus, "MAX_SUBSTEPS", 8)
     with pytest.raises(StiffnessError, match="more than 8 substeps"):
         integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 14.0)
+
+
+@pytest.mark.parametrize("tau_end", [2000.0])
+def test_trapezoid_step_count_is_bounded(tau_end):
+    # k(tau_end) overflows to inf at 2000; the solve is refused, not run into NaN
+    with pytest.raises(StiffnessError, match="not finite on"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), tau_end)
 
 
 @pytest.mark.parametrize("k, j, tau_end, init", [
@@ -408,25 +413,39 @@ def test_nfev_counts_matrix_evaluations():
     assert sol.njev == 0 and sol.nlu == 0 and sol.status == 0
 
 
+# (mode, tau_end) of the two regimes a cost estimate once sent to different
+# integrators: a non-stiff mode, and a stiff one (over 2e4 explicit steps)
+ROUTES = {"rk45": (1, 2.0), "trapezoid": (40, 5.0)}
+
+
+@pytest.mark.parametrize("route", ["rk45", "trapezoid"])
 @pytest.mark.parametrize("tau_eval, match", [
     ([2.0, 1.0, 0.5], "sorted"), ([0.5, 1.0, 1.0], "sorted"), ([0.5, 1.0, 7.0], "within"),
     ([-1.0, 0.5], "within"), ([0.5, math.nan], "within"), ([[0.5, 1.0]], "1-dimensional"),
 ])
-def test_tau_eval_is_checked(tau_eval, match):
+def test_tau_eval_is_checked_on_both_routes(route, tau_eval, match):
+    j, tau_end = ROUTES[route]
     with pytest.raises(ParameterError, match=match):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=tau_eval)
+        integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=tau_eval)
 
 
-def test_tau_eval_samples_every_point():
-    tau_eval = [0.0, 0.5, 1.0, 2.0]
-    traj = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=tau_eval)
+@pytest.mark.parametrize("route", ["rk45", "trapezoid"])
+def test_tau_eval_samples_every_point(route):
+    j, tau_end = ROUTES[route]
+    tau_eval = [0.0, 0.5, 1.0, tau_end]
+    traj = integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=tau_eval)
     assert traj.taus.tolist() == tau_eval and traj.u.size == traj.theta.size == 4
-    assert traj.u[-1] == pytest.approx(13.93364, rel=1e-5)
+    u, th = _radau_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval)
+    scale = max(np.abs(u).max(), np.abs(th).max())
+    assert np.abs(traj.u - u).max() <= 1e-9 * scale
+    assert np.abs(traj.theta - th).max() <= 1e-9 * scale
+    if route == "rk45":
+        assert traj.u[-1] == pytest.approx(13.93364, rel=1e-5)
     # without tau = 0 the solve still starts there; the values are solved for, not interpolated
-    later = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=tau_eval[1:])
+    later = integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=tau_eval[1:])
     assert later.taus.tolist() == tau_eval[1:]
     assert np.allclose(later.u, traj.u[1:], rtol=1e-9, atol=0.0)
-    assert integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 2.0, tau_eval=[]).u.size == 0
+    assert integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=[]).u.size == 0
 
 
 def test_t_eval_is_checked_as_scipy_checks_it():
