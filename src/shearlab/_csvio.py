@@ -20,6 +20,8 @@ from . import __version__
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "none"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

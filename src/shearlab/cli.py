@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv, write_manifest
-from .errors import ShearlabError
+from .errors import ShearlabError, UnresolvedTailError
 from .material import MaterialParams, ScalingParams, uniform_shear, tau_of_t, t_of_tau
 from .stability import spectrum, integrate_mode, energy_certificate, energy_decay_check
-from .orbit import PlanarParams, shoot_heteroclinic, reparametrize
+from .orbit import PlanarParams, estimate_kappa1, shoot_heteroclinic, reparametrize
 from .profile import reconstruct, ode_residual, endpoint_report
 from .localization import LocalizedSolution, residual_convergence, band_diagnostics
 from .pdesim import SimConfig, run as run_sim
@@ -136,8 +136,7 @@ def _modes(p, out):
     meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "j")}
     write_csv(csv, {"tau": traj.taus, "t": t_of_tau(params, traj.taus), "u": traj.u,
                     "theta": traj.theta},
-              {**meta, "frozen_k": "none" if p["frozen_k"] is None else p["frozen_k"],
-               "method": traj.method})
+              {**meta, "frozen_k": p["frozen_k"], "method": traj.method})
     return [csv], f"method={traj.method}"
 
 
@@ -188,11 +187,18 @@ def _heteroclinic(p, out):
     planar, orbit = _shoot(p, p["nu"])
     if p["sigma0"] is not None:
         orbit = reparametrize(orbit, p["sigma0"])
+    kappa1 = orbit.kappa1
+    if kappa1 is None:
+        try:
+            kappa1 = estimate_kappa1(orbit)
+        except UnresolvedTailError:   # a coarse --tol on an orbit shot to the node
+            pass
     csv = Path(f"{out}.csv")
     write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},
               {"n": planar.n, "alpha": planar.alpha, "nu": planar.nu, "c_nu": planar.c_nu,
-               "eta0": orbit.eta0, "kappa1": "none" if orbit.kappa1 is None else orbit.kappa1})
-    return [csv], f"samples={orbit.eta.size} kappa1={orbit.kappa1}"
+               "eta0": orbit.eta0, "kappa1": kappa1,
+               "a_junction": orbit.a_junction, "junction_gap": orbit.junction_gap})
+    return [csv], f"samples={orbit.eta.size} kappa1={kappa1}"
 
 
 @command("profile", "self-similar profile with residual report",

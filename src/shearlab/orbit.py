@@ -9,11 +9,25 @@ the substitution a = 1/sigma, b = 1/(sigma*u), to the autonomous planar system
 with c_nu = 1 + nu (n+1)/alpha.  Its equilibria in the closed first quadrant
 are the repelling node P = (0, 1/c_nu) and the saddle Q = (1, 1); the orbit
 joining them generates every localizing profile.  The shooter seeds just off
-Q along the stable eigendirection, integrates backward inside the invariant
-triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1}, and stops within a
-tolerance of P.  The integration is DOPRI5 (``_dopri.solve_ivp``: SciPy RK45's
-tableau and step controller on Python floats), with the node reached as a
-terminal event on its dense output, located by a port of SciPy's brentq.
+Q along the stable eigendirection and integrates backward inside the invariant
+triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5
+(``_dopri.solve_ivp``: SciPy RK45's tableau and step controller on Python
+floats), down to a terminal event at a = a_* = 1e-2 located on its dense
+output by a port of SciPy's brentq.
+
+Below a_* the orbit is the slow manifold of the node (Fenichel, J. Differential
+Equations 31, 1979; Lee & Tzavaras, SIADS 2017): with s = a^2 and
+lambda2 = (alpha/(n nu)) c_nu,
+
+    b = h(s) = sum_m beta_m s^m,   beta_0 = 1/c_nu,
+    eta = log a + C + F(s),        F'(s) = 1 / (2 (h(s) - s)),  F(0) = 0,
+
+where the beta_m follow order by order from the invariance equation
+2 s h'(s) (1 - s/h) = (alpha/(nu n)) (c_nu h - 1 - ((n+1) nu/alpha) s), and the
+fast component is O(a^lambda2).  The node tail is sampled from these series
+down to a = tol, and the node-departure coefficient lim a e^(-eta) = e^(-C)
+is in closed form.  When lambda2 < 12 (a resonance lambda2 = 2m may be near)
+or tol >= a_*, the shoot runs to within tol of P instead, as a terminal event.
 Between samples the orbit is a cubic Hermite interpolant in (log a, log b)
 evaluated with NumPy; neither step imports SciPy.  Reparametrization shifts
 eta so that the node-departure coefficient of a matches a requested amplitude.
@@ -64,6 +78,11 @@ class PlanarParams:
         return 1.0 + self.nu * (self.n + 1.0) / self.alpha
 
     @property
+    def lambda2(self) -> float:
+        """The strong eigenvalue at the node P; the weak one is 1."""
+        return self.alpha / (self.n * self.nu) * self.c_nu
+
+    @property
     def node(self):
         return np.array([0.0, 1.0 / self.c_nu])
 
@@ -106,7 +125,7 @@ def equilibria(p: PlanarParams):
     and the eigenvector of lambda is (1, 2 + lambda); the stable one satisfies
     0 < 2 + lambda_minus < 2 and points into the region R.
     """
-    lam2 = p.alpha / (p.n * p.nu) * p.c_nu
+    lam2 = p.lambda2
     node = EquilibriumInfo(
         point=p.node,
         eigenvalues=(1.0, lam2),
@@ -134,16 +153,21 @@ class OrbitPath:
     strictly increasing.  da/deta and db/deta at the samples come from the
     exact vector field, so the cubic Hermite interpolant (NumPy arrays of
     CubicHermiteSpline's coefficients) is 4th-order accurate between
-    samples.  ``eta0`` is the shift applied to match an amplitude sigma0 (0
+    samples.  ``d`` is b - 1/c_nu; on a series tail it is the series
+    sum_{m>=1} beta_m a^(2m) itself, so it keeps its relative precision as
+    a -> 0.  ``eta0`` is the shift applied to match an amplitude sigma0 (0
     for a freshly shot orbit) and ``kappa1`` the node-departure coefficient
     lim a(eta) e^(-eta) in the current parametrization (None until
-    estimated).
+    estimated).  ``a_junction`` is the a at which the shot body meets the
+    series tail and ``junction_gap`` the |b_shot - h(a^2)| there; both are
+    None when the orbit was shot to the node.
     """
 
     params: PlanarParams
     eta: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    d: np.ndarray
     da: np.ndarray
     db: np.ndarray
     eps: float
@@ -151,6 +175,8 @@ class OrbitPath:
     eta0: float = 0.0
     kappa1: float | None = None
     sigma0: float | None = None
+    a_junction: float | None = None
+    junction_gap: float | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.eta) > 0):
@@ -172,8 +198,8 @@ class OrbitPath:
             rows += [t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]]
         return np.array(rows)
 
-    def states_at(self, eta):
-        """Interpolated (a, b) inside the sampled eta range.
+    def log_states_at(self, eta):
+        """Interpolated (log a, log b) inside the sampled eta range.
 
         The interval search (closed on the right at the last sample) and the
         order of the polynomial sum are those of SciPy's PPoly, so the values
@@ -187,15 +213,67 @@ class OrbitPath:
         s2 = s * s
         s3 = s2 * s
         a0, a1, a2, a3, b0, b1, b2, b3 = self._hermite[:, i]
-        return (np.exp(a3 + a2 * s + a1 * s2 + a0 * s3),
-                np.exp(b3 + b2 * s + b1 * s2 + b0 * s3))
+        return a3 + a2 * s + a1 * s2 + a0 * s3, b3 + b2 * s + b1 * s2 + b0 * s3
+
+    def states_at(self, eta):
+        """Interpolated (a, b) inside the sampled eta range: exp of ``log_states_at``."""
+        la, lb = self.log_states_at(eta)
+        return np.exp(la), np.exp(lb)
 
 
 _REGION_SLACK = 1e-9
+A_JUNCTION = 1e-2        # a_*: the shoot stops here and the series tail takes over
+_SERIES_TERMS = 5        # M: the truncation of h is O(a_*^(2M+2)) = 1e-24
+LAMBDA2_SERIES = 12.0    # lambda2 = 2m, m <= M, divides beta_m by zero: shoot below this
+_TAIL_STEP = 0.01        # tail sample spacing in log a, the body's density under max_step
 
 
 def _in_region(a, b, slack=_REGION_SLACK):
     return (a >= -slack) & (a <= 1.0 + slack) & (b <= 1.0 + slack) & (a * a <= b + slack)
+
+
+def _slow_manifold(p: PlanarParams):
+    """np.polyval coefficients in s = a^2 of d(s) = h(s) - 1/c_nu and of F(s).
+
+    beta_m (2 m beta_0 - g) is the s^m coefficient of the invariance
+    equation, multiplied by h, with beta_m taken out:
+    2 s h' (h - s) = g h (c_nu h - 1 - k s).  F' = 1/(2 (h - s)) is
+    integrated term by term from the reciprocal series r of h - s.
+    """
+    g = p.alpha / (p.nu * p.n)
+    c = p.c_nu
+    k = (p.n + 1.0) * p.nu / p.alpha
+    beta = [1.0 / c]
+    for m in range(1, _SERIES_TERMS + 1):
+        conv = sum(beta[j] * beta[m - j] for j in range(1, m))
+        jconv = sum(j * beta[j] * beta[m - j] for j in range(1, m))
+        rest = g * (c * conv - k * beta[m - 1]) - 2.0 * jconv + 2.0 * (m - 1) * beta[m - 1]
+        beta.append(rest / (2.0 * m * beta[0] - g))
+    q = [beta[0], beta[1] - 1.0, *beta[2:]]
+    r = [c]
+    for m in range(1, _SERIES_TERMS + 1):
+        r.append(-c * sum(q[j] * r[m - j] for j in range(1, m + 1)))
+    d_coef = [*beta[:0:-1], 0.0]
+    f_coef = [r[m] / (2.0 * (m + 1)) for m in range(_SERIES_TERMS, -1, -1)] + [0.0]
+    return d_coef, f_coef
+
+
+def _series_tail(p: PlanarParams, eta_j: float, a_j: float, tol: float):
+    """(eta, a, d) of the slow-manifold tail below the junction (eta_j, a_j).
+
+    The samples lie on a geometric grid from a = tol up to, and not including,
+    a_j, no further apart than _TAIL_STEP in log a; eta = log a + C + F(a^2)
+    with C fixed by the junction.  Also returns h(a_j^2) - 1/c_nu.
+    """
+    d_coef, f_coef = _slow_manifold(p)
+    la_j = math.log(a_j)
+    s_j = a_j * a_j
+    count = math.ceil((la_j - math.log(tol)) / _TAIL_STEP)
+    la = np.linspace(math.log(tol), la_j, count + 1)[:-1]
+    a = np.exp(la)
+    s = a * a
+    eta = eta_j + (la - la_j) + (np.polyval(f_coef, s) - np.polyval(f_coef, s_j))
+    return eta, a, np.polyval(d_coef, s), float(np.polyval(d_coef, s_j))
 
 
 def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
@@ -204,12 +282,16 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     """Shoot the heteroclinic backward from the saddle to the node.
 
     Seeds at Q - eps * r_hat_minus (unit stable eigenvector, oriented into R),
-    negates the field and integrates forward in s = -eta until
-    ||state - P|| < tol.  Every accepted sample must stay in R; a region exit
+    negates the field and integrates forward in s = -eta until a = A_JUNCTION,
+    then continues on the slow-manifold series down to a = tol.  When
+    lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it integrates until
+    ||state - P|| < tol instead.  Every sample must stay in R; a region exit
     retries once with eps/10 (the manifold tangency error is O(eps^2)).
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
+    if not tol > 0.0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
     _, saddle = equilibria(p)
     r = saddle.eigenvectors[0]
     r_hat = r / np.linalg.norm(r)
@@ -226,23 +308,42 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
             raise ParameterError("vector field undefined for b <= 0")
         return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
-    def reach_node(s, a, b):
-        return math.hypot(a - node_a, b - node_b) - tol
+    series = p.lambda2 >= LAMBDA2_SERIES and tol < A_JUNCTION
+    if series:
+        def stop(s, a, b):
+            return a - A_JUNCTION
+    else:
+        def stop(s, a, b):
+            return math.hypot(a - node_a, b - node_b) - tol
 
-    reach_node.terminal = True
-    reach_node.direction = -1
+    stop.terminal = True
+    stop.direction = -1
 
     sol = solve_ivp(backward, (0.0, s_max), seed, rtol=rtol,
-                    atol=1e-14, max_step=max_step, events=reach_node)
+                    atol=1e-14, max_step=max_step, events=stop)
     if sol.status == 0:
+        target = f"a = {A_JUNCTION:g}" if series else "the node"
         raise MaxStepsError(
-            f"orbit did not reach the node within s = {s_max} (distance "
-            f"{math.hypot(sol.y[0, -1] - node_a, sol.y[1, -1] - node_b):.3e})")
+            f"orbit did not reach {target} within s = {s_max} (distance "
+            f"{math.hypot(sol.y[0, -1] - node_a, sol.y[1, -1] - node_b):.3e} from the node)")
     if sol.status < 0:
         raise MaxStepsError(f"orbit integration failed: {sol.message}")
 
-    a = sol.y[0]
-    b = sol.y[1]
+    # reverse to increasing eta = -s
+    eta = -sol.t[::-1]
+    a = sol.y[0][::-1].copy()
+    b = sol.y[1][::-1].copy()
+    d = b - node_b
+    a_junction = junction_gap = None
+    if series:
+        a_junction = float(a[0])
+        eta_t, a_t, d_t, d_j = _series_tail(p, float(eta[0]), a_junction, tol)
+        junction_gap = abs(float(d[0]) - d_j)
+        eta = np.concatenate([eta_t, eta])
+        a = np.concatenate([a_t, a])
+        d = np.concatenate([d_t, d])
+        b = np.concatenate([node_b + d_t, b])
+
     if not np.all(_in_region(a, b)):
         if _retry:
             return shoot_heteroclinic(p, eps / 10.0, tol, rtol, max_step, s_max,
@@ -250,27 +351,29 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
         bad = np.argmin(_in_region(a, b))
         raise RegionExitError(
             f"sample {bad} at (a={a[bad]:.6g}, b={b[bad]:.6g}) left the region R")
-
-    # reverse to increasing eta = -s; derivatives revert to the forward field
-    eta = -sol.t[::-1]
-    a = a[::-1].copy()
-    b = b[::-1].copy()
-    da, db = vector_field(p, (a, b))
     if not np.all(np.diff(a) > 0):
         raise RegionExitError("a(eta) is not strictly increasing along the orbit")
-    return OrbitPath(params=p, eta=eta, a=a, b=b, da=da, db=db, eps=eps, tol=tol)
+    # derivatives revert to the forward field
+    da, db = vector_field(p, (a, b))
+    return OrbitPath(params=p, eta=eta, a=a, b=b, d=d, da=da, db=db, eps=eps, tol=tol,
+                     a_junction=a_junction, junction_gap=junction_gap)
 
 
 def estimate_kappa1(path: OrbitPath, plateau_rtol: float = 1e-4) -> float:
-    """Node-departure coefficient: the plateau of a(eta) e^(-eta) on the backward tail.
+    """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization.
 
-    Estimated from the deepest decade of a rather than from the linearized
-    formula, since the numerical orbit is only approximately on the manifold.
-    The plateau must be flat to ``plateau_rtol`` relative variation.
+    When the deepest sample lies on the slow manifold (lambda2 >= LAMBDA2_SERIES
+    and a[0] <= A_JUNCTION/10), it is the closed form a e^(-eta) e^(F(a^2))
+    there.  Otherwise it is the plateau of a e^(-eta) over the deepest decade
+    of a, which must be flat to ``plateau_rtol`` relative variation.
     """
+    p = path.params
     a = path.a
-    q = a * np.exp(-path.eta)
     a_min = a[0]
+    if p.lambda2 >= LAMBDA2_SERIES and a_min <= A_JUNCTION / 10.0:
+        _, f_coef = _slow_manifold(p)
+        return math.exp(math.log(a_min) - path.eta[0] + float(np.polyval(f_coef, a_min * a_min)))
+    q = a * np.exp(-path.eta)
     window = a <= 10.0 * a_min
     if window.sum() < 4:
         raise UnresolvedTailError(
@@ -290,8 +393,8 @@ def estimate_kappa1(path: OrbitPath, plateau_rtol: float = 1e-4) -> float:
 def reparametrize(path: OrbitPath, sigma0: float) -> OrbitPath:
     """Shift eta so the parametrization matches the amplitude sigma0.
 
-    With kappa1 the current plateau of a(eta)e^(-eta), the shift
-    eta0 = log(1/(kappa1 sigma0)) makes the new parametrization satisfy
+    With kappa1 the current node-departure coefficient of a(eta)e^(-eta), the
+    shift eta0 = log(1/(kappa1 sigma0)) makes the new parametrization satisfy
     a(eta) ~ (1/sigma0) e^eta on the node tail; the grid moves by -eta0.
     """
     if sigma0 <= 0.0:

@@ -9,7 +9,9 @@ With eta = log(xi) and (a, b) the orbit states, the profile is
 which solves Sigma' = xi U,  nu((n+1)/alpha + xi Theta') = Sigma U - 1,
 Sigma = e^(-alpha Theta) U^n, with Sigma(0) = sigma0 fixed by the orbit
 reparametrization.  Because (U, Sigma, Theta) are algebraic in (a, b), the
-constitutive relation holds to round-off at every evaluated point.  Below the
+constitutive relation holds to round-off at every evaluated point; they are
+formed from (log a, log b) and eta, as U = e^(log a - log b - eta) and
+Sigma = e^(eta - log a), the variables the orbit is interpolated in.  Below the
 resolved range the second-order Taylor data at the origin is used; above it,
 the limiting large-xi forms with the endpoint orbit state frozen.  The
 evaluator is even in xi by construction.
@@ -39,11 +41,12 @@ __all__ = [
 ]
 
 
-def _triple_from_ab(p: PlanarParams, xi, a, b):
+def _triple_from_ab(p: PlanarParams, eta, la, lb):
+    """(U, Sigma, Theta) at xi = e^eta from the orbit state (log a, log b)."""
     na = (p.n + 1.0) / p.alpha
-    U = a / b / xi
-    Sigma = xi / a
-    Theta = -na * np.log(xi) + na * np.log(a) - (p.n / p.alpha) * np.log(b)
+    U = np.exp(la - lb - eta)
+    Sigma = np.exp(eta - la)
+    Theta = -na * eta + na * la - (p.n / p.alpha) * lb
     return U, Sigma, Theta
 
 
@@ -80,7 +83,7 @@ class Profile:
 
     @cached_property
     def _outer_state(self):
-        return float(self.path.a[-1]), float(self.path.b[-1])
+        return math.log(self.path.a[-1]), math.log(self.path.b[-1])
 
     def __call__(self, xi):
         """Evaluate (U, Sigma, Theta) at any xi; the extension is even."""
@@ -96,18 +99,18 @@ class Profile:
         mid = ~(inner | outer)
 
         if np.any(mid):
+            eta = np.log(xi[mid])
             # log(exp(eta)) can overshoot the sampled range by one ulp
-            eta = np.clip(np.log(xi[mid]), self.path.eta[0], self.path.eta[-1])
-            a, b = self.path.states_at(eta)
-            U[mid], Sigma[mid], Theta[mid] = _triple_from_ab(self.p, xi[mid], a, b)
+            la, lb = self.path.log_states_at(np.clip(eta, self.path.eta[0], self.path.eta[-1]))
+            U[mid], Sigma[mid], Theta[mid] = _triple_from_ab(self.p, eta, la, lb)
         if np.any(inner):
             U[inner] = self.U0
             Sigma[inner] = self.sigma0 + 0.5 * self.U0 * xi[inner] ** 2
             Theta[inner] = self.Theta0
         if np.any(outer):
-            a_end, b_end = self._outer_state
+            la_end, lb_end = self._outer_state
             U[outer], Sigma[outer], Theta[outer] = _triple_from_ab(
-                self.p, xi[outer], a_end, b_end)
+                self.p, np.log(xi[outer]), la_end, lb_end)
         if scalar:
             return float(U[0]), float(Sigma[0]), float(Theta[0])
         return U, Sigma, Theta
@@ -126,7 +129,7 @@ def reconstruct(path: OrbitPath) -> Profile:
     U0 = p.c_nu / sigma0
     Theta0 = (p.n + 1.0) / p.alpha * math.log(U0) - math.log(p.c_nu) / p.alpha
     xi = np.exp(path.eta)
-    U, Sigma, Theta = _triple_from_ab(p, xi, path.a, path.b)
+    U, Sigma, Theta = _triple_from_ab(p, path.eta, np.log(path.a), np.log(path.b))
     return Profile(p=p, sigma0=sigma0, U0=U0, Theta0=Theta0,
                    xi=xi, U=U, Sigma=Sigma, Theta=Theta, path=path)
 

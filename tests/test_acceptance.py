@@ -180,7 +180,8 @@ def test_criterion_4_lambda2_tail_slope(sweep_orbits):
     """Verbatim: log(b - 1/c_nu) tail slope equals lambda2 +- 2%.
 
     Unattainable: b is slaved to the weak direction near the node, so the
-    slope tends to 2 (= twice lambda1), not lambda2 in [21, 221].
+    slope tends to 2 (= twice lambda1), not lambda2 in [21, 221].  b - 1/c_nu
+    is read from ``path.d``, which keeps its relative precision down to the node.
     """
     orbits, _ = sweep_orbits
     measured = {}
@@ -188,7 +189,7 @@ def test_criterion_4_lambda2_tail_slope(sweep_orbits):
         p = path.params
         lam2 = sl.equilibria(p)[0].eigenvalues[1]
         window = path.a <= 10.0 * path.a[0]
-        btil = path.b[window] - 1.0 / p.c_nu
+        btil = path.d[window]
         pos = btil > 0
         if pos.sum() >= 4:
             slope = np.polyfit(path.eta[window][pos], np.log(btil[pos]), 1)[0]

@@ -230,6 +230,27 @@ def test_heteroclinic_cmd(tmp_path):
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     assert float(meta["kappa1"]) == pytest.approx(1.0 / 1.88, rel=1e-9)
     assert np.all(np.diff(data["a"]) > 0)
+    assert float(meta["a_junction"]) == pytest.approx(1e-2, rel=1e-12)
+    assert 0.0 < float(meta["junction_gap"]) < 1e-10
+
+
+@pytest.mark.parametrize("argv, series, resolved", [
+    ((), True, True),
+    (("--n", "1", "--alpha", "1", "--nu", "1"), False, True),   # lambda2 = 3
+    (("--tol", "1e-2"), False, False),
+], ids=["series-tail", "small-lambda2", "coarse-tol"])
+def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, series, resolved):
+    # kappa1 of the shot parametrization, "none" only when a coarse tol leaves
+    # no tail to resolve it from; the junction fields only on a series tail
+    assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == 0
+    meta, data = read_csv(tmp_path / "heteroclinic.csv")
+    assert (meta["a_junction"] != "none") == series
+    assert (meta["junction_gap"] != "none") == series
+    if resolved:
+        q = data["a"] * np.exp(-data["eta"])
+        assert float(meta["kappa1"]) == pytest.approx(q[0], rel=1e-6)
+    else:
+        assert meta["kappa1"] == "none"
 
 
 def test_profile_cmd(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
+import shearlab.orbit as orbit
 from shearlab import (
     ParameterError,
     UnresolvedTailError,
@@ -118,6 +119,9 @@ def test_shooter_rejects_bad_eps():
         shoot_heteroclinic(REF, eps=1e-2)
     with pytest.raises(ParameterError):
         shoot_heteroclinic(REF, eps=0.0)
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ParameterError, match="tol"):
+            shoot_heteroclinic(REF, tol=tol)
 
 
 def test_region_negatively_invariant_on_boundaries():
@@ -256,8 +260,9 @@ def test_acceptance_sweep_orbits_exist():
         assert np.all(np.diff(path.a) > 0)
 
 
-def _reference_shoot(p, eps, tol=1e-8, **solver):
-    """The shoot as SciPy's solve_ivp on vector_field, with the shooter's seed and event."""
+def _reference_shoot(p, eps, tol=1e-8, to_node=False, **solver):
+    """The shoot as SciPy's solve_ivp on vector_field, with the shooter's seed and event:
+    a = A_JUNCTION, or the node when ``to_node``."""
     _, saddle = equilibria(p)
     r = saddle.eigenvectors[0]
     seed = p.saddle - eps * r / np.linalg.norm(r)
@@ -267,12 +272,21 @@ def _reference_shoot(p, eps, tol=1e-8, **solver):
         da, db = vector_field(p, y)
         return (-da, -db)
 
-    def reach_node(s, y):
-        return math.hypot(y[0] - P[0], y[1] - P[1]) - tol
+    def stop(s, y):
+        if to_node:
+            return math.hypot(y[0] - P[0], y[1] - P[1]) - tol
+        return y[0] - orbit.A_JUNCTION
 
-    reach_node.terminal = True
-    reach_node.direction = -1
-    return solve_ivp(backward, (0.0, 400.0), seed, events=reach_node, **solver)
+    stop.terminal = True
+    stop.direction = -1
+    return solve_ivp(backward, (0.0, 400.0), seed, events=stop, **solver)
+
+
+def _worst_error(exact, s, y):
+    """Largest relative deviation of each component from the dense reference."""
+    keep = s <= exact.t[-1]
+    ref = exact.sol(s[keep])
+    return np.max(np.abs(y[:, keep] - ref) / np.abs(ref), axis=1)
 
 
 @pytest.mark.parametrize("n, alpha, nu", [(0.05, 0.5, 0.05), (0.05, 1.0, 0.5),
@@ -281,38 +295,128 @@ def test_shooter_matches_vector_field_reference(n, alpha, nu):
     # The shooter's scalar Dormand-Prince stepper against SciPy's RK45 on
     # vector_field with the same settings.  Bit identity cannot hold (SciPy
     # sums the stages with np.dot), so: the same steps, the same curve to the
-    # shooter's rtol, and no larger an error against a DOP853 reference.
+    # shooter's rtol, and no larger an error than RK45's against a tight
+    # reference.
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     path = shoot_heteroclinic(p)
+    body = path.a >= path.a_junction
+    tail = ~body
+    eta_b, a_b, b_b = path.eta[body], path.a[body], path.b[body]
     rk45 = _reference_shoot(p, path.eps, method="RK45", rtol=1e-10, atol=1e-14,
                             max_step=0.01)
-    assert path.eta.size == rk45.t.size
+    assert eta_b.size == rk45.t.size
 
     # rounding moves the samples along the orbit (eta by ~1e-8), not off it
     eta = -rk45.t[::-1]
-    inside = (eta >= path.eta[0]) & (eta <= path.eta[-1])
+    inside = (eta >= eta_b[0]) & (eta <= eta_b[-1])
     a, b = path.states_at(eta[inside])
     assert np.allclose(a, rk45.y[0][::-1][inside], rtol=1e-10, atol=0.0)
     assert np.allclose(b, rk45.y[1][::-1][inside], rtol=1e-10, atol=0.0)
 
+    # the body, down to a = A_JUNCTION, against DOP853
     exact = _reference_shoot(p, path.eps, method="DOP853", rtol=1e-13, atol=1e-20,
                              dense_output=True)
-
-    def worst_error(s, y):
-        keep = s <= exact.t[-1]
-        ref = exact.sol(s[keep])
-        return np.max(np.abs(y[:, keep] - ref) / np.abs(ref), axis=1)
-
-    ours = worst_error(-path.eta[::-1], np.array([path.a[::-1], path.b[::-1]]))
-    scipy_rk45 = worst_error(rk45.t, rk45.y)
+    ours = _worst_error(exact, -eta_b[::-1], np.array([a_b[::-1], b_b[::-1]]))
+    scipy_rk45 = _worst_error(exact, rk45.t, rk45.y)
     # the two errors agree to about 4 digits; 1% absorbs the rounding in that
     assert np.all(ours <= 1.01 * scipy_rk45), (ours, scipy_rk45)
+
+    # the series tail against Radau, with RK45 shot on to the node: DOP853
+    # is itself off by up to 1e-8 in b on the stiff tail
+    radau = _reference_shoot(p, path.eps, to_node=True, method="Radau", rtol=1e-13,
+                             atol=1e-20, dense_output=True)
+    rk45 = _reference_shoot(p, path.eps, to_node=True, method="RK45", rtol=1e-10,
+                            atol=1e-14, max_step=0.01)
+    rk45_tail = rk45.y[0] < path.a_junction
+    ours = _worst_error(radau, -path.eta[tail], np.array([path.a[tail], path.b[tail]]))
+    scipy_rk45 = _worst_error(radau, rk45.t[rk45_tail], rk45.y[:, rk45_tail])
+    assert np.all(ours <= 1.01 * scipy_rk45), (ours, scipy_rk45)
+
+
+@pytest.mark.parametrize("n, alpha, nu", SWEEP)
+def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, nu):
+    # the closed form at the series tail against the plateau of a e^-eta on
+    # an orbit shot to within 1e-8 of the node, both at rtol 1e-12
+    p = PlanarParams(n=n, alpha=alpha, nu=nu)
+    series = shoot_heteroclinic(p, rtol=1e-12)
+    monkeypatch.setattr(orbit, "LAMBDA2_SERIES", math.inf)
+    shot = shoot_heteroclinic(p, rtol=1e-12)
+    assert shot.a_junction is None and series.a_junction == pytest.approx(1e-2, rel=1e-12)
+    kappa1 = estimate_kappa1(series)
+    assert kappa1 == pytest.approx(estimate_kappa1(shot), rel=1e-12)
+    # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
+    monkeypatch.undo()
+    shallow = shoot_heteroclinic(p, rtol=1e-12, tol=5e-4)
+    assert estimate_kappa1(shallow) == pytest.approx(kappa1, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, alpha, nu", SWEEP)
+def test_tail_d_over_a2_tends_to_beta1(n, alpha, nu):
+    p = PlanarParams(n=n, alpha=alpha, nu=nu)
+    path = shoot_heteroclinic(p)
+    beta1 = (p.n + 1.0) / p.n / (p.lambda2 - 2.0)
+    tail = path.a < path.a_junction
+    a = path.a[tail]
+    gap = np.abs(path.d[tail] / a ** 2 / beta1 - 1.0)
+    # the gap is |beta2/beta1| a^2 + O(a^4): it falls like a^2, to round-off at the node
+    assert gap[-1] < 1e-3
+    assert np.all(gap <= 1.01 * gap[-1] * (a / a[-1]) ** 2 + 1e-14)
+    assert gap[0] < 1e-14
+    # d matches b - 1/c_nu to b's round-off, and the body's d is exactly that
+    assert np.allclose(path.d, path.b - 1.0 / p.c_nu, rtol=0.0, atol=4e-16)
+    assert np.array_equal(path.d[~tail], path.b[~tail] - 1.0 / p.c_nu)
+    assert 0.0 < path.junction_gap < 1e-10
+
+
+def test_fallback_shoots_to_the_node_bit_for_bit():
+    # lambda2 = 3 < LAMBDA2_SERIES: the orbit is the plain DOPRI5 shoot to
+    # within tol of the node, and kappa1 the plateau of a e^-eta
+    p = PlanarParams(n=1.0, alpha=1.0, nu=1.0)
+    assert p.lambda2 == 3.0
+    path = shoot_heteroclinic(p)
+    r = equilibria(p)[1].eigenvectors[0]
+    node_b = 1.0 / p.c_nu
+
+    def backward(s, a, b):
+        da, db = vector_field(p, (a, b))
+        return -da, -db
+
+    def reach_node(s, a, b):
+        return math.hypot(a, b - node_b) - 1e-8
+
+    reach_node.terminal = True
+    reach_node.direction = -1
+    sol = orbit.solve_ivp(backward, (0.0, 400.0), p.saddle - 1e-6 * r / np.linalg.norm(r),
+                          rtol=1e-10, atol=1e-14, max_step=0.01, events=reach_node)
+    assert path.eta.size == sol.t.size == 3211
+    assert path.eta.tobytes() == (-sol.t[::-1]).tobytes()
+    assert path.a.tobytes() == sol.y[0][::-1].tobytes()
+    assert path.b.tobytes() == sol.y[1][::-1].tobytes()
+    assert path.a_junction is None and path.junction_gap is None
+    assert estimate_kappa1(path) == (path.a * np.exp(-path.eta))[0]
+    # a coarse tol falls back too, at any lambda2
+    assert shoot_heteroclinic(REF, tol=1e-2).a_junction is None
+
+
+def test_sweep_shoots_take_at_most_60_percent_of_the_node_shoot_work(monkeypatch):
+    # shot to the node, the 12 sweep orbits took 228,978 RHS calls
+    nfev = []
+
+    def counted(*args, **kwargs):
+        sol = solve_dopri(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    solve_dopri = orbit.solve_ivp
+    monkeypatch.setattr(orbit, "solve_ivp", counted)
+    for key in SWEEP:
+        shoot_heteroclinic(PlanarParams(*key))
+    assert len(nfev) == len(SWEEP)
+    assert sum(nfev) <= 0.6 * 228_978, sum(nfev)
 
 
 @pytest.mark.parametrize("b", [0.0, -1e-3])
 def test_shooter_rhs_guards_nonpositive_b(monkeypatch, b):
-    import shearlab.orbit as orbit
-
     def probe(fun, t_span, y0, **kwargs):
         fun(0.0, 0.5, b)
 
