@@ -208,6 +208,9 @@ def _float_field(x, words, keep, sep: bytes) -> None:
 def _text_field(a):
     """The bytes of each element of a non-float column: (n x width bytes, lengths)."""
     if a.dtype.kind == "U":
+        codes = a.view(np.uint32)       # in a non-native byte order, none is below 128
+        if not (codes >= 128).any():    # ASCII: the UTF-8 bytes are the code points
+            return codes.reshape(a.size, a.itemsize // 4).astype(np.uint8), np.strings.str_len(a)
         texts = [t.encode() for t in a.tolist()]
     elif a.dtype.kind in "iu":
         texts = [str(v).encode() for v in a.tolist()]

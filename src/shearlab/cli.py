@@ -28,7 +28,7 @@ from .stability import spectrum, integrate_mode, energy_certificate, energy_deca
 from .orbit import PlanarParams, estimate_kappa1, shoot_heteroclinic, reparametrize
 from .profile import reconstruct, ode_residual, endpoint_report
 from .localization import LocalizedSolution, residual_convergence, band_diagnostics
-from .pdesim import SimConfig, run as run_sim
+from .pdesim import MIN_SPAN, SimConfig, run as run_sim
 
 
 class Param(NamedTuple):
@@ -71,6 +71,10 @@ ORBIT = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("nu", POS, 0.1), 
 SOLUTION = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("theta0", FINITE, 10.0),
             Param("lam", POS, 0.1, "--lambda"), Param("sigma0", POS, 1.88),
             Param("xmax", POS, 5.0))
+
+
+def _at_least(low):
+    return _checked(int, lambda v: v >= low, f">= {low}")
 
 
 def _choice(*options):
@@ -118,7 +122,7 @@ def _spectrum(p, out):
     sp = spectrum(_material(p), p["k"], p["jmax"])
     regime = _REGIMES[(p["k"] == 0.0, p["n"] == 0.0)]
     csv = Path(f"{out}.csv")
-    write_csv(csv, {k: [getattr(m, k) for m in sp.modes]
+    write_csv(csv, {k: getattr(sp, k)
                     for k in ("j", "lambda_minus", "lambda_plus", "classification")},
               {**p, "num_unstable": sp.num_unstable, "regime": regime})
     return [csv], f"num_unstable={sp.num_unstable} regime={regime}"
@@ -261,8 +265,8 @@ def _localize(p, out):
 
 
 @command("residual", "space-time residual convergence study",
-         *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", POS_INT, 33),
-         Param("nt0", POS_INT, 17), Param("levels", POS_INT, 4), *EPS_TOL)
+         *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", _at_least(9), 33),
+         Param("nt0", _at_least(9), 17), Param("levels", POS_INT, 4), *EPS_TOL)
 def _residual(p, out):
     _, sol = _solution(p, _shoot(p, p["lam"])[1])
     path = Path(f"{out}.json")
@@ -274,8 +278,10 @@ def _residual(p, out):
 @command("simulate", "direct nonlinear simulation",
          *(Param(key, kind, getattr(SimConfig, key)) for key, kind in (
              ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", FINITE),
-             ("N", _checked(int, lambda v: v >= 16, ">= 16")),
-             ("t_end", POS), ("frames", _checked(int, lambda v: v >= 2, ">= 2")),
+             ("N", _at_least(16)),
+             ("t_end", _checked(float, lambda v: math.isfinite(v) and v >= MIN_SPAN,
+                                f"finite and >= {MIN_SPAN:g}")),
+             ("frames", _at_least(2)),
              ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", FINITE),
              ("width", POS), ("amplitude", FINITE), ("noise_amp", FINITE), ("seed", int),
              ("init_path", _checked(str, lambda v: Path(v).is_file(), "an existing file")),
@@ -301,11 +307,20 @@ def _simulate(p, out):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``names`` only; its usage and error
+    text name all the subcommands, as the full parser's do."""
     ap = argparse.ArgumentParser(prog="shearlab", description="Shear-band stability analysis, "
                                  "exact localizing solutions, and direct nonlinear simulation")
     ap.add_argument("--version", action="version", version=f"shearlab {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, params, _) in COMMANDS.items():
+    # the full parser leaves the metavar unset, so that "required: command" names the dest
+    metavar = None if len(names) == len(COMMANDS) else "{%s}" % ",".join(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, params, _ = COMMANDS[name]
         sp = sub.add_parser(name, help=help_)
         for key, kind, _, flag in params:
             flag = flag or "--" + key.replace("_", "-")
@@ -337,7 +352,10 @@ def _resolve(args, params) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds only the subparser it runs; help, --version and errors get all
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = _parser(names).parse_args(argv)
     _, params, body = COMMANDS[args.command]
     p = _resolve(args, params)
     t0 = time.perf_counter()

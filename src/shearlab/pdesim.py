@@ -41,6 +41,11 @@ __all__ = [
     "run",
 ]
 
+# the shortest time span LSODA is given; SciPy's LSODA never returns on a span
+# from t = 0 below about 1e-151, so spans below this floor, far above that, are
+# rejected
+MIN_SPAN = 1e-100
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -205,14 +210,16 @@ def step(state: FieldState, params: MaterialParams, dt: float | None = None,
     """Advance the state by dt (or to t_target) and verify its invariants.
 
     Raises PositivityError (with the offending state attached) if the strain
-    rate is not positive at the start or the end, and StiffnessError if LSODA
-    gives up.
+    rate is not positive at the start or the end, StiffnessError if LSODA
+    gives up, and ParameterError for a span below ``MIN_SPAN``.
     """
     if (dt is None) == (t_target is None):
         raise ParameterError("give exactly one of dt and t_target")
     t_end = state.t + dt if dt is not None else t_target
     if t_end <= state.t:
         raise ParameterError("target time must exceed the state time")
+    if not t_end - state.t >= MIN_SPAN:
+        raise ParameterError(f"time span must be >= {MIN_SPAN:g}, got {t_end - state.t}")
     out = _integrate(state, params, [t_end], rtol, atol, bc_v, sources)[-1]
     out.positive_strain_rate()
     mid, _ = out.conservation()
@@ -253,7 +260,7 @@ class SimConfig:
     kappa: float = 0.5
     theta0: float = -4.0
     N: int = 512
-    t_end: float = 500.0
+    t_end: float = 500.0              # >= MIN_SPAN
     frames: int = 201
     init: str = "gaussian-bump"       # uniform | gaussian-bump | from-file
     center: float = 0.5
@@ -267,6 +274,8 @@ class SimConfig:
     log_frames: bool = False          # geometric frame spacing (early transient)
 
     def __post_init__(self):
+        if not self.t_end >= MIN_SPAN:
+            raise ParameterError(f"t_end must be >= {MIN_SPAN:g}, got {self.t_end}")
         if self.frames < 2:
             raise ParameterError(f"frames must be >= 2, got {self.frames}")
         if not self.rtol > 0.0:

@@ -289,14 +289,20 @@ def endpoint_report(profile: Profile, tail_xi: float = 1e3) -> EndpointReport:
             f"profile resolved only up to xi = {profile.xi_max:.3e}; "
             "tail fits need xi >= 10 sigma0")
 
+    def fit(A, y):
+        # LAPACK fails on a non-finite design matrix or data, as a large sigma0 makes them
+        if not (np.isfinite(A).all() and np.isfinite(y).all()):
+            raise RangeError(f"endpoint fits overflow at sigma0 = {s0:.3e}")
+        return np.linalg.lstsq(A, y, rcond=None)[0]
+
     xs = np.geomspace(lo, hi, 41)
     U, Sigma, Theta = profile(xs)
 
     def quad_fit_slope(y):
         # c0 + c1 xi + c2 xi^2; return c1
-        A = np.vstack([np.ones_like(xs), xs, xs * xs]).T
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return float(coef[1])
+        with np.errstate(over="ignore"):
+            A = np.vstack([np.ones_like(xs), xs, xs * xs]).T
+        return float(fit(A, y)[1])
 
     dU0 = quad_fit_slope(U)
     dSigma0 = quad_fit_slope(Sigma)
@@ -305,9 +311,9 @@ def endpoint_report(profile: Profile, tail_xi: float = 1e3) -> EndpointReport:
     # xi^2 coefficient over a wider window where the signal clears round-off
     xq = np.geomspace(3e-3 * s0, 3e-2 * s0, 41)
     _, Sq, _ = profile(xq)
-    Aq = np.vstack([np.ones_like(xq), xq * xq, xq ** 4]).T
-    coefq, *_ = np.linalg.lstsq(Aq, Sq, rcond=None)
-    taylor = float(coefq[1])
+    with np.errstate(over="ignore"):
+        Aq = np.vstack([np.ones_like(xq), xq * xq, xq ** 4]).T
+    taylor = float(fit(Aq, Sq)[1])
 
     Umin, Smin, _ = profile(profile.xi_min)
     xt = min(tail_xi, profile.xi_max)

@@ -16,6 +16,7 @@ for frozen k, with the substeps of each output interval set to meet rtol.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,21 +63,54 @@ class ModeEigen:
     classification: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSpectrum:
-    """Eigenvalues and classifications for modes j = 0..jmax at frozen diffusion k."""
+    """Eigenvalues and classifications for modes j = 0..jmax at frozen diffusion k.
+
+    The fields of :class:`ModeEigen` are held as arrays indexed by j; ``modes``
+    gives them as a tuple of ``ModeEigen``, built on first access.
+    """
 
     params: MaterialParams
     k: float
-    modes: tuple
-    num_unstable: int
+    j: np.ndarray
+    lambda_minus: np.ndarray
+    lambda_plus: np.ndarray
+    discriminant: np.ndarray
+    classification: np.ndarray
+
+    @property
+    def num_unstable(self) -> int:
+        return int(np.count_nonzero(self.classification == UNSTABLE))
+
+    @functools.cached_property
+    def modes(self) -> tuple:
+        return tuple(ModeEigen(*row) for row in zip(*(a.tolist() for a in (
+            self.j, self.lambda_minus, self.lambda_plus, self.discriminant,
+            self.classification))))
 
 
-def _quadratic_coeffs(params: MaterialParams, k: float, j: int):
-    x = (j * math.pi) ** 2
+def _quadratic_coeffs(params: MaterialParams, k: float, j):
+    """x = (j pi)^2, b and c of the modes ``j`` (an int array, or an int), shaped as ``j``."""
+    # x by C pow per mode, which differs from (j pi) * (j pi) in the last bit for some j
+    x = np.array([(i * math.pi) ** 2 for i in np.ravel(j).tolist()]).reshape(np.shape(j))
     b = params.alpha + (params.n + k) * x
     c = params.n * k * x * x - params.alpha * x
     return x, b, c
+
+
+def _eigen(params: MaterialParams, k: float, j: np.ndarray):
+    """The fields of :class:`ModeEigen` for the int array ``j``, as arrays (see
+    :func:`mode_eigen`)."""
+    # overflow gives inf and nan without a warning, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, b, c = _quadratic_coeffs(params, k, j)
+        disc = b * b - 4.0 * c
+        lam_minus = -0.5 * (b + np.sqrt(disc))
+        lam_plus = np.divide(c, lam_minus, out=np.zeros_like(c), where=lam_minus != 0.0)
+    cls = np.where(c < 0.0, UNSTABLE, STABLE)
+    cls[(j == 0) | (c == 0.0)] = MARGINAL
+    return j, lam_minus, lam_plus, disc, cls
 
 
 def mode_eigen(params: MaterialParams, k: float, j: int) -> ModeEigen:
@@ -86,36 +120,24 @@ def mode_eigen(params: MaterialParams, k: float, j: int) -> ModeEigen:
     c = n k (j pi)^4 - alpha (j pi)^2, computed cancellation-free: the
     larger-magnitude root from -(b + sqrt(D))/2 (b > 0 always), the companion
     from the product c.  For large j the roots differ by orders of magnitude,
-    which the textbook formula would lose.
+    which the textbook formula would lose.  :func:`spectrum` gives the same
+    bits for every mode.
     """
     if j < 0:
         raise ParameterError(f"mode index must be >= 0, got {j}")
     if k < 0.0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    x, b, c = _quadratic_coeffs(params, k, j)
-    disc = b * b - 4.0 * c
-    lam_minus = -0.5 * (b + math.sqrt(disc))
-    lam_plus = c / lam_minus if lam_minus != 0.0 else 0.0
-    if j == 0 or c == 0.0:
-        cls = MARGINAL
-    elif c < 0.0:
-        cls = UNSTABLE
-    else:
-        cls = STABLE
-    return ModeEigen(j=j, lambda_minus=lam_minus, lambda_plus=lam_plus,
-                     discriminant=disc, classification=cls)
+    return ModeEigen(*(a.item() for a in _eigen(params, k, np.array([j]))))
 
 
 def spectrum(params: MaterialParams, k: float, jmax: int = DEFAULT_JMAX) -> ModeSpectrum:
-    """Modes 0..jmax with the count of unstable ones.
+    """Modes 0..jmax with the count of unstable ones, computed as arrays in one pass.
 
     For k = 0 every mode j >= 1 is unstable; for k above alpha/(n pi^2) none is.
     """
     if jmax < 1:
         raise ParameterError(f"jmax must be >= 1, got {jmax}")
-    modes = tuple(mode_eigen(params, k, j) for j in range(jmax + 1))
-    num_unstable = sum(1 for m in modes if m.classification == UNSTABLE)
-    return ModeSpectrum(params=params, k=k, modes=modes, num_unstable=num_unstable)
+    return ModeSpectrum(params, k, *_eigen(params, k, np.arange(jmax + 1)))
 
 
 def asymptotic_eigen(params: MaterialParams, k: float, j: int):

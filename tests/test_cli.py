@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from shearlab._csvio import read_csv
-from shearlab.cli import COMMANDS, main
+from shearlab.cli import COMMANDS, build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,6 +37,19 @@ def test_spectrum_stabilized(tmp_path):
     assert meta["num_unstable"] == "0"
 
 
+def test_spectrum_row_2207_is_pinned(tmp_path):
+    # x = (j pi)^2 by C pow; x = (j pi) * (j pi) would end lambda_minus in ...2745
+    assert run_cli("spectrum", "--n", "0.1", "--alpha", "0.5", "--k", "0.1234",
+                   "--jmax", "4096", "--out-dir", str(tmp_path)) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    j, lam_minus, lam_plus, cls = lines[lines.index("j,lambda_minus,lambda_plus,classification")
+                                        + 1 + 2207].split(",")
+    assert (int(j), float(lam_minus), float(lam_plus), cls) == (
+        2207, float.fromhex("-0x1.6a13ceebddcc4p+22"), float.fromhex("-0x1.256a3f136d728p+22"),
+        "asymptotically-stable")
+    assert lam_minus == "-5932275.7303382792"
+
+
 def test_spectrum_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("spectrum", "--jmax", "0")
@@ -61,6 +74,8 @@ USAGE_ERRORS = [
     ("simulate", "atol", -1),
     ("simulate", "rtol", -1),
     ("simulate", "init_path", "no-such-dir/init.npz"),
+    ("residual", "nx0", 2),
+    ("residual", "nt0", 3),
 ]
 
 
@@ -77,6 +92,56 @@ def test_invalid_value_is_usage_error(tmp_path, cmd, key, value, via):
         run_cli(*argv, "--out-dir", str(tmp_path))
     assert exc.value.code == 2
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def _parse(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits, as argparse's help and errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+ALL_COMMANDS = "{uniform-shear,spectrum,modes,energy,heteroclinic,profile,localize,residual,simulate}"
+
+
+# --config without a value is the subparser's error; unknown arguments are the
+# root parser's, whose usage line names every subcommand
+@pytest.mark.parametrize("tail, code, texts", [
+    (["--help"], 0, ["usage: shearlab {cmd} [-h]"]),
+    (["--config"], 2, ["shearlab {cmd}: error: argument --config: expected one argument"]),
+    (["--bogus"], 2, [ALL_COMMANDS, "shearlab: error: unrecognized arguments: --bogus"]),
+    (["--prefix", "p", "x"], 2, [ALL_COMMANDS, "shearlab: error: unrecognized arguments: x"]),
+])
+@pytest.mark.parametrize("cmd", list(COMMANDS))
+def test_one_subparser_parses_as_the_full_parser(capsys, cmd, tail, code, texts):
+    got = _parse(main, [cmd, *tail], capsys)
+    assert got == _parse(build_parser().parse_args, [cmd, *tail], capsys)
+    assert got[0] == code
+    assert all(text.replace("{cmd}", cmd) in got[1] + got[2] for text in texts)
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    ([], 2, "the following arguments are required: command"),
+    (["--help"], 0, ALL_COMMANDS),
+    (["--version"], 0, "shearlab "),
+    (["bogus"], 2, "invalid choice: 'bogus'"),
+])
+def test_root_usage_keeps_its_exit_codes_and_messages(capsys, argv, code, text):
+    got = _parse(main, argv, capsys)
+    assert got == _parse(build_parser().parse_args, argv, capsys)
+    assert got[0] == code and text in got[1] + got[2]
+
+
+def test_main_builds_only_the_subparser_it_runs(tmp_path, monkeypatch):
+    import argparse
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert run_cli("spectrum", "--jmax", "3", "--out-dir", str(tmp_path)) == 0
+    assert built == ["spectrum"]
+    build_parser()
+    assert built[1:] == list(COMMANDS)
 
 
 @pytest.mark.parametrize("cmd", ["heteroclinic", "simulate"])
@@ -457,6 +522,35 @@ def test_nonfinite_initial_state_is_usage_error(tmp_path, cmd, key, value, via):
     assert proc.returncode == 2, proc.stderr
     assert "must be finite" in proc.stderr
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+# SciPy's LSODA never returns on a span from t = 0 below about 1e-151: run in a
+# subprocess, so that a regression fails rather than hangs
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_tiny_t_end_is_usage_error(tmp_path, via):
+    if via == "flag":
+        argv = ["--t-end", "1e-152"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_end": 1e-152}))
+        argv = ["--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "shearlab.cli", "simulate", "--N", "16",
+                           "--frames", "2", *argv, "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "must be finite and >= 1e-100, got 1e-152" in proc.stderr
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("sigma0", ["1e100", "1e150", "1e300"])
+def test_overflowing_endpoint_fits_are_numerical_failure(tmp_path, sigma0):
+    proc = subprocess.run([sys.executable, "-m", "shearlab.cli", "profile", "--sigma0", sigma0,
+                           "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == {
+        "error": "RangeError", "message": f"endpoint fits overflow at sigma0 = {float(sigma0):.3e}"}
+    assert "DLASCL" not in proc.stdout + proc.stderr
 
 
 FLOAT_PARAMS = [(cmd, prm.key, prm.flag or "--" + prm.key.replace("_", "-"))

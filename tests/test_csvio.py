@@ -44,6 +44,21 @@ def test_write_csv_matches_per_element_format(tmp_path, length):
         assert np.array_equal(data["f"], columns["f"], equal_nan=True)
 
 
+@pytest.mark.parametrize("texts", [
+    ["naïve", "", "日本語", "😀 x", "a\x00b", "plain"],       # non-ASCII, empty, interior NUL
+    ["café", "ü", "x"],                                       # Latin-1 only: two bytes each
+    ["plain", "ascii", ""],
+    np.array(["ab", "c", ""], dtype=">U2"),                   # non-native byte order
+])
+def test_write_csv_str_columns_are_utf8_per_element(tmp_path, texts):
+    texts = np.asarray(texts)
+    columns = {"s": texts, "x": np.arange(texts.size) * 0.5, "t": texts[::-1]}
+    write_csv(tmp_path / "new.csv", columns)
+    expected = "s,x,t\n" + "".join(f"{a},{_fmt(x)},{b}\n" for a, x, b in zip(
+        texts.tolist(), columns["x"], texts[::-1].tolist()))
+    assert (tmp_path / "new.csv").read_bytes() == expected.encode("utf-8")
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "x.csv", {"a": [1.0, 2.0], "b": [1.0]})

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,42 @@ def test_config_rejects_bad_frames_and_tolerances(bad):
         SimConfig(N=32, t_end=1.0, **bad)
     with pytest.raises(ParameterError):
         SimConfig.from_dict({"N": 32, "t_end": 1.0, **bad})
+
+
+SPAN_PROBE = """
+from shearlab import (Grid1D, MaterialParams, ParameterError, SimConfig, initial_uniform, run,
+                      step)
+from shearlab.pdesim import MIN_SPAN
+params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5)
+state = initial_uniform(Grid1D(16), params)
+for call in (lambda: SimConfig(N=16, t_end=1e-152, frames=2),
+             lambda: SimConfig.from_dict({"t_end": 0.0}),
+             lambda: step(state, params, dt=1e-152),
+             lambda: step(state, params, t_target=MIN_SPAN / 2)):
+    try:
+        call()
+    except ParameterError as exc:
+        print(exc)
+    else:
+        raise SystemExit("a span below MIN_SPAN was accepted")
+print(step(state, params, dt=MIN_SPAN).t, run(SimConfig(N=16, t_end=MIN_SPAN, frames=3)).times[-1])
+"""
+
+
+def test_spans_below_the_floor_are_rejected():
+    # in a subprocess: SciPy's LSODA never returns on a span from t = 0 below
+    # about 1e-151, so a regression fails here rather than hangs the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SPAN_PROBE],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:4] == ["t_end must be >= 1e-100, got 1e-152", "t_end must be >= 1e-100, got 0.0",
+                         "time span must be >= 1e-100, got 1e-152",
+                         "time span must be >= 1e-100, got 5e-101"]
+    assert lines[4] == "1e-100 1e-100"
 
 
 @pytest.mark.parametrize("t_end", [5e-5, 1e-4, 5e-4])

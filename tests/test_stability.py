@@ -19,7 +19,7 @@ from shearlab import (
     energy_decay_check,
 )
 from shearlab import _magnus, stability
-from shearlab.stability import STABLE, UNSTABLE, MARGINAL, _quadratic_coeffs
+from shearlab.stability import STABLE, UNSTABLE, MARGINAL, ModeEigen, _quadratic_coeffs
 
 
 def binomial_residual(params, k, j, lam):
@@ -92,6 +92,51 @@ def test_spectrum_threshold_count():
     for j in range(1, 21):
         m = sp.modes[j]
         assert (m.classification == UNSTABLE) == (m.lambda_plus > 0)
+
+
+def _scalar_eigen(params, k, j):
+    """One mode's roots in Python floats, by the formulas of mode_eigen."""
+    x = (j * math.pi) ** 2
+    b = params.alpha + (params.n + k) * x
+    c = params.n * k * x * x - params.alpha * x
+    disc = b * b - 4.0 * c
+    lam_minus = -0.5 * (b + math.sqrt(disc))
+    lam_plus = c / lam_minus if lam_minus != 0.0 else 0.0
+    cls = MARGINAL if j == 0 or c == 0.0 else UNSTABLE if c < 0.0 else STABLE
+    return ModeEigen(j, lam_minus, lam_plus, disc, cls)
+
+
+# (n, alpha, k): diffusive, Turing (k = 0), Hadamard (n = k = 0), n = 0 with
+# k > 0, and n k = 1 with alpha = (3 pi)^2, where c == 0 at j = 3
+SPECTRUM_CASES = [(0.1, 0.5, 0.1234), (0.05, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.7, 0.3),
+                  (0.5, (3 * math.pi) ** 2, 2.0)]
+
+
+@pytest.mark.parametrize("n, alpha, k", SPECTRUM_CASES)
+def test_spectrum_arrays_are_the_scalar_roots_bit_for_bit(n, alpha, k):
+    params = MaterialParams(n=n, alpha=alpha)
+    sp = spectrum(params, k, 4096)
+    ref = [_scalar_eigen(params, k, j) for j in range(4097)]
+    for name in ("lambda_minus", "lambda_plus", "discriminant"):
+        want = np.array([getattr(m, name) for m in ref])
+        assert np.array_equal(getattr(sp, name).view(np.int64), want.view(np.int64)), name
+    assert sp.j.tolist() == list(range(4097))
+    assert sp.classification.tolist() == [m.classification for m in ref]
+    assert sp.num_unstable == sum(m.classification == UNSTABLE for m in ref)
+    # modes are the ModeEigen of before, with Python ints, floats and strs
+    assert sp.modes == tuple(ref)
+    assert {tuple(map(type, vars(m).values())) for m in sp.modes} == {(int, float, float, float, str)}
+    for j in (0, 1, 3, 2207, 4096):
+        assert vars(mode_eigen(params, k, j)) == vars(ref[j])
+
+
+def test_spectrum_marks_a_zero_product_marginal():
+    params = MaterialParams(n=0.5, alpha=(3 * math.pi) ** 2)
+    _, _, c = _quadratic_coeffs(params, 2.0, 3)
+    assert c == 0.0
+    sp = spectrum(params, 2.0, 5)
+    assert sp.classification.tolist() == [MARGINAL, UNSTABLE, UNSTABLE, MARGINAL, STABLE, STABLE]
+    assert mode_eigen(params, 2.0, 3).classification == MARGINAL
 
 
 def test_spectrum_above_threshold_all_stable():
