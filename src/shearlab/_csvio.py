@@ -205,20 +205,57 @@ def _float_field(x, words, keep, sep: bytes) -> None:
         flags[i, :_SEP] = np.arange(_SEP) < len(text)
 
 
+@functools.cache
+def _quad_digits() -> np.ndarray:
+    """0..9999 -> its four decimal digits, zero-padded, as ASCII bytes."""
+    q = np.arange(10_000)
+    return (q[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)    # 1 .. 1e19: uint64 has up to 20 digits
+
+
+def _int_field(a):
+    """The text ``str(int(v))`` of each element of an int column: (n x width
+    bytes, keep flags), a sign slot and then the digits, right-aligned in
+    groups of four, with the leading zeros not kept."""
+    neg = a < 0
+    mag = a.astype(np.uint64)                       # 2^64 - |v| for v < 0
+    mag = np.where(neg, ~mag + np.uint64(1), mag)   # |v|, the int64 minimum's too
+    groups = [mag % np.uint64(10_000)]              # least significant first
+    rest = mag // np.uint64(10_000)
+    while rest.any():
+        groups.append(rest % np.uint64(10_000))
+        rest //= np.uint64(10_000)
+    width = 1 + 4 * len(groups)
+    chars = np.empty((a.size, width), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    chars[:, 0], keep[:, 0] = ord("-"), neg
+    for i, g in enumerate(reversed(groups)):
+        chars[:, 1 + 4 * i:5 + 4 * i] = _quad_digits().take(g, axis=0)
+    # column by column: NumPy loops slowly over short rows
+    for i, p in enumerate(_POW10[width - 2::-1], start=1):
+        keep[:, i] = mag >= p                       # the digit of p, or of 1 for v = 0
+    keep[:, -1] = True
+    return chars, keep
+
+
 def _text_field(a):
-    """The bytes of each element of a non-float column: (n x width bytes, lengths)."""
+    """The bytes of each element of a non-float column: (n x width bytes, keep flags)."""
+    if a.dtype.kind in "iu":
+        return _int_field(a)
     if a.dtype.kind == "U":
         codes = a.view(np.uint32)       # in a non-native byte order, none is below 128
         if not (codes >= 128).any():    # ASCII: the UTF-8 bytes are the code points
-            return codes.reshape(a.size, a.itemsize // 4).astype(np.uint8), np.strings.str_len(a)
+            chars = codes.reshape(a.size, a.itemsize // 4).astype(np.uint8)
+            return chars, np.arange(chars.shape[1]) < np.strings.str_len(a)[:, None]
         texts = [t.encode() for t in a.tolist()]
-    elif a.dtype.kind in "iu":
-        texts = [str(v).encode() for v in a.tolist()]
     else:
         texts = [_fmt(v).encode() for v in a]
     chars = np.array(texts or [b""], dtype=bytes)[:len(texts)]
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    return chars.view(np.uint8).reshape(len(texts), chars.itemsize), lengths
+    return (chars.view(np.uint8).reshape(len(texts), chars.itemsize),
+            np.arange(chars.itemsize) < lengths[:, None])
 
 
 def _block(columns) -> list[np.ndarray]:
@@ -238,10 +275,11 @@ def _block(columns) -> list[np.ndarray]:
             _float_field(a.astype(np.float64, copy=False), words[:, start // 8:end // 8],
                          keep_words[:, start // 8:end // 8], sep)
         else:
-            body, lengths = text
+            body, flags = text
             chars[:, start:start + body.shape[1]] = body
             chars[:, end - 1] = ord(sep)
-            keep[:, start:end] = np.arange(width) < lengths[:, None]
+            keep[:, start:end] = 0
+            keep[:, start:start + body.shape[1]] = flags
             keep[:, end - 1] = 1
         start = end
     # compacted a slice at a time: np.compress takes an index per kept byte

@@ -3,6 +3,12 @@ Norsett, Phil. Trans. R. Soc. A 357, 1999): a substep is y <- e^Omega y with
 Omega = (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1] at the two Gauss points, and
 e^Omega in closed form.  Each output interval takes m and 2m substeps, m
 doubled until the two states differ by at most rtol max|y| + atol.
+
+A is given by its four entries, each an array over the Gauss points or a float
+where it is constant.  The kernel works on those entries as separate arrays:
+Omega's commutator, the exponential and the product of each interval's
+substeps are written out as 2x2 formulas, so no (..., 2, 2) stack is built.
+A propagator is the row (p11, p12, p21, p22).
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ def check_t_eval(t_eval, t_span):
     return t_eval
 
 
-def _expm2(w):
-    """e^w = e^m (cosh d I + (sinh d / d)(w - m I)) for a stack of 2x2 matrices.
+def _expm2(a, b, c, d):
+    """e^w = e^m (cosh d I + (sinh d / d)(w - m I)) for 2x2 matrices w given by
+    their entry arrays [[a, b], [c, d]]; returns the four entry arrays of e^w.
 
     m = tr(w)/2, p = (w11 - w22)/2, d^2 = p^2 + bc from r = sqrt|b| sqrt|c| (no
     square overflows); d^2 < 0 takes cos and sin.  For d >= 1, e^(m +- d) enter
@@ -45,7 +52,6 @@ def _expm2(w):
     +-r^2 / (d +- |p|), so no entry cancels; for d < 1, e^m cosh d and
     e^m sinh d / d are formed directly.
     """
-    a, b, c, d = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
     m, p = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
     q, r, sign = np.abs(p), np.sqrt(np.abs(b)) * np.sqrt(np.abs(c)), np.sign(b) * np.sign(c)
     with np.errstate(all="ignore"):   # each branch is formed everywhere, kept where it holds
@@ -54,65 +60,93 @@ def _expm2(w):
         large = ~oscillating & (delta >= 1.0)
         big = m + np.copysign(delta, m)
         small = (a / big) * d - (b / big) * c
-        e_up, e_down = np.exp(np.where(m >= 0, (big, small), (small, big)))
-        d_q = sign * r * (r / (delta + q))
-        d_plus, d_minus = np.where(p >= 0, (delta + q, d_q), (d_q, delta + q))
-        cosh = np.exp(m) * np.where(oscillating, np.cos(delta), np.cosh(delta))
-        sinhc = np.exp(m) * np.where(delta == 0.0, 1.0, np.where(oscillating, np.sin(delta),
-                                                                 np.sinh(delta)) / delta)
+        up = m >= 0
+        e_up, e_down = np.exp(np.where(up, big, small)), np.exp(np.where(up, small, big))
+        d_q, d_p = sign * r * (r / (delta + q)), delta + q
+        d_plus, d_minus = np.where(p >= 0, d_p, d_q), np.where(p >= 0, d_q, d_p)
+        e_m = np.exp(m)
+        cosh = e_m * np.where(oscillating, np.cos(delta), np.cosh(delta))
+        sinhc = e_m * np.where(delta == 0.0, 1.0, np.where(oscillating, np.sin(delta),
+                                                           np.sinh(delta)) / delta)
         s = np.where(large, (e_up - e_down) / (2.0 * delta), sinhc)
         d0 = np.where(large, (e_up * d_plus + e_down * d_minus) / (2.0 * delta), cosh + sinhc * p)
         d1 = np.where(large, (e_up * d_minus + e_down * d_plus) / (2.0 * delta), cosh - sinhc * p)
-    return np.stack([np.stack([d0, s * b], -1), np.stack([s * c, d1], -1)], -2)
+    return d0, s * b, s * c, d1
 
 
-def _propagators(matrix, lo, hi, m):
-    """The propagator of each interval [lo, hi]: the product of its m substeps."""
+def _mul(x, y):
+    """The entries of x y for 2x2 matrices given by their four entries each."""
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return (x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+            x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)
+
+
+def _nodes(e):
+    """An entry of A at the two Gauss points of each substep, (A1, A2); a float twice."""
+    return (e[..., 0], e[..., 1]) if np.ndim(e) else (e, e)
+
+
+def _propagators(entries, lo, hi, m):
+    """The propagator of each interval [lo, hi], the product of its m substeps, as the
+    row (p11, p12, p21, p22)."""
     chunk = max(1, 8192 // m)    # at most 8192 substeps in one NumPy pass
     if lo.size > chunk:
-        return np.concatenate([_propagators(matrix, lo[i:i + chunk], hi[i:i + chunk], m)
+        return np.concatenate([_propagators(entries, lo[i:i + chunk], hi[i:i + chunk], m)
                                for i in range(0, lo.size, chunk)])
     h = ((hi - lo) / m)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):   # caught in Omega, or in the state
-        a = matrix(lo[:, None, None] + h * (np.arange(m)[:, None] + _NODES))
-        a1, a2, h = a[:, :, 0], a[:, :, 1], h[..., None]
-        omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
-        bad = np.flatnonzero(~np.isfinite(omega).all(axis=(1, 2, 3)))
+        (p11, q11), (p12, q12), (p21, q21), (p22, q22) = map(
+            _nodes, entries(lo[:, None, None] + h * (np.arange(m)[:, None] + _NODES)))
+        h = h[..., 0]
+        # the commutator [A2, A1] = A2 A1 - A1 A2, each product summed as a 2x2 matmul sums it
+        c = (math.sqrt(3.0) / 12.0) * h * h
+        omega = [np.broadcast_to(0.5 * h * (p + q) + c * (qp - pq), (lo.size, m))
+                 for p, q, qp, pq in ((p11, q11, q11 * p11 + q12 * p21, p11 * q11 + p12 * q21),
+                                      (p12, q12, q11 * p12 + q12 * p22, p11 * q12 + p12 * q22),
+                                      (p21, q21, q21 * p11 + q22 * p21, p21 * q11 + p22 * q21),
+                                      (p22, q22, q21 * p12 + q22 * p22, p21 * q12 + p22 * q22))]
+        bad = np.flatnonzero(~np.isfinite(omega).all(axis=(0, 2)))
         if bad.size:
             raise StiffnessError(f"A(t) h is not finite on [{lo[bad[0]]}, {hi[bad[0]]}]")
-        p = _expm2(omega)
-        while p.shape[1] > 1:
-            p = p[:, 1::2] @ p[:, 0::2]
-    return p[:, 0]
+        p = _expm2(*omega)
+        while p[0].shape[1] > 1:
+            p = _mul([e[:, 1::2] for e in p], [e[:, 0::2] for e in p])
+    return np.concatenate(p, axis=1)
 
 
-def solve_ivp(matrix, t_eval, y0, rtol, atol):
+def solve_ivp(entries, t_eval, y0, rtol, atol):
     """y' = A(t) y from ``y0`` at ``t_eval[0]``, sampled at each point of ``t_eval``.
 
-    ``matrix(t)`` gives A at each point of the array ``t``, shape ``t.shape +
-    (2, 2)``; ``nfev`` counts those points.  Raises StiffnessError where A or
-    the state is not finite, or an interval needs more than MAX_SUBSTEPS.
+    ``entries(t)`` gives the entries (a11, a12, a21, a22) of A at the points of
+    the array ``t``, each an array of ``t``'s shape or a float for a constant
+    entry; ``nfev`` counts the points.  Raises StiffnessError where A or the
+    state is not finite, or an interval needs more than MAX_SUBSTEPS.
     """
     t = np.asarray(t_eval, dtype=float)
     lo, hi = t[:-1], t[1:]
     level = np.ones(lo.size, dtype=int)     # the coarse substeps; the fine take twice as many
-    coarse, fine = _propagators(matrix, lo, hi, 1), _propagators(matrix, lo, hi, 2)
+    coarse, fine = _propagators(entries, lo, hi, 1), _propagators(entries, lo, hi, 2)
     nfev = 6 * lo.size
 
     def failing(i):   # the intervals of i where the two steps from the swept state differ
+        y1, y2 = ys[i, 0], ys[i, 1]
         with np.errstate(over="ignore", invalid="ignore"):   # a NaN estimate fails
-            y_fine = (fine[i] @ ys[i, :, None])[..., 0]
-            y_coarse = (coarse[i] @ ys[i, :, None])[..., 0]
-            size = np.maximum(np.abs(ys[i]), np.abs(y_fine)).max(axis=1)
-            return i[~(np.abs(y_fine - y_coarse).max(axis=1) <= atol + rtol * size)]
+            f, g = fine[i].T, coarse[i].T
+            f1, f2 = f[0] * y1 + f[1] * y2, f[2] * y1 + f[3] * y2
+            g1, g2 = g[0] * y1 + g[1] * y2, g[2] * y1 + g[3] * y2
+            size = np.maximum(np.maximum(np.abs(y1), np.abs(y2)),
+                              np.maximum(np.abs(f1), np.abs(f2)))
+            error = np.maximum(np.abs(f1 - g1), np.abs(f2 - g2))
+            return i[~(error <= atol + rtol * size)]
 
     while True:
         ya, yb = (float(v) for v in y0)
-        ys = [(ya, yb)]
-        for (f0, f1), (f2, f3) in fine.tolist():
+        ys = [ya, yb]
+        for f0, f1, f2, f3 in fine.tolist():
             ya, yb = f0 * ya + f1 * yb, f2 * ya + f3 * yb
-            ys.append((ya, yb))
-        ys = np.array(ys)
+            ys += ya, yb
+        ys = np.array(ys).reshape(-1, 2)
         bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
         if bad.size:
             raise StiffnessError(f"the state is not finite at t = {t[bad[0]]}, from "
@@ -128,7 +162,7 @@ def solve_ivp(matrix, t_eval, y0, rtol, atol):
                     raise StiffnessError(f"more than {MAX_SUBSTEPS} substeps on [{t[sel[0]]}, "
                                          f"{t[sel[0] + 1]}], from {tuple(ys[sel[0]].tolist())}")
                 coarse[sel] = fine[sel]
-                fine[sel] = _propagators(matrix, lo[sel], hi[sel], 4 * m)
+                fine[sel] = _propagators(entries, lo[sel], hi[sel], 4 * m)
                 nfev += 8 * m * sel.size
             level[failed] *= 2
             failed = failing(failed)

@@ -210,14 +210,14 @@ def _heteroclinic(p, out):
 def _profile(p, out):
     planar, orbit = _shoot(p, p["nu"])
     prof = reconstruct(reparametrize(orbit, p["sigma0"]))
-    csv = Path(f"{out}.csv")
-    _profile_csv(prof, csv)
     xi = np.geomspace(max(1e-2, 2 * prof.xi_min), min(1e2, prof.xi_max / 2), 20001)
     res = ode_residual(prof, planar.nu, planar.n, planar.alpha, xi=xi)
-    report_path = Path(f"{out}_report.json")
+    endpoints = endpoint_report(prof)   # before any file: the fits can fail
+    csv, report_path = Path(f"{out}.csv"), Path(f"{out}_report.json")
+    _profile_csv(prof, csv)
     report_path.write_text(json.dumps({
         "residual_sup": res.sup, "residual_l2": res.l2, "fd_error_estimate": res.fd_error_estimate,
-        "grid_too_coarse": res.grid_too_coarse, "endpoints": vars(endpoint_report(prof)),
+        "grid_too_coarse": res.grid_too_coarse, "endpoints": vars(endpoints),
     }, indent=2) + "\n")
     return [csv, report_path], f"residual_sup={max(res.sup):.3e}"
 
@@ -229,15 +229,13 @@ def _solution(p, orbit):
     return prof, LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
 
 
-def _residual_study(sol, path, **kwargs):
-    """Run the space-time residual study on ``sol``; write its JSON report to ``path``."""
-    reports, orders, order = residual_convergence(sol, **kwargs)
+def _write_residual_study(path, reports, orders, order):
+    """Write the JSON report of a space-time residual study to ``path``."""
     path.write_text(json.dumps({
         "levels": [{k: getattr(r, k) for k in ("nx", "nt", "sup", "l2", "fd_error_estimate",
                                                "at_interpolation_floor")} for r in reports],
         "orders": list(orders), "fitted_order": order,
     }, indent=2) + "\n")
-    return reports, order
 
 
 @command("localize", "full localizing-solution pipeline",
@@ -245,22 +243,24 @@ def _residual_study(sol, path, **kwargs):
          Param("nx", POS_INT, 401), *EPS_TOL)
 def _localize(p, out):
     prof, sol = _solution(p, _shoot(p, p["lam"])[1])
-    paths = [Path(f"{out}_{name}") for name in (
-        "profile.csv", "spacetime.csv", "diagnostics.csv", "residual.json")]
-    _profile_csv(prof, paths[0])
+    # everything is computed before the first file is written, so a failure leaves none
     xmax, tmax = p["xmax"], p["tmax"]
     x = np.linspace(-xmax, xmax, p["nx"])
     ts = np.linspace(0.0, tmax, p["frames"])
     u, sigma, theta = (np.concatenate(c) for c in zip(*(sol.evaluate(x, t) for t in ts)))
+    diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
+    study = residual_convergence(sol, x_span=(-xmax, xmax), t_span=(0.0, min(tmax, 10.0)))
+    paths = [Path(f"{out}_{name}") for name in (
+        "profile.csv", "spacetime.csv", "diagnostics.csv", "residual.json")]
+    _profile_csv(prof, paths[0])
     meta = {"n": p["n"], "alpha": p["alpha"], "theta0": p["theta0"], "lambda": p["lam"],
             "sigma0": p["sigma0"]}
     write_csv(paths[1], {"x": np.tile(x, ts.size), "t": np.repeat(ts, x.size),
                          "u": u, "sigma": sigma, "theta": theta},
               {**meta, "xmax": xmax, "tmax": tmax})
-    diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
     write_csv(paths[2], vars(diag), meta)
-    reports, order = _residual_study(sol, paths[3], x_span=(-xmax, xmax),
-                                     t_span=(0.0, min(tmax, 10.0)))
+    _write_residual_study(paths[3], *study)
+    reports, _, order = study
     return paths, f"fitted_order={order:.3f} sup_residual={max(reports[-1].sup):.3e}"
 
 
@@ -269,10 +269,11 @@ def _localize(p, out):
          Param("nt0", _at_least(9), 17), Param("levels", POS_INT, 4), *EPS_TOL)
 def _residual(p, out):
     _, sol = _solution(p, _shoot(p, p["lam"])[1])
+    study = residual_convergence(sol, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
+                                 nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
     path = Path(f"{out}.json")
-    _, order = _residual_study(sol, path, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
-                               nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
-    return [path], f"fitted_order={order:.3f}"
+    _write_residual_study(path, *study)
+    return [path], f"fitted_order={study[2]:.3f}"
 
 
 @command("simulate", "direct nonlinear simulation",

@@ -30,6 +30,7 @@ from .material import power_law_stress
 from .orbit import OrbitPath, PlanarParams
 
 __all__ = [
+    "SIGMA0_RANGE",
     "Profile",
     "ResidualReport",
     "EndpointReport",
@@ -116,16 +117,27 @@ class Profile:
         return U, Sigma, Theta
 
 
+# xi scales with sigma0 (Sigma ~ sigma0 near the origin), and the solution's
+# fields with sigma0 or 1/sigma0: inside this range the inner extension's xi^2
+# and the residual norms' r^2 stay finite
+SIGMA0_RANGE = (1e-150, 1e150)
+
+
 def reconstruct(path: OrbitPath) -> Profile:
     """Convert a reparametrized orbit into its profile triple.
 
     Samples at xi = e^eta over the path's own grid; endpoint data follow from
     U0 Sigma0 = c_nu and Theta0 = ((n+1)/alpha) log U0 - (1/alpha) log c_nu.
+    Raises RangeError for a sigma0 outside SIGMA0_RANGE.
     """
     if path.sigma0 is None:
         raise ParameterError("path must be reparametrized (sigma0 fixed) first")
     p = path.params
     sigma0 = path.sigma0
+    lo, hi = SIGMA0_RANGE
+    if not lo <= sigma0 <= hi:
+        raise RangeError(f"sigma0 = {sigma0:.3e} is outside [{lo:g}, {hi:g}], "
+                         "where the profile and its residuals stay finite")
     U0 = p.c_nu / sigma0
     Theta0 = (p.n + 1.0) / p.alpha * math.log(U0) - math.log(p.c_nu) / p.alpha
     xi = np.exp(path.eta)

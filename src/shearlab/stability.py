@@ -181,13 +181,17 @@ def asymptotic_eigen(params: MaterialParams, k: float, j: int):
     return lam_m, lam_p, "diffusive"
 
 
+def _mode_entries(params: MaterialParams, k, j: int):
+    """The entries (a11, a12, a21, a22) of the mode-j matrix; only a22 depends on k."""
+    x = (j * math.pi) ** 2
+    return -params.n * x, params.alpha * x, params.n + 1.0, -params.alpha - k * x
+
+
 def mode_matrix(params: MaterialParams, k, j: int) -> np.ndarray:
     """The 2x2 coefficient matrix of mode j at diffusion k; a stack of them for an array k."""
-    x = (j * math.pi) ** 2
     k = np.asarray(k, dtype=float)
     a = np.empty(k.shape + (2, 2))
-    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0] = -params.n * x, params.alpha * x, params.n + 1.0
-    a[..., 1, 1] = -params.alpha - k * x
+    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = _mode_entries(params, k, j)
     return a
 
 
@@ -265,12 +269,12 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     except ValueError as exc:
         raise ParameterError(f"tau_eval: {exc}") from None
 
-    def matrix(tau):   # k = inf past the float range, which the propagator reports
-        return mode_matrix(params, np.full(tau.shape, frozen_k) if frozen_k is not None
-                           else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)
+    def entries(tau):   # k = inf past the float range, which the propagator reports
+        return _mode_entries(params, np.full(tau.shape, frozen_k) if frozen_k is not None
+                             else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)
 
     grid = np.union1d(0.0, taus)    # the solution starts at tau = 0, which taus need not hold
-    sol = solve_ivp(matrix, grid, init, rtol=rtol, atol=1e-14)
+    sol = solve_ivp(entries, grid, init, rtol=rtol, atol=1e-14)
     skip = grid.size - taus.size
     return ModeTrajectory(j=j, taus=taus, u=sol.y[0, skip:], theta=sol.y[1, skip:],
                           method="magnus")

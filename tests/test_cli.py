@@ -542,7 +542,7 @@ def test_tiny_t_end_is_usage_error(tmp_path, via):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
-@pytest.mark.parametrize("sigma0", ["1e100", "1e150", "1e300"])
+@pytest.mark.parametrize("sigma0", ["1e100", "1e150"])
 def test_overflowing_endpoint_fits_are_numerical_failure(tmp_path, sigma0):
     proc = subprocess.run([sys.executable, "-m", "shearlab.cli", "profile", "--sigma0", sigma0,
                            "--out-dir", str(tmp_path)], env=_cli_env(),
@@ -551,6 +551,20 @@ def test_overflowing_endpoint_fits_are_numerical_failure(tmp_path, sigma0):
     assert json.loads(proc.stderr.splitlines()[-1]) == {
         "error": "RangeError", "message": f"endpoint fits overflow at sigma0 = {float(sigma0):.3e}"}
     assert "DLASCL" not in proc.stdout + proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sigma0", ["1e300", "1e-300"])
+@pytest.mark.parametrize("cmd", ["profile", "localize", "residual"])
+def test_extreme_sigma0_is_rejected_before_any_output(tmp_path, cmd, sigma0):
+    proc = subprocess.run([sys.executable, "-m", "shearlab.cli", cmd, "--sigma0", sigma0,
+                           "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "RangeError", "message": f"sigma0 = {float(sigma0):.3e} is outside "
+        "[1e-150, 1e+150], where the profile and its residuals stay finite"}
+    assert not list(tmp_path.iterdir())
 
 
 FLOAT_PARAMS = [(cmd, prm.key, prm.flag or "--" + prm.key.replace("_", "-"))

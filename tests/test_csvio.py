@@ -44,6 +44,30 @@ def test_write_csv_matches_per_element_format(tmp_path, length):
         assert np.array_equal(data["f"], columns["f"], equal_nan=True)
 
 
+INT_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("length", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_write_csv_int_columns_are_str_per_element(tmp_path, length):
+    # each dtype's extremes, 0, small and negative values, and every digit count
+    columns = {}
+    for dtype in INT_TYPES:
+        info = np.iinfo(dtype)
+        edges = [info.min, info.max, 0, 1, 9, 10, info.max - 1, info.min + 1, info.max // 10,
+                 info.max // 10 + 1]
+        edges += [-1, -9, -10, info.min // 10] if info.min else []
+        decades = [v for v in (10 ** np.arange(20, dtype=np.uint64)).tolist() if v <= info.max]
+        values = edges + decades + [v - 1 for v in decades] + [-v for v in decades if info.min]
+        values += np.random.default_rng(7).integers(info.min, info.max, 300, dtype=dtype,
+                                                    endpoint=True).tolist()
+        columns[np.dtype(dtype).name] = np.array(values, dtype=dtype)[np.arange(length)
+                                                                      % len(values)]
+    write_csv(tmp_path / "new.csv", columns)
+    lines = [",".join(columns)] + [",".join(str(int(a[i])) for a in columns.values())
+                                   for i in range(length)]
+    assert (tmp_path / "new.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize("texts", [
     ["naïve", "", "日本語", "😀 x", "a\x00b", "plain"],       # non-ASCII, empty, interior NUL
     ["café", "ü", "x"],                                       # Latin-1 only: two bytes each

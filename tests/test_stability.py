@@ -416,11 +416,17 @@ def _expm_cases():
     }
 
 
+def _expm2_stack(w):
+    """``_magnus._expm2`` on the four entries of a stack of 2x2 matrices, stacked back."""
+    return np.stack(_magnus._expm2(w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]),
+                    -1).reshape(w.shape)
+
+
 @pytest.mark.parametrize("case", ["random", "complex", "delta-to-0", "scalar", "very-negative"])
 def test_expm2_matches_scipy(case):
     from scipy.linalg import expm
     w = _expm_cases()[case]
-    ours = _magnus._expm2(w)
+    ours = _expm2_stack(w)
     ref = np.array([expm(m) for m in w])
     assert np.all(np.isfinite(ours))
     # SciPy's Pade approximant is itself off by up to 2e-12 on the random cases
@@ -439,24 +445,102 @@ def test_expm2_keeps_the_small_entries_of_a_stiff_step():
         w = h * np.array([[-0.05 * x, 0.5 * x], [1.05, -0.5 - k * x]])
         with mpmath.workdps(50):
             ref = np.array(mpmath.expm(mpmath.matrix(w.tolist())).tolist(), dtype=float)
-        assert np.allclose(_magnus._expm2(w), ref, rtol=1e-13, atol=0.0), (k, h)
+        assert np.allclose(_expm2_stack(w), ref, rtol=1e-13, atol=0.0), (k, h)
 
 
 def test_nfev_counts_matrix_evaluations():
     points = []
 
-    def matrix(t):
+    def entries(t):
         points.append(t.size)
-        a = np.empty(t.shape + (2, 2))
-        a[..., 0, 0], a[..., 0, 1], a[..., 1, 0] = -1.0, 3.0, 1.0
-        a[..., 1, 1] = -2.0 - 50.0 * t ** 2
-        return a
+        return -1.0, 3.0, 1.0, -2.0 - 50.0 * t ** 2
 
-    sol = _magnus.solve_ivp(matrix, np.linspace(0.0, 3.0, 31), (1.0, 0.5), rtol=1e-10,
+    sol = _magnus.solve_ivp(entries, np.linspace(0.0, 3.0, 31), (1.0, 0.5), rtol=1e-10,
                             atol=1e-14)
     assert sol.nfev == sum(points) > 6 * 30       # some intervals were refined
     assert sol.njev == 0 and sol.nlu == 0 and sol.status == 0
 
+
+
+# The propagator kernel as it was on (..., 2, 2) stacks with NumPy's matmul: the
+# reference that the entrywise kernel of _magnus must match to rounding.
+def _stacked_expm2(w):
+    a, b, c, d = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
+    m, p = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
+    q, r, sign = np.abs(p), np.sqrt(np.abs(b)) * np.sqrt(np.abs(c)), np.sign(b) * np.sign(c)
+    with np.errstate(all="ignore"):
+        delta = np.where(sign >= 0, np.hypot(q, r), np.sqrt(np.abs(q - r)) * np.sqrt(q + r))
+        oscillating = (sign < 0) & (q < r)
+        large = ~oscillating & (delta >= 1.0)
+        big = m + np.copysign(delta, m)
+        small = (a / big) * d - (b / big) * c
+        e_up, e_down = np.exp(np.where(m >= 0, (big, small), (small, big)))
+        d_q = sign * r * (r / (delta + q))
+        d_plus, d_minus = np.where(p >= 0, (delta + q, d_q), (d_q, delta + q))
+        cosh = np.exp(m) * np.where(oscillating, np.cos(delta), np.cosh(delta))
+        sinhc = np.exp(m) * np.where(delta == 0.0, 1.0, np.where(oscillating, np.sin(delta),
+                                                                 np.sinh(delta)) / delta)
+        s = np.where(large, (e_up - e_down) / (2.0 * delta), sinhc)
+        d0 = np.where(large, (e_up * d_plus + e_down * d_minus) / (2.0 * delta), cosh + sinhc * p)
+        d1 = np.where(large, (e_up * d_minus + e_down * d_plus) / (2.0 * delta), cosh - sinhc * p)
+    return np.stack([np.stack([d0, s * b], -1), np.stack([s * c, d1], -1)], -2)
+
+
+def _stacked_propagators(matrix, lo, hi, m):
+    h = ((hi - lo) / m)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = matrix(lo[:, None, None] + h * (np.arange(m)[:, None] + _magnus._NODES))
+        a1, a2, h = a[:, :, 0], a[:, :, 1], h[..., None]
+        omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+        p = _stacked_expm2(omega)
+        while p.shape[1] > 1:
+            p = p[:, 1::2] @ p[:, 0::2]
+    return p[:, 0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 32])
+@pytest.mark.parametrize("j", [1, 40])
+@pytest.mark.parametrize("theta0, kappa", BOX)
+def test_entrywise_propagators_match_the_stacked_kernel(theta0, kappa, j, m):
+    # only the summation order of the 2x2 products differs
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    t = np.linspace(0.0, _energy_horizon(params) if j == 1 else 10.0, stability.MODE_POINTS)
+
+    def k(tau):
+        return params.kappa * np.exp(params.log_c0 + params.alpha * tau)
+
+    ours = _magnus._propagators(lambda tau: stability._mode_entries(params, k(tau), j),
+                                t[:-1], t[1:], m)
+    ref = _stacked_propagators(lambda tau: mode_matrix(params, k(tau), j), t[:-1], t[1:], m)
+    ref = ref.reshape(-1, 4)
+    assert np.all(np.isfinite(ref))
+    assert np.all(np.abs(ours - ref).max(axis=1) <= 1e-14 * np.abs(ref).max(axis=1))
+
+
+# nfev of modes 1-3 to the energy horizon and of mode 40 to tau = 10 at each BOX
+# point, as the stacked kernel's step doubling chose it
+STACKED_NFEV = {(-1.0, 0.01): (75362, 158338, 74458, 12962),
+                (-1.0, 0.2): (50690, 71266, 18154, 7522),
+                (0.0, 0.1): (51474, 75266, 18578, 7522),
+                (1.0, 0.01): (69562, 146482, 44706, 9450),
+                (1.0, 0.2): (44554, 51778, 18210, 7762)}
+
+
+@pytest.mark.parametrize("theta0, kappa", BOX)
+def test_step_doubling_does_the_work_of_the_stacked_kernel(monkeypatch, theta0, kappa):
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    tau_end = _energy_horizon(params)
+    results = []
+    real = stability.solve_ivp
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(stability, "solve_ivp", recorded)
+    for j, end in ((1, tau_end), (2, tau_end), (3, tau_end), (40, 10.0)):
+        integrate_mode(params, j, (1.0, 1.0), end)
+    assert tuple(int(r.nfev) for r in results) == STACKED_NFEV[theta0, kappa]
 
 # (mode, tau_end) of the two regimes a cost estimate once sent to different
 # integrators: a non-stiff mode, and a stiff one (over 2e4 explicit steps)
