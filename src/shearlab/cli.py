@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv, write_manifest
-from .errors import ShearlabError, UnresolvedTailError
+from .errors import RangeError, ShearlabError, UnresolvedTailError
 from .material import MaterialParams, ScalingParams, uniform_shear, tau_of_t, t_of_tau
 from .stability import spectrum, integrate_mode, energy_certificate, energy_decay_check
 from .orbit import PlanarParams, estimate_kappa1, shoot_heteroclinic, reparametrize
@@ -222,11 +222,23 @@ def _profile(p, out):
     return [csv, report_path], f"residual_sup={max(res.sup):.3e}"
 
 
-def _solution(p, orbit):
-    """The profile of ``orbit`` at ``sigma0`` and the localizing solution built on it."""
+def _solution(p, orbit, t_end):
+    """The profile of ``orbit`` at ``sigma0`` and the localizing solution built on it.
+
+    Raises RangeError, before any evaluation, when |x| <= xmax up to ``t_end``
+    reaches beyond the profile's outer window: xi_max scales with sigma0.
+    """
     prof = reconstruct(reparametrize(orbit, p["sigma0"]))
     scaling = ScalingParams(lam=p["lam"], sigma0=p["sigma0"])
-    return prof, LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
+    sol = LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
+    # the largest |xi| = sqrt(lam) |x| phi(t) of the grids, computed as evaluate does
+    xi = math.sqrt(p["lam"]) * p["xmax"] * sol.phi(t_end)
+    cap = prof.xi_max * sol.outer_window_factor
+    if xi > cap:
+        raise RangeError(f"xmax = {p['xmax']:g} reaches xi = {xi:.3e} by t = {t_end:g}, beyond "
+                         f"the outer validity window ({cap:.3e}) of the profile at sigma0 = "
+                         f"{p['sigma0']:.3e}; raise sigma0 or lower xmax")
+    return prof, sol
 
 
 def _write_residual_study(path, reports, orders, order):
@@ -242,12 +254,12 @@ def _write_residual_study(path, reports, orders, order):
          *SOLUTION, Param("tmax", POS, 200.0), Param("frames", POS_INT, 9),
          Param("nx", POS_INT, 401), *EPS_TOL)
 def _localize(p, out):
-    prof, sol = _solution(p, _shoot(p, p["lam"])[1])
-    # everything is computed before the first file is written, so a failure leaves none
     xmax, tmax = p["xmax"], p["tmax"]
+    prof, sol = _solution(p, _shoot(p, p["lam"])[1], tmax)
+    # everything is computed before the first file is written, so a failure leaves none
     x = np.linspace(-xmax, xmax, p["nx"])
     ts = np.linspace(0.0, tmax, p["frames"])
-    u, sigma, theta = (np.concatenate(c) for c in zip(*(sol.evaluate(x, t) for t in ts)))
+    u, sigma, theta = (f.ravel() for f in sol.evaluate(x[None, :], ts[:, None]))
     diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
     study = residual_convergence(sol, x_span=(-xmax, xmax), t_span=(0.0, min(tmax, 10.0)))
     paths = [Path(f"{out}_{name}") for name in (
@@ -268,7 +280,7 @@ def _localize(p, out):
          *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", _at_least(9), 33),
          Param("nt0", _at_least(9), 17), Param("levels", POS_INT, 4), *EPS_TOL)
 def _residual(p, out):
-    _, sol = _solution(p, _shoot(p, p["lam"])[1])
+    _, sol = _solution(p, _shoot(p, p["lam"])[1], p["tmax"])
     study = residual_convergence(sol, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
                                  nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
     path = Path(f"{out}.json")

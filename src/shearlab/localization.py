@@ -112,6 +112,11 @@ class SpaceTimeResidual:
         return max(self.sup)
 
 
+def _check_grid(g, name):
+    if g.size < 9 or not np.allclose(np.diff(g), g[1] - g[0], rtol=1e-9, atol=1e-15):
+        raise ParameterError(f"{name} grid must be uniform with >= 9 points")
+
+
 def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
     """Evaluate the solution on the grid and difference it against the PDE.
 
@@ -122,14 +127,15 @@ def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    for g, name in ((x, "x"), (t, "t")):
-        if g.size < 9 or not np.allclose(np.diff(g), g[1] - g[0], rtol=1e-9, atol=1e-15):
-            raise ParameterError(f"{name} grid must be uniform with >= 9 points")
+    _check_grid(x, "x")
+    _check_grid(t, "t")
+    return _difference(sol.params, x, t, *sol.evaluate(x[:, None], t[None, :]))
+
+
+def _difference(params: MaterialParams, x, t, u, sigma, theta) -> SpaceTimeResidual:
+    """The residual norms of fields (u, sigma, theta) given on the grid x by t."""
     hx = x[1] - x[0]
     ht = t[1] - t[0]
-    X = x[:, None]
-    T = t[None, :]
-    u, sigma, theta = sol.evaluate(X, T)
 
     du_dt = _d4(u, ht, axis=1)
     dth_dt = _d4(theta, ht, axis=1)
@@ -138,10 +144,10 @@ def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
 
     r1 = du_dt - d2sig_dx2
     r2 = dth_dt - sigma * u
-    r3 = sigma - power_law_stress(sol.params.alpha, sol.params.n, theta, u)
+    r3 = sigma - power_law_stress(params.alpha, params.n, theta, u)
 
     # stride-2 Richardson estimate of the differentiation error
-    u2, sigma2, theta2 = u[::2, ::2], sigma[::2, ::2], theta[::2, ::2]
+    u2, sigma2 = u[::2, ::2], sigma[::2, ::2]
     du_dt2 = _d4(u2, 2 * ht, axis=1)
     dsig_dx2c = _d4(_d4(sigma2, 2 * hx, axis=0), 2 * hx, axis=0)
     est1 = np.abs(du_dt2 - du_dt[::2, ::2]) / 15.0
@@ -161,16 +167,28 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
                          nx0: int = 33, nt0: int = 17, levels: int = 4):
     """Sup residuals under grid refinement and the fitted convergence order.
 
-    Doubles both grids per level.  The order is fitted from consecutive
-    levels whose residual still sits above the interpolation floor.
+    Doubles both grids per level.  The solution is evaluated once, on the
+    finest grid; each coarser level is its stride-2**k slice, which is the
+    level's own np.linspace grid bit for bit (halving a step is exact), so
+    every level's report is that of ``pde_residual`` on its grid.  The order
+    is fitted from consecutive levels whose residual still sits above the
+    interpolation floor.
     """
-    reports = []
-    for lev in range(levels):
-        nx = (nx0 - 1) * 2 ** lev + 1
-        nt = (nt0 - 1) * 2 ** lev + 1
-        x = np.linspace(*x_span, nx)
-        t = np.linspace(*t_span, nt)
-        reports.append(pde_residual(sol, x, t))
+    if levels < 1:
+        raise ParameterError(f"levels must be >= 1, got {levels}")
+    for n0, name in ((nx0, "x"), (nt0, "t")):
+        if n0 < 9:
+            raise ParameterError(f"{name} grid must be uniform with >= 9 points")
+    top = levels - 1
+    x = np.linspace(*x_span, (nx0 - 1) * 2 ** top + 1)
+    t = np.linspace(*t_span, (nt0 - 1) * 2 ** top + 1)
+    strides = [2 ** (top - lev) for lev in range(levels)]
+    for k in strides:
+        _check_grid(x[::k], "x")
+        _check_grid(t[::k], "t")
+    fields = sol.evaluate(x[:, None], t[None, :])
+    reports = [_difference(sol.params, x[::k], t[::k], *(f[::k, ::k] for f in fields))
+               for k in strides]
     sups = np.array([max(r.sup[0], r.sup[1]) for r in reports])
     orders = np.log2(sups[:-1] / sups[1:])
     valid = [o for o, ra, rb in zip(orders, reports[:-1], reports[1:])
@@ -189,11 +207,52 @@ class BandDiagnostics:
     theta_excess: np.ndarray
 
 
+def _heap_midpoints(lo: float, hi: float, depth: int) -> list:
+    """The midpoints ``depth`` halvings of [lo, hi] can reach, as a heap: node i
+    halves a bracket whose lower half is node 2i+1 and upper half node 2i+2."""
+    ends, mids = [(lo, hi)], []
+    while len(mids) < 2 ** depth - 1:
+        a, b = ends[len(mids)]
+        m = 0.5 * (a + b)
+        mids.append(m)
+        ends += [(a, m), (m, b)]
+    return mids
+
+
+_HALVINGS = 80          # the bisection's step cap
+_HALVINGS_PER_CALL = 6  # 63 midpoints per profile call
+
+
+def _bisect_down(profile, level: float, lo: float, hi: float):
+    """Bisect [lo, hi] toward the point where profile U falls through ``level``.
+
+    Each profile call evaluates the midpoints of the next ``_HALVINGS_PER_CALL``
+    halvings; the walk through them takes the same midpoints and comparisons as
+    one scalar call per halving, so the bracket is the same bit for bit.
+    """
+    for done in range(0, _HALVINGS, _HALVINGS_PER_CALL):
+        mids = _heap_midpoints(lo, hi, min(_HALVINGS_PER_CALL, _HALVINGS - done))
+        above = profile(np.array(mids))[0] > level
+        node = 0
+        while node < len(mids):
+            mid = mids[node]
+            if mid == lo or mid == hi:
+                return lo, hi   # lo and hi are adjacent floats: no later step can move them
+            if above[node]:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
+    return lo, hi
+
+
 def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
     """peak_u = u(0,t); halfwidth solves u(x,t) = peak/2; theta_excess = theta(0,t) - theta_s(t).
 
     Since u = phi U(sqrt(lam) x phi), the half width is xi_half / (sqrt(lam) phi(t))
-    with xi_half the root of U(xi) = U(0)/2, found once by bisection on the profile.
+    with xi_half the root of U(xi) = U(0)/2, found once by bisection on the
+    profile: at most 80 halvings, stopping once the bracket ends are adjacent
+    floats.  The midpoints of six halvings go to the profile in one call; the
+    bracket, and so every output bit, is that of one scalar call per halving.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or np.any(t_grid < 0):
@@ -203,15 +262,7 @@ def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
     hi = 1.0
     while sol.profile(hi)[0] > half:
         hi *= 2.0
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break   # lo and hi are adjacent floats: no later step can move them
-        if sol.profile(mid)[0] > half:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect_down(sol.profile, half, 0.0, hi)
     xi_half = 0.5 * (lo + hi)
     peaks, _, theta0 = sol.evaluate(0.0, t_grid)
     widths = xi_half / (math.sqrt(sol.scaling.lam) * sol.phi(t_grid))

@@ -51,6 +51,11 @@ def _triple_from_ab(p: PlanarParams, eta, la, lb):
     return U, Sigma, Theta
 
 
+# points per block of a profile evaluation: the interpolation gathers eight
+# Hermite coefficients per point, and a block's temporaries fit in a core's cache
+_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class Profile:
     """Sampled localizing profile with an evaluator valid on all of R (even in xi).
@@ -87,14 +92,26 @@ class Profile:
         return math.log(self.path.a[-1]), math.log(self.path.b[-1])
 
     def __call__(self, xi):
-        """Evaluate (U, Sigma, Theta) at any xi; the extension is even."""
-        xi = np.abs(np.asarray(xi, dtype=float))
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        U = np.empty_like(xi)
-        Sigma = np.empty_like(xi)
-        Theta = np.empty_like(xi)
+        """Evaluate (U, Sigma, Theta) at any xi; the extension is even.
 
+        A scalar gives floats, an array gives arrays of its shape.  The
+        flattened input goes through in blocks of ``_BLOCK`` points, so the
+        interpolation's temporaries stay in cache; each point's value is the
+        same as when it is evaluated alone.
+        """
+        xi = np.abs(np.asarray(xi, dtype=float))
+        flat = xi.ravel()
+        out = np.empty((3, flat.size))
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            self._evaluate(flat[block], *(f[block] for f in out))
+        if xi.ndim == 0:
+            return tuple(float(f[0]) for f in out)
+        return tuple(f.reshape(xi.shape) for f in out)
+
+    def _evaluate(self, xi, U, Sigma, Theta):
+        """Write (U, Sigma, Theta) at the points of a 1-D array of xi >= 0 into the
+        arrays given."""
         inner = xi < self.xi_min
         outer = xi > self.xi_max
         mid = ~(inner | outer)
@@ -112,9 +129,6 @@ class Profile:
             la_end, lb_end = self._outer_state
             U[outer], Sigma[outer], Theta[outer] = _triple_from_ab(
                 self.p, np.log(xi[outer]), la_end, lb_end)
-        if scalar:
-            return float(U[0]), float(Sigma[0]), float(Theta[0])
-        return U, Sigma, Theta
 
 
 # xi scales with sigma0 (Sigma ~ sigma0 near the origin), and the solution's

@@ -567,6 +567,19 @@ def test_extreme_sigma0_is_rejected_before_any_output(tmp_path, cmd, sigma0):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cmd", ["localize", "residual"])
+def test_outer_window_error_names_sigma0_and_xmax(tmp_path, cmd):
+    # the profile's outer end xi_max scales with sigma0, so x = xmax leaves its window
+    proc = subprocess.run([sys.executable, "-m", "shearlab.cli", cmd, "--sigma0", "1e-100",
+                           "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "RangeError"
+    assert "sigma0 = 1.000e-100" in error["message"] and "xmax = 5 " in error["message"]
+    assert not list(tmp_path.iterdir())
+
+
 FLOAT_PARAMS = [(cmd, prm.key, prm.flag or "--" + prm.key.replace("_", "-"))
                 for cmd, (_, params, _) in COMMANDS.items() for prm in params
                 if prm.kind.__name__ == "float"]

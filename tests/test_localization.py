@@ -155,6 +155,37 @@ def test_residual_fourth_order_convergence(showcase_solution):
     assert max(finest.sup[0], finest.sup[1]) < 1e-6
 
 
+DEFAULT_STUDY = dict(x_span=(-5.0, 5.0), t_span=(0.0, 10.0), nx0=33, nt0=17, levels=4)
+
+
+@pytest.mark.parametrize("study", [
+    {},
+    # steps that are not binary fractions; nx0 = 17 is the least for which the
+    # coarsest level's stride-2 sigma_xx estimate has an interior point
+    dict(x_span=(-3.7, 2.9), t_span=(0.3, 7.1), nx0=17, nt0=9, levels=3),
+], ids=["default", "odd-spans"])
+def test_residual_levels_equal_independent_grids_bit_for_bit(showcase_solution, study):
+    reports, _, _ = residual_convergence(showcase_solution, **study)
+    s = {**DEFAULT_STUDY, **study}
+    assert len(reports) == s["levels"]
+    for lev, report in enumerate(reports):
+        x = np.linspace(*s["x_span"], (s["nx0"] - 1) * 2 ** lev + 1)
+        t = np.linspace(*s["t_span"], (s["nt0"] - 1) * 2 ** lev + 1)
+        assert report == pde_residual(showcase_solution, x, t)
+
+
+def test_residual_study_checks_its_arguments_before_evaluating(showcase_solution):
+    counting = _CountingProfile(showcase_solution.profile)
+    sol = replace(showcase_solution, profile=counting)
+    with pytest.raises(ParameterError, match="levels must be >= 1"):
+        residual_convergence(sol, levels=0)
+    with pytest.raises(ParameterError, match="x grid must be uniform with >= 9 points"):
+        residual_convergence(sol, nx0=8)
+    with pytest.raises(ParameterError, match="t grid must be uniform with >= 9 points"):
+        residual_convergence(sol, nt0=0)
+    assert counting.calls == 0
+
+
 def test_out_of_window_guard(showcase_solution):
     sol = replace(showcase_solution, outer_window_factor=1.0)
     xi_max = sol.profile.xi_max
@@ -244,13 +275,16 @@ def test_band_bisection_early_exit_is_bit_identical(n, alpha, lam):
 
 
 def test_band_bisection_stops_at_adjacent_floats(showcase_solution):
-    """The showcase bracket shrinks to adjacent floats after 53 halvings; the
-    27 profile calls the full loop makes after that are skipped."""
+    """The showcase bracket shrinks to adjacent floats after 53 halvings, so the
+    54th midpoint ends the walk in the ninth profile call of six halvings each;
+    without the stop the 80 halvings would take 14 calls."""
     full = _CountingProfile(showcase_solution.profile)
     _full_bisection_xi_half(full)
+    doubling = full.calls - 1 - 80   # less the U(0) call and the 80 halvings
     counting = _CountingProfile(showcase_solution.profile)
     band_diagnostics(replace(showcase_solution, profile=counting), np.linspace(0.0, 200.0, 9))
-    assert counting.calls - 1 == full.calls - (80 - 53)   # - 1: the grid evaluation
+    # U(0), the doubling, nine batches and the grid evaluation
+    assert counting.calls == 1 + doubling + 9 + 1
 
 
 def test_larger_lambda_localizes_faster():

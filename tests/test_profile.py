@@ -124,6 +124,24 @@ def test_profile_is_even_bit_for_bit(ref_profile, points):
         assert _bits(ref_profile(-x)) == _bits(ref_profile(x))
 
 
+@pytest.mark.parametrize("shape", [(1,), (4095,), (4096,), (4097,), (3 * 4096 + 7,), (3, 4097)],
+                         ids=str)
+def test_blocked_evaluation_matches_pointwise_bit_for_bit(ref_profile, shape):
+    lo, hi = ref_profile.xi_min, ref_profile.xi_max
+    rng = np.random.default_rng(sum(shape))
+    u = rng.uniform(size=shape)
+    # inner, resolved and outer points, mixed, half of them negative
+    xi = np.choose(rng.integers(3, size=shape),
+                   [lo * u, lo * (hi / lo) ** u, hi * (1.0 + 1e3 * u)])
+    xi *= rng.choice([-1.0, 1.0], size=shape)
+    blocked = ref_profile(xi)
+    pointwise = [ref_profile(x) for x in xi.ravel()]
+    assert all(type(v) is float for v in pointwise[0])
+    for field, values in zip(blocked, zip(*pointwise)):
+        assert field.shape == shape
+        assert field.ravel().tobytes() == np.array(values).tobytes()
+
+
 def test_profile_ordering_and_monotonicity(ref_profile):
     prof = ref_profile
     xi = np.geomspace(prof.xi_min, prof.xi_max, 5000)
