@@ -109,12 +109,11 @@ def _tables() -> _Tables:
     lead = np.zeros((10, 8), dtype=np.uint8)
     lead[:] = np.frombuffer(b"-0.000\x00.", dtype=np.uint8)
     lead[:, 6] = np.arange(10) + 48
-    q = np.arange(10_000)
-    qd = q[:, None] // np.array([1000, 100, 10, 1]) % 10
+    digits = _quad_digits()
     quad = np.zeros((10_000, 8), dtype=np.uint8)
-    quad[:, 0::2], quad[:, 1::2] = qd + 48, ord(".")
-    last = 4 - np.argmax(qd[:, ::-1] != 0, axis=1)
-    last = np.where(q > 0, last + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
+    quad[:, 0::2], quad[:, 1::2] = digits, ord(".")
+    last = 4 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    last = np.where(np.arange(10_000) > 0, last + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
 
     e = np.arange(_E_MIN, _E_MAX + 1)
     exp = np.zeros((e.size, 8), dtype=np.uint8)
@@ -332,12 +331,12 @@ def read_csv(path):
 
 def write_manifest(path, subcommand: str, parameters: dict, outputs: list,
                    tolerances: dict | None = None, seed=None,
-                   duration: float | None = None, inputs: list | None = None) -> None:
+                   duration: float | None = None) -> None:
     """Record everything needed to reproduce a run bit-for-bit."""
     manifest = {
         "subcommand": subcommand,
         "parameters": parameters,
-        "inputs": inputs or [],
+        "inputs": [],
         "outputs": [str(o) for o in outputs],
         "tolerances": tolerances or {},
         "seed": seed,

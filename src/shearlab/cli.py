@@ -22,12 +22,14 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv, write_manifest
-from .errors import RangeError, ShearlabError, UnresolvedTailError
-from .material import MaterialParams, ScalingParams, uniform_shear, tau_of_t, t_of_tau
+from .errors import ShearlabError, UnresolvedTailError
+from .material import (MaterialParams, ScalingParams, power_law_stress, uniform_shear,
+                       tau_of_t, t_of_tau)
 from .stability import spectrum, integrate_mode, energy_certificate, energy_decay_check
 from .orbit import PlanarParams, estimate_kappa1, shoot_heteroclinic, reparametrize
 from .profile import reconstruct, ode_residual, endpoint_report
-from .localization import LocalizedSolution, residual_convergence, band_diagnostics
+from .localization import (MIN_T_POINTS, MIN_X_POINTS, LocalizedSolution, band_diagnostics,
+                           residual_convergence)
 from .pdesim import MIN_SPAN, SimConfig, run as run_sim
 
 
@@ -222,23 +224,11 @@ def _profile(p, out):
     return [csv, report_path], f"residual_sup={max(res.sup):.3e}"
 
 
-def _solution(p, orbit, t_end):
-    """The profile of ``orbit`` at ``sigma0`` and the localizing solution built on it.
-
-    Raises RangeError, before any evaluation, when |x| <= xmax up to ``t_end``
-    reaches beyond the profile's outer window: xi_max scales with sigma0.
-    """
+def _solution(p, orbit):
+    """The profile of ``orbit`` at ``sigma0`` and the localizing solution built on it."""
     prof = reconstruct(reparametrize(orbit, p["sigma0"]))
     scaling = ScalingParams(lam=p["lam"], sigma0=p["sigma0"])
-    sol = LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
-    # the largest |xi| = sqrt(lam) |x| phi(t) of the grids, computed as evaluate does
-    xi = math.sqrt(p["lam"]) * p["xmax"] * sol.phi(t_end)
-    cap = prof.xi_max * sol.outer_window_factor
-    if xi > cap:
-        raise RangeError(f"xmax = {p['xmax']:g} reaches xi = {xi:.3e} by t = {t_end:g}, beyond "
-                         f"the outer validity window ({cap:.3e}) of the profile at sigma0 = "
-                         f"{p['sigma0']:.3e}; raise sigma0 or lower xmax")
-    return prof, sol
+    return prof, LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
 
 
 def _write_residual_study(path, reports, orders, order):
@@ -255,8 +245,9 @@ def _write_residual_study(path, reports, orders, order):
          Param("nx", POS_INT, 401), *EPS_TOL)
 def _localize(p, out):
     xmax, tmax = p["xmax"], p["tmax"]
-    prof, sol = _solution(p, _shoot(p, p["lam"])[1], tmax)
-    # everything is computed before the first file is written, so a failure leaves none
+    prof, sol = _solution(p, _shoot(p, p["lam"])[1])
+    # everything is computed before the first file is written, so a failure (such as
+    # evaluate's outer-window error) leaves none
     x = np.linspace(-xmax, xmax, p["nx"])
     ts = np.linspace(0.0, tmax, p["frames"])
     u, sigma, theta = (f.ravel() for f in sol.evaluate(x[None, :], ts[:, None]))
@@ -277,10 +268,10 @@ def _localize(p, out):
 
 
 @command("residual", "space-time residual convergence study",
-         *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", _at_least(9), 33),
-         Param("nt0", _at_least(9), 17), Param("levels", POS_INT, 4), *EPS_TOL)
+         *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", _at_least(MIN_X_POINTS), 33),
+         Param("nt0", _at_least(MIN_T_POINTS), 17), Param("levels", POS_INT, 4), *EPS_TOL)
 def _residual(p, out):
-    _, sol = _solution(p, _shoot(p, p["lam"])[1], p["tmax"])
+    _, sol = _solution(p, _shoot(p, p["lam"])[1])
     study = residual_convergence(sol, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
                                  nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
     path = Path(f"{out}.json")
@@ -303,13 +294,13 @@ def _simulate(p, out):
     config = SimConfig.from_dict(p)
     result = run_sim(config)
     params = config.material()
-    x = result.snapshots[0].grid.x
+    x, u, theta = result.x, result.u, result.theta
     meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "N")}
     snaps, diag = Path(f"{out}_snapshots.csv"), Path(f"{out}_diagnostics.csv")
-    rows = [(np.full(x.size, st.t), x, st.v, st.strain_rate(), st.theta, st.stress(params))
-            for st in result.snapshots]
-    write_csv(snaps, {k: np.concatenate(c) for k, c in
-                      zip(("t", "x", "v", "u", "theta", "sigma"), zip(*rows))}, meta)
+    # long format, frame-major; run has checked that every u is positive
+    write_csv(snaps, {"t": np.repeat(result.times, x.size), "x": np.tile(x, result.times.size),
+                      "v": result.v, "u": u, "theta": theta,
+                      "sigma": power_law_stress(params.alpha, params.n, theta, u)}, meta)
     write_csv(diag, {"t": result.times, "inhomogeneity": result.inhomogeneity,
                      "max_u": result.max_u, "mode1_u": result.mode1_u,
                      "mode1_theta": result.mode1_theta, "energy": result.energy},

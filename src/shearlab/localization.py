@@ -35,6 +35,13 @@ __all__ = [
     "band_diagnostics",
 ]
 
+# evaluate raises RangeError where |xi| exceeds the profile's resolved range
+# xi_max by more than this factor; in between it uses the asymptotic forms
+OUTER_WINDOW_FACTOR = 1e8
+# the fewest grid points a residual grid takes: the 4th-order stencils need 9,
+# and in x the stride-2 sigma_xx estimate, a stencil of a stencil, 17
+MIN_X_POINTS, MIN_T_POINTS = 17, 9
+
 
 @dataclass(frozen=True)
 class LocalizedSolution:
@@ -48,7 +55,6 @@ class LocalizedSolution:
     params: MaterialParams
     scaling: ScalingParams
     profile: object            # Profile or any evaluator with .nu
-    outer_window_factor: float = 1e8
 
     def __post_init__(self):
         if self.params.kappa != 0.0:
@@ -69,10 +75,11 @@ class LocalizedSolution:
     def evaluate(self, x, t):
         """(u, sigma, theta) at position(s) x and time(s) t >= 0; even in x.
 
-        x and t broadcast against each other.  Raises RangeError when the
-        similarity variable exceeds the profile's resolved range by more than
-        ``outer_window_factor`` (the asymptotic forms are used in between,
-        with the extrapolation implied by xi > profile.xi_max).
+        x and t broadcast against each other.  Raises RangeError, before the
+        profile is called, when the similarity variable exceeds the profile's
+        resolved range by more than ``OUTER_WINDOW_FACTOR`` (the asymptotic
+        forms are used in between, with the extrapolation implied by
+        xi > profile.xi_max); the message names the point of largest |xi|.
         """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -81,11 +88,14 @@ class LocalizedSolution:
         lam = self.scaling.lam
         phi = self.phi(t)
         xi = np.sqrt(lam) * x * phi
-        xi_cap = getattr(self.profile, "xi_max", np.inf) * self.outer_window_factor
-        if np.any(np.abs(xi) > xi_cap):
-            raise RangeError(
-                f"similarity variable {np.max(np.abs(xi)):.3e} beyond the outer "
-                f"validity window ({xi_cap:.3e})")
+        cap = getattr(self.profile, "xi_max", np.inf) * OUTER_WINDOW_FACTOR
+        if np.any(np.abs(xi) > cap):
+            xs, ts, xis = np.broadcast_arrays(np.abs(x), t, np.abs(xi))
+            i = np.argmax(xis)
+            raise RangeError(f"xmax = {xs.flat[i]:g} reaches xi = {xis.flat[i]:.3e} by "
+                             f"t = {ts.flat[i]:g}, beyond the outer validity window "
+                             f"({cap:.3e}) of the profile at sigma0 = "
+                             f"{self.scaling.sigma0:.3e}; raise sigma0 or lower xmax")
         U, Sigma, Theta = self.profile(xi)
 
         base = uniform_shear(self.params, t)
@@ -107,28 +117,25 @@ class SpaceTimeResidual:
     nx: int
     nt: int
 
-    @property
-    def sup_total(self) -> float:
-        return max(self.sup)
 
-
-def _check_grid(g, name):
-    if g.size < 9 or not np.allclose(np.diff(g), g[1] - g[0], rtol=1e-9, atol=1e-15):
-        raise ParameterError(f"{name} grid must be uniform with >= 9 points")
+def _check_grid(g, name, least):
+    if g.size < least or not np.allclose(np.diff(g), g[1] - g[0], rtol=1e-9, atol=1e-15):
+        raise ParameterError(f"{name} grid must be uniform with >= {least} points")
 
 
 def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
     """Evaluate the solution on the grid and difference it against the PDE.
 
-    x and t must be uniform 1-D grids.  Residuals are u_t - sigma_xx,
+    x and t must be uniform 1-D grids of at least ``MIN_X_POINTS`` and
+    ``MIN_T_POINTS`` points.  Residuals are u_t - sigma_xx,
     theta_t - sigma u and sigma - e^(-alpha theta) u^n, reported on the
     interior where the 4th-order stencils (and their stride-2 Richardson
     companions) fit.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    _check_grid(x, "x")
-    _check_grid(t, "t")
+    _check_grid(x, "x", MIN_X_POINTS)
+    _check_grid(t, "t", MIN_T_POINTS)
     return _difference(sol.params, x, t, *sol.evaluate(x[:, None], t[None, :]))
 
 
@@ -176,16 +183,16 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
     """
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
-    for n0, name in ((nx0, "x"), (nt0, "t")):
-        if n0 < 9:
-            raise ParameterError(f"{name} grid must be uniform with >= 9 points")
+    for n0, name, least in ((nx0, "x", MIN_X_POINTS), (nt0, "t", MIN_T_POINTS)):
+        if n0 < least:
+            raise ParameterError(f"{name} grid must be uniform with >= {least} points")
     top = levels - 1
     x = np.linspace(*x_span, (nx0 - 1) * 2 ** top + 1)
     t = np.linspace(*t_span, (nt0 - 1) * 2 ** top + 1)
     strides = [2 ** (top - lev) for lev in range(levels)]
     for k in strides:
-        _check_grid(x[::k], "x")
-        _check_grid(t[::k], "t")
+        _check_grid(x[::k], "x", MIN_X_POINTS)
+        _check_grid(t[::k], "t", MIN_T_POINTS)
     fields = sol.evaluate(x[:, None], t[None, :])
     reports = [_difference(sol.params, x[::k], t[::k], *(f[::k, ::k] for f in fields))
                for k in strides]

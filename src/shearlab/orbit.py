@@ -278,15 +278,15 @@ def _series_tail(p: PlanarParams, eta_j: float, a_j: float, tol: float):
 
 def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                        rtol: float = 1e-10, max_step: float = 0.01,
-                       s_max: float = 400.0, _retry: bool = True) -> OrbitPath:
+                       s_max: float = 400.0) -> OrbitPath:
     """Shoot the heteroclinic backward from the saddle to the node.
 
     Seeds at Q - eps * r_hat_minus (unit stable eigenvector, oriented into R),
     negates the field and integrates forward in s = -eta until a = A_JUNCTION,
     then continues on the slow-manifold series down to a = tol.  When
     lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it integrates until
-    ||state - P|| < tol instead.  Every sample must stay in R; a region exit
-    retries once with eps/10 (the manifold tangency error is O(eps^2)).
+    ||state - P|| < tol instead.  Every sample must stay in R: a trial step
+    that reaches b <= 0, or a sample outside R, raises RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
@@ -305,7 +305,8 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
 
     def backward(s, a, b):
         if b <= 0.0:
-            raise ParameterError("vector field undefined for b <= 0")
+            raise RegionExitError(f"a trial step left the region R at eta = {-s:.6g} "
+                                  f"(b = {b:.6g} <= 0)")
         return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
     series = p.lambda2 >= LAMBDA2_SERIES and tol < A_JUNCTION
@@ -345,9 +346,6 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
         b = np.concatenate([node_b + d_t, b])
 
     if not np.all(_in_region(a, b)):
-        if _retry:
-            return shoot_heteroclinic(p, eps / 10.0, tol, rtol, max_step, s_max,
-                                      _retry=False)
         bad = np.argmin(_in_region(a, b))
         raise RegionExitError(
             f"sample {bad} at (a={a[bad]:.6g}, b={b[bad]:.6g}) left the region R")

@@ -67,6 +67,7 @@ class Grid1D:
 
 
 def _strain_rate(v: np.ndarray, h: float) -> np.ndarray:
+    """The nodal strain rate of the velocities v, nodes along the first axis."""
     u = np.empty_like(v)
     u[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     u[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
@@ -76,11 +77,7 @@ def _strain_rate(v: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass
 class FieldState:
-    """Discretized (v, theta) state at one time.
-
-    A simulation owns its state exclusively; snapshots handed out by `run`
-    are independent copies.
-    """
+    """Discretized (v, theta) state at one time."""
 
     grid: Grid1D
     t: float
@@ -115,9 +112,6 @@ class FieldState:
         trap = float(np.trapezoid(self.strain_rate(), dx=self.grid.h))
         return mid, trap
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.t, self.v.copy(), self.theta.copy())
-
 
 # --- interleaved packing: z = [th_0, v_1, th_1, ..., v_{N-1}, th_{N-1}, th_N] ---
 # keeps the Jacobian banded (half bandwidth 4) for LSODA
@@ -133,10 +127,12 @@ def _pack(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return z
 
 
-def _unpack(z: np.ndarray, bc0: float, bc1: float):
-    N = (z.size) // 2
-    v = np.empty(N + 1)
-    theta = np.empty(N + 1)
+def _unpack(z: np.ndarray, bc0, bc1):
+    """(v, theta) of the packed state z; of a 2-D z, one state per column, in
+    Fortran order, so that their transposes hold one state per C-ordered row."""
+    N = z.shape[0] // 2
+    v = np.empty((N + 1, *z.shape[1:]), order="F")
+    theta = np.empty_like(v)
     v[0] = bc0
     v[N] = bc1
     theta[0] = z[0]
@@ -186,8 +182,10 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _integrate(state: FieldState, params: MaterialParams, t_eval,
-               rtol=1e-8, atol=1e-8, bc_v=None, sources=None):
+def _solve(state: FieldState, params: MaterialParams, t_eval,
+           rtol=1e-8, atol=1e-8, bc_v=None, sources=None):
+    """(t, v, theta) at the times ``t_eval`` after ``state.t``: the fields one
+    C-ordered row per time."""
     state.positive_strain_rate()
     rhs, bc0, bc1 = _make_rhs(state.grid, params, bc_v, sources)
     z0 = _pack(state.v, state.theta)
@@ -197,11 +195,15 @@ def _integrate(state: FieldState, params: MaterialParams, t_eval,
                     rtol=rtol, atol=atol, t_eval=t_eval, lband=4, uband=4)
     if sol.status != 0:
         raise StiffnessError(f"time integration failed (LSODA): {sol.message}")
-    states = []
-    for i, t in enumerate(sol.t):
-        v, theta = _unpack(sol.y[:, i], bc0(t), bc1(t))
-        states.append(FieldState(state.grid, float(t), v, theta))
-    return states
+    v, theta = _unpack(sol.y, [bc0(t) for t in sol.t], [bc1(t) for t in sol.t])
+    return sol.t, v.T, theta.T
+
+
+def _integrate(state: FieldState, params: MaterialParams, t_eval,
+               rtol=1e-8, atol=1e-8, bc_v=None, sources=None) -> list:
+    """The states at the times ``t_eval`` after ``state.t``."""
+    return [FieldState(state.grid, float(t), v, theta) for t, v, theta
+            in zip(*_solve(state, params, t_eval, rtol, atol, bc_v, sources))]
 
 
 def step(state: FieldState, params: MaterialParams, dt: float | None = None,
@@ -325,11 +327,15 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Snapshots plus diagnostics of one run."""
+    """The frames and diagnostics of one run: x holds the nodes, and v, u
+    (the strain rate) and theta one row per frame time."""
 
     config: SimConfig
     times: np.ndarray
-    snapshots: list
+    x: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
     inhomogeneity: np.ndarray   # max theta - min theta
     max_u: np.ndarray
     mode1_u: np.ndarray
@@ -338,15 +344,19 @@ class SimResult:
     energy_weight_A: float
 
 
-def _mode1_amplitude(x: np.ndarray, f: np.ndarray) -> float:
-    g = f - np.trapezoid(f, x)
-    return float(2.0 * np.trapezoid(g * np.cos(np.pi * x), x))
+def _mode1_amplitude(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The cos(pi x) amplitude of each row of f."""
+    g = f - np.trapezoid(f, x)[:, None]
+    return 2.0 * np.trapezoid(g * np.cos(np.pi * x), x)
 
 
 def run(config: SimConfig) -> SimResult:
     """Integrate the configured problem and collect the standard diagnostics.
 
-    The energy diagnostic is the weighted relative-perturbation energy
+    Frame 0 is the initial state itself, its wall velocities included.  Every
+    frame's strain rate must be positive: the first frame where it is not
+    raises PositivityError, with that frame's state attached.  The energy
+    diagnostic is the weighted relative-perturbation energy
     int (A/2)(u-1)^2 + (1/2)(theta - theta_s)^2 dx with A from the energy
     certificate when kappa > 0 and n > 0 (A = 1 otherwise).
     """
@@ -360,8 +370,10 @@ def run(config: SimConfig) -> SimResult:
         t_eval = np.concatenate([[0.0], interior])
     else:
         t_eval = np.linspace(0.0, config.t_end, config.frames)
-    states = _integrate(state0, params, t_eval[1:], config.rtol, config.atol)
-    states = [state0] + states
+    t, v, theta = _solve(state0, params, t_eval[1:], config.rtol, config.atol)
+    times = np.concatenate([[state0.t], t])
+    v = np.concatenate([state0.v[None], v])
+    theta = np.concatenate([state0.theta[None], theta])
 
     A = 1.0
     if params.kappa > 0.0 and params.n > 0.0:
@@ -369,24 +381,14 @@ def run(config: SimConfig) -> SimResult:
         A = energy_certificate(params).A
 
     x = state0.grid.x
-    times = np.array([s.t for s in states])
-    theta_s = uniform_shear(params, times).theta_s
-    m = len(states)
-    inhom = np.empty(m)
-    max_u = np.empty(m)
-    m1u = np.empty(m)
-    m1t = np.empty(m)
-    energy = np.empty(m)
-    for i, st in enumerate(states):
-        u = st.positive_strain_rate()
-        ubar = u - 1.0
-        tbar = st.theta - theta_s[i]
-        inhom[i] = st.theta.max() - st.theta.min()
-        max_u[i] = u.max()
-        m1u[i] = _mode1_amplitude(x, u)
-        m1t[i] = _mode1_amplitude(x, st.theta)
-        energy[i] = float(np.trapezoid(0.5 * A * ubar ** 2 + 0.5 * tbar ** 2, x))
-    return SimResult(config=config, times=times,
-                     snapshots=states, inhomogeneity=inhom, max_u=max_u,
-                     mode1_u=m1u, mode1_theta=m1t, energy=energy,
+    u = _strain_rate(v.T, state0.grid.h).T
+    bad = np.flatnonzero(~(u.min(axis=1) > 0.0) | ~np.isfinite(u.max(axis=1)))
+    for i in bad[:1]:   # the first bad frame's own check raises, with its message and state
+        FieldState(state0.grid, float(times[i]), v[i], theta[i]).positive_strain_rate()
+    tbar = theta - uniform_shear(params, times).theta_s[:, None]
+    energy = np.trapezoid(0.5 * A * (u - 1.0) ** 2 + 0.5 * tbar ** 2, x)
+    return SimResult(config=config, times=times, x=x, v=v, u=u, theta=theta,
+                     inhomogeneity=theta.max(axis=1) - theta.min(axis=1),
+                     max_u=u.max(axis=1), mode1_u=_mode1_amplitude(x, u),
+                     mode1_theta=_mode1_amplitude(x, theta), energy=energy,
                      energy_weight_A=A)

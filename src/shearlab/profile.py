@@ -216,10 +216,6 @@ class ResidualReport:
     xi: np.ndarray
     residuals: tuple    # arrays on the interior grid
 
-    @property
-    def sup_total(self) -> float:
-        return max(self.sup)
-
 
 def ode_residual(evaluator, nu: float, n: float, alpha: float,
                  xi=None, xi_range=(0.1, 100.0), npoints=5001) -> ResidualReport:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearlab._csvio import read_csv
+from shearlab._csvio import read_csv, write_csv
 from shearlab.cli import COMMANDS, build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -75,6 +75,7 @@ USAGE_ERRORS = [
     ("simulate", "rtol", -1),
     ("simulate", "init_path", "no-such-dir/init.npz"),
     ("residual", "nx0", 2),
+    ("residual", "nx0", 16),
     ("residual", "nt0", 3),
 ]
 
@@ -578,6 +579,69 @@ def test_outer_window_error_names_sigma0_and_xmax(tmp_path, cmd):
     assert error["error"] == "RangeError"
     assert "sigma0 = 1.000e-100" in error["message"] and "xmax = 5 " in error["message"]
     assert not list(tmp_path.iterdir())
+
+
+# at these sigma0 the window's edge (1e8 xi_max, xi_max proportional to sigma0)
+# lies where x = 5 reaches xi = 1.581 at t = 0, 1.592 at t = 10 and 1.753 at t = 200
+@pytest.mark.parametrize("sigma0, frames, t", [
+    ("5.6e-12", "9", "200"),    # the table's last frame
+    ("5.6e-12", "1", None),     # crossed after t = 10 only: no evaluated point is outside
+    ("5.34e-12", "1", "10"),    # the residual study's last time, min(tmax, 10)
+    ("5e-12", "1", "0"),        # the table of one frame, at t = 0
+])
+def test_outer_window_is_checked_at_the_evaluated_points(tmp_path, capsys, sigma0, frames, t):
+    code = run_cli("localize", "--sigma0", sigma0, "--frames", frames, "--out-dir", str(tmp_path))
+    if t is None:
+        assert code == 0
+        return
+    assert code == 3
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("xmax = 5 reaches xi = ") and f" by t = {t}, beyond" in message
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cmd, nu", [("heteroclinic", "--nu"), ("localize", "--lambda")])
+def test_trial_step_past_b_zero_is_a_region_exit(tmp_path, capsys, cmd, nu):
+    # valid inputs where a stiff trial step of the shoot reaches b <= 0
+    code = run_cli(cmd, "--n", "0.01", "--alpha", "5", nu, "0.01", "--eps", "1e-3",
+                   "--out-dir", str(tmp_path))
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "RegionExitError" and "b = " in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("init", ["gaussian-bump", "from-file"])
+def test_simulate_snapshots_equal_the_per_frame_states(tmp_path, init):
+    from shearlab.pdesim import SimConfig, _integrate
+
+    N, t_end, frames = 64, 5.0, 5
+    init_path = None
+    if init == "from-file":
+        # a start whose wall velocity v(0) = 0.1 differs from the plate's 0
+        x = np.linspace(0.0, 1.0, N + 1)
+        init_path = str(tmp_path / "init.npz")
+        np.savez(init_path, v=0.1 + 0.9 * x, theta=-4.0 + 0.1 * np.exp(-50.0 * (x - 0.5) ** 2))
+    config = SimConfig(N=N, t_end=t_end, frames=frames, init=init, init_path=init_path)
+    argv = ["--N", str(N), "--t-end", str(t_end), "--frames", str(frames), "--init", init]
+    assert run_cli("simulate", *argv, *(["--init-path", init_path] if init_path else []),
+                   "--out-dir", str(tmp_path / "run")) == 0
+
+    params = config.material()
+    state0 = config.initial_state()
+    states = [state0] + _integrate(state0, params, np.linspace(0.0, t_end, frames)[1:],
+                                   config.rtol, config.atol)
+    rows = [(np.full(N + 1, st.t), st.grid.x, st.v, st.strain_rate(), st.theta,
+             st.stress(params)) for st in states]
+    write_csv(tmp_path / "expected.csv",
+              {k: np.concatenate(c) for k, c in
+               zip(("t", "x", "v", "u", "theta", "sigma"), zip(*rows))},
+              {k: getattr(config, k) for k in ("n", "alpha", "kappa", "theta0", "N")})
+    got = (tmp_path / "run" / "simulate_snapshots.csv").read_bytes()
+    assert got == (tmp_path / "expected.csv").read_bytes()
+    _, data = read_csv(tmp_path / "run" / "simulate_snapshots.csv")
+    wall = data["v"][::N + 1]
+    assert wall[0] == (0.1 if init == "from-file" else 0.0) and np.all(wall[1:] == 0.0)
 
 
 FLOAT_PARAMS = [(cmd, prm.key, prm.flag or "--" + prm.key.replace("_", "-"))

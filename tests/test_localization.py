@@ -19,6 +19,7 @@ from shearlab import (
     residual_convergence,
     band_diagnostics,
 )
+from shearlab.localization import OUTER_WINDOW_FACTOR
 
 N, ALPHA, THETA0, LAM, SIGMA0 = 0.1, 0.5, 10.0, 0.1, 1.88
 
@@ -179,21 +180,42 @@ def test_residual_study_checks_its_arguments_before_evaluating(showcase_solution
     sol = replace(showcase_solution, profile=counting)
     with pytest.raises(ParameterError, match="levels must be >= 1"):
         residual_convergence(sol, levels=0)
-    with pytest.raises(ParameterError, match="x grid must be uniform with >= 9 points"):
-        residual_convergence(sol, nx0=8)
+    # the stride-2 sigma_xx error estimate needs 17 x points
+    with pytest.raises(ParameterError, match="x grid must be uniform with >= 17 points"):
+        residual_convergence(sol, nx0=16)
+    with pytest.raises(ParameterError, match="x grid must be uniform with >= 17 points"):
+        pde_residual(sol, np.linspace(-1.0, 1.0, 16), np.linspace(0.0, 1.0, 9))
     with pytest.raises(ParameterError, match="t grid must be uniform with >= 9 points"):
         residual_convergence(sol, nt0=0)
     assert counting.calls == 0
 
 
 def test_out_of_window_guard(showcase_solution):
-    sol = replace(showcase_solution, outer_window_factor=1.0)
+    sol = showcase_solution
     xi_max = sol.profile.xi_max
-    x_bad = 2.0 * xi_max / math.sqrt(LAM)
+    x_bad = 2.0 * OUTER_WINDOW_FACTOR * xi_max / math.sqrt(LAM)
     with pytest.raises(RangeError):
         sol.evaluate(x_bad, 0.0)
     with pytest.raises(ParameterError):
         sol.evaluate(0.0, -1.0)
+
+
+def test_outer_window_error_names_the_point_of_largest_xi(showcase_solution):
+    counting = _CountingProfile(showcase_solution.profile)
+    sol = replace(showcase_solution, profile=counting)
+    xmax = 3.0 * OUTER_WINDOW_FACTOR * counting.xi_max / math.sqrt(LAM)
+    x, t = np.linspace(-xmax, xmax, 7), np.linspace(0.0, 200.0, 5)
+    xi = math.sqrt(LAM) * xmax * sol.phi(200.0)
+    with pytest.raises(RangeError) as exc:
+        sol.evaluate(x[None, :], t[:, None])
+    assert str(exc.value) == (
+        f"xmax = {xmax:g} reaches xi = {xi:.3e} by t = 200, beyond the outer validity "
+        f"window ({OUTER_WINDOW_FACTOR * counting.xi_max:.3e}) of the profile at "
+        f"sigma0 = 1.880e+00; raise sigma0 or lower xmax")
+    # a point inside the window passes, and the check runs before the profile is called
+    assert counting.calls == 0
+    sol.evaluate(x[3:4], t)
+    assert counting.calls == 1
 
 
 def test_band_diagnostics_self_similarity(showcase_solution):

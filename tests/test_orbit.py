@@ -8,6 +8,7 @@ from scipy.interpolate import CubicHermiteSpline
 import shearlab.orbit as orbit
 from shearlab import (
     ParameterError,
+    RegionExitError,
     UnresolvedTailError,
     PlanarParams,
     vector_field,
@@ -421,5 +422,26 @@ def test_shooter_rhs_guards_nonpositive_b(monkeypatch, b):
         fun(0.0, 0.5, b)
 
     monkeypatch.setattr(orbit, "solve_ivp", probe)
-    with pytest.raises(ParameterError, match="b <= 0"):
+    # the inputs are valid: a trial step that leaves b > 0 is a numerical failure
+    with pytest.raises(RegionExitError, match=r"at eta = -0 \(b = .* <= 0\)"):
         shoot_heteroclinic(REF)
+
+
+def test_stiff_trial_step_past_b_zero_is_a_region_exit():
+    with pytest.raises(RegionExitError, match="a trial step left the region R"):
+        shoot_heteroclinic(PlanarParams(n=0.01, alpha=5.0, nu=0.01), eps=1e-3)
+
+
+def test_a_shoot_is_one_call(monkeypatch):
+    # a shoot that fails raises; it does not call itself again with a smaller eps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shoot(*args, **kwargs)
+
+    shoot = orbit.shoot_heteroclinic
+    monkeypatch.setattr(orbit, "shoot_heteroclinic", counted)
+    for key in SWEEP:
+        orbit.shoot_heteroclinic(PlanarParams(*key))
+    assert len(calls) == len(SWEEP) == 12

@@ -104,6 +104,18 @@ def test_step_reports_the_state_that_lost_positivity():
     assert 0.0 < exc.value.state.t <= 2.0
 
 
+def test_run_reports_the_first_frame_that_lost_positivity():
+    # an adiabatic bump localizes before t = 0.5, the first frame after t = 0;
+    # the frames at 1, 1.5 and 2 have lost positivity too
+    with pytest.raises(PositivityError) as exc:
+        run(SimConfig(kappa=0.0, N=64, t_end=2.0, frames=5))
+    st = exc.value.state
+    assert st.t == 0.5
+    assert str(exc.value).startswith(f"strain rate lost positivity at t = {st.t:.6g} (min u = ")
+    with pytest.raises(PositivityError):
+        st.positive_strain_rate()
+
+
 def test_every_solve_is_banded_lsoda(monkeypatch):
     import shearlab.pdesim as pdesim
     calls = []
