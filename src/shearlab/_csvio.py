@@ -330,15 +330,14 @@ def read_csv(path):
 
 
 def write_manifest(path, subcommand: str, parameters: dict, outputs: list,
-                   tolerances: dict | None = None, seed=None,
-                   duration: float | None = None) -> None:
+                   tolerances: dict, seed, duration: float) -> None:
     """Record everything needed to reproduce a run bit-for-bit."""
     manifest = {
         "subcommand": subcommand,
         "parameters": parameters,
         "inputs": [],
         "outputs": [str(o) for o in outputs],
-        "tolerances": tolerances or {},
+        "tolerances": tolerances,
         "seed": seed,
         "tool_version": __version__,
         "wall_seconds": duration,

@@ -35,8 +35,9 @@ from .pdesim import MIN_SPAN, SimConfig, run as run_sim
 
 class Param(NamedTuple):
     """One settable value: ``key`` is the config key, argparse dest and manifest key;
-    ``kind`` converts and validates flag text and config values alike (``bool``
-    makes a flag without a value); ``flag`` defaults to ``--key`` with ``-`` for ``_``."""
+    ``kind`` converts and validates flag text and config values alike, and an int or
+    bool kind takes only a JSON int or bool from the config (``bool`` makes a flag
+    without a value); ``flag`` defaults to ``--key`` with ``-`` for ``_``."""
 
     key: str
     kind: Callable
@@ -156,7 +157,7 @@ def _energy(p, out):
     modes = [(j, (1.0, 1.0)) for j in _ints(p["jmodes"])]
     report = energy_decay_check(params, cert, modes, p["tau_end"])
     csv = Path(f"{out}.csv")
-    # monotone_after_T is None exactly when there is no tau_T
+    # all 0 when monotone_after_T is None (no certificate) or False (tail not monotone)
     after = report.taus >= report.tau_T if report.monotone_after_T else \
         np.zeros(report.taus.shape, dtype=bool)
     meta = {**{k: p[k] for k in ("n", "alpha", "kappa", "theta0")},
@@ -347,6 +348,10 @@ def _resolve(args, params) -> dict:
         for key, value in config.items():
             if key not in kinds:
                 raise ValueError("not a parameter of this subcommand")
+            # kind(value) alone would truncate 4.7 to an int and take "false" as True
+            strict = {"int": int, "bool": bool}.get(kinds[key].__name__)
+            if strict and value is not None and type(value) is not strict:
+                raise ValueError(f"must be a JSON {strict.__name__}, got {json.dumps(value)}")
             config[key] = value if value is None else kinds[key](value)
     except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         args.usage_error(f"--config {args.config}" + (f": {key}" if key else "") + f": {exc}")
@@ -363,9 +368,12 @@ def main(argv=None) -> int:
     _, params, body = COMMANDS[args.command]
     p = _resolve(args, params)
     t0 = time.perf_counter()
+    out = args.out_dir / (args.prefix or args.command.replace("-", "_"))
+    try:   # before any compute; a prefix a/b writes into out_dir/a
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        args.usage_error(f"cannot create the output directory {out.parent}: {exc.strerror}")
     try:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        out = args.out_dir / (args.prefix or args.command.replace("-", "_"))
         outputs, summary = body(p, out)
         write_manifest(Path(f"{out}.manifest.json"), args.command, p, outputs,
                        tolerances={k: p[k] for k in ("eps", "tol", "rtol", "atol") if k in p},

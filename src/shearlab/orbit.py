@@ -225,11 +225,10 @@ _REGION_SLACK = 1e-9
 A_JUNCTION = 1e-2        # a_*: the shoot stops here and the series tail takes over
 _SERIES_TERMS = 5        # M: the truncation of h is O(a_*^(2M+2)) = 1e-24
 LAMBDA2_SERIES = 12.0    # lambda2 = 2m, m <= M, divides beta_m by zero: shoot below this
-_TAIL_STEP = 0.01        # tail sample spacing in log a, the body's density under max_step
-
-
-def _in_region(a, b, slack=_REGION_SLACK):
-    return (a >= -slack) & (a <= 1.0 + slack) & (b <= 1.0 + slack) & (a * a <= b + slack)
+_MAX_STEP = 0.01         # the shoot's largest step in s = -eta
+_S_MAX = 400.0           # the shoot gives up past s = _S_MAX
+_TAIL_STEP = 0.01        # tail sample spacing in log a, the body's density under _MAX_STEP
+_PLATEAU_RTOL = 1e-4     # the flatness a e^(-eta) must reach over the deepest decade
 
 
 def _slow_manifold(p: PlanarParams):
@@ -277,16 +276,16 @@ def _series_tail(p: PlanarParams, eta_j: float, a_j: float, tol: float):
 
 
 def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
-                       rtol: float = 1e-10, max_step: float = 0.01,
-                       s_max: float = 400.0) -> OrbitPath:
+                       rtol: float = 1e-10) -> OrbitPath:
     """Shoot the heteroclinic backward from the saddle to the node.
 
     Seeds at Q - eps * r_hat_minus (unit stable eigenvector, oriented into R),
-    negates the field and integrates forward in s = -eta until a = A_JUNCTION,
-    then continues on the slow-manifold series down to a = tol.  When
-    lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it integrates until
-    ||state - P|| < tol instead.  Every sample must stay in R: a trial step
-    that reaches b <= 0, or a sample outside R, raises RegionExitError.
+    negates the field and integrates forward in s = -eta, in steps of at most
+    _MAX_STEP, until a = A_JUNCTION, then continues on the slow-manifold series
+    down to a = tol.  When lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it
+    integrates until ||state - P|| < tol instead.  Not stopping by s = _S_MAX
+    raises MaxStepsError.  Every sample must stay in R: a trial step that
+    reaches b <= 0, or a sample outside R, raises RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
@@ -320,12 +319,12 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     stop.terminal = True
     stop.direction = -1
 
-    sol = solve_ivp(backward, (0.0, s_max), seed, rtol=rtol,
-                    atol=1e-14, max_step=max_step, events=stop)
+    sol = solve_ivp(backward, (0.0, _S_MAX), seed, rtol=rtol,
+                    atol=1e-14, max_step=_MAX_STEP, events=stop)
     if sol.status == 0:
         target = f"a = {A_JUNCTION:g}" if series else "the node"
         raise MaxStepsError(
-            f"orbit did not reach {target} within s = {s_max} (distance "
+            f"orbit did not reach {target} within s = {_S_MAX} (distance "
             f"{math.hypot(sol.y[0, -1] - node_a, sol.y[1, -1] - node_b):.3e} from the node)")
     if sol.status < 0:
         raise MaxStepsError(f"orbit integration failed: {sol.message}")
@@ -345,8 +344,10 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
         d = np.concatenate([d_t, d])
         b = np.concatenate([node_b + d_t, b])
 
-    if not np.all(_in_region(a, b)):
-        bad = np.argmin(_in_region(a, b))
+    inside = ((a >= -_REGION_SLACK) & (a <= 1.0 + _REGION_SLACK) & (b <= 1.0 + _REGION_SLACK)
+              & (a * a <= b + _REGION_SLACK))
+    if not np.all(inside):
+        bad = np.argmin(inside)
         raise RegionExitError(
             f"sample {bad} at (a={a[bad]:.6g}, b={b[bad]:.6g}) left the region R")
     if not np.all(np.diff(a) > 0):
@@ -357,13 +358,13 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                      a_junction=a_junction, junction_gap=junction_gap)
 
 
-def estimate_kappa1(path: OrbitPath, plateau_rtol: float = 1e-4) -> float:
+def estimate_kappa1(path: OrbitPath) -> float:
     """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization.
 
     When the deepest sample lies on the slow manifold (lambda2 >= LAMBDA2_SERIES
     and a[0] <= A_JUNCTION/10), it is the closed form a e^(-eta) e^(F(a^2))
     there.  Otherwise it is the plateau of a e^(-eta) over the deepest decade
-    of a, which must be flat to ``plateau_rtol`` relative variation.
+    of a, which must be flat to _PLATEAU_RTOL relative variation.
     """
     p = path.params
     a = path.a
@@ -378,10 +379,10 @@ def estimate_kappa1(path: OrbitPath, plateau_rtol: float = 1e-4) -> float:
             f"only {int(window.sum())} samples in the deepest decade of the tail")
     qw = q[window]
     spread = (qw.max() - qw.min()) / abs(qw[0])
-    if not np.isfinite(spread) or spread > plateau_rtol:
+    if not np.isfinite(spread) or spread > _PLATEAU_RTOL:
         raise UnresolvedTailError(
             f"a(eta)e^-eta varies by {spread:.2e} over the tail decade "
-            f"(> {plateau_rtol:.0e}); no plateau")
+            f"(> {_PLATEAU_RTOL:.0e}); no plateau")
     kappa1 = float(qw[0])
     if kappa1 <= 0.0:
         raise UnresolvedTailError(f"node-departure coefficient {kappa1:.3e} is not positive")

@@ -54,6 +54,7 @@ def _triple_from_ab(p: PlanarParams, eta, la, lb):
 # points per block of a profile evaluation: the interpolation gathers eight
 # Hermite coefficients per point, and a block's temporaries fit in a core's cache
 _BLOCK = 4096
+_TAIL_XI = 1e3   # where endpoint_report takes the tail deviations, if below xi_max
 
 
 @dataclass(frozen=True)
@@ -217,18 +218,14 @@ class ResidualReport:
     residuals: tuple    # arrays on the interior grid
 
 
-def ode_residual(evaluator, nu: float, n: float, alpha: float,
-                 xi=None, xi_range=(0.1, 100.0), npoints=5001) -> ResidualReport:
-    """Residual norms of the profile system on a grid, by 4th-order differences.
+def ode_residual(evaluator, nu: float, n: float, alpha: float, xi) -> ResidualReport:
+    """Residual norms of the profile system on the grid xi, by 4th-order differences.
 
-    The default grid is log-uniform (derivatives taken in eta = log xi with
-    the exact chain rule); a user grid must be uniform in xi or in log xi.
-    A Richardson stride-2 estimate of the differentiation error is attached,
-    and the report flags the grid as too coarse when that estimate exceeds
-    the measured residual.
+    The grid must be uniform in xi or in log xi (on a log grid derivatives are
+    taken in eta = log xi with the exact chain rule).  A Richardson stride-2
+    estimate of the differentiation error is attached, and the report flags
+    the grid as too coarse when that estimate exceeds the measured residual.
     """
-    if xi is None:
-        xi = np.geomspace(xi_range[0], xi_range[1], npoints)
     xi = np.asarray(xi, dtype=float)
     if xi.size < 9:
         raise ParameterError("need at least 9 grid points for the stride-2 estimate")
@@ -291,14 +288,14 @@ class EndpointReport:
     tail_theta_dev: float         # |Theta + ((n+1)/alpha) log xi|
 
 
-def endpoint_report(profile: Profile, tail_xi: float = 1e3) -> EndpointReport:
+def endpoint_report(profile: Profile) -> EndpointReport:
     """Fit the origin Taylor data and measure the large-xi limiting behavior.
 
     Origin fits use the orbit-resolved inner window (the Taylor extension
     itself is excluded: the fits check the reconstruction, not the fallback).
     Derivative fits use a quadratic model on [1e-3, 1e-2]*sigma0, since the
     profile functions are even and a linear-only fit would alias the xi^2
-    curvature into the slope.
+    curvature into the slope.  The tail deviations are taken at min(_TAIL_XI, xi_max).
     """
     s0 = profile.sigma0
     lo, hi = 1e-3 * s0, 1e-2 * s0
@@ -338,7 +335,7 @@ def endpoint_report(profile: Profile, tail_xi: float = 1e3) -> EndpointReport:
     taylor = float(fit(Aq, Sq)[1])
 
     Umin, Smin, _ = profile(profile.xi_min)
-    xt = min(tail_xi, profile.xi_max)
+    xt = min(_TAIL_XI, profile.xi_max)
     Ut, St, Tt = profile(xt)
     na = (profile.p.n + 1.0) / profile.p.alpha
     return EndpointReport(

@@ -47,8 +47,7 @@ STABLE = "asymptotically-stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
-DEFAULT_JMAX = 256
-# samples of a mode trajectory, and of the energy, when no grid is given
+# samples of the energy, and of a mode trajectory when no grid is given
 MODE_POINTS = 1200
 
 
@@ -130,8 +129,8 @@ def mode_eigen(params: MaterialParams, k: float, j: int) -> ModeEigen:
     return ModeEigen(*(a.item() for a in _eigen(params, k, np.array([j]))))
 
 
-def spectrum(params: MaterialParams, k: float, jmax: int = DEFAULT_JMAX) -> ModeSpectrum:
-    """Modes 0..jmax with the count of unstable ones, computed as arrays in one pass.
+def spectrum(params: MaterialParams, k: float, jmax: int) -> ModeSpectrum:
+    """Modes 0..jmax, jmax >= 1, and the count of unstable ones, as arrays in one pass.
 
     For k = 0 every mode j >= 1 is unstable; for k above alpha/(n pi^2) none is.
     """
@@ -339,11 +338,12 @@ class DecayReport:
 
 
 def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
-                       modes, tau_end: float, npoints: int = MODE_POINTS) -> DecayReport:
+                       modes, tau_end: float) -> DecayReport:
     """Integrate the given modes (non-autonomous) and report on the energy.
 
     ``modes`` is a sequence of (j, (u0, theta0)) with j >= 1: the j = 0 strain
-    mode is excluded by the zero-mean constraint on u.  The energy is
+    mode is excluded by the zero-mean constraint on u.  The energy, at the
+    MODE_POINTS uniform points of [0, tau_end], is
     E = sum_j [(A/2) u_j^2 + (1/2) theta_j^2] / 2, the 1/2 from the L2 norm of
     cos(j pi x).  With kappa = 0 (or no certificate) the report flags the
     certificate as non-applicable and uses A = 1.
@@ -354,8 +354,8 @@ def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
     applicable = cert is not None and params.kappa > 0.0
     A = cert.A if applicable else 1.0
 
-    taus = np.linspace(0.0, tau_end, npoints)
-    E = np.zeros(npoints)
+    taus = np.linspace(0.0, tau_end, MODE_POINTS)
+    E = np.zeros(MODE_POINTS)
     for j, init in modes:
         traj = integrate_mode(params, j, init, tau_end, tau_eval=taus)
         E += 0.5 * (0.5 * A * traj.u ** 2 + 0.5 * traj.theta ** 2)

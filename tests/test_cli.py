@@ -59,6 +59,8 @@ def test_spectrum_usage_error():
 # (subcommand, config key, invalid value); the flag is --key with - for _
 USAGE_ERRORS = [
     ("spectrum", "jmax", 0),
+    ("spectrum", "jmax", 4.7),
+    ("spectrum", "jmax", 9.0),        # an int parameter takes a JSON integer only
     ("spectrum", "n", -1),
     ("spectrum", "k", -1),
     ("energy", "kappa", -1),
@@ -73,6 +75,7 @@ USAGE_ERRORS = [
     ("simulate", "frames", 1),
     ("simulate", "atol", -1),
     ("simulate", "rtol", -1),
+    ("simulate", "seed", True),
     ("simulate", "init_path", "no-such-dir/init.npz"),
     ("residual", "nx0", 2),
     ("residual", "nx0", 16),
@@ -92,6 +95,18 @@ def test_invalid_value_is_usage_error(tmp_path, cmd, key, value, via):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out-dir", str(tmp_path))
     assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1])
+def test_config_bool_takes_only_true_or_false(tmp_path, capsys, value):
+    # bool("false") is True: a config value that is not a JSON bool is an error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"log_frames": value}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"log_frames: must be a JSON bool, got {json.dumps(value)}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
@@ -256,6 +271,27 @@ def test_dotted_prefixes_keep_distinct_files(tmp_path):
                        "--out-dir", str(tmp_path)) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "run.1.csv", "run.1.manifest.json", "run.2.csv", "run.2.manifest.json"]
+
+
+def test_prefix_with_a_directory_creates_it(tmp_path):
+    assert run_cli("spectrum", "--jmax", "3", "--prefix", "sub/run",
+                   "--out-dir", str(tmp_path)) == 0
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["run.csv", "run.manifest.json"]
+
+
+@pytest.mark.parametrize("argv", [("--out-dir", "file"), ("--prefix", "file/run")],
+                         ids=["out-dir-is-a-file", "prefix-under-a-file"])
+def test_unusable_output_location_is_usage_error(tmp_path, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    proc = subprocess.run([sys.executable, "-m", "shearlab.cli", "spectrum", *argv],
+                          cwd=tmp_path, env=_cli_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(
+        "shearlab spectrum: error: cannot create the output directory file: ")
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
 
 
 def test_uniform_shear_cmd(tmp_path):
@@ -613,7 +649,7 @@ def test_trial_step_past_b_zero_is_a_region_exit(tmp_path, capsys, cmd, nu):
 
 @pytest.mark.parametrize("init", ["gaussian-bump", "from-file"])
 def test_simulate_snapshots_equal_the_per_frame_states(tmp_path, init):
-    from shearlab.pdesim import SimConfig, _integrate
+    from shearlab.pdesim import FieldState, SimConfig, _solve
 
     N, t_end, frames = 64, 5.0, 5
     init_path = None
@@ -629,8 +665,10 @@ def test_simulate_snapshots_equal_the_per_frame_states(tmp_path, init):
 
     params = config.material()
     state0 = config.initial_state()
-    states = [state0] + _integrate(state0, params, np.linspace(0.0, t_end, frames)[1:],
-                                   config.rtol, config.atol)
+    t, v, theta = _solve(state0, params, np.linspace(0.0, t_end, frames)[1:],
+                         config.rtol, config.atol)
+    states = [state0] + [FieldState(state0.grid, float(ti), vi, thi)
+                         for ti, vi, thi in zip(t, v, theta)]
     rows = [(np.full(N + 1, st.t), st.grid.x, st.v, st.strain_rate(), st.theta,
              st.stress(params)) for st in states]
     write_csv(tmp_path / "expected.csv",

@@ -27,7 +27,7 @@ from shearlab import (
     reparametrize,
     reconstruct,
 )
-from shearlab.pdesim import _integrate
+from shearlab.pdesim import _solve
 from shearlab.stability import energy_certificate
 
 
@@ -132,6 +132,32 @@ def test_every_solve_is_banded_lsoda(monkeypatch):
     assert len(calls) == 2
     for kwargs in calls:
         assert [kwargs.get(k) for k in ("method", "lband", "uband")] == ["LSODA", 4, 4]
+
+
+def test_step_evaluates_the_strain_rate_twice(monkeypatch):
+    # the start check and the end check; the RHS's evaluations inside LSODA are not counted
+    import shearlab.pdesim as pdesim
+    calls, solving = [], []
+    rate, solve = pdesim._strain_rate, pdesim.solve_ivp
+
+    def counted(v, h):
+        if not solving:
+            calls.append(v.shape)
+        return rate(v, h)
+
+    def flagged(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(pdesim, "_strain_rate", counted)
+    monkeypatch.setattr(pdesim, "solve_ivp", flagged)
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=-4.0)
+    out = step(initial_gaussian_bump(Grid1D(32), params), params, dt=0.5)
+    assert out.t == 0.5
+    assert calls == [(33,), (33,)]
 
 
 def test_uniform_shear_tracking_diffusive():
@@ -381,8 +407,8 @@ def test_tracks_exact_localizing_solution():
     state = FieldState(g, 0.0, v0, theta0_arr)
     bc_v = (lambda t: float(v_exact(0.0, t)), lambda t: float(v_exact(1.0, t)))
     t_end = 5.0
-    out = _integrate(state, params, [t_end],
-                     rtol=1e-10, atol=1e-12, bc_v=bc_v)[-1]
+    t, v, theta = _solve(state, params, [t_end], rtol=1e-10, atol=1e-12, bc_v=bc_v)
+    out = FieldState(g, float(t[-1]), v[-1], theta[-1])
 
     interior = (g.x >= 1.0 / 3.0) & (g.x <= 2.0 / 3.0)
     u_ref, sigma_ref, theta_ref = sol.evaluate(g.x - 0.5, t_end)

@@ -1,0 +1,72 @@
+"""Compare the CLI outputs of two source trees, file by file.
+
+    python3 tools/diff_outputs.py PARENT_TREE CHANGE_TREE
+
+Runs a fixed set of CLI calls in each tree: every subcommand at its defaults,
+the metastability config at full size and cut down, and the first pass of each
+benchmark workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call
+is a fresh ``python3 -m shearlab.cli`` with the tree's ``src`` on PYTHONPATH
+and the tree as working directory, writing into its own temporary directory.
+The exit codes and every output file must be equal byte for byte; in the
+manifests ``wall_seconds``, ``written_at`` and the output directory are
+masked.  Prints one summary line and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.ops import WORKLOADS, passes  # noqa: E402
+
+SEED = 11
+METASTABILITY = ("simulate", "--config", "configs/metastability.json")
+CALLS = [(cmd,) for cmd in ("uniform-shear", "spectrum", "modes", "energy", "heteroclinic",
+                            "profile", "localize", "residual", "simulate")]
+CALLS += [METASTABILITY, (*METASTABILITY, "--N", "64", "--t-end", "5", "--frames", "5")]
+CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
+
+
+def _outputs(tree: Path, argv, out: Path) -> tuple[int, dict[str, bytes]]:
+    """The exit code of one call in ``tree`` and its files, manifests masked."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    code = subprocess.run([sys.executable, "-m", "shearlab.cli", *argv, "--out-dir", str(out)],
+                          cwd=tree, env=env, capture_output=True).returncode
+    files = {}
+    for path in sorted(out.rglob("*")):
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(data.decode().replace(str(out), "<out>"))
+            manifest.update(wall_seconds=None, written_at=None)
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[str(path.relative_to(out))] = data
+    return code, files
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    trees = [Path(t).resolve() for t in argv]
+    differ, count = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, call in enumerate(CALLS):
+            (code_a, files_a), (code_b, files_b) = (
+                _outputs(tree, call, Path(tmp, side, str(i)))
+                for side, tree in zip(("parent", "change"), trees))
+            count += len(files_a)
+            if code_a != code_b:
+                differ.append(f"{' '.join(call)}: exit {code_a} vs {code_b}")
+            differ += [f"{' '.join(call)}: {name}" for name in sorted(files_a.keys() | files_b)
+                       if files_a.get(name) != files_b.get(name)]
+    print(f"{len(CALLS)} calls, {count} files: "
+          + (f"{len(differ)} differ: " + "; ".join(differ) if differ else "all identical"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
