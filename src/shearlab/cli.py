@@ -35,9 +35,10 @@ from .pdesim import MIN_SPAN, SimConfig, run as run_sim
 
 class Param(NamedTuple):
     """One settable value: ``key`` is the config key, argparse dest and manifest key;
-    ``kind`` converts and validates flag text and config values alike, and an int or
-    bool kind takes only a JSON int or bool from the config (``bool`` makes a flag
-    without a value); ``flag`` defaults to ``--key`` with ``-`` for ``_``."""
+    ``kind`` converts and validates flag text and config values alike, and an int,
+    bool or float kind takes only a JSON int, bool or number from the config
+    (``bool`` makes a flag without a value); ``flag`` defaults to ``--key`` with
+    ``-`` for ``_``."""
 
     key: str
     kind: Callable
@@ -204,7 +205,9 @@ def _heteroclinic(p, out):
     write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},
               {"n": planar.n, "alpha": planar.alpha, "nu": planar.nu, "c_nu": planar.c_nu,
                "eta0": orbit.eta0, "kappa1": kappa1,
-               "a_junction": orbit.a_junction, "junction_gap": orbit.junction_gap})
+               "a_junction": orbit.a_junction, "junction_gap": orbit.junction_gap,
+               "saddle_junction": orbit.saddle_junction,
+               "saddle_truncation": orbit.saddle_truncation})
     return [csv], f"samples={orbit.eta.size} kappa1={kappa1}"
 
 
@@ -338,6 +341,10 @@ def _parser(names) -> argparse.ArgumentParser:
     return ap
 
 
+# the JSON values a config may give a parameter of each kind: a float takes an integer too
+_JSON_TYPES = {"int": ("int", (int,)), "bool": ("bool", (bool,)), "float": ("number", (int, float))}
+
+
 def _resolve(args, params) -> dict:
     """Each parameter's flag, else its config value, else its default."""
     kinds = {prm.key: prm.kind for prm in params}
@@ -348,12 +355,13 @@ def _resolve(args, params) -> dict:
         for key, value in config.items():
             if key not in kinds:
                 raise ValueError("not a parameter of this subcommand")
-            # kind(value) alone would truncate 4.7 to an int and take "false" as True
-            strict = {"int": int, "bool": bool}.get(kinds[key].__name__)
-            if strict and value is not None and type(value) is not strict:
-                raise ValueError(f"must be a JSON {strict.__name__}, got {json.dumps(value)}")
+            # kind(value) alone would truncate 4.7 to an int, take "false" as True
+            # and take true or "0.05" as a float
+            name, types = _JSON_TYPES.get(kinds[key].__name__, (None, None))
+            if name and value is not None and type(value) not in types:
+                raise ValueError(f"must be a JSON {name}, got {json.dumps(value)}")
             config[key] = value if value is None else kinds[key](value)
-    except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (OSError, TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         args.usage_error(f"--config {args.config}" + (f": {key}" if key else "") + f": {exc}")
     return {prm.key: next((v for v in (getattr(args, prm.key), config.get(prm.key))
                            if v is not None), prm.default)

@@ -8,9 +8,22 @@ the substitution a = 1/sigma, b = 1/(sigma*u), to the autonomous planar system
 
 with c_nu = 1 + nu (n+1)/alpha.  Its equilibria in the closed first quadrant
 are the repelling node P = (0, 1/c_nu) and the saddle Q = (1, 1); the orbit
-joining them generates every localizing profile.  The shooter seeds just off
-Q along the stable eigendirection and integrates backward inside the invariant
-triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5
+joining them generates every localizing profile.
+
+Near Q the orbit is Q's stable manifold, written by the parametrization method
+(Cabre, Fontich & de la Llave, Indiana Univ. Math. J. 52, 2003; Haro et al.,
+The Parameterization Method for Invariant Manifolds, Springer 2016) as
+
+    W(zeta) = Q + sum_{m=1..M} c_m zeta^m,   zeta = eps e^(mu_s eta),
+
+with mu_s the stable eigenvalue, c_1 the unit stable eigenvector pointing into
+R, and (m mu_s I - J_Q) c_m equal to the zeta^m coefficient of the field's
+nonlinear part, which the lower orders fix; the matrix is invertible for every
+m >= 2 because m mu_s < 0 < mu_u and m mu_s != mu_s.  eta is exact on it, so
+the saddle head, from zeta = eps (the sample at distance eps from Q, at
+eta = 0) up to the junction zeta_j = 1e-2, is sampled from the series, with
+M = 14.  From W(zeta_j) the shooter integrates backward inside the
+invariant triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5
 (``_dopri.solve_ivp``: SciPy RK45's tableau and step controller on Python
 floats), down to a terminal event at a = a_* = 1e-2 located on its dense
 output by a port of SciPy's brentq.
@@ -160,7 +173,10 @@ class OrbitPath:
     lim a(eta) e^(-eta) in the current parametrization (None until
     estimated).  ``a_junction`` is the a at which the shot body meets the
     series tail and ``junction_gap`` the |b_shot - h(a^2)| there; both are
-    None when the orbit was shot to the node.
+    None when the orbit was shot to the node.  ``saddle_junction`` is the
+    zeta_j at which the body leaves Q's stable-manifold series and
+    ``saddle_truncation`` the size |c_(M+1)| zeta_j^(M+1) of its first
+    dropped term there.
     """
 
     params: PlanarParams
@@ -177,6 +193,8 @@ class OrbitPath:
     sigma0: float | None = None
     a_junction: float | None = None
     junction_gap: float | None = None
+    saddle_junction: float | None = None
+    saddle_truncation: float | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.eta) > 0):
@@ -228,6 +246,8 @@ LAMBDA2_SERIES = 12.0    # lambda2 = 2m, m <= M, divides beta_m by zero: shoot b
 _MAX_STEP = 0.01         # the shoot's largest step in s = -eta
 _S_MAX = 400.0           # the shoot gives up past s = _S_MAX
 _TAIL_STEP = 0.01        # tail sample spacing in log a, the body's density under _MAX_STEP
+SADDLE_JUNCTION = 1e-2   # zeta_j: the shoot starts on W(zeta_j), about 1e-2 from Q
+_SADDLE_TERMS = 14       # M: W is summed to zeta^M
 _PLATEAU_RTOL = 1e-4     # the flatness a e^(-eta) must reach over the deepest decade
 
 
@@ -257,6 +277,61 @@ def _slow_manifold(p: PlanarParams):
     return d_coef, f_coef
 
 
+def _stable_manifold(p: PlanarParams):
+    """mu_s and the np.polyval coefficients, c_(M+1) first, of a(zeta) and b(zeta)
+    on Q's stable manifold W(zeta) = Q + sum_{m=1..M+1} c_m zeta^m.
+
+    With the zeta^m coefficients of the unknown c_m set to 0, the series A, B
+    of a, b give the m-th coefficients P0 of a^2, T0 of a^3 and R0 of a^3/b
+    (series division by B); these are the field's nonlinear part, and
+    (m mu_s I - J_Q) c_m = -(R0, g k P0), g = alpha/(nu n), k = (n+1) nu/alpha.
+    """
+    q = 2.0 * (p.n + 1.0) / p.n       # J_Q = [[-2, 1], [-q, lambda2]]
+    lam = p.lambda2
+    _, saddle = equilibria(p)
+    mu = saddle.eigenvalues[0]
+    r = saddle.eigenvectors[0]
+    A = [1.0, -r[0] / math.hypot(*r)]
+    B = [1.0, -r[1] / math.hypot(*r)]
+    P = [1.0, 2.0 * A[1]]
+    R = [1.0, 3.0 * A[1] - B[1]]
+    for m in range(2, _SADDLE_TERMS + 2):
+        p0 = sum(A[j] * A[m - j] for j in range(1, m))
+        t0 = sum(P[j] * A[m - j] for j in range(1, m)) + p0
+        r0 = t0 - sum(B[j] * R[m - j] for j in range(1, m))
+        # Cramer's rule on (m mu I - J_Q) c_m = (n0, n1), with g k = q/2
+        m00, m11 = m * mu + 2.0, m * mu - lam
+        n0, n1 = -r0, -0.5 * q * p0
+        det = m00 * m11 + q
+        am = (m11 * n0 + n1) / det
+        bm = (m00 * n1 - q * n0) / det
+        A.append(am)
+        B.append(bm)
+        P.append(p0 + 2.0 * am)
+        R.append(r0 + 3.0 * am - bm)
+    return mu, A[::-1], B[::-1]
+
+
+def _saddle_head(p: PlanarParams, eps: float):
+    """(eta, a, b, truncation): the saddle end of the orbit on Q's stable manifold.
+
+    The samples run from the junction eta_j, where zeta = SADDLE_JUNCTION, up to
+    eta = 0, where zeta = eps, no further apart than _MAX_STEP.  ``truncation``
+    is the first dropped term |c_(M+1)| zeta_j^(M+1), below 5e-27 wherever it
+    was probed: |c_(M+1)| tends to 4.7e3 as lambda2 grows.  A head longer
+    than _S_MAX in eta (|mu_s| below about 0.02) raises MaxStepsError.
+    """
+    mu, a_coef, b_coef = _stable_manifold(p)
+    eta_j = math.log(SADDLE_JUNCTION / eps) / mu
+    if -eta_j >= _S_MAX:
+        raise MaxStepsError(f"orbit did not leave the saddle within s = {_S_MAX} (mu_s = {mu:.3e}: "
+                            f"its series reaches zeta = {SADDLE_JUNCTION:g} at s = {-eta_j:.6g})")
+    eta = np.linspace(eta_j, 0.0, math.ceil(-eta_j / _MAX_STEP) + 1)
+    zeta = eps * np.exp(mu * eta)
+    return (eta, np.polyval(a_coef[1:], zeta), np.polyval(b_coef[1:], zeta),
+            math.hypot(a_coef[0], b_coef[0]) * SADDLE_JUNCTION ** (_SADDLE_TERMS + 1))
+
+
 def _series_tail(p: PlanarParams, eta_j: float, a_j: float, tol: float):
     """(eta, a, d) of the slow-manifold tail below the junction (eta_j, a_j).
 
@@ -279,11 +354,13 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                        rtol: float = 1e-10) -> OrbitPath:
     """Shoot the heteroclinic backward from the saddle to the node.
 
-    Seeds at Q - eps * r_hat_minus (unit stable eigenvector, oriented into R),
-    negates the field and integrates forward in s = -eta, in steps of at most
-    _MAX_STEP, until a = A_JUNCTION, then continues on the slow-manifold series
-    down to a = tol.  When lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it
-    integrates until ||state - P|| < tol instead.  Not stopping by s = _S_MAX
+    The saddle end, from the sample at distance eps from Q (eta = 0) to the
+    junction zeta_j = SADDLE_JUNCTION, comes from Q's stable-manifold series.
+    From W(zeta_j) at s = -eta_j the shooter negates the field and integrates
+    forward in s = -eta, in steps of at most _MAX_STEP, until a = A_JUNCTION,
+    then continues on the slow-manifold series down to a = tol.  When
+    lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it integrates until
+    ||state - P|| < tol instead.  Not stopping by s = _S_MAX
     raises MaxStepsError.  Every sample must stay in R: a trial step that
     reaches b <= 0, or a sample outside R, raises RegionExitError.
     """
@@ -291,10 +368,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    _, saddle = equilibria(p)
-    r = saddle.eigenvectors[0]
-    r_hat = r / np.linalg.norm(r)
-    seed = p.saddle - eps * r_hat
+    eta_h, a_h, b_h, truncation = _saddle_head(p, eps)
     node_a, node_b = p.node.tolist()
     # vector_field's coefficients, hoisted out of the RHS; the scalar arithmetic
     # below keeps vector_field's order of operations
@@ -319,7 +393,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     stop.terminal = True
     stop.direction = -1
 
-    sol = solve_ivp(backward, (0.0, _S_MAX), seed, rtol=rtol,
+    sol = solve_ivp(backward, (-eta_h[0], _S_MAX), (a_h[0], b_h[0]), rtol=rtol,
                     atol=1e-14, max_step=_MAX_STEP, events=stop)
     if sol.status == 0:
         target = f"a = {A_JUNCTION:g}" if series else "the node"
@@ -329,10 +403,10 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     if sol.status < 0:
         raise MaxStepsError(f"orbit integration failed: {sol.message}")
 
-    # reverse to increasing eta = -s
-    eta = -sol.t[::-1]
-    a = sol.y[0][::-1].copy()
-    b = sol.y[1][::-1].copy()
+    # reverse to increasing eta = -s, and append the head past its junction sample
+    eta = np.concatenate([-sol.t[::-1], eta_h[1:]])
+    a = np.concatenate([sol.y[0][::-1], a_h[1:]])
+    b = np.concatenate([sol.y[1][::-1], b_h[1:]])
     d = b - node_b
     a_junction = junction_gap = None
     if series:
@@ -355,7 +429,8 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     # derivatives revert to the forward field
     da, db = vector_field(p, (a, b))
     return OrbitPath(params=p, eta=eta, a=a, b=b, d=d, da=da, db=db, eps=eps, tol=tol,
-                     a_junction=a_junction, junction_gap=junction_gap)
+                     a_junction=a_junction, junction_gap=junction_gap,
+                     saddle_junction=SADDLE_JUNCTION, saddle_truncation=truncation)
 
 
 def estimate_kappa1(path: OrbitPath) -> float:

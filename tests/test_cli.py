@@ -110,6 +110,42 @@ def test_config_bool_takes_only_true_or_false(tmp_path, capsys, value):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+@pytest.mark.parametrize("config, key, shown", [
+    ({"k": True}, "k", "true"),
+    ({"n": "0.05"}, "n", '"0.05"'),
+    ({"k": True, "n": "0.05"}, "k", "true"),   # the first bad key is named
+    ({"alpha": False}, "alpha", "false"),
+    ({"k": [0.5]}, "k", "[0.5]"),
+])
+def test_config_float_takes_only_a_json_number(tmp_path, capsys, config, key, shown):
+    # float(True) is 1.0 and float("0.05") is 0.05: neither is a JSON number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"{key}: must be a JSON number, got {shown}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_config_float_takes_a_json_integer(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta0": 10, "alpha": 1, "tmax": 50}))
+    assert run_cli("uniform-shear", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+    params = json.loads((tmp_path / "uniform_shear.manifest.json").read_text())["parameters"]
+    assert params["theta0"] == 10.0 and params["alpha"] == 1.0 and params["tmax"] == 50.0
+    assert all(type(params[k]) is float for k in ("theta0", "alpha", "tmax"))
+
+
+def test_config_integer_beyond_the_float_range_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"alpha": 1' + "0" * 400 + "}")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert ": alpha: int too large to convert to float" in capsys.readouterr().err
+
+
 def _parse(parse, argv, capsys):
     """(exit code, stdout, stderr) of a parse that exits, as argparse's help and errors do."""
     with pytest.raises(SystemExit) as exc:
@@ -334,6 +370,8 @@ def test_heteroclinic_cmd(tmp_path):
     assert np.all(np.diff(data["a"]) > 0)
     assert float(meta["a_junction"]) == pytest.approx(1e-2, rel=1e-12)
     assert 0.0 < float(meta["junction_gap"]) < 1e-10
+    assert float(meta["saddle_junction"]) == 1e-2
+    assert 0.0 < float(meta["saddle_truncation"]) <= 1e-17
 
 
 @pytest.mark.parametrize("argv, series, resolved", [
@@ -348,6 +386,8 @@ def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, series, resolved):
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     assert (meta["a_junction"] != "none") == series
     assert (meta["junction_gap"] != "none") == series
+    # every route starts on the saddle's series
+    assert float(meta["saddle_junction"]) == 1e-2
     if resolved:
         q = data["a"] * np.exp(-data["eta"])
         assert float(meta["kappa1"]) == pytest.approx(q[0], rel=1e-6)
@@ -399,6 +439,24 @@ def test_golden_localization_bundle(tmp_path):
         (tmp_path / "localizationb_spacetime.csv").read_bytes()
     assert (tmp_path / "localization_diagnostics.csv").read_bytes() == \
         (tmp_path / "localizationb_diagnostics.csv").read_bytes()
+
+
+def test_localization_diagnostics_resolve_a_tight_shoot(tmp_path, monkeypatch):
+    # The golden pins the showcase at the shoot's rtol 1e-10.  Independently of
+    # it, the diagnostics lie within 1e-10 of a run whose shoot uses rtol 1e-13
+    # (about 6e-11 away, in halfwidth; the shoot's truncation error, not the series)
+    import shearlab.cli as cli
+    from functools import partial
+
+    config = str(REPO / "configs" / "localization.json")
+    assert run_cli("localize", "--config", config, "--out-dir", str(tmp_path / "prod")) == 0
+    monkeypatch.setattr(cli, "shoot_heteroclinic", partial(cli.shoot_heteroclinic, rtol=1e-13))
+    assert run_cli("localize", "--config", config, "--out-dir", str(tmp_path / "tight")) == 0
+    meta_p, data_p = read_csv(tmp_path / "prod" / "localize_diagnostics.csv")
+    meta_t, data_t = read_csv(tmp_path / "tight" / "localize_diagnostics.csv")
+    assert meta_p == meta_t and list(data_p) == list(data_t)
+    for key in data_t:
+        assert np.allclose(data_p[key], data_t[key], rtol=1e-10, atol=0.0), key
 
 
 def test_golden_metastability_run(tmp_path):
@@ -639,7 +697,8 @@ def test_outer_window_is_checked_at_the_evaluated_points(tmp_path, capsys, sigma
 @pytest.mark.parametrize("cmd, nu", [("heteroclinic", "--nu"), ("localize", "--lambda")])
 def test_trial_step_past_b_zero_is_a_region_exit(tmp_path, capsys, cmd, nu):
     # valid inputs where a stiff trial step of the shoot reaches b <= 0
-    code = run_cli(cmd, "--n", "0.01", "--alpha", "5", nu, "0.01", "--eps", "1e-3",
+    # (lambda2 = 2e5, h lambda2 ~ 2e3 on the first step from the saddle's series)
+    code = run_cli(cmd, "--n", "0.01", "--alpha", "20", nu, "0.01", "--eps", "1e-3",
                    "--out-dir", str(tmp_path))
     assert code == 3
     payload = json.loads(capsys.readouterr().err)

@@ -160,6 +160,21 @@ def test_step_evaluates_the_strain_rate_twice(monkeypatch):
     assert calls == [(33,), (33,)]
 
 
+def test_step_returns_a_valid_state_whatever_its_summation_rounding(monkeypatch):
+    # sum(diff(v)) telescopes to v[N] - v[0]; for a steep valid state their float
+    # difference is rounding alone (1.9e-9 here), and step returns the state
+    import shearlab.pdesim as pdesim
+    grid = Grid1D(8192)
+    v = np.sort(np.random.default_rng(0).uniform(size=grid.N + 1)) * 1e7
+    theta = np.zeros(grid.N + 1)
+    assert abs(float(np.sum(np.diff(v))) - (v[-1] - v[0])) > 1e-10
+    monkeypatch.setattr(pdesim, "_solve", lambda state, *args: ([1.0], v[None], theta[None]))
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.5, theta0=0.0)
+    out = step(initial_uniform(grid, params), params, dt=1.0)
+    assert out.t == 1.0 and out.v.tobytes() == v.tobytes()
+    assert out.theta.tobytes() == theta.tobytes()
+
+
 def test_uniform_shear_tracking_diffusive():
     # the discrete scheme is exact in space on the uniform state; the error
     # is the time integrator's

@@ -9,16 +9,21 @@ is a fresh ``python3 -m shearlab.cli`` with the tree's ``src`` on PYTHONPATH
 and the tree as working directory, writing into its own temporary directory.
 The exit codes and every output file must be equal byte for byte; in the
 manifests ``wall_seconds``, ``written_at`` and the output directory are
-masked.  Prints one summary line and exits 1 on any difference.
+masked.  Prints one summary line and exits 1 on any difference.  A differing
+CSV whose two versions have the same lines and fields is followed by the
+largest relative shift |x - y| / max(|x|, |y|) of any numeric field, metadata
+included, so a change that moves outputs at solver tolerance can quote it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -48,6 +53,28 @@ def _outputs(tree: Path, argv, out: Path) -> tuple[int, dict[str, bytes]]:
     return code, files
 
 
+def _fields(data: bytes) -> list[list[str]]:
+    return [line.replace("=", ",").split(",") for line in data.decode().splitlines()]
+
+
+def _largest_shift(a: bytes, b: bytes) -> str:
+    """" (largest relative shift 3.1e-12)" for two CSVs of one shape, else ""."""
+    rows_a, rows_b = _fields(a), _fields(b)
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return ""
+    shifts = [0.0]
+    for x, y in zip(chain.from_iterable(rows_a), chain.from_iterable(rows_b)):
+        if x == y:
+            continue
+        try:
+            x, y = float(x), float(y)
+        except ValueError:   # a name, a header or "none"
+            continue
+        if x != y:   # nan when either is nan or infinite
+            shifts.append(abs(x - y) / max(abs(x), abs(y)))
+    return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g})"
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -61,8 +88,11 @@ def main(argv) -> int:
             count += len(files_a)
             if code_a != code_b:
                 differ.append(f"{' '.join(call)}: exit {code_a} vs {code_b}")
-            differ += [f"{' '.join(call)}: {name}" for name in sorted(files_a.keys() | files_b)
-                       if files_a.get(name) != files_b.get(name)]
+            for name in sorted(files_a.keys() | files_b):
+                a, b = files_a.get(name), files_b.get(name)
+                if a != b:
+                    shift = _largest_shift(a, b) if a and b and name.endswith(".csv") else ""
+                    differ.append(f"{' '.join(call)}: {name}{shift}")
     print(f"{len(CALLS)} calls, {count} files: "
           + (f"{len(differ)} differ: " + "; ".join(differ) if differ else "all identical"))
     return 1 if differ else 0
