@@ -1,14 +1,29 @@
-"""Fourth-order Magnus propagator for 2x2 linear systems y' = A(t) y (Iserles &
-Norsett, Phil. Trans. R. Soc. A 357, 1999): a substep is y <- e^Omega y with
-Omega = (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1] at the two Gauss points, and
-e^Omega in closed form.  Each output interval takes m and 2m substeps, m
+"""Sixth-order Magnus propagator for 2x2 linear systems y' = A(t) y whose only
+varying entry is a22 (Blanes, Casas & Ros, BIT 40, 2000): a substep is
+y <- e^Omega y, with A at the three Gauss points A1, A2, A3 and
+
+    alpha1 = h A2,  alpha2 = (sqrt(15) h/3)(A3 - A1),  alpha3 = (10 h/3)(A3 - 2 A2 + A1),
+    Omega = alpha1 + alpha3/12
+            + (1/240)[-20 alpha1 - alpha3 + [alpha1, alpha2],
+                      alpha2 - (1/60)[alpha1, 2 alpha3 + [alpha1, alpha2]]],
+
+and e^Omega in closed form.  Each output interval takes m and 2m substeps, m
 doubled until the two states differ by at most rtol max|y| + atol.
 
-A is given by its four entries, each an array over the Gauss points or a float
-where it is constant.  The kernel works on those entries as separate arrays:
-Omega's commutator, the exponential and the product of each interval's
-substeps are written out as 2x2 formulas, so no (..., 2, 2) stack is built.
-A propagator is the row (p11, p12, p21, p22).
+Only a22 varies, so alpha2 and alpha3 are multiples of E = [[0, 0], [0, 1]],
+and every commutator is a scalar times one of three fixed matrices,
+D = diag(1, -1), S = [[0, a12], [a21, 0]] or F = [[0, a12], [-a21, 0]]: the
+kernel forms the four entries of Omega from alpha1 + alpha3/12 and those three
+scalar arrays, with no 2x2 product.
+
+Where h |A| is large the truncated series is no longer a sum of small terms:
+its terms cubic in h a22 move the eigenvalues of Omega far from those of the
+flow, and can damp both modes alike, so that m and 2m substeps agree on a
+wrong state.  A substep keeps the sixth-order terms only where h |A| <= pi,
+inside the bound on which the series converges; elsewhere it takes the
+fourth-order truncation alpha1 + alpha3/12 - [alpha1, alpha2]/12, whose terms
+are linear in h a22, as those of the two-point fourth-order step (Iserles &
+Norsett, Phil. Trans. R. Soc. A 357, 1999) are.
 """
 
 from __future__ import annotations
@@ -23,7 +38,8 @@ from .errors import StiffnessError
 __all__ = ["check_t_eval", "solve_ivp"]
 
 MAX_SUBSTEPS = 4096   # per output interval
-_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+CONVERGENT = math.pi  # the largest h |A| of a substep with the sixth-order terms
+_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
 def check_t_eval(t_eval, t_span):
@@ -82,52 +98,62 @@ def _mul(x, y):
             x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)
 
 
-def _nodes(e):
-    """An entry of A at the two Gauss points of each substep, (A1, A2); a float twice."""
-    return (e[..., 0], e[..., 1]) if np.ndim(e) else (e, e)
-
-
-def _propagators(entries, lo, hi, m):
+def _propagators(fixed, a22, lo, hi, m):
     """The propagator of each interval [lo, hi], the product of its m substeps, as the
     row (p11, p12, p21, p22)."""
     chunk = max(1, 8192 // m)    # at most 8192 substeps in one NumPy pass
     if lo.size > chunk:
-        return np.concatenate([_propagators(entries, lo[i:i + chunk], hi[i:i + chunk], m)
+        return np.concatenate([_propagators(fixed, a22, lo[i:i + chunk], hi[i:i + chunk], m)
                                for i in range(0, lo.size, chunk)])
+    a, b, c = fixed
+    beta = b * c
     h = ((hi - lo) / m)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):   # caught in Omega, or in the state
-        (p11, q11), (p12, q12), (p21, q21), (p22, q22) = map(
-            _nodes, entries(lo[:, None, None] + h * (np.arange(m)[:, None] + _NODES)))
-        h = h[..., 0]
-        # the commutator [A2, A1] = A2 A1 - A1 A2, each product summed as a 2x2 matmul sums it
-        c = (math.sqrt(3.0) / 12.0) * h * h
-        omega = [np.broadcast_to(0.5 * h * (p + q) + c * (qp - pq), (lo.size, m))
-                 for p, q, qp, pq in ((p11, q11, q11 * p11 + q12 * p21, p11 * q11 + p12 * q21),
-                                      (p12, q12, q11 * p12 + q12 * p22, p11 * q12 + p12 * q22),
-                                      (p21, q21, q21 * p11 + q22 * p21, p21 * q11 + p22 * q21),
-                                      (p22, q22, q21 * p12 + q22 * p22, p21 * q12 + p22 * q22))]
+        d = a22(lo[:, None, None] + h * (np.arange(m)[:, None] + _NODES))
+        h, d1, d2, d3 = h[..., 0], d[..., 0], d[..., 1], d[..., 2]
+        # alpha2 = s2 E, alpha3 = s3 E; with [D, S] = 2F, [D, F] = 2S, [S, F] = -2 beta D,
+        # [alpha1, alpha2] = h s2 F and [alpha1, alpha3] = h s3 F, p = a11 - a22 at A2
+        p = a - d2
+        s2 = (math.sqrt(15.0) / 3.0) * h * (d3 - d1)
+        s3 = (10.0 / 3.0) * h * (d3 - 2.0 * d2 + d1)
+        hp, hs2 = h * p, h * s2
+        # the fourth-order truncation alpha1 + alpha3/12 - [alpha1, alpha2]/12 on F
+        z4 = hs2 / -12.0
+        # the rest of (1/240)[X, Y], on D, S and F
+        w = hs2 * s2
+        x6 = (beta * h / -120.0) * ((2.0 / 3.0) * h * s3 + hp * w / 60.0)
+        y6 = (h / 120.0) * (hp * s3 / 3.0 - s3 * s3 / 60.0 + 0.5 * s2 * s2 - beta * h * w / 30.0)
+        z6 = z4 + (hs2 / 120.0) * (hp * hp / 6.0 - hp * s3 / 120.0 + (2.0 / 3.0) * beta * h * h)
+        # the series converges where h |A| < pi (Moan & Niesen, Found. Comput. Math. 8,
+        # 2008), |A| the Frobenius norm in the frame where |a12| = |a21|, at the nodes
+        six = h * np.sqrt(a * a + 2.0 * abs(beta) + np.max(d * d, axis=2)) <= CONVERGENT
+        x, y, z = np.where(six, x6, 0.0), h + np.where(six, y6, 0.0), np.where(six, z6, z4)
+        # Omega = alpha1 + alpha3/12 + x D + (y - h) S + z F, where
+        # alpha1 + alpha3/12 = diag(h a11, h a22 + s3/12) + h S
+        omega = h * a + x, b * (y + z), c * (y - z), h * d2 + s3 / 12.0 - x
         bad = np.flatnonzero(~np.isfinite(omega).all(axis=(0, 2)))
         if bad.size:
             raise StiffnessError(f"A(t) h is not finite on [{lo[bad[0]]}, {hi[bad[0]]}]")
-        p = _expm2(*omega)
-        while p[0].shape[1] > 1:
-            p = _mul([e[:, 1::2] for e in p], [e[:, 0::2] for e in p])
-    return np.concatenate(p, axis=1)
+        e = _expm2(*omega)
+        while e[0].shape[1] > 1:
+            e = _mul([q[:, 1::2] for q in e], [q[:, 0::2] for q in e])
+    return np.concatenate(e, axis=1)
 
 
-def solve_ivp(entries, t_eval, y0, rtol, atol):
+def solve_ivp(fixed, a22, t_eval, y0, rtol, atol):
     """y' = A(t) y from ``y0`` at ``t_eval[0]``, sampled at each point of ``t_eval``.
 
-    ``entries(t)`` gives the entries (a11, a12, a21, a22) of A at the points of
-    the array ``t``, each an array of ``t``'s shape or a float for a constant
-    entry; ``nfev`` counts the points.  Raises StiffnessError where A or the
-    state is not finite, or an interval needs more than MAX_SUBSTEPS.
+    A = [[a11, a12], [a21, a22(t)]]: ``fixed`` holds the constant entries
+    (a11, a12, a21), and ``a22(t)`` gives the varying one at the points of the
+    array ``t``, as an array of its shape; ``nfev`` counts the points.  Raises
+    StiffnessError where A or the state is not finite, or an interval needs more
+    than MAX_SUBSTEPS.
     """
     t = np.asarray(t_eval, dtype=float)
     lo, hi = t[:-1], t[1:]
     level = np.ones(lo.size, dtype=int)     # the coarse substeps; the fine take twice as many
-    coarse, fine = _propagators(entries, lo, hi, 1), _propagators(entries, lo, hi, 2)
-    nfev = 6 * lo.size
+    coarse, fine = _propagators(fixed, a22, lo, hi, 1), _propagators(fixed, a22, lo, hi, 2)
+    nfev = 9 * lo.size
 
     def failing(i):   # the intervals of i where the two steps from the swept state differ
         y1, y2 = ys[i, 0], ys[i, 1]
@@ -162,7 +188,7 @@ def solve_ivp(entries, t_eval, y0, rtol, atol):
                     raise StiffnessError(f"more than {MAX_SUBSTEPS} substeps on [{t[sel[0]]}, "
                                          f"{t[sel[0] + 1]}], from {tuple(ys[sel[0]].tolist())}")
                 coarse[sel] = fine[sel]
-                fine[sel] = _propagators(entries, lo[sel], hi[sel], 4 * m)
-                nfev += 8 * m * sel.size
+                fine[sel] = _propagators(fixed, a22, lo[sel], hi[sel], 4 * m)
+                nfev += 12 * m * sel.size
             level[failed] *= 2
             failed = failing(failed)

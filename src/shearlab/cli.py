@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -318,6 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     return _parser(COMMANDS)
 
 
+# a flag value such as -2E-1 is a number, not an option; argparse's own pattern
+# (in 3.11, ^-\d+$|^-\d*\.\d+$) has no exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _parser(names) -> argparse.ArgumentParser:
     """The parser with the subparsers of ``names`` only; its usage and error
     text name all the subcommands, as the full parser's do."""
@@ -338,6 +344,7 @@ def _parser(names) -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
         sp.add_argument("--prefix", help="output file prefix (default: subcommand name)")
         sp.set_defaults(usage_error=sp.error)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

@@ -10,8 +10,10 @@ non-autonomous coefficient k(tau) = kappa c0 exp(alpha tau).  The two real
 eigenvalues per mode classify stability: mode j >= 1 is asymptotically stable
 iff n k (j pi)^2 > alpha.  Energy weights (A, B) certify decay of the full
 non-autonomous system after a computable stabilization time T.  The mode ODEs
-are integrated by the fourth-order Magnus propagator of ``_magnus``, exact
-for frozen k, with the substeps of each output interval set to meet rtol.
+are integrated by the sixth-order Magnus propagator of ``_magnus`` (three
+Gauss points per substep, fourth order where a substep is too stiff for the
+series), exact for frozen k, with the substeps of each output interval set to
+meet rtol.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._magnus import check_t_eval, solve_ivp
-from .errors import ParameterError
+from .errors import ParameterError, RangeError
 from .material import MaterialParams, t_of_tau, tau_of_t
 
 __all__ = [
@@ -268,12 +270,14 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     except ValueError as exc:
         raise ParameterError(f"tau_eval: {exc}") from None
 
-    def entries(tau):   # k = inf past the float range, which the propagator reports
+    a11, a12, a21, _ = _mode_entries(params, 0.0, j)
+
+    def a22(tau):   # k = inf past the float range, which the propagator reports
         return _mode_entries(params, np.full(tau.shape, frozen_k) if frozen_k is not None
-                             else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)
+                             else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)[3]
 
     grid = np.union1d(0.0, taus)    # the solution starts at tau = 0, which taus need not hold
-    sol = solve_ivp(entries, grid, init, rtol=rtol, atol=1e-14)
+    sol = solve_ivp((a11, a12, a21), a22, grid, init, rtol=rtol, atol=1e-14)
     skip = grid.size - taus.size
     return ModeTrajectory(j=j, taus=taus, u=sol.y[0, skip:], theta=sol.y[1, skip:],
                           method="magnus")
@@ -307,18 +311,31 @@ _MONOTONE_SLACK = 1e-9
 
 
 def energy_certificate(params: MaterialParams) -> EnergyCertificate:
-    """Minimal (A, B) meeting the selection inequalities, with 10% headroom."""
+    """Minimal (A, B) meeting the selection inequalities, with 10% headroom.
+
+    Raises RangeError, naming the quantity and the parameters, where A, B, C_B,
+    T or tau_T is not a finite float.
+    """
     n, alpha, kappa = params.n, params.alpha, params.kappa
     if n <= 0.0 or kappa <= 0.0:
         raise ParameterError("energy certificate requires n > 0 and kappa > 0")
     cp = 1.0 / math.pi ** 2
-    A = _HEADROOM * 2.0 * cp * (n + 1.0) ** 2 / (alpha * n)
-    c0 = params.c0
-    sigma_s0 = 1.0 / c0
-    B = _HEADROOM * alpha ** 2 * sigma_s0 / (2.0 * n * kappa)
-    C_B = B * (n + 1.0) ** 2 * sigma_s0 / alpha
-    T = max(0.0, (A * alpha ** 2 / (2.0 * n * kappa) - c0) / alpha)
-    return EnergyCertificate(params=params, A=A, B=B, C_B=C_B, Cp=cp, T=T)
+    with np.errstate(all="ignore"):   # inf and nan, checked below
+        n, alpha, kappa = np.float64(n), np.float64(alpha), np.float64(kappa)
+        A = _HEADROOM * 2.0 * cp * (n + 1.0) ** 2 / (alpha * n)
+        c0 = np.exp(params.log_c0)
+        sigma_s0 = 1.0 / c0
+        B = _HEADROOM * alpha ** 2 * sigma_s0 / (2.0 * n * kappa)
+        C_B = B * (n + 1.0) ** 2 * sigma_s0 / alpha
+        T = np.maximum(0.0, (A * alpha ** 2 / (2.0 * n * kappa) - c0) / alpha)
+        values = {"A": A, "B": B, "C_B": C_B, "T": T, "tau_T": tau_of_t(params, T)}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise RangeError(f"energy certificate: {name} = {float(value)} at n = {params.n}, "
+                             f"alpha = {params.alpha}, kappa = {params.kappa}, theta0 = "
+                             f"{params.theta0} is not a finite float")
+    return EnergyCertificate(params=params, A=float(A), B=float(B), C_B=float(C_B), Cp=cp,
+                             T=float(T))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -246,6 +247,85 @@ def test_modes_past_the_trapezoid_step_bound_is_numerical_failure(tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("j, kappa, theta0, tau_end, code", [
+    ("1", "0.1", "0.3", "100", 0), ("1", "0.1", "0.3", "600", 3), ("40", "0.2", "1", "600", 0)])
+def test_modes_on_stiff_horizons(tmp_path, capsys, j, kappa, theta0, tau_end, code):
+    """Late in these runs k(tau) (j pi)^2 times an output interval passes 1e20.
+
+    Mode 1 to 100 has decayed below atol where substeps would pass the cap; to 600
+    the cap falls at tau of about 19, while mode 1 is still about 0.1.  Mode 40 is
+    exactly 0 long before its Omega would overflow.
+    """
+    argv = ("modes", "--n", "0.05", "--alpha", "0.5", "--kappa", kappa, "--theta0", theta0,
+            "--j", j, "--tau-end", tau_end, "--out-dir", str(tmp_path))
+    assert run_cli(*argv) == code
+    if code == 3:
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "StiffnessError"
+        assert "more than 4096 substeps" in payload["message"]
+        return
+    _, data = read_csv(tmp_path / "modes.csv")
+    assert all(np.all(np.isfinite(col)) for col in data.values())
+    if j == "40":
+        assert data["u"][-1] == 0.0 and data["theta"][-1] == 0.0
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (("--alpha", "1e300"), "B = inf at n = 0.05, alpha = 1e+300, kappa = 0.5, theta0 = 0.0"),
+    (("--n", "1e-300"), "T = inf at n = 1e-300, alpha = 0.5, kappa = 0.5, theta0 = 0.0"),
+    (("--n", "1e-150", "--kappa", "1", "--theta0", "-46"),
+     "tau_T = inf at n = 1e-150, alpha = 0.5, kappa = 1.0, theta0 = -46.0")])
+def test_energy_certificate_overflow_is_named(tmp_path, argv, quantity):
+    # alpha ** 2 once raised a bare OverflowError; an infinite T or tau_T reached linspace
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "shearlab.cli", "energy", *argv,
+                           "--out-dir", str(tmp_path)], env=_cli_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stderr.count("\n") == 1, proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "RangeError"
+    assert payload["message"] == f"energy certificate: {quantity} is not a finite float"
+    assert not list(tmp_path.iterdir())
+
+
+def _negative_flags():
+    """(subcommand, flag, value) of every parameter whose kind takes a negative value:
+    -2E-1, or -3 for an int kind."""
+    flags = []
+    for name, (_, params, _) in COMMANDS.items():
+        for key, kind, _, flag in params:
+            for value in ("-2E-1", "-3"):
+                try:
+                    kind(value)
+                except (ValueError, argparse.ArgumentTypeError):
+                    continue
+                if kind is not bool:
+                    flags.append((name, flag or "--" + key.replace("_", "-"), value))
+                break
+    return flags
+
+
+@pytest.mark.parametrize("name, flag, value", _negative_flags())
+def test_negative_value_parses_as_a_number(name, flag, value):
+    # argparse's default pattern took -2E-1 for an option: "expected one argument"
+    parser = build_parser()
+    spaced = vars(parser.parse_args([name, flag, value]))
+    assert spaced == vars(parser.parse_args([name, f"{flag}={value}"]))
+    assert spaced[flag.lstrip("-").replace("-", "_")] == float(value)
+
+
+@pytest.mark.parametrize("argv", [("modes", "--theta0", "-2E-1"), ("modes", "--init-u", "-1e0"),
+                                  ("simulate", "--N", "32", "--t-end", "1", "--frames", "2",
+                                   "--amplitude", "-1e-2")])
+def test_negative_exponent_value_runs_as_with_equals(tmp_path, argv):
+    joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "spaced")) == 0
+    assert run_cli(*joined, "--out-dir", str(tmp_path / "joined")) == 0
+    csvs = sorted(path.name for path in (tmp_path / "spaced").glob("*.csv"))
+    assert csvs and csvs == sorted(path.name for path in (tmp_path / "joined").glob("*.csv"))
+    for csv in csvs:
+        assert (tmp_path / "spaced" / csv).read_bytes() == (tmp_path / "joined" / csv).read_bytes()
+
+
 def test_huge_initial_state_is_solved_or_numerical_failure(tmp_path, capsys):
     # 1e308 once crashed the explicit solver's first-step estimate (exit 1); the
     # linear solution scales with it, and overflows only where the mode grows 1.8x
@@ -368,7 +448,7 @@ def test_heteroclinic_cmd(tmp_path):
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     assert float(meta["kappa1"]) == pytest.approx(1.0 / 1.88, rel=1e-9)
     assert np.all(np.diff(data["a"]) > 0)
-    assert float(meta["a_junction"]) == pytest.approx(1e-2, rel=1e-12)
+    assert float(meta["a_junction"]) == pytest.approx(1e-2, rel=1e-12, abs=0)
     assert 0.0 < float(meta["junction_gap"]) < 1e-10
     assert float(meta["saddle_junction"]) == 1e-2
     assert 0.0 < float(meta["saddle_truncation"]) <= 1e-17

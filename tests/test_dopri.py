@@ -93,7 +93,7 @@ def test_terminal_event_is_located_and_appended(direction, root):
     ref = scipy_solve_ivp(scipy_form(oscillator), (0.0, 10.0), (1.0, 0.0), method="RK45",
                           rtol=1e-10, atol=1e-14, max_step=0.1, events=scipy_form(crossing))
     assert sol.t.size == ref.t.size and sol.nfev == ref.nfev
-    assert sol.t[-1] == pytest.approx(ref.t[-1], rel=1e-12)
+    assert sol.t[-1] == pytest.approx(ref.t[-1], rel=1e-12, abs=0)
     assert np.allclose(sol.y[:, -1], ref.y[:, -1], rtol=1e-10, atol=1e-14)
 
 

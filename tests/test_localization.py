@@ -115,7 +115,7 @@ def test_theta_excess_identity_and_bound(showcase_solution):
         excess = theta - base.theta_s
         peak = sol.evaluate(0.0, t)[2] - base.theta_s
         assert np.all(excess <= peak + 1e-12)
-        assert peak == pytest.approx(na * (base.theta_s - THETA0) + Theta00, rel=1e-12)
+        assert peak == pytest.approx(na * (base.theta_s - THETA0) + Theta00, rel=1e-12, abs=0)
 
 
 def test_monotone_decay_away_from_band(showcase_solution):

@@ -40,7 +40,7 @@ def test_uniform_shear_at_zero():
     mp = MaterialParams(alpha=0.5, theta0=10.0)
     st = uniform_shear(mp, 0.0)
     assert st.theta_s == pytest.approx(10.0, abs=1e-14)
-    assert st.sigma_s == pytest.approx(np.exp(-5.0), rel=1e-14)
+    assert st.sigma_s == pytest.approx(np.exp(-5.0), rel=1e-14, abs=0)
 
 
 def test_uniform_shear_identity_on_log_grid():
@@ -48,10 +48,10 @@ def test_uniform_shear_identity_on_log_grid():
     mp = MaterialParams(alpha=0.7, theta0=3.0)
     for t in np.geomspace(1e-6, 1e6, 25):
         st = uniform_shear(mp, t)
-        assert st.sigma_s * (mp.alpha * t + mp.c0) == pytest.approx(1.0, rel=1e-13)
+        assert st.sigma_s * (mp.alpha * t + mp.c0) == pytest.approx(1.0, rel=1e-13, abs=0)
         assert np.exp(mp.alpha * st.theta_s) == pytest.approx(
-            mp.alpha * t + mp.c0, rel=1e-13)
-        assert st.sigma_s == pytest.approx(np.exp(-mp.alpha * st.theta_s), rel=1e-14)
+            mp.alpha * t + mp.c0, rel=1e-13, abs=0)
+        assert st.sigma_s == pytest.approx(np.exp(-mp.alpha * st.theta_s), rel=1e-14, abs=0)
 
 
 def test_uniform_shear_derived_value():
@@ -59,7 +59,7 @@ def test_uniform_shear_derived_value():
     # d theta/dt = exp(-alpha theta) from theta0 with a high-order integrator
     mp = MaterialParams(alpha=0.5, theta0=10.0)
     st = uniform_shear(mp, 200.0)
-    assert st.theta_s == pytest.approx(11.030186648218763, rel=1e-13)
+    assert st.theta_s == pytest.approx(11.030186648218763, rel=1e-13, abs=0)
     sol = solve_ivp(lambda t, y: np.exp(-mp.alpha * y), (0.0, 200.0), [10.0],
                     rtol=1e-12, atol=1e-14, dense_output=True)
     assert st.theta_s == pytest.approx(float(sol.y[0, -1]), rel=1e-9)
@@ -99,7 +99,7 @@ def test_tau_of_t_basics():
     # tau(t) = theta_s(t) - theta_s(0)
     for t in (0.5, 7.0, 300.0):
         assert tau_of_t(mp, t) == pytest.approx(
-            uniform_shear(mp, t).theta_s - uniform_shear(mp, 0.0).theta_s, rel=1e-12)
+            uniform_shear(mp, t).theta_s - uniform_shear(mp, 0.0).theta_s, rel=1e-12, abs=0)
 
 
 def test_tau_derived_value_against_quadrature():
@@ -107,7 +107,7 @@ def test_tau_derived_value_against_quadrature():
     # integral of sigma_s over [0, 2]
     mp = MaterialParams(alpha=0.5, theta0=0.0)
     val = tau_of_t(mp, 2.0)
-    assert val == pytest.approx(2.0 * np.log(2.0), rel=1e-14)
+    assert val == pytest.approx(2.0 * np.log(2.0), rel=1e-14, abs=0)
     oracle, err = quad(lambda s: uniform_shear(mp, s).sigma_s, 0.0, 2.0,
                        epsabs=1e-13, epsrel=1e-13)
     assert val == pytest.approx(oracle, rel=1e-10)
@@ -116,7 +116,7 @@ def test_tau_derived_value_against_quadrature():
 def test_time_maps_are_inverse():
     mp = MaterialParams(alpha=0.8, theta0=4.0)
     for t in np.geomspace(1e-8, 1e8, 30):
-        assert t_of_tau(mp, tau_of_t(mp, t)) == pytest.approx(t, rel=1e-12)
+        assert t_of_tau(mp, tau_of_t(mp, t)) == pytest.approx(t, rel=1e-12, abs=0)
     taus = np.linspace(0.0, 30.0, 20)
     back = tau_of_t(mp, t_of_tau(mp, taus))
     assert np.allclose(back, taus, rtol=1e-12, atol=1e-13)
@@ -126,8 +126,8 @@ def test_t_of_tau_values():
     mp = MaterialParams(alpha=0.5, theta0=0.0)
     assert t_of_tau(mp, 0.0) == 0.0
     # exp(alpha tau) = 2 gives t = c0/alpha
-    assert t_of_tau(mp, np.log(2.0) / 0.5) == pytest.approx(mp.c0 / 0.5, rel=1e-14)
-    assert t_of_tau(mp, 4.0) == pytest.approx(2.0 * (np.exp(2.0) - 1.0), rel=1e-14)
+    assert t_of_tau(mp, np.log(2.0) / 0.5) == pytest.approx(mp.c0 / 0.5, rel=1e-14, abs=0)
+    assert t_of_tau(mp, 4.0) == pytest.approx(2.0 * (np.exp(2.0) - 1.0), rel=1e-14, abs=0)
 
 
 def test_t_of_tau_overflow_guard():
@@ -142,10 +142,10 @@ def test_constitutive_stress():
     # rate-insensitive limit
     mp0 = MaterialParams(n=0.0, alpha=0.5)
     for u in (0.1, 1.0, 17.0):
-        assert constitutive_stress(mp0, 2.0, u) == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert constitutive_stress(mp0, 2.0, u) == pytest.approx(np.exp(-1.0), rel=1e-14, abs=0)
     mp1 = MaterialParams(n=0.1, alpha=0.5)
     assert constitutive_stress(mp1, 2.0, 3.0) == pytest.approx(
-        np.exp(-1.0) * 3.0 ** 0.1, rel=1e-14)
+        np.exp(-1.0) * 3.0 ** 0.1, rel=1e-14, abs=0)
     with pytest.raises(ParameterError):
         constitutive_stress(mp1, 0.0, -1.0)
     with pytest.raises(ParameterError):

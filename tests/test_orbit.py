@@ -34,7 +34,7 @@ def test_params_validation():
         PlanarParams(n=0.0, alpha=0.5, nu=0.1)
     with pytest.raises(ParameterError):
         PlanarParams(n=0.1, alpha=0.5, nu=0.0)
-    assert REF.c_nu == pytest.approx(1.22, rel=1e-14)
+    assert REF.c_nu == pytest.approx(1.22, rel=1e-14, abs=0)
     assert REF.c_nu > 1.0
 
 
@@ -52,7 +52,7 @@ def test_field_on_parabola_boundary():
     a = 0.5
     da, db = vector_field(p, (a, a * a))
     assert da == pytest.approx(0.0, abs=1e-15)
-    assert db == pytest.approx(p.alpha / (p.nu * p.n) * (a * a - 1.0), rel=1e-12)
+    assert db == pytest.approx(p.alpha / (p.nu * p.n) * (a * a - 1.0), rel=1e-12, abs=0)
     assert db < 0
 
 
@@ -65,7 +65,7 @@ def test_equilibria_node():
     node, saddle = equilibria(REF)
     assert node.kind == "repelling-node"
     assert node.eigenvalues[0] == 1.0
-    assert node.eigenvalues[1] == pytest.approx(61.0, rel=1e-12)
+    assert node.eigenvalues[1] == pytest.approx(61.0, rel=1e-12, abs=0)
     assert node.eigenvalues[1] > 1.0
     assert np.allclose(node.eigenvectors[0], [1.0, 0.0])
     assert np.allclose(node.eigenvectors[1], [0.0, 1.0])
@@ -75,8 +75,8 @@ def test_equilibria_saddle_reference_values():
     # M = (alpha/(n nu)) c_nu = 61; lambda = (59 +- sqrt(59^2 + 400)) / 2
     node, saddle = equilibria(REF)
     root = math.sqrt(59.0 ** 2 + 400.0)
-    assert saddle.eigenvalues[0] == pytest.approx((59.0 - root) / 2.0, rel=1e-12)
-    assert saddle.eigenvalues[1] == pytest.approx((59.0 + root) / 2.0, rel=1e-12)
+    assert saddle.eigenvalues[0] == pytest.approx((59.0 - root) / 2.0, rel=1e-12, abs=0)
+    assert saddle.eigenvalues[1] == pytest.approx((59.0 + root) / 2.0, rel=1e-12, abs=0)
     assert saddle.kind == "saddle"
     # both roots satisfy the characteristic polynomial of the Jacobian
     J = jacobian(REF, REF.saddle)
@@ -211,7 +211,7 @@ def test_reparametrize_matches_amplitude(ref_orbit):
     path = reparametrize(ref_orbit, sigma0)
     q = path.a * np.exp(-path.eta)
     assert q[0] == pytest.approx(1.0 / sigma0, rel=1e-3)
-    assert path.kappa1 == pytest.approx(1.0 / sigma0, rel=1e-12)
+    assert path.kappa1 == pytest.approx(1.0 / sigma0, rel=1e-12, abs=0)
     assert path.sigma0 == sigma0
     with pytest.raises(ParameterError):
         reparametrize(ref_orbit, -1.0)
@@ -355,13 +355,13 @@ def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, n
     series = shoot_heteroclinic(p, rtol=1e-12)
     monkeypatch.setattr(orbit, "LAMBDA2_SERIES", math.inf)
     shot = shoot_heteroclinic(p, rtol=1e-12)
-    assert shot.a_junction is None and series.a_junction == pytest.approx(1e-2, rel=1e-12)
+    assert shot.a_junction is None and series.a_junction == pytest.approx(1e-2, rel=1e-12, abs=0)
     kappa1 = estimate_kappa1(series)
-    assert kappa1 == pytest.approx(estimate_kappa1(shot), rel=1e-12)
+    assert kappa1 == pytest.approx(estimate_kappa1(shot), rel=1e-12, abs=0)
     # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
     monkeypatch.undo()
     shallow = shoot_heteroclinic(p, rtol=1e-12, tol=5e-4)
-    assert estimate_kappa1(shallow) == pytest.approx(kappa1, rel=1e-14)
+    assert estimate_kappa1(shallow) == pytest.approx(kappa1, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)

@@ -33,10 +33,10 @@ def test_equilibrium_closed_form_values():
     U, Sigma, Theta = ev(0.0)
     assert Sigma == pytest.approx(1.5)
     assert U == pytest.approx(1.0 / 1.5)
-    assert Theta == pytest.approx(-(1.1 / 0.5) * math.log(1.5), rel=1e-14)
+    assert Theta == pytest.approx(-(1.1 / 0.5) * math.log(1.5), rel=1e-14, abs=0)
     # Pythagorean pick: xi = sigma0 sqrt(3) doubles Sigma
     _, Sigma2, _ = ev(1.5 * math.sqrt(3.0))
-    assert Sigma2 == pytest.approx(3.0, rel=1e-14)
+    assert Sigma2 == pytest.approx(3.0, rel=1e-14, abs=0)
     # U Sigma = 1 everywhere
     U, Sigma, _ = ev(np.geomspace(1e-3, 1e3, 50))
     assert np.allclose(U * Sigma, 1.0, rtol=1e-14)
@@ -64,10 +64,10 @@ def test_reconstruct_requires_reparametrized_path():
 
 def test_profile_endpoint_data(ref_profile):
     prof = ref_profile
-    assert prof.U0 == pytest.approx(1.22 / 1.88, rel=1e-12)
-    assert prof.U0 * prof.sigma0 == pytest.approx(REF.c_nu, rel=1e-12)
+    assert prof.U0 == pytest.approx(1.22 / 1.88, rel=1e-12, abs=0)
+    assert prof.U0 * prof.sigma0 == pytest.approx(REF.c_nu, rel=1e-12, abs=0)
     assert prof.Theta0 == pytest.approx(
-        (1.1 / 0.5) * math.log(prof.U0) - math.log(1.22) / 0.5, rel=1e-12)
+        (1.1 / 0.5) * math.log(prof.U0) - math.log(1.22) / 0.5, rel=1e-12, abs=0)
     # reconstructed initial value: Sigma at the smallest resolved xi
     assert prof.Sigma[0] == pytest.approx(1.88, abs=1e-3)
     assert prof.U[0] * prof.Sigma[0] == pytest.approx(REF.c_nu, abs=1e-3)

@@ -33,7 +33,7 @@ def test_mode_zero_pair():
     for alpha in (0.3, 1.0, 2.0):
         m = mode_eigen(MaterialParams(n=0.1, alpha=alpha), 0.5, 0)
         assert m.lambda_plus == 0.0
-        assert m.lambda_minus == pytest.approx(-alpha, rel=1e-14)
+        assert m.lambda_minus == pytest.approx(-alpha, rel=1e-14, abs=0)
         assert m.classification == MARGINAL
 
 
@@ -41,8 +41,8 @@ def test_hadamard_mode_closed_form():
     # n = 0, k = 0, alpha = 1, j = 1: lambda = -1/2 +- sqrt(1 + 4 pi^2)/2
     m = mode_eigen(MaterialParams(n=0.0, alpha=1.0), 0.0, 1)
     root = math.sqrt(1.0 + 4.0 * math.pi ** 2)
-    assert m.lambda_plus == pytest.approx(-0.5 + 0.5 * root, rel=1e-14)
-    assert m.lambda_minus == pytest.approx(-0.5 - 0.5 * root, rel=1e-14)
+    assert m.lambda_plus == pytest.approx(-0.5 + 0.5 * root, rel=1e-14, abs=0)
+    assert m.lambda_minus == pytest.approx(-0.5 - 0.5 * root, rel=1e-14, abs=0)
 
 
 def test_diffusion_stabilizes_first_mode():
@@ -329,7 +329,8 @@ def test_trapezoid_step_count_is_bounded(tau_end):
     (0.0, 1, 2.0, (0.3, -0.7)), (0.4, 3, 1.0, (0.3, -0.7)), (2.0, 5, 0.5, (1.0, 1.0)),
     (0.05, 40, 10.0, (1.0, 1.0))])
 def test_frozen_mode_is_exact_to_rounding(monkeypatch, k, j, tau_end, init):
-    # a constant A needs no refinement: one pass of 1 and 2 substeps per interval
+    # a constant A needs no refinement: one pass of 1 and 2 substeps per interval, A at
+    # three points in each
     params = MaterialParams(n=0.1, alpha=0.7)
     results = []
     real = stability.solve_ivp
@@ -340,7 +341,7 @@ def test_frozen_mode_is_exact_to_rounding(monkeypatch, k, j, tau_end, init):
 
     monkeypatch.setattr(stability, "solve_ivp", recorded)
     traj = integrate_mode(params, j, init, tau_end, frozen_k=k)
-    assert results[0].nfev == 6 * (stability.MODE_POINTS - 1)
+    assert results[0].nfev == 9 * (stability.MODE_POINTS - 1)
     u, th = frozen_mode_solution(params, k, j, init, traj.taus)
     scale = max(np.abs(u).max(), np.abs(th).max())
     assert np.abs(traj.u - u).max() <= 1e-12 * scale
@@ -354,14 +355,14 @@ def _energy_horizon(params):
 
 @pytest.mark.parametrize("theta0, kappa", BOX[::2])
 def test_nonautonomous_modes_match_a_refined_solve(theta0, kappa):
-    # twice the output points and rtol / 16, what halving a 4th-order substep gains
+    # twice the output points and rtol / 64, what halving a 6th-order substep gains
     params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
     tau_end = _energy_horizon(params)
     taus = np.linspace(0.0, tau_end, stability.MODE_POINTS)
     fine = np.linspace(0.0, tau_end, 2 * stability.MODE_POINTS - 1)
     for j in (1, 2, 3):
         traj = integrate_mode(params, j, (1.0, 1.0), tau_end)
-        ref = integrate_mode(params, j, (1.0, 1.0), tau_end, rtol=1e-10 / 16, tau_eval=fine)
+        ref = integrate_mode(params, j, (1.0, 1.0), tau_end, rtol=1e-10 / 64, tau_eval=fine)
         assert np.array_equal(traj.taus, taus) and np.array_equal(ref.taus[::2], taus)
         scale = np.abs(ref.u).max()
         assert np.abs(traj.u - ref.u[::2]).max() <= 1e-9 * scale, j
@@ -451,19 +452,69 @@ def test_expm2_keeps_the_small_entries_of_a_stiff_step():
 def test_nfev_counts_matrix_evaluations():
     points = []
 
-    def entries(t):
+    def a22(t):
         points.append(t.size)
-        return -1.0, 3.0, 1.0, -2.0 - 50.0 * t ** 2
+        return -2.0 - 50.0 * t ** 2
 
-    sol = _magnus.solve_ivp(entries, np.linspace(0.0, 3.0, 31), (1.0, 0.5), rtol=1e-10,
-                            atol=1e-14)
-    assert sol.nfev == sum(points) > 6 * 30       # some intervals were refined
+    sol = _magnus.solve_ivp((-1.0, 3.0, 1.0), a22, np.linspace(0.0, 3.0, 31), (1.0, 0.5),
+                            rtol=1e-10, atol=1e-14)
+    assert sol.nfev == sum(points) > 9 * 30       # some intervals were refined
     assert sol.njev == 0 and sol.nlu == 0 and sol.status == 0
 
 
+def test_substep_is_sixth_order():
+    # on a smooth non-autonomous case each halving of the substep divides the error by
+    # about 2^6; with the fourth-order truncation alone, by about 2^4
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-# The propagator kernel as it was on (..., 2, 2) stacks with NumPy's matmul: the
-# reference that the entrywise kernel of _magnus must match to rounding.
+    def a22(t):
+        return -2.0 + np.sin(3.0 * t)
+
+    def rhs(t, y):
+        return [-y[0] + 3.0 * y[1], y[0] + a22(t) * y[1]]
+
+    ref = np.stack([scipy_solve_ivp(rhs, (0.0, 1.0), col, method="DOP853", rtol=1e-13,
+                                    atol=1e-15).y[:, -1] for col in np.eye(2)], axis=1)
+    errors = [np.abs(_magnus._propagators((-1.0, 3.0, 1.0), a22, np.array([0.0]),
+                                          np.array([1.0]), m)[0].reshape(2, 2) - ref).max()
+              for m in (4, 8, 16)]
+    assert all(56.0 <= errors[i] / errors[i + 1] <= 72.0 for i in range(2)), errors
+
+
+def test_substeps_beyond_the_convergence_bound_take_the_fourth_order_terms(monkeypatch):
+    """With its sixth-order terms everywhere, step doubling accepts a wrong state.
+
+    At tau_end = 200 an output interval spans h k x of 100 and more from tau of
+    about 10.  There the truncated series damps both modes alike, so m and 2m
+    substeps agree on a state near 0 from tau = 15 on, while mode 1 is still about
+    0.4.  The bound sends those substeps to the fourth-order terms, and the solve
+    ends at the cap as it did with the fourth-order method.
+    """
+    with pytest.raises(StiffnessError, match="more than 4096 substeps on"):
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 200.0)
+    monkeypatch.setattr(_magnus, "CONVERGENT", math.inf)
+    wrong = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 200.0)
+    head = wrong.taus <= 16.0
+    u, _ = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), 16.0, wrong.taus[head])
+    late = wrong.taus[head] >= 15.5
+    assert np.all(u[late] > 0.3) and np.all(np.abs(wrong.u[head][late]) < 1e-6 * u[late])
+
+
+def test_stiff_horizon_matches_radau():
+    # the stiff tail of mode 1 to tau = 100 (h k x reaches 5e20 on an output interval),
+    # at the cap of 4096 substeps in places; compared where the state is above atol
+    traj = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 100.0)
+    head = traj.taus <= 30.0
+    u, th = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), 30.0, traj.taus[head])
+    scale = np.abs(u).max()
+    assert np.abs(traj.u[head] - u).max() <= 1e-9 * scale
+    assert np.abs(traj.theta[head] - th).max() <= 1e-9 * scale
+
+
+
+# The propagator kernel on (..., 2, 2) stacks with NumPy's matmul, from the
+# formulas as printed: the reference that the entrywise kernel of _magnus must
+# match to rounding.
 def _stacked_expm2(w):
     a, b, c, d = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
     m, p = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
@@ -486,12 +537,31 @@ def _stacked_expm2(w):
     return np.stack([np.stack([d0, s * b], -1), np.stack([s * c, d1], -1)], -2)
 
 
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
 def _stacked_propagators(matrix, lo, hi, m):
     h = ((hi - lo) / m)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         a = matrix(lo[:, None, None] + h * (np.arange(m)[:, None] + _magnus._NODES))
-        a1, a2, h = a[:, :, 0], a[:, :, 1], h[..., None]
-        omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+        a1, a2, a3, h = a[:, :, 0], a[:, :, 1], a[:, :, 2], h[..., None]
+        # Blanes, Casas & Ros (2000), and its truncation after [alpha1, alpha2]
+        b1 = h * a2
+        b2 = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
+        b3 = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
+        c12 = _commutator(b1, b2)
+        six = b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c12,
+                                           b2 - _commutator(b1, 2.0 * b3 + c12) / 60.0) / 240.0
+        four = b1 + b3 / 12.0 - c12 / 12.0
+        # h |A| at the nodes, Frobenius, after the similarity diag(1, t) that makes
+        # |a12| = |a21|
+        t = np.sqrt(np.abs(a[..., 1, 0] / a[..., 0, 1]))
+        balanced = a.copy()
+        balanced[..., 0, 1] *= t
+        balanced[..., 1, 0] /= t
+        size = h[..., 0, 0] * np.linalg.norm(balanced, axis=(-2, -1)).max(axis=-1)
+        omega = np.where((size <= _magnus.CONVERGENT)[..., None, None], six, four)
         p = _stacked_expm2(omega)
         while p.shape[1] > 1:
             p = p[:, 1::2] @ p[:, 0::2]
@@ -502,14 +572,16 @@ def _stacked_propagators(matrix, lo, hi, m):
 @pytest.mark.parametrize("j", [1, 40])
 @pytest.mark.parametrize("theta0, kappa", BOX)
 def test_entrywise_propagators_match_the_stacked_kernel(theta0, kappa, j, m):
-    # only the summation order of the 2x2 products differs
+    # only the rounding differs: the kernel carries Omega on I, D, S and F
     params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
     t = np.linspace(0.0, _energy_horizon(params) if j == 1 else 10.0, stability.MODE_POINTS)
 
     def k(tau):
         return params.kappa * np.exp(params.log_c0 + params.alpha * tau)
 
-    ours = _magnus._propagators(lambda tau: stability._mode_entries(params, k(tau), j),
+    a11, a12, a21, _ = stability._mode_entries(params, 0.0, j)
+    ours = _magnus._propagators((a11, a12, a21),
+                                lambda tau: stability._mode_entries(params, k(tau), j)[3],
                                 t[:-1], t[1:], m)
     ref = _stacked_propagators(lambda tau: mode_matrix(params, k(tau), j), t[:-1], t[1:], m)
     ref = ref.reshape(-1, 4)
@@ -518,12 +590,12 @@ def test_entrywise_propagators_match_the_stacked_kernel(theta0, kappa, j, m):
 
 
 # nfev of modes 1-3 to the energy horizon and of mode 40 to tau = 10 at each BOX
-# point, as the stacked kernel's step doubling chose it
-STACKED_NFEV = {(-1.0, 0.01): (75362, 158338, 74458, 12962),
-                (-1.0, 0.2): (50690, 71266, 18154, 7522),
-                (0.0, 0.1): (51474, 75266, 18578, 7522),
-                (1.0, 0.01): (69562, 146482, 44706, 9450),
-                (1.0, 0.2): (44554, 51778, 18210, 7762)}
+# point, as step doubling chose it with _stacked_propagators for its kernel
+STACKED_NFEV = {(-1.0, 0.01): (46119, 112287, 42531, 14643),
+                (-1.0, 0.2): (29919, 50823, 13035, 11091),
+                (0.0, 0.1): (30603, 51303, 13239, 11091),
+                (1.0, 0.01): (41295, 97023, 23007, 11679),
+                (1.0, 0.2): (24459, 35355, 13671, 11259)}
 
 
 @pytest.mark.parametrize("theta0, kappa", BOX)
@@ -628,7 +700,7 @@ def test_certificate_selection_rules():
     # T formula: (A alpha^2 / 2n) sigma_s(T) = kappa when T > 0
     assert cert.T == pytest.approx(
         max(0.0, (cert.A * params.alpha ** 2 / (2 * params.n * params.kappa) - 1.0)
-            / params.alpha), rel=1e-12)
+            / params.alpha), rel=1e-12, abs=0)
     sigma_T = 1.0 / (params.alpha * cert.T + params.c0)
     assert cert.A * params.alpha ** 2 / (2 * params.n) * sigma_T == pytest.approx(
         params.kappa, rel=1e-10)

@@ -3,7 +3,8 @@
     python3 tools/diff_outputs.py PARENT_TREE CHANGE_TREE
 
 Runs a fixed set of CLI calls in each tree: every subcommand at its defaults,
-the metastability config at full size and cut down, and the first pass of each
+the metastability config at full size and cut down, three stiff ``modes`` runs
+(mode 1 to tau 100 and 600, mode 40 to 600), and the first pass of each
 benchmark workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call
 is a fresh ``python3 -m shearlab.cli`` with the tree's ``src`` on PYTHONPATH
 and the tree as working directory, writing into its own temporary directory.
@@ -34,6 +35,11 @@ METASTABILITY = ("simulate", "--config", "configs/metastability.json")
 CALLS = [(cmd,) for cmd in ("uniform-shear", "spectrum", "modes", "energy", "heteroclinic",
                             "profile", "localize", "residual", "simulate")]
 CALLS += [METASTABILITY, (*METASTABILITY, "--N", "64", "--t-end", "5", "--frames", "5")]
+# stiff mode runs, where an integrator change moves the exit code first
+STIFF = ("modes", "--n", "0.05", "--alpha", "0.5")
+CALLS += [(*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end", "100"),
+          (*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end", "600"),
+          (*STIFF, "--kappa", "0.2", "--theta0", "1", "--j", "40", "--tau-end", "600")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
