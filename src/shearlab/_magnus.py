@@ -146,8 +146,10 @@ def solve_ivp(fixed, a22, t_eval, y0, rtol, atol):
     A = [[a11, a12], [a21, a22(t)]]: ``fixed`` holds the constant entries
     (a11, a12, a21), and ``a22(t)`` gives the varying one at the points of the
     array ``t``, as an array of its shape; ``nfev`` counts the points.  Raises
-    StiffnessError where A or the state is not finite, or an interval needs more
-    than MAX_SUBSTEPS.
+    StiffnessError where A or the state is not finite, or where an interval
+    needs more than MAX_SUBSTEPS: once an interval reaches the cap, the ones
+    after it wait while those before it are refined, and the error quotes the
+    state they give at its start.
     """
     t = np.asarray(t_eval, dtype=float)
     lo, hi = t[:-1], t[1:]
@@ -166,6 +168,7 @@ def solve_ivp(fixed, a22, t_eval, y0, rtol, atol):
             error = np.maximum(np.abs(f1 - g1), np.abs(f2 - g2))
             return i[~(error <= atol + rtol * size)]
 
+    capped = lo.size   # the first interval found to need more than MAX_SUBSTEPS, if any
     while True:
         ya, yb = (float(v) for v in y0)
         ys = [ya, yb]
@@ -173,20 +176,25 @@ def solve_ivp(fixed, a22, t_eval, y0, rtol, atol):
             ya, yb = f0 * ya + f1 * yb, f2 * ya + f3 * yb
             ys += ya, yb
         ys = np.array(ys).reshape(-1, 2)
-        bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(ys[:capped + 1]).all(axis=1))
         if bad.size:
             raise StiffnessError(f"the state is not finite at t = {t[bad[0]]}, from "
                                  f"{tuple(ys[bad[0] - 1].tolist())} at t = {t[bad[0] - 1]}")
-        failed = failing(np.arange(lo.size))
+        # a capped interval, and those after it, wait for the solution at its start
+        failed = failing(np.arange(capped))
+        if not failed.size and capped < lo.size:
+            raise StiffnessError(f"more than {MAX_SUBSTEPS} substeps on [{t[capped]}, "
+                                 f"{t[capped + 1]}], from {tuple(ys[capped].tolist())}")
         if not failed.size:
             return OdeResult(t=t, y=ys.T, status=0, nfev=nfev)
         # double the substeps where the estimate from this sweep's states fails, then resweep
         while failed.size:
+            over = failed[4 * level[failed] > MAX_SUBSTEPS]
+            if over.size:
+                capped = over[0]
+                failed = failed[failed < capped]
             for m in np.unique(level[failed]):
                 sel = failed[level[failed] == m]
-                if 4 * m > MAX_SUBSTEPS:
-                    raise StiffnessError(f"more than {MAX_SUBSTEPS} substeps on [{t[sel[0]]}, "
-                                         f"{t[sel[0] + 1]}], from {tuple(ys[sel[0]].tolist())}")
                 coarse[sel] = fine[sel]
                 fine[sel] = _propagators(fixed, a22, lo[sel], hi[sel], 4 * m)
                 nfev += 12 * m * sel.size

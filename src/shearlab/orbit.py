@@ -25,10 +25,10 @@ eta = 0) up to the junction zeta_j = 1e-2, is sampled from the series, with
 M = 14.  From W(zeta_j) the shooter integrates backward inside the
 invariant triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5
 (``_dopri.solve_ivp``: SciPy RK45's tableau and step controller on Python
-floats), down to a terminal event at a = a_* = 1e-2 located on its dense
-output by a port of SciPy's brentq.
+floats), and stops at its first step that ends at or below a = a_* = 1e-2;
+that step's end is the junction a_j, within one step (about 1% in a) below a_*.
 
-Below a_* the orbit is the slow manifold of the node (Fenichel, J. Differential
+Below a_j the orbit is the slow manifold of the node (Fenichel, J. Differential
 Equations 31, 1979; Lee & Tzavaras, SIADS 2017): with s = a^2 and
 lambda2 = (alpha/(n nu)) c_nu,
 
@@ -39,8 +39,9 @@ where the beta_m follow order by order from the invariance equation
 2 s h'(s) (1 - s/h) = (alpha/(nu n)) (c_nu h - 1 - ((n+1) nu/alpha) s), and the
 fast component is O(a^lambda2).  The node tail is sampled from these series
 down to a = tol, and the node-departure coefficient lim a e^(-eta) = e^(-C)
-is in closed form.  When lambda2 < 12 (a resonance lambda2 = 2m may be near)
-or tol >= a_*, the shoot runs to within tol of P instead, as a terminal event.
+is in closed form, with C fixed at the junction.  When lambda2 < 12 (a
+resonance lambda2 = 2m may be near) or tol >= a_*, the shoot runs instead to
+its first step that ends within tol of P.
 Between samples the orbit is a cubic Hermite interpolant in (log a, log b)
 evaluated with NumPy; neither step imports SciPy.  Reparametrization shifts
 eta so that the node-departure coefficient of a matches a requested amplitude.
@@ -240,7 +241,7 @@ class OrbitPath:
 
 
 _REGION_SLACK = 1e-9
-A_JUNCTION = 1e-2        # a_*: the shoot stops here and the series tail takes over
+A_JUNCTION = 1e-2        # a_*: the shoot ends at its first step at or below this
 _SERIES_TERMS = 5        # M: the truncation of h is O(a_*^(2M+2)) = 1e-24
 LAMBDA2_SERIES = 12.0    # lambda2 = 2m, m <= M, divides beta_m by zero: shoot below this
 _MAX_STEP = 0.01         # the shoot's largest step in s = -eta
@@ -357,11 +358,13 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     The saddle end, from the sample at distance eps from Q (eta = 0) to the
     junction zeta_j = SADDLE_JUNCTION, comes from Q's stable-manifold series.
     From W(zeta_j) at s = -eta_j the shooter negates the field and integrates
-    forward in s = -eta, in steps of at most _MAX_STEP, until a = A_JUNCTION,
-    then continues on the slow-manifold series down to a = tol.  When
-    lambda2 < LAMBDA2_SERIES or tol >= A_JUNCTION it integrates until
-    ||state - P|| < tol instead.  Not stopping by s = _S_MAX
-    raises MaxStepsError.  Every sample must stay in R: a trial step that
+    forward in s = -eta, in steps of at most _MAX_STEP, and stops at the end of
+    its first step with a <= A_JUNCTION.  From that junction the orbit
+    continues on the slow-manifold series down to a = tol; the tail is empty
+    when the junction already lies below tol.  When lambda2 < LAMBDA2_SERIES
+    or tol >= A_JUNCTION the shoot stops instead at the end of its first step
+    with ||state - P|| <= tol.  Not stopping by s = _S_MAX raises
+    MaxStepsError.  Every sample must stay in R: a trial step that
     reaches b <= 0, or a sample outside R, raises RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
@@ -385,16 +388,13 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     series = p.lambda2 >= LAMBDA2_SERIES and tol < A_JUNCTION
     if series:
         def stop(s, a, b):
-            return a - A_JUNCTION
+            return a <= A_JUNCTION
     else:
         def stop(s, a, b):
-            return math.hypot(a - node_a, b - node_b) - tol
+            return math.hypot(a - node_a, b - node_b) <= tol
 
-    stop.terminal = True
-    stop.direction = -1
-
-    sol = solve_ivp(backward, (-eta_h[0], _S_MAX), (a_h[0], b_h[0]), rtol=rtol,
-                    atol=1e-14, max_step=_MAX_STEP, events=stop)
+    sol = solve_ivp(backward, (-eta_h[0], _S_MAX), (a_h[0], b_h[0]), stop=stop, rtol=rtol,
+                    atol=1e-14, max_step=_MAX_STEP)
     if sol.status == 0:
         target = f"a = {A_JUNCTION:g}" if series else "the node"
         raise MaxStepsError(

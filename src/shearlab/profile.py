@@ -214,8 +214,6 @@ class ResidualReport:
     l2: tuple
     fd_error_estimate: float
     grid_too_coarse: bool
-    xi: np.ndarray
-    residuals: tuple    # arrays on the interior grid
 
 
 def ode_residual(evaluator, nu: float, n: float, alpha: float, xi) -> ResidualReport:
@@ -267,8 +265,7 @@ def ode_residual(evaluator, nu: float, n: float, alpha: float, xi) -> ResidualRe
     sup = tuple(float(np.max(np.abs(r))) for r in res)
     l2 = tuple(float(np.sqrt(np.mean(r * r))) for r in res)
     return ResidualReport(sup=sup, l2=l2, fd_error_estimate=fd_err,
-                          grid_too_coarse=fd_err > max(max(sup), 1e-300),
-                          xi=xi[interior], residuals=res)
+                          grid_too_coarse=fd_err > max(max(sup), 1e-300))
 
 
 @dataclass(frozen=True)

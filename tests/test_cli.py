@@ -448,7 +448,9 @@ def test_heteroclinic_cmd(tmp_path):
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     assert float(meta["kappa1"]) == pytest.approx(1.0 / 1.88, rel=1e-9)
     assert np.all(np.diff(data["a"]) > 0)
-    assert float(meta["a_junction"]) == pytest.approx(1e-2, rel=1e-12, abs=0)
+    # the junction is the shoot's first sample at or below a = 1e-2
+    (i,) = np.flatnonzero(data["a"] == float(meta["a_junction"]))
+    assert data["a"][i] <= 1e-2 < data["a"][i + 1]
     assert 0.0 < float(meta["junction_gap"]) < 1e-10
     assert float(meta["saddle_junction"]) == 1e-2
     assert 0.0 < float(meta["saddle_truncation"]) <= 1e-17
@@ -473,6 +475,16 @@ def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, series, resolved):
         assert float(meta["kappa1"]) == pytest.approx(q[0], rel=1e-6)
     else:
         assert meta["kappa1"] == "none"
+
+
+def test_heteroclinic_junction_below_tol_leaves_an_empty_tail(tmp_path):
+    # the shoot's first step at or below a = 1e-2 ends at a = 0.00991, below
+    # tol: the series tail is empty, and kappa1 has no tail to come from
+    assert run_cli("heteroclinic", "--n", "0.1", "--alpha", "0.5", "--nu", "0.1",
+                   "--tol", "0.00999", "--out-dir", str(tmp_path)) == 0
+    meta, data = read_csv(tmp_path / "heteroclinic.csv")
+    assert float(meta["a_junction"]) == data["a"][0] < 0.00999
+    assert meta["kappa1"] == "none"
 
 
 def test_profile_cmd(tmp_path):

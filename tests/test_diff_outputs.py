@@ -1,0 +1,53 @@
+"""The output-diff tool's shift figure: each data column over its largest |value|."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+diff_outputs = _tool()
+
+
+def _csv(meta, rows):
+    lines = [f"# {k} = {v!r}" for k, v in meta.items()] + ["x,y"]
+    return "\n".join(lines + [",".join(repr(v) for v in row) for row in rows]).encode()
+
+
+def _shift(name, a, b):
+    text = diff_outputs._largest_shift(name, a, b)
+    return float(text.removeprefix(" (largest relative shift ").removesuffix(")"))
+
+
+def test_a_near_zero_entry_is_measured_against_its_column():
+    # 1e-300 -> 2e-300 is a relative shift of 0.5 of the entry, 1e-300 of the column
+    a = _csv({"k": 2.0}, [(1.0, 4.0), (1e-300, 3.0)])
+    b = _csv({"k": 2.0}, [(1.0, 4.0), (2e-300, 3.0)])
+    assert _shift("out.csv", a, b) == 1e-300
+    # a metadata value stands alone: 2 -> 2.5 is 0.5 / 2.5
+    c = _csv({"k": 2.5}, [(1.0, 4.0), (2e-300, 3.0)])
+    assert _shift("out.csv", a, c) == 0.2
+    # a shift to a value that is not finite reads nan
+    d = _csv({"k": 2.0}, [(1.0, math.inf), (1e-300, 3.0)])
+    assert math.isnan(_shift("out.csv", a, d))
+    # files of different shapes get no figure
+    assert diff_outputs._largest_shift("out.csv", a, a + b"\n1.0,2.0") == ""
+
+
+def test_json_reports_of_one_structure_get_a_figure_over_their_numeric_leaves():
+    a = {"sup": [1e-12, 3.0], "nx": 33, "floor": False, "name": "x", "fit": {"order": 4.0}}
+    b = {"sup": [2e-12, 3.0], "nx": 33, "floor": False, "name": "x", "fit": {"order": 3.96}}
+    # each leaf stands alone: the 1e-12 -> 2e-12 shift is 0.5 of the leaf
+    assert _shift("r.json", json.dumps(a).encode(), json.dumps(b).encode()) == 0.5
+    b["sup"] = [1e-12, 3.0, 4.0]
+    assert diff_outputs._largest_shift("r.json", json.dumps(a).encode(),
+                                       json.dumps(b).encode()) == ""

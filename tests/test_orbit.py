@@ -355,7 +355,11 @@ def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, n
     series = shoot_heteroclinic(p, rtol=1e-12)
     monkeypatch.setattr(orbit, "LAMBDA2_SERIES", math.inf)
     shot = shoot_heteroclinic(p, rtol=1e-12)
-    assert shot.a_junction is None and series.a_junction == pytest.approx(1e-2, rel=1e-12, abs=0)
+    assert shot.a_junction is None
+    # the junction is the shoot's first sample at or below a = 1e-2: the body
+    # sample after it in eta, the one before it in the shoot, lies above
+    (i,) = np.flatnonzero(series.a == series.a_junction)
+    assert series.a[i] <= 1e-2 < series.a[i + 1]
     kappa1 = estimate_kappa1(series)
     assert kappa1 == pytest.approx(estimate_kappa1(shot), rel=1e-12, abs=0)
     # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
@@ -397,12 +401,10 @@ def test_fallback_shoots_to_the_node_bit_for_bit():
         return -da, -db
 
     def reach_node(s, a, b):
-        return math.hypot(a, b - node_b) - 1e-8
+        return math.hypot(a, b - node_b) <= 1e-8
 
-    reach_node.terminal = True
-    reach_node.direction = -1
-    sol = orbit.solve_ivp(backward, (s_j, 400.0), (a_j, b_j),
-                          rtol=1e-10, atol=1e-14, max_step=0.01, events=reach_node)
+    sol = orbit.solve_ivp(backward, (s_j, 400.0), (a_j, b_j), stop=reach_node,
+                          rtol=1e-10, atol=1e-14, max_step=0.01)
     body = path.eta <= -s_j
     assert body.sum() == sol.t.size == 2290 and path.eta.size == 3212
     assert path.eta[body].tobytes() == (-sol.t[::-1]).tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -498,6 +499,24 @@ def test_substeps_beyond_the_convergence_bound_take_the_fourth_order_terms(monke
     u, _ = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), 16.0, wrong.taus[head])
     late = wrong.taus[head] >= 15.5
     assert np.all(u[late] > 0.3) and np.all(np.abs(wrong.u[head][late]) < 1e-6 * u[late])
+
+
+def test_substep_cap_names_the_first_interval_from_the_solution_at_its_start():
+    # modes --j 1 --kappa 0.1 --theta0 0.3 --tau-end 600: the cap falls on one
+    # interval while earlier ones are still being refined; the error waits for
+    # them, and quotes the state they give at the start of the capped interval
+    with pytest.raises(StiffnessError, match="more than 4096 substeps on") as info:
+        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 600.0)
+    quoted = re.search(r"on \[(.+), (.+)\], from \((.+), (.+)\)$", str(info.value))
+    lo, hi, u, th = map(float, quoted.groups())
+    taus = np.linspace(0.0, 600.0, stability.MODE_POINTS)
+    (i,) = np.flatnonzero(taus == lo)
+    assert taus[i + 1] == hi
+    # every interval before it is solved within the cap, to that state
+    head = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), lo, tau_eval=taus[:i + 1])
+    assert (head.u[-1], head.theta[-1]) == (u, th)
+    ref = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), lo, taus[:i + 1])
+    assert np.abs(ref[:, -1] - (u, th)).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_stiff_horizon_matches_radau():

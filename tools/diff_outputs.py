@@ -11,9 +11,13 @@ and the tree as working directory, writing into its own temporary directory.
 The exit codes and every output file must be equal byte for byte; in the
 manifests ``wall_seconds``, ``written_at`` and the output directory are
 masked.  Prints one summary line and exits 1 on any difference.  A differing
-CSV whose two versions have the same lines and fields is followed by the
-largest relative shift |x - y| / max(|x|, |y|) of any numeric field, metadata
-included, so a change that moves outputs at solver tolerance can quote it.
+CSV whose two versions have the same lines and fields, or a differing JSON
+file whose two versions have the same structure, is followed by its largest
+relative shift, so a change that moves outputs at solver tolerance can quote
+it.  In a CSV data column each shift |x - y| is taken over the largest |value|
+of that column in either version, so entries near 0 do not set the figure;
+a metadata value or a numeric JSON leaf stands alone and is taken over
+max(|x|, |y|).  A shift to or from a value that is not finite reads nan.
 """
 
 from __future__ import annotations
@@ -59,25 +63,60 @@ def _outputs(tree: Path, argv, out: Path) -> tuple[int, dict[str, bytes]]:
     return code, files
 
 
-def _fields(data: bytes) -> list[list[str]]:
-    return [line.replace("=", ",").split(",") for line in data.decode().splitlines()]
+def _csv_groups(a: bytes, b: bytes):
+    """Each metadata value alone, then each data column, of two CSVs of one shape."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    if [line.count(",") for line in lines_a] != [line.count(",") for line in lines_b]:
+        return None
+    groups, rows = [], ([], [])
+    for x, y in zip(lines_a, lines_b):
+        if x.startswith("#"):
+            groups.append(([x.partition("=")[2]], [y.partition("=")[2]]))
+        else:
+            rows[0].append(x.split(","))
+            rows[1].append(y.split(","))
+    # the first row that is not metadata is the header
+    return groups + list(zip(zip(*rows[0][1:]), zip(*rows[1][1:])))
 
 
-def _largest_shift(a: bytes, b: bytes) -> str:
-    """" (largest relative shift 3.1e-12)" for two CSVs of one shape, else ""."""
-    rows_a, rows_b = _fields(a), _fields(b)
-    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_groups(x, y):
+    """Each numeric leaf alone of two JSON values of one structure."""
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        groups = [_json_groups(x[k], y[k]) for k in x]
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        groups = [_json_groups(u, v) for u, v in zip(x, y)]
+    elif _is_number(x) and _is_number(y):
+        return [([x], [y])]
+    elif type(x) is type(y) and not isinstance(x, (dict, list)):   # strings, booleans, null
+        return []
+    else:
+        return None
+    return None if None in groups else list(chain.from_iterable(groups))
+
+
+def _largest_shift(name: str, a: bytes, b: bytes) -> str:
+    """" (largest relative shift 3.1e-12)" for two CSV or JSON files of one shape, else ""."""
+    if name.endswith(".csv"):
+        groups = _csv_groups(a, b)
+    elif name.endswith(".json"):
+        groups = _json_groups(json.loads(a), json.loads(b))
+    else:
+        groups = None
+    if groups is None:
         return ""
     shifts = [0.0]
-    for x, y in zip(chain.from_iterable(rows_a), chain.from_iterable(rows_b)):
-        if x == y:
-            continue
+    for xs, ys in groups:
         try:
-            x, y = float(x), float(y)
-        except ValueError:   # a name, a header or "none"
+            xs, ys = [float(v) for v in xs], [float(v) for v in ys]
+        except ValueError:   # a name or "none"
             continue
-        if x != y:   # nan when either is nan or infinite
-            shifts.append(abs(x - y) / max(abs(x), abs(y)))
+        scale = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
+        shifts += [abs(x - y) / scale if math.isfinite(x) and math.isfinite(y) else math.nan
+                   for x, y in zip(xs, ys) if x != y]
     return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g})"
 
 
@@ -97,7 +136,7 @@ def main(argv) -> int:
             for name in sorted(files_a.keys() | files_b):
                 a, b = files_a.get(name), files_b.get(name)
                 if a != b:
-                    shift = _largest_shift(a, b) if a and b and name.endswith(".csv") else ""
+                    shift = _largest_shift(name, a, b) if a and b else ""
                     differ.append(f"{' '.join(call)}: {name}{shift}")
     print(f"{len(CALLS)} calls, {count} files: "
           + (f"{len(differ)} differ: " + "; ".join(differ) if differ else "all identical"))
