@@ -87,15 +87,37 @@ def _rms(x0, x1):
     return math.sqrt(x0 * x0 + x1 * x1) / _SQRT2   # as np.linalg.norm(x) / 2 ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.inf):
+def _initial_step(fun, t, ya, yb, fa, fb, length, rtol, atol, max_step):
+    """(first step, RHS calls so far) by SciPy's rule (Hairer, Norsett & Wanner,
+    sec. II.4); the step is None when the scaled slope overflows."""
+    sa = atol + abs(ya) * rtol
+    sb = atol + abs(yb) * rtol
+    d0 = _rms(ya / sa, yb / sb)
+    d1 = _rms(fa / sa, fb / sb)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    if h0 == 0.0:   # a finite state whose scaled slope overflows: d1 = inf
+        return None, 1
+    ga, gb = fun(t + h0, ya + h0 * fa, yb + h0 * fb)
+    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, length, max_step), 2
+
+
+def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.inf,
+              first_step=None):
     """Integrate (a, b)' = fun(t, a, b) forward over ``t_span`` from ``y0 = (a, b)``.
 
     ``fun`` gets the two components as floats and returns two numbers.
     ``stop(t, a, b)``, if given, is checked after each accepted step; the
     solve ends at the first step where it is true, with that step's end as
-    the last sample (status 1).  A step below the minimum, or a first step
-    that is zero or not finite, returns status -1.  The result is the same
-    bits on every Python version.
+    the last sample (status 1).  ``first_step``, as in SciPy, is the size of
+    the first trial step in place of the initial-step rule's choice.  A step
+    below the minimum, or a first step that is zero or not finite, returns
+    status -1.  The result is the same bits on every Python version.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -108,30 +130,20 @@ def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.in
         warn(f"At least one element of `rtol` is too small. "
              f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=2)
         rtol = 100 * _EPS
+    length = t_bound - t
+    if first_step is not None and not 0 < first_step <= length:
+        raise ValueError("`first_step` must be positive." if first_step <= 0
+                         else "`first_step` exceeds bounds.")
 
     ya, yb = (float(v) for v in y0)
     fa, fb = fun(t, ya, yb)
-
-    # initial step (Hairer, Norsett & Wanner, sec. II.4)
-    length = t_bound - t
-    sa = atol + abs(ya) * rtol
-    sb = atol + abs(yb) * rtol
-    d0 = _rms(ya / sa, yb / sb)
-    d1 = _rms(fa / sa, fb / sb)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    if h0 == 0.0:   # a finite state whose scaled slope overflows: d1 = inf
-        return OdeResult(t=np.array([t]), y=np.array([[ya], [yb]]), status=-1, nfev=1)
-    ga, gb = fun(t + h0, ya + h0 * fa, yb + h0 * fb)
-    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    h_abs = min(100 * h0, h1, length, max_step)
-    nfev = 2
-
     ts, ays, bys = [t], [ya], [yb]
+    if first_step is None:
+        h_abs, nfev = _initial_step(fun, t, ya, yb, fa, fb, length, rtol, atol, max_step)
+        if h_abs is None:
+            return OdeResult(t=np.array(ts), y=np.array([ays, bys]), status=-1, nfev=nfev)
+    else:
+        h_abs, nfev = float(first_step), 1
     # a NaN first step (a NaN or infinite state or slope) would never fall below min_step
     status = None if math.isfinite(h_abs) else -1
     while status is None:

@@ -177,11 +177,11 @@ def _energy(p, out):
 
 
 def _shoot(p, nu):
+    """The planar parameters and their orbit; a failure's message names what, if
+    anything, helps: a larger --eps for a long saddle head, a looser --tol for a
+    shoot to the node."""
     planar = PlanarParams(n=p["n"], alpha=p["alpha"], nu=nu)
-    try:
-        return planar, shoot_heteroclinic(planar, eps=p["eps"], tol=p["tol"])
-    except ShearlabError as exc:
-        raise type(exc)(f"{exc}; try reducing --eps or loosening --tol") from exc
+    return planar, shoot_heteroclinic(planar, eps=p["eps"], tol=p["tol"])
 
 
 def _profile_csv(prof, csv_path):
@@ -206,9 +206,9 @@ def _heteroclinic(p, out):
     write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},
               {"n": planar.n, "alpha": planar.alpha, "nu": planar.nu, "c_nu": planar.c_nu,
                "eta0": orbit.eta0, "kappa1": kappa1,
-               "a_junction": orbit.a_junction, "junction_gap": orbit.junction_gap,
-               "saddle_junction": orbit.saddle_junction,
-               "saddle_truncation": orbit.saddle_truncation})
+               **{k: getattr(orbit, k) for k in (
+                   "saddle_junction", "saddle_terms", "saddle_truncation", "a_saddle",
+                   "body_steps", "a_junction", "node_terms", "junction_gap")}})
     return [csv], f"samples={orbit.eta.size} kappa1={kappa1}"
 
 

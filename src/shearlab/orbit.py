@@ -10,6 +10,12 @@ with c_nu = 1 + nu (n+1)/alpha.  Its equilibria in the closed first quadrant
 are the repelling node P = (0, 1/c_nu) and the saddle Q = (1, 1); the orbit
 joining them generates every localizing profile.
 
+The orbit is built from the two invariant manifolds it lies on, each summed
+as far as its truncation bound allows, with DOPRI5 only in the gap between
+them (the parametrization method for connecting orbits: van den Berg,
+Mireles James, Lessard & Mischaikow, SIAM J. Math. Anal. 43, 2011; Lessard,
+Mireles James & Reinhardt, J. Dyn. Diff. Equat. 26, 2014).
+
 Near Q the orbit is Q's stable manifold, written by the parametrization method
 (Cabre, Fontich & de la Llave, Indiana Univ. Math. J. 52, 2003; Haro et al.,
 The Parameterization Method for Invariant Manifolds, Springer 2016) as
@@ -19,16 +25,12 @@ The Parameterization Method for Invariant Manifolds, Springer 2016) as
 with mu_s the stable eigenvalue, c_1 the unit stable eigenvector pointing into
 R, and (m mu_s I - J_Q) c_m equal to the zeta^m coefficient of the field's
 nonlinear part, which the lower orders fix; the matrix is invertible for every
-m >= 2 because m mu_s < 0 < mu_u and m mu_s != mu_s.  eta is exact on it, so
-the saddle head, from zeta = eps (the sample at distance eps from Q, at
-eta = 0) up to the junction zeta_j = 1e-2, is sampled from the series, with
-M = 14.  From W(zeta_j) the shooter integrates backward inside the
-invariant triangle-like region R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5
-(``_dopri.solve_ivp``: SciPy RK45's tableau and step controller on Python
-floats), and stops at its first step that ends at or below a = a_* = 1e-2;
-that step's end is the junction a_j, within one step (about 1% in a) below a_*.
+m >= 2 because m mu_s < 0 < mu_u and m mu_s != mu_s.  eta is exact on it.  Its
+reach zeta_r is where the first dropped term |c_(M+1)| zeta^(M+1) is 1e-15,
+with M up to 40; the saddle head, from zeta = eps (the sample at distance eps
+from Q, at eta = 0) down to zeta_r, is sampled from the series.
 
-Below a_j the orbit is the slow manifold of the node (Fenichel, J. Differential
+Near P the orbit is the slow manifold of the node (Fenichel, J. Differential
 Equations 31, 1979; Lee & Tzavaras, SIADS 2017): with s = a^2 and
 lambda2 = (alpha/(n nu)) c_nu,
 
@@ -37,14 +39,28 @@ lambda2 = (alpha/(n nu)) c_nu,
 
 where the beta_m follow order by order from the invariance equation
 2 s h'(s) (1 - s/h) = (alpha/(nu n)) (c_nu h - 1 - ((n+1) nu/alpha) s), and the
-fast component is O(a^lambda2).  The node tail is sampled from these series
-down to a = tol, and the node-departure coefficient lim a e^(-eta) = e^(-C)
-is in closed form, with C fixed at the junction.  When lambda2 < 12 (a
-resonance lambda2 = 2m may be near) or tol >= a_*, the shoot runs instead to
-its first step that ends within tol of P.
-Between samples the orbit is a cubic Hermite interpolant in (log a, log b)
-evaluated with NumPy; neither step imports SciPy.  Reparametrization shifts
-eta so that the node-departure coefficient of a matches a requested amplitude.
+fast component is O(a^lambda2).  Only terms m < lambda2/2 are formed, short of
+the resonance lambda2 = 2m, and the truncation that reaches furthest (first
+dropped term 1e-15, a at most 0.9) gives the reach a_n.  F is summed from its
+series at small s and by Gauss-Legendre quadrature of F' at large s, where
+its singularity at Q (h(1) = 1) slows the series.
+
+When W(zeta_r) lies at or below a_n the reaches overlap: the head's first
+sample is the junction, and C follows from eta there.  Otherwise the shooter
+integrates backward from W(zeta_r) inside the invariant triangle-like region
+R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5 (``_dopri.solve_ivp``: SciPy
+RK45's tableau and step controller on Python floats), from a first step of
+1/lambda2, and stops at its first step that ends at or below a_n, the
+junction.  Below the junction the node tail is sampled from the slow
+manifold down to a = tol, and the node-departure coefficient
+lim a e^(-eta) = e^(-C) is in closed form.  |b - h(a^2)| at the junction is
+its gap.  When lambda2 < 12 (a resonance lambda2 = 2m may be near) the shoot
+runs instead from W(zeta_r) to its first step that ends within tol of P.
+Every stretch, head, body and tail, is sampled no more than 0.01 apart in
+eta.  Between samples the orbit is a cubic Hermite interpolant in
+(log a, log b) evaluated with NumPy; nothing here imports SciPy.
+Reparametrization shifts eta so that the node-departure coefficient of a
+matches a requested amplitude.
 """
 
 from __future__ import annotations
@@ -52,6 +68,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,10 +164,17 @@ def equilibria(p: PlanarParams):
         eigenvectors=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
         kind="repelling-node",
     )
+    # the roots of lambda^2 - m lambda - 2 alpha/(n nu); the smaller one in size from
+    # their product, as 0.5 (m - root) loses digits to cancellation when m >> 1
     m = lam2 - 2.0
-    root = math.sqrt(m * m + 8.0 * p.alpha / (p.n * p.nu))
-    lam_minus = 0.5 * (m - root)
-    lam_plus = 0.5 * (m + root)
+    product = -2.0 * p.alpha / (p.n * p.nu)
+    root = math.sqrt(m * m - 4.0 * product)
+    if m >= 0.0:
+        lam_plus = 0.5 * (m + root)
+        lam_minus = product / lam_plus
+    else:
+        lam_minus = 0.5 * (m - root)
+        lam_plus = product / lam_minus
     saddle = EquilibriumInfo(
         point=p.saddle,
         eigenvalues=(lam_minus, lam_plus),
@@ -172,12 +197,15 @@ class OrbitPath:
     a -> 0.  ``eta0`` is the shift applied to match an amplitude sigma0 (0
     for a freshly shot orbit) and ``kappa1`` the node-departure coefficient
     lim a(eta) e^(-eta) in the current parametrization (None until
-    estimated).  ``a_junction`` is the a at which the shot body meets the
-    series tail and ``junction_gap`` the |b_shot - h(a^2)| there; both are
-    None when the orbit was shot to the node.  ``saddle_junction`` is the
-    zeta_j at which the body leaves Q's stable-manifold series and
-    ``saddle_truncation`` the size |c_(M+1)| zeta_j^(M+1) of its first
-    dropped term there.
+    estimated).  ``saddle_junction`` is the reach zeta_r of Q's
+    stable-manifold series, of ``saddle_terms`` terms, where the head ends
+    at a = ``a_saddle``, and ``saddle_truncation`` the size of its first
+    dropped term there.  ``body_steps`` counts the DOPRI5 steps between the
+    series, 0 when their reaches overlap.  ``a_junction`` is the a at which
+    the slow-manifold series of ``node_terms`` terms takes over, the body's
+    end or, with no body, ``a_saddle``, and ``junction_gap`` the
+    |b - h(a^2)| there; these three are None when the orbit was shot to the
+    node.
     """
 
     params: PlanarParams
@@ -196,6 +224,10 @@ class OrbitPath:
     junction_gap: float | None = None
     saddle_junction: float | None = None
     saddle_truncation: float | None = None
+    saddle_terms: int | None = None
+    node_terms: int | None = None
+    a_saddle: float | None = None
+    body_steps: int = 0
 
     def __post_init__(self):
         if not np.all(np.diff(self.eta) > 0):
@@ -241,47 +273,118 @@ class OrbitPath:
 
 
 _REGION_SLACK = 1e-9
-A_JUNCTION = 1e-2        # a_*: the shoot ends at its first step at or below this
-_SERIES_TERMS = 5        # M: the truncation of h is O(a_*^(2M+2)) = 1e-24
-LAMBDA2_SERIES = 12.0    # lambda2 = 2m, m <= M, divides beta_m by zero: shoot below this
-_MAX_STEP = 0.01         # the shoot's largest step in s = -eta
-_S_MAX = 400.0           # the shoot gives up past s = _S_MAX
-_TAIL_STEP = 0.01        # tail sample spacing in log a, the body's density under _MAX_STEP
-SADDLE_JUNCTION = 1e-2   # zeta_j: the shoot starts on W(zeta_j), about 1e-2 from Q
-_SADDLE_TERMS = 14       # M: W is summed to zeta^M
+_SERIES_TOL = 1e-15      # each series is summed out to where its first dropped term is this
+_SADDLE_TERMS = 40       # the most terms of W
+_NODE_TERMS = 30         # the most terms of h, and fewer than lambda2/2 (the resonance)
+_NODE_REACH_MAX = 0.9    # h is used up to a = 0.9 at most, where F's Gauss rule still converges
+LAMBDA2_SERIES = 12.0    # below this the node series is too short to use: shoot to the node
+_MAX_STEP = 0.01         # the largest spacing in eta of the samples, and of the body's steps
+_S_MAX = 400.0           # the body gives up after this span in s = -eta
+_HEAD_S_MAX = 2000.0     # the longest saddle head in s: 200k samples at _MAX_STEP
 _PLATEAU_RTOL = 1e-4     # the flatness a e^(-eta) must reach over the deepest decade
 
 
-def _slow_manifold(p: PlanarParams):
-    """np.polyval coefficients in s = a^2 of d(s) = h(s) - 1/c_nu and of F(s).
+def _polyval(coef, x):
+    """np.polyval(coef, x) for an array x, the same arithmetic done in place."""
+    y = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+# The 24-point Gauss-Legendre rule for F past its series: the positive nodes on
+# [-1, 1] and their weights, rounded from 40-digit values.  A table needs no
+# LAPACK call and no numpy.polynomial import, and is good to the last bit.
+_GAUSS_LEGENDRE = np.array([
+    (0.06405689286260563, 0.12793819534675216),
+    (0.1911188674736163, 0.1258374563468283),
+    (0.3150426796961634, 0.12167047292780339),
+    (0.4337935076260451, 0.1155056680537256),
+    (0.5454214713888396, 0.10744427011596563),
+    (0.6480936519369755, 0.09761865210411388),
+    (0.7401241915785544, 0.08619016153195327),
+    (0.820001985973903, 0.0733464814110803),
+    (0.8864155270044011, 0.05929858491543678),
+    (0.9382745520027328, 0.04427743881741981),
+    (0.9747285559713095, 0.028531388628933663),
+    (0.9951872199970213, 0.0123412297999872),
+])
+# the same rule on [0, 1]
+_GAUSS_X = 0.5 * np.concatenate([1.0 - _GAUSS_LEGENDRE[::-1, 0], 1.0 + _GAUSS_LEGENDRE[:, 0]])
+_GAUSS_W = 0.5 * np.concatenate([_GAUSS_LEGENDRE[::-1, 1], _GAUSS_LEGENDRE[:, 1]])
+
+
+class _SlowManifold(NamedTuple):
+    """The node's slow manifold b = h(s) = node_b + d(s), s = a^2, as far as
+    its series reaches, and F(s) with eta = log a + C + F(s)."""
+
+    node_b: float
+    d_coef: list      # np.polyval coefficients of d, of degree ``terms``
+    f_coef: list      # np.polyval coefficients of F's series, summed up to s = s_f
+    s_f: float
+    reach: float      # a_n: d's first dropped term is _SERIES_TOL at s = a_n^2
+    terms: int
+
+    def F(self, s):
+        """F(s) = int_0^s ds' / (2 (h(s') - s')) at an array of s in [0, reach^2]:
+        the series up to s_f, Gauss-Legendre quadrature of F' above it."""
+        out = _polyval(self.f_coef, s)
+        far = s > self.s_f
+        if np.any(far):
+            t = s[far, None] * _GAUSS_X
+            out[far] = s[far] * ((0.5 / (self.node_b + _polyval(self.d_coef, t) - t)) @ _GAUSS_W)
+        return out
+
+
+def _slow_manifold(p: PlanarParams) -> _SlowManifold:
+    """The slow manifold's series, with as many terms as reach furthest.
 
     beta_m (2 m beta_0 - g) is the s^m coefficient of the invariance
     equation, multiplied by h, with beta_m taken out:
-    2 s h' (h - s) = g h (c_nu h - 1 - k s).  F' = 1/(2 (h - s)) is
-    integrated term by term from the reciprocal series r of h - s.
+    2 s h' (h - s) = g h (c_nu h - 1 - k s).  Only the beta_m with
+    m < lambda2/2 are formed: past the resonance 2 m beta_0 = g they grow.
+    Of those, the truncation whose first dropped term reaches furthest is
+    kept, and the terms stop once it reaches _NODE_REACH_MAX.  F' = 1/(2 (h - s))
+    is integrated term by term from the reciprocal series r of h - s; the
+    series serves up to where its first dropped term is _SERIES_TOL.
     """
     g = p.alpha / (p.nu * p.n)
     c = p.c_nu
     k = (p.n + 1.0) * p.nu / p.alpha
     beta = [1.0 / c]
-    for m in range(1, _SERIES_TERMS + 1):
-        conv = sum(beta[j] * beta[m - j] for j in range(1, m))
-        jconv = sum(j * beta[j] * beta[m - j] for j in range(1, m))
+    jbeta = [0.0]    # j beta_j
+    reach, terms = 0.0, 0
+    for m in range(1, min(_NODE_TERMS + 1, math.ceil(p.lambda2 / 2.0) - 1) + 1):
+        back = beta[m - 1:0:-1]
+        conv = sum(map(mul, beta[1:m], back))
+        jconv = sum(map(mul, jbeta[1:m], back))
         rest = g * (c * conv - k * beta[m - 1]) - 2.0 * jconv + 2.0 * (m - 1) * beta[m - 1]
         beta.append(rest / (2.0 * m * beta[0] - g))
-    q = [beta[0], beta[1] - 1.0, *beta[2:]]
+        jbeta.append(m * beta[m])
+        s_m = (_SERIES_TOL / abs(beta[m])) ** (1.0 / m)   # the reach of the m - 1 terms before
+        if s_m > reach:
+            reach, terms = s_m, m - 1
+            if reach >= _NODE_REACH_MAX ** 2:
+                break
+    # r = 1/(h - s) to _NODE_TERMS terms, whatever the degree of h
+    q = [beta[0], beta[1] - 1.0, *beta[2:terms + 1]]
     r = [c]
-    for m in range(1, _SERIES_TERMS + 1):
-        r.append(-c * sum(q[j] * r[m - j] for j in range(1, m + 1)))
-    d_coef = [*beta[:0:-1], 0.0]
-    f_coef = [r[m] / (2.0 * (m + 1)) for m in range(_SERIES_TERMS, -1, -1)] + [0.0]
-    return d_coef, f_coef
+    for m in range(1, _NODE_TERMS + 2):
+        r.append(-c * sum(map(mul, q[1:m + 1], r[m - 1::-1])))
+    f_coef = [r[m] / (2.0 * (m + 1)) for m in range(_NODE_TERMS, -1, -1)] + [0.0]
+    s_f = (_SERIES_TOL * 2.0 * (_NODE_TERMS + 2) / abs(r[-1])) ** (1.0 / (_NODE_TERMS + 2))
+    return _SlowManifold(node_b=beta[0], d_coef=[*beta[terms:0:-1], 0.0], f_coef=f_coef,
+                         s_f=min(s_f, reach), reach=math.sqrt(min(reach, _NODE_REACH_MAX ** 2)),
+                         terms=terms)
 
 
-def _stable_manifold(p: PlanarParams):
-    """mu_s and the np.polyval coefficients, c_(M+1) first, of a(zeta) and b(zeta)
-    on Q's stable manifold W(zeta) = Q + sum_{m=1..M+1} c_m zeta^m.
+def _stable_manifold(p: PlanarParams, a_stop: float = 0.0):
+    """mu_s, the np.polyval coefficients, c_(M+1) first, of a(zeta) and b(zeta)
+    on Q's stable manifold W(zeta) = Q + sum_{m=1..M+1} c_m zeta^m, and its
+    reach zeta_r, where the first dropped term |c_(M+1)| zeta_r^(M+1) is _SERIES_TOL.
 
+    Terms are added until a(zeta_r) <= a_stop, or up to M = _SADDLE_TERMS.
     With the zeta^m coefficients of the unknown c_m set to 0, the series A, B
     of a, b give the m-th coefficients P0 of a^2, T0 of a^3 and R0 of a^3/b
     (series division by B); these are the field's nonlinear part, and
@@ -291,15 +394,16 @@ def _stable_manifold(p: PlanarParams):
     lam = p.lambda2
     _, saddle = equilibria(p)
     mu = saddle.eigenvalues[0]
-    r = saddle.eigenvectors[0]
+    r = saddle.eigenvectors[0].tolist()     # Python floats: the sums below are scalar
     A = [1.0, -r[0] / math.hypot(*r)]
     B = [1.0, -r[1] / math.hypot(*r)]
     P = [1.0, 2.0 * A[1]]
     R = [1.0, 3.0 * A[1] - B[1]]
     for m in range(2, _SADDLE_TERMS + 2):
-        p0 = sum(A[j] * A[m - j] for j in range(1, m))
-        t0 = sum(P[j] * A[m - j] for j in range(1, m)) + p0
-        r0 = t0 - sum(B[j] * R[m - j] for j in range(1, m))
+        back = A[m - 1:0:-1]
+        p0 = sum(map(mul, A[1:m], back))
+        t0 = sum(map(mul, P[1:m], back)) + p0
+        r0 = t0 - sum(map(mul, B[1:m], R[m - 1:0:-1]))
         # Cramer's rule on (m mu I - J_Q) c_m = (n0, n1), with g k = q/2
         m00, m11 = m * mu + 2.0, m * mu - lam
         n0, n1 = -r0, -0.5 * q * p0
@@ -310,68 +414,129 @@ def _stable_manifold(p: PlanarParams):
         B.append(bm)
         P.append(p0 + 2.0 * am)
         R.append(r0 + 3.0 * am - bm)
-    return mu, A[::-1], B[::-1]
+        zeta_r = (_SERIES_TOL / math.hypot(am, bm)) ** (1.0 / m)
+        a_r = 0.0
+        for cm in reversed(A[:m]):
+            a_r = a_r * zeta_r + cm
+        if a_r <= a_stop:
+            break
+    return mu, A[::-1], B[::-1], zeta_r
 
 
-def _saddle_head(p: PlanarParams, eps: float):
-    """(eta, a, b, truncation): the saddle end of the orbit on Q's stable manifold.
+def _series_tail(node: _SlowManifold, eta_j: float, a_j: float, tol: float):
+    """(eta, a, d) of the slow-manifold tail below the junction (eta_j, a_j), and
+    d(a_j^2) = h(a_j^2) - 1/c_nu.
 
-    The samples run from the junction eta_j, where zeta = SADDLE_JUNCTION, up to
-    eta = 0, where zeta = eps, no further apart than _MAX_STEP.  ``truncation``
-    is the first dropped term |c_(M+1)| zeta_j^(M+1), below 5e-27 wherever it
-    was probed: |c_(M+1)| tends to 4.7e3 as lambda2 grows.  A head longer
-    than _S_MAX in eta (|mu_s| below about 0.02) raises MaxStepsError.
+    C = eta_j - log a_j - F(a_j^2) comes from the junction.  The samples lie
+    at equal steps of at most _MAX_STEP in eta, from the eta of a = tol up
+    to, and not including, eta_j; empty when a_j <= tol.  At each, log a
+    solves G(log a) = log a + F(a^2) = eta - C by Newton's method.  G is
+    increasing and convex, so from a start above the root the iterates
+    fall to it monotonically; both eta - C (F >= 0) and the tangent of
+    log a(eta) at the junction (log a is concave in eta) lie above it.
     """
-    mu, a_coef, b_coef = _stable_manifold(p)
-    eta_j = math.log(SADDLE_JUNCTION / eps) / mu
-    if -eta_j >= _S_MAX:
-        raise MaxStepsError(f"orbit did not leave the saddle within s = {_S_MAX} (mu_s = {mu:.3e}: "
-                            f"its series reaches zeta = {SADDLE_JUNCTION:g} at s = {-eta_j:.6g})")
-    eta = np.linspace(eta_j, 0.0, math.ceil(-eta_j / _MAX_STEP) + 1)
-    zeta = eps * np.exp(mu * eta)
-    return (eta, np.polyval(a_coef[1:], zeta), np.polyval(b_coef[1:], zeta),
-            math.hypot(a_coef[0], b_coef[0]) * SADDLE_JUNCTION ** (_SADDLE_TERMS + 1))
-
-
-def _series_tail(p: PlanarParams, eta_j: float, a_j: float, tol: float):
-    """(eta, a, d) of the slow-manifold tail below the junction (eta_j, a_j).
-
-    The samples lie on a geometric grid from a = tol up to, and not including,
-    a_j, no further apart than _TAIL_STEP in log a; eta = log a + C + F(a^2)
-    with C fixed by the junction.  Also returns h(a_j^2) - 1/c_nu.
-    """
-    d_coef, f_coef = _slow_manifold(p)
     la_j = math.log(a_j)
     s_j = a_j * a_j
-    count = math.ceil((la_j - math.log(tol)) / _TAIL_STEP)
-    la = np.linspace(math.log(tol), la_j, count + 1)[:-1]
+    C = eta_j - la_j - float(node.F(np.array([s_j]))[0])
+    eta_lo = math.log(tol) + C + float(node.F(np.array([tol * tol]))[0])
+    count = max(math.ceil((eta_j - eta_lo) / _MAX_STEP), 0)
+    eta = np.linspace(eta_lo, eta_j, count + 1)[:-1]
+    u = eta - C
+    d_j = float(_polyval(node.d_coef, s_j))
+    h_j = node.node_b + d_j
+    la = np.minimum(u, la_j - (eta_j - eta) * (h_j - s_j) / h_j)
+    active = np.arange(la.size)
+    while active.size:
+        x = la[active]
+        s = np.exp(2.0 * x)
+        h = node.node_b + _polyval(node.d_coef, s)
+        step = (x + node.F(s) - u[active]) * (h - s) / h    # G / G', G' = h / (h - s)
+        la[active] = x - step
+        # the error after a step is of the order of its square
+        active = active[np.abs(step) > 1e-9 * np.maximum(1.0, np.abs(u[active]))]
     a = np.exp(la)
-    s = a * a
-    eta = eta_j + (la - la_j) + (np.polyval(f_coef, s) - np.polyval(f_coef, s_j))
-    return eta, a, np.polyval(d_coef, s), float(np.polyval(d_coef, s_j))
+    return eta, a, _polyval(node.d_coef, a * a), d_j
 
 
 def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                        rtol: float = 1e-10) -> OrbitPath:
-    """Shoot the heteroclinic backward from the saddle to the node.
+    """The heteroclinic from the two manifold series, with DOPRI5 in the gap.
 
-    The saddle end, from the sample at distance eps from Q (eta = 0) to the
-    junction zeta_j = SADDLE_JUNCTION, comes from Q's stable-manifold series.
-    From W(zeta_j) at s = -eta_j the shooter negates the field and integrates
-    forward in s = -eta, in steps of at most _MAX_STEP, and stops at the end of
-    its first step with a <= A_JUNCTION.  From that junction the orbit
-    continues on the slow-manifold series down to a = tol; the tail is empty
-    when the junction already lies below tol.  When lambda2 < LAMBDA2_SERIES
-    or tol >= A_JUNCTION the shoot stops instead at the end of its first step
-    with ||state - P|| <= tol.  Not stopping by s = _S_MAX raises
-    MaxStepsError.  Every sample must stay in R: a trial step that
-    reaches b <= 0, or a sample outside R, raises RegionExitError.
+    When lambda2 >= LAMBDA2_SERIES the node's slow-manifold series is summed
+    out to its reach a_n, and Q's stable-manifold series W is given terms
+    until its reach zeta_r lies at or below a = a_n.  The saddle head is
+    sampled from W, from zeta = eps (eta = 0) down to zeta_r.  When W(zeta_r)
+    lies above a_n, the shooter negates the field and integrates from there
+    forward in s = -eta, in steps of at most _MAX_STEP and with a first step
+    of 1/lambda2, and stops at the end of its first step with a <= a_n.  That
+    step's end, or W(zeta_r) itself when the reaches overlap, is the junction
+    (a_junction), and the slow-manifold tail continues below it down to
+    a = tol.  When lambda2 < LAMBDA2_SERIES the shoot from W(zeta_r), with
+    all _SADDLE_TERMS terms, runs instead to its first step that ends within
+    tol of P.  A head longer than _HEAD_S_MAX in s, or a body not done within
+    s = _S_MAX of its start, raises MaxStepsError.  Every sample must stay
+    in R: a trial step that reaches b <= 0, or a sample outside R, raises
+    RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    eta_h, a_h, b_h, truncation = _saddle_head(p, eps)
+    node = _slow_manifold(p) if p.lambda2 >= LAMBDA2_SERIES else None
+    a_n = node.reach if node else 0.0
+    mu, a_coef, b_coef, zeta_r = _stable_manifold(p, a_n)
+    s_r = math.log(zeta_r / eps) / -mu
+    if s_r > _HEAD_S_MAX:
+        raise MaxStepsError(
+            f"orbit did not leave the saddle within s = {_HEAD_S_MAX:g} (mu_s = {mu:.3e}: its "
+            f"series reaches zeta = {zeta_r:.3g} at s = {s_r:.6g}); a larger eps, up to 1e-3, "
+            f"shortens the head")
+    eta = np.linspace(-s_r, 0.0, math.ceil(s_r / _MAX_STEP) + 1)
+    zeta = eps * np.exp(mu * eta)
+    a, b = _polyval(a_coef[1:], zeta), _polyval(b_coef[1:], zeta)
+    a_saddle = float(a[0])
+    body_steps = 0
+    if a_saddle > a_n:
+        sol = _body(p, s_r, a_saddle, float(b[0]), a_n, tol, rtol)
+        body_steps = sol.t.size - 1
+        # reverse to increasing eta = -s, and append the head past its first sample
+        eta = np.concatenate([-sol.t[::-1], eta[1:]])
+        a = np.concatenate([sol.y[0][::-1], a[1:]])
+        b = np.concatenate([sol.y[1][::-1], b[1:]])
+    d = b - p.node[1]
+    a_junction = junction_gap = None
+    if node:
+        a_junction = float(a[0])
+        eta_t, a_t, d_t, d_j = _series_tail(node, float(eta[0]), a_junction, tol)
+        junction_gap = abs(float(d[0]) - d_j)
+        eta = np.concatenate([eta_t, eta])
+        a = np.concatenate([a_t, a])
+        d = np.concatenate([d_t, d])
+        b = np.concatenate([node.node_b + d_t, b])
+
+    inside = ((a >= -_REGION_SLACK) & (a <= 1.0 + _REGION_SLACK) & (b <= 1.0 + _REGION_SLACK)
+              & (a * a <= b + _REGION_SLACK))
+    if not np.all(inside):
+        bad = np.argmin(inside)
+        raise RegionExitError(
+            f"sample {bad} at (a={a[bad]:.6g}, b={b[bad]:.6g}) left the region R")
+    if not np.all(np.diff(a) > 0):
+        raise RegionExitError("a(eta) is not strictly increasing along the orbit")
+    # derivatives revert to the forward field
+    da, db = vector_field(p, (a, b))
+    terms = len(a_coef) - 2
+    return OrbitPath(params=p, eta=eta, a=a, b=b, d=d, da=da, db=db, eps=eps, tol=tol,
+                     a_junction=a_junction, junction_gap=junction_gap,
+                     saddle_junction=zeta_r, saddle_terms=terms,
+                     saddle_truncation=math.hypot(a_coef[0], b_coef[0]) * zeta_r ** (terms + 1),
+                     node_terms=node.terms if node else None, a_saddle=a_saddle,
+                     body_steps=body_steps)
+
+
+def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_n: float, tol: float,
+          rtol: float):
+    """DOPRI5 from (a_r, b_r) at s = s_r to its first step that ends at a <= a_n,
+    or within tol of the node when a_n = 0; within s = s_r + _S_MAX."""
     node_a, node_b = p.node.tolist()
     # vector_field's coefficients, hoisted out of the RHS; the scalar arithmetic
     # below keeps vector_field's order of operations
@@ -385,74 +550,53 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                                   f"(b = {b:.6g} <= 0)")
         return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
-    series = p.lambda2 >= LAMBDA2_SERIES and tol < A_JUNCTION
-    if series:
+    if a_n > 0.0:
         def stop(s, a, b):
-            return a <= A_JUNCTION
+            return a <= a_n
     else:
         def stop(s, a, b):
             return math.hypot(a - node_a, b - node_b) <= tol
 
-    sol = solve_ivp(backward, (-eta_h[0], _S_MAX), (a_h[0], b_h[0]), stop=stop, rtol=rtol,
-                    atol=1e-14, max_step=_MAX_STEP)
+    # a first step of 1/lambda2 keeps h lambda2 <= 1 on the stiff b-direction
+    sol = solve_ivp(backward, (s_r, s_r + _S_MAX), (a_r, b_r), stop=stop, rtol=rtol,
+                    atol=1e-14, max_step=_MAX_STEP, first_step=1.0 / p.lambda2)
     if sol.status == 0:
-        target = f"a = {A_JUNCTION:g}" if series else "the node"
+        a_end, b_end = sol.y[:, -1]
+        target = f"a = {a_n:.6g}" if a_n > 0.0 else "the node"
+        remedy = "" if a_n > 0.0 else "; a looser tol ends it sooner"
         raise MaxStepsError(
-            f"orbit did not reach {target} within s = {_S_MAX} (distance "
-            f"{math.hypot(sol.y[0, -1] - node_a, sol.y[1, -1] - node_b):.3e} from the node)")
+            f"orbit did not reach {target} within s = {_S_MAX:g} of the shoot's start: it "
+            f"covered s = {s_r:.6g} to {s_r + _S_MAX:.6g}, from a = {a_r:.6g} to a = "
+            f"{a_end:.6g} ({math.hypot(a_end - node_a, b_end - node_b):.3e} from the "
+            f"node){remedy}")
     if sol.status < 0:
         raise MaxStepsError(f"orbit integration failed: {sol.message}")
-
-    # reverse to increasing eta = -s, and append the head past its junction sample
-    eta = np.concatenate([-sol.t[::-1], eta_h[1:]])
-    a = np.concatenate([sol.y[0][::-1], a_h[1:]])
-    b = np.concatenate([sol.y[1][::-1], b_h[1:]])
-    d = b - node_b
-    a_junction = junction_gap = None
-    if series:
-        a_junction = float(a[0])
-        eta_t, a_t, d_t, d_j = _series_tail(p, float(eta[0]), a_junction, tol)
-        junction_gap = abs(float(d[0]) - d_j)
-        eta = np.concatenate([eta_t, eta])
-        a = np.concatenate([a_t, a])
-        d = np.concatenate([d_t, d])
-        b = np.concatenate([node_b + d_t, b])
-
-    inside = ((a >= -_REGION_SLACK) & (a <= 1.0 + _REGION_SLACK) & (b <= 1.0 + _REGION_SLACK)
-              & (a * a <= b + _REGION_SLACK))
-    if not np.all(inside):
-        bad = np.argmin(inside)
-        raise RegionExitError(
-            f"sample {bad} at (a={a[bad]:.6g}, b={b[bad]:.6g}) left the region R")
-    if not np.all(np.diff(a) > 0):
-        raise RegionExitError("a(eta) is not strictly increasing along the orbit")
-    # derivatives revert to the forward field
-    da, db = vector_field(p, (a, b))
-    return OrbitPath(params=p, eta=eta, a=a, b=b, d=d, da=da, db=db, eps=eps, tol=tol,
-                     a_junction=a_junction, junction_gap=junction_gap,
-                     saddle_junction=SADDLE_JUNCTION, saddle_truncation=truncation)
+    return sol
 
 
 def estimate_kappa1(path: OrbitPath) -> float:
     """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization.
 
-    When the deepest sample lies on the slow manifold (lambda2 >= LAMBDA2_SERIES
-    and a[0] <= A_JUNCTION/10), it is the closed form a e^(-eta) e^(F(a^2))
-    there.  Otherwise it is the plateau of a e^(-eta) over the deepest decade
-    of a, which must be flat to _PLATEAU_RTOL relative variation.
+    When the deepest sample lies on the slow-manifold tail (at or below
+    a_junction), it is the closed form e^(-C) = a e^(-eta) e^(F(a^2)) there.
+    Otherwise it is the plateau of a e^(-eta) over the deepest decade of a,
+    which must be flat to _PLATEAU_RTOL relative variation.
     """
-    p = path.params
     a = path.a
     a_min = a[0]
-    if p.lambda2 >= LAMBDA2_SERIES and a_min <= A_JUNCTION / 10.0:
-        _, f_coef = _slow_manifold(p)
-        return math.exp(math.log(a_min) - path.eta[0] + float(np.polyval(f_coef, a_min * a_min)))
-    q = a * np.exp(-path.eta)
+    if path.a_junction is not None and a_min <= path.a_junction:
+        f = float(_slow_manifold(path.params).F(np.array([a_min * a_min]))[0])
+        return math.exp(math.log(a_min) - path.eta[0] + f)
+    with np.errstate(over="ignore"):   # checked below
+        q = a * np.exp(-path.eta)
     window = a <= 10.0 * a_min
     if window.sum() < 4:
         raise UnresolvedTailError(
             f"only {int(window.sum())} samples in the deepest decade of the tail")
     qw = q[window]
+    if not np.all(np.isfinite(qw)):
+        raise UnresolvedTailError(f"a(eta)e^-eta overflows on the tail decade (eta down to "
+                                  f"{path.eta[0]:.6g})")
     spread = (qw.max() - qw.min()) / abs(qw[0])
     if not np.isfinite(spread) or spread > _PLATEAU_RTOL:
         raise UnresolvedTailError(

@@ -3,8 +3,9 @@
 ``_rms`` and ``solve_ivp`` below are verbatim copies of the tuple-convention
 version of ``shearlab._dopri``, less the ``t_eval`` sampling and the
 terminal events that the package has since dropped for a stop predicate,
-which the oracle checks in the same place: ``fun(t, y)`` and ``stop(t, y)``
-get ``y`` as a pair, and the stage tuple is built on every step.  The
+which the oracle checks in the same place, and plus the ``first_step`` the
+package has since taken from SciPy: ``fun(t, y)`` and ``stop(t, y)`` get
+``y`` as a pair, and the stage tuple is built on every step.  The
 tableau and the result type are imported from the package, whose tests pin
 them to SciPy.  ``reference_solve_ivp`` calls the oracle with the package's
 scalar convention ``fun(t, a, b)``.
@@ -31,12 +32,14 @@ def _rms(x0, x1):
     return math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)   # as np.linalg.norm(x) / 2 ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.inf):
+def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.inf,
+              first_step=None):
     """Integrate y' = fun(t, y) for a 2-component y forward over ``t_span``.
 
     ``fun`` gets a tuple of two floats and returns two numbers.  The solve
     ends after the first accepted step whose end satisfies ``stop(t, y)``
-    (status 1).  A step below the minimum returns status -1.
+    (status 1).  ``first_step``, if given, replaces the initial-step rule.  A
+    step below the minimum returns status -1.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -55,6 +58,9 @@ def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.in
 
     # initial step (Hairer, Norsett & Wanner, sec. II.4)
     length = t_bound - t
+    if first_step is not None:
+        return _steps(fun, t, t_bound, ya, yb, fa, fb, first_step, 1, stop, rtol, atol,
+                      max_step)
     sa = atol + abs(ya) * rtol
     sb = atol + abs(yb) * rtol
     d0 = _rms(ya / sa, yb / sb)
@@ -68,8 +74,10 @@ def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.in
     else:
         h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     h_abs = min(100 * h0, h1, length, max_step)
-    nfev = 2
+    return _steps(fun, t, t_bound, ya, yb, fa, fb, h_abs, 2, stop, rtol, atol, max_step)
 
+
+def _steps(fun, t, t_bound, ya, yb, fa, fb, h_abs, nfev, stop, rtol, atol, max_step):
     ts, ays, bys = [t], [ya], [yb]
     status = None
     while status is None:

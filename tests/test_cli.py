@@ -367,18 +367,42 @@ def test_simulate_has_no_method_option(tmp_path, via):
     assert exc.value.code == 2
 
 
-def test_residual_shoot_failure_carries_hint(tmp_path, capsys, monkeypatch):
-    import shearlab.cli as cli
-    from shearlab.errors import RegionExitError
+def _probe_b(b):
+    """A stand-in for the body's solver that makes one trial evaluation at b."""
+    def probe(fun, t_span, y0, **kwargs):
+        fun(t_span[0], 0.5, b)
+    return probe
 
-    def fail(*args, **kwargs):
-        raise RegionExitError("left the region R")
 
-    monkeypatch.setattr(cli, "shoot_heteroclinic", fail)
-    assert run_cli("residual", "--out-dir", str(tmp_path)) == 3
+@pytest.mark.parametrize("argv, patch, message, remedy", [
+    # mu_s = -2.2e-3: the saddle's series reaches zeta = 0.54 at s = 5949
+    (("heteroclinic", "--n", "0.1", "--alpha", "0.01", "--nu", "10"), None,
+     "did not leave the saddle within s = 2000", "; a larger eps, up to 1e-3, shortens the head"),
+    # a body that does not reach the node series in its span says what it covered
+    (("residual",), ("_S_MAX", 0.5), r"did not reach a = 0\.\d+ within s = 0\.5 of the shoot's "
+     r"start: it covered s = [\d.]+ to [\d.]+, from a = 0\.7\d+ to a = 0\.\d+ ", None),
+    # a shoot to the node (lambda2 = 3) ends sooner at a looser tol
+    (("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1"), ("_S_MAX", 0.5),
+     "did not reach the node within s = 0.5", "; a looser tol ends it sooner"),
+    # no option changes where a trial step goes
+    (("residual",), ("solve_ivp", _probe_b(-1e-3)),
+     r"a trial step left the region R at eta = -[\d.]+ \(b = -0.001 <= 0\)$", None),
+], ids=["long-head", "short-body", "node-route", "region-exit"])
+def test_shoot_failure_names_what_helps(tmp_path, capsys, monkeypatch, argv, patch, message,
+                                        remedy):
+    import re
+    import shearlab.orbit as orbit
+
+    if patch is not None:
+        monkeypatch.setattr(orbit, *patch)
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 3
     payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "RegionExitError"
-    assert "try reducing --eps" in payload["message"]
+    assert re.search(message, payload["message"]), payload
+    if remedy is None:
+        assert "eps" not in payload["message"] and "tol" not in payload["message"]
+    else:
+        assert payload["message"].endswith(remedy)
+    assert not list(tmp_path.iterdir())
 
 
 def test_dotted_prefixes_keep_distinct_files(tmp_path):
@@ -448,43 +472,52 @@ def test_heteroclinic_cmd(tmp_path):
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     assert float(meta["kappa1"]) == pytest.approx(1.0 / 1.88, rel=1e-9)
     assert np.all(np.diff(data["a"]) > 0)
-    # the junction is the shoot's first sample at or below a = 1e-2
+    # the body runs from the saddle series' reach to its first step within the
+    # node series' reach, where the junction is
     (i,) = np.flatnonzero(data["a"] == float(meta["a_junction"]))
-    assert data["a"][i] <= 1e-2 < data["a"][i + 1]
+    (j,) = np.flatnonzero(data["a"] == float(meta["a_saddle"]))
+    assert j - i == int(meta["body_steps"]) == 108
+    assert data["a"][i] < 0.5 < 0.7 < data["a"][j]
+    assert int(meta["saddle_terms"]) == 40 and int(meta["node_terms"]) == 22
     assert 0.0 < float(meta["junction_gap"]) < 1e-10
-    assert float(meta["saddle_junction"]) == 1e-2
-    assert 0.0 < float(meta["saddle_truncation"]) <= 1e-17
+    assert 0.3 < float(meta["saddle_junction"]) < 0.5
+    assert float(meta["saddle_truncation"]) == pytest.approx(1e-15, rel=1e-12)
 
 
-@pytest.mark.parametrize("argv, series, resolved", [
-    ((), True, True),
-    (("--n", "1", "--alpha", "1", "--nu", "1"), False, True),   # lambda2 = 3
-    (("--tol", "1e-2"), False, False),
-], ids=["series-tail", "small-lambda2", "coarse-tol"])
-def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, series, resolved):
-    # kappa1 of the shot parametrization, "none" only when a coarse tol leaves
-    # no tail to resolve it from; the junction fields only on a series tail
+@pytest.mark.parametrize("argv, series, body, rel", [
+    ((), True, True, 1e-6),
+    (("--n", "1", "--alpha", "1", "--nu", "1"), False, True, 1e-6),   # lambda2 = 3
+    # a e^-eta at a = 1e-2 is off from kappa1 by F(a^2), about 6e-5
+    (("--tol", "1e-2"), True, True, 1e-4),
+    (("--n", "0.1", "--alpha", "1", "--nu", "0.05"), True, False, 1e-6),   # lambda2 = 211
+], ids=["series-tail", "small-lambda2", "coarse-tol", "no-body"])
+def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, series, body, rel):
+    # kappa1 of the shot parametrization; the node series' fields only on a
+    # series tail, at any tol
     assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == 0
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
-    assert (meta["a_junction"] != "none") == series
-    assert (meta["junction_gap"] != "none") == series
-    # every route starts on the saddle's series
-    assert float(meta["saddle_junction"]) == 1e-2
-    if resolved:
-        q = data["a"] * np.exp(-data["eta"])
-        assert float(meta["kappa1"]) == pytest.approx(q[0], rel=1e-6)
-    else:
-        assert meta["kappa1"] == "none"
+    for key in ("a_junction", "junction_gap", "node_terms"):
+        assert (meta[key] != "none") == series
+    # every route starts on the saddle's series, out to its reach
+    assert float(meta["a_saddle"]) in data["a"] and float(meta["saddle_junction"]) > 0.1
+    assert (int(meta["body_steps"]) > 0) == body
+    if not body:
+        assert meta["a_junction"] == meta["a_saddle"]
+    q = data["a"] * np.exp(-data["eta"])
+    assert float(meta["kappa1"]) == pytest.approx(q[0], rel=rel)
 
 
 def test_heteroclinic_junction_below_tol_leaves_an_empty_tail(tmp_path):
-    # the shoot's first step at or below a = 1e-2 ends at a = 0.00991, below
-    # tol: the series tail is empty, and kappa1 has no tail to come from
+    # the body ends at a = 0.49, below tol: the series tail is empty, and kappa1
+    # is the closed form at the junction, the default run's
     assert run_cli("heteroclinic", "--n", "0.1", "--alpha", "0.5", "--nu", "0.1",
-                   "--tol", "0.00999", "--out-dir", str(tmp_path)) == 0
-    meta, data = read_csv(tmp_path / "heteroclinic.csv")
-    assert float(meta["a_junction"]) == data["a"][0] < 0.00999
-    assert meta["kappa1"] == "none"
+                   "--tol", "0.5", "--out-dir", str(tmp_path / "coarse")) == 0
+    assert run_cli("heteroclinic", "--n", "0.1", "--alpha", "0.5", "--nu", "0.1",
+                   "--out-dir", str(tmp_path)) == 0
+    meta, data = read_csv(tmp_path / "coarse" / "heteroclinic.csv")
+    assert float(meta["a_junction"]) == data["a"][0] < 0.5
+    kappa1 = float(read_csv(tmp_path / "heteroclinic.csv")[0]["kappa1"])
+    assert float(meta["kappa1"]) == pytest.approx(kappa1, rel=1e-14, abs=0)
 
 
 def test_profile_cmd(tmp_path):
@@ -536,7 +569,7 @@ def test_golden_localization_bundle(tmp_path):
 def test_localization_diagnostics_resolve_a_tight_shoot(tmp_path, monkeypatch):
     # The golden pins the showcase at the shoot's rtol 1e-10.  Independently of
     # it, the diagnostics lie within 1e-10 of a run whose shoot uses rtol 1e-13
-    # (about 6e-11 away, in halfwidth; the shoot's truncation error, not the series)
+    # (about 9e-14 away, in halfwidth: the shoot's 108-step body is all it changes)
     import shearlab.cli as cli
     from functools import partial
 
@@ -691,6 +724,17 @@ def test_cli_start_builds_no_float_tables(tmp_path):
     assert seen == {"tables_built": 0, "imported": [], "tables_after_write": 1}
 
 
+def test_cli_start_loads_no_polynomial_module_or_scipy():
+    # setup time: the orbit's Gauss-Legendre nodes come from numpy.linalg, which
+    # numpy loads anyway, and SciPy only from inside the simulator
+    probe = ("import json, sys\nimport shearlab.cli as cli\ncli.build_parser()\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m.startswith('numpy.polynomial'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_cli_env(), capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 # a non-finite initial state once sent the mode solver into a loop without end
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("cmd, key, value", [
@@ -787,15 +831,26 @@ def test_outer_window_is_checked_at_the_evaluated_points(tmp_path, capsys, sigma
 
 
 @pytest.mark.parametrize("cmd, nu", [("heteroclinic", "--nu"), ("localize", "--lambda")])
-def test_trial_step_past_b_zero_is_a_region_exit(tmp_path, capsys, cmd, nu):
-    # valid inputs where a stiff trial step of the shoot reaches b <= 0
-    # (lambda2 = 2e5, h lambda2 ~ 2e3 on the first step from the saddle's series)
+def test_stiff_orbit_needs_no_body(tmp_path, cmd, nu):
+    # lambda2 = 2e5: the two series overlap, so no DOPRI5 step runs where a
+    # first trial step from a junction 1e-2 from Q once reached b <= 0
     code = run_cli(cmd, "--n", "0.01", "--alpha", "20", nu, "0.01", "--eps", "1e-3",
                    "--out-dir", str(tmp_path))
-    assert code == 3
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "RegionExitError" and "b = " in payload["message"]
-    assert not list(tmp_path.iterdir())
+    assert code == 0
+    if cmd == "heteroclinic":
+        meta, _ = read_csv(tmp_path / "heteroclinic.csv")
+        assert meta["body_steps"] == "0" and float(meta["junction_gap"]) <= 1e-11
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "0.01982", "--alpha", "0.02816", "--nu", "2.438"),   # a head of s = 570
+    ("--n", "0.109", "--alpha", "0.01717", "--nu", "4.739"),     # lambda2 = 10.2
+], ids=["slow-saddle", "slow-saddle-to-the-node"])
+def test_slow_saddle_heteroclinic_exits_0(tmp_path, argv):
+    # mu_s = -0.023 and -8.1e-3: the saddle heads alone once took most of s = 400
+    assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == 0
+    meta, data = read_csv(tmp_path / "heteroclinic.csv")
+    assert int(meta["body_steps"]) > 0 and np.all(np.diff(data["a"]) > 0)
 
 
 @pytest.mark.parametrize("init", ["gaussian-bump", "from-file"])

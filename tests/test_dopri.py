@@ -65,6 +65,27 @@ def test_step_sequence_matches_scipy_rk45(k, j, tau, rtol):
     assert ours.njev == 0 and ours.nlu == 0
 
 
+@pytest.mark.parametrize("first_step", [1e-4, 0.05, 2.0])
+def test_first_step_matches_scipy_rk45(first_step):
+    # SciPy's meaning: the first trial step, in place of the initial-step rule
+    # and its RHS call; a step past max_step is cut to it
+    rhs = mode_rhs(0.3, 1)
+    ours = solve_ivp(rhs, (0.0, 2.0), INIT, rtol=1e-10, atol=1e-14, max_step=0.5,
+                     first_step=first_step)
+    ref = scipy_solve_ivp(scipy_form(rhs), (0.0, 2.0), INIT, method="RK45", rtol=1e-10,
+                          atol=1e-14, max_step=0.5, first_step=first_step)
+    assert ours.nfev == ref.nfev and ours.t.size == ref.t.size
+    if first_step < 1e-3:   # accepted as given
+        assert ours.t[1] == ref.t[1] == first_step
+    # after a first step far below the controller's choice the error estimate is
+    # mostly rounding, which moves the next step sizes at the 1e-6 level
+    assert np.allclose(ours.t, ref.t, rtol=1e-5, atol=0.0)
+    assert np.allclose(ours.y, ref.y, rtol=1e-5, atol=1e-14)
+    for bad in (0.0, -1.0, 2.5):
+        with pytest.raises(ValueError, match="first_step"):
+            solve_ivp(rhs, (0.0, 2.0), INIT, first_step=bad)
+
+
 def test_never_exceeds_max_step():
     sol = solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), rtol=1e-3, atol=1e-6,
                     max_step=0.37)

@@ -94,6 +94,20 @@ def test_equilibria_match_numpy_eig():
             assert np.allclose(np.sort(info.eigenvalues), w, rtol=1e-10)
 
 
+def test_stable_eigenvalue_keeps_its_digits_at_large_lambda2():
+    # lambda2 = 2e5: 0.5 (m - root) cancels about 11 digits of m = lambda2 - 2;
+    # lambda_minus from the product of the roots satisfies the characteristic
+    # polynomial, evaluated exactly on the floats, to round-off
+    for p in (PlanarParams(n=0.01, alpha=20.0, nu=0.01), REF, PlanarParams(n=1.0, alpha=1.0, nu=1.0)):
+        m = Fraction(p.alpha) / (Fraction(p.n) * Fraction(p.nu)) * (
+            1 + Fraction(p.nu) * (Fraction(p.n) + 1) / Fraction(p.alpha)) - 2
+        product = -2 * Fraction(p.alpha) / (Fraction(p.n) * Fraction(p.nu))
+        for lam in equilibria(p)[1].eigenvalues:
+            lam = Fraction(lam)
+            char = lam * lam - m * lam + product
+            assert abs(char) <= 4e-16 * (abs(m * lam) + abs(product)), float(char)
+
+
 def test_stable_direction_points_into_region():
     # 0 < 2 + lambda_minus < 2 across a parameter sweep
     for n in (0.05, 0.1, 0.5):
@@ -264,19 +278,19 @@ def test_acceptance_sweep_orbits_exist():
 
 
 def _junction(path):
-    """(s_j, a_j, b_j): where the shoot leaves the saddle's series, at
-    eta_j = log(zeta_j/eps)/mu_s as the shooter computes it; the sample there
-    is the first state of the DOPRI5 shoot."""
+    """(s_r, a_r, b_r): the head's first sample, W(zeta_r) at eta = log(zeta_r/eps)/mu_s
+    as the shooter computes it; the first state of the DOPRI5 body, if there is one."""
     mu = equilibria(path.params)[1].eigenvalues[0]
     (i,) = np.flatnonzero(path.eta == math.log(path.saddle_junction / path.eps) / mu)
     return -path.eta[i], path.a[i], path.b[i]
 
 
 def _reference_shoot(p, start, tol=1e-8, to_node=False, **solver):
-    """The shoot as SciPy's solve_ivp on vector_field, from the shooter's junction
-    ``start`` = (s_j, a_j, b_j) to its event: a = A_JUNCTION, or the node when ``to_node``."""
+    """SciPy's solve_ivp on vector_field from ``start`` = (s, a, b) to its event:
+    a = a_n, the node series' reach, or the node when ``to_node``."""
     s_j, a_j, b_j = start
     P = p.node
+    a_n = orbit._slow_manifold(p).reach
 
     def backward(s, y):
         da, db = vector_field(p, y)
@@ -285,11 +299,11 @@ def _reference_shoot(p, start, tol=1e-8, to_node=False, **solver):
     def stop(s, y):
         if to_node:
             return math.hypot(y[0] - P[0], y[1] - P[1]) - tol
-        return y[0] - orbit.A_JUNCTION
+        return y[0] - a_n
 
     stop.terminal = True
     stop.direction = -1
-    return solve_ivp(backward, (s_j, 400.0), (a_j, b_j), events=stop, **solver)
+    return solve_ivp(backward, (s_j, s_j + 400.0), (a_j, b_j), events=stop, **solver)
 
 
 def _worst_error(exact, s, y):
@@ -302,48 +316,53 @@ def _worst_error(exact, s, y):
 @pytest.mark.parametrize("n, alpha, nu", [(0.05, 0.5, 0.05), (0.05, 1.0, 0.5),
                                           (0.1, 0.5, 0.1), (0.1, 1.0, 0.05)])
 def test_shooter_matches_vector_field_reference(n, alpha, nu):
-    # The shooter's scalar Dormand-Prince stepper against SciPy's RK45 on
-    # vector_field with the same settings, both from the junction with the
-    # saddle's series.  Bit identity cannot hold (SciPy sums the stages with
-    # np.dot), so: the same steps, the same curve to the shooter's rtol, and no
-    # larger an error than RK45's against a tight reference.
+    # Where the two series' reaches leave a gap, the shooter's scalar
+    # Dormand-Prince stepper against SciPy's RK45 on vector_field with the
+    # same settings, both from W(zeta_r).  Bit identity cannot hold (SciPy
+    # sums the stages with np.dot), so: the same steps, the same curve to the
+    # shooter's rtol, and no larger an error than RK45's against a tight
+    # reference.  The first and last cases (lambda2 = 221, 211) have no gap.
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     path = shoot_heteroclinic(p)
     start = _junction(path)
-    body = (path.a >= path.a_junction) & (path.eta <= -start[0])
     tail = path.a < path.a_junction
-    eta_b, a_b, b_b = path.eta[body], path.a[body], path.b[body]
-    rk45 = _reference_shoot(p, start, method="RK45", rtol=1e-10, atol=1e-14,
-                            max_step=0.01)
-    assert eta_b.size == rk45.t.size
+    if path.body_steps == 0:
+        assert start[1] == path.a_saddle == path.a_junction <= orbit._slow_manifold(p).reach
+    else:
+        body = ~tail & (path.eta <= -start[0])
+        eta_b, a_b, b_b = path.eta[body], path.a[body], path.b[body]
+        rk45 = _reference_shoot(p, start, method="RK45", rtol=1e-10, atol=1e-14,
+                                max_step=0.01, first_step=1.0 / p.lambda2)
+        assert eta_b.size == rk45.t.size == path.body_steps + 1
 
-    # rounding moves the samples along the orbit (eta by ~1e-8), not off it
-    eta = -rk45.t[::-1]
-    inside = (eta >= eta_b[0]) & (eta <= eta_b[-1])
-    a, b = path.states_at(eta[inside])
-    assert np.allclose(a, rk45.y[0][::-1][inside], rtol=1e-10, atol=0.0)
-    assert np.allclose(b, rk45.y[1][::-1][inside], rtol=1e-10, atol=0.0)
+        # rounding moves the samples along the orbit (eta by ~1e-8), not off it
+        eta = -rk45.t[::-1]
+        inside = (eta >= eta_b[0]) & (eta <= eta_b[-1])
+        a, b = path.states_at(eta[inside])
+        assert np.allclose(a, rk45.y[0][::-1][inside], rtol=1e-10, atol=0.0)
+        assert np.allclose(b, rk45.y[1][::-1][inside], rtol=1e-10, atol=0.0)
 
-    # the body, down to a = A_JUNCTION, against DOP853
-    exact = _reference_shoot(p, start, method="DOP853", rtol=1e-13, atol=1e-20,
-                             dense_output=True)
-    ours = _worst_error(exact, -eta_b[::-1], np.array([a_b[::-1], b_b[::-1]]))
-    scipy_rk45 = _worst_error(exact, rk45.t, rk45.y)
-    # the two errors agree to about 4 digits; 1% absorbs the rounding in that
-    assert np.all(ours <= 1.01 * scipy_rk45), (ours, scipy_rk45)
+        # the body, down to a = a_n, against DOP853
+        exact = _reference_shoot(p, start, method="DOP853", rtol=1e-13, atol=1e-20,
+                                 dense_output=True)
+        ours = _worst_error(exact, -eta_b[::-1], np.array([a_b[::-1], b_b[::-1]]))
+        scipy_rk45 = _worst_error(exact, rk45.t, rk45.y)
+        # the two errors agree to about 4 digits; 1% absorbs the rounding in that
+        assert np.all(ours <= 1.01 * scipy_rk45), (ours, scipy_rk45)
 
-    # the series tail against Radau, with RK45 shot on to the node: DOP853
-    # is itself off by up to 1e-8 in b on the stiff tail
-    radau = _reference_shoot(p, start, to_node=True, method="Radau", rtol=1e-13,
+    # the series tail against Radau, with RK45 shot on to the node, both from
+    # the junction: DOP853 is itself off by up to 1e-8 in b on the stiff tail
+    i = int(tail.sum())
+    junction = (-path.eta[i], path.a[i], path.b[i])
+    radau = _reference_shoot(p, junction, to_node=True, method="Radau", rtol=1e-13,
                              atol=1e-20, dense_output=True)
-    rk45 = _reference_shoot(p, start, to_node=True, method="RK45", rtol=1e-10,
-                            atol=1e-14, max_step=0.01)
+    rk45 = _reference_shoot(p, junction, to_node=True, method="RK45", rtol=1e-10,
+                            atol=1e-14, max_step=0.01, first_step=1.0 / p.lambda2)
     rk45_tail = rk45.y[0] < path.a_junction
     ours = _worst_error(radau, -path.eta[tail], np.array([path.a[tail], path.b[tail]]))
     scipy_rk45 = _worst_error(radau, rk45.t[rk45_tail], rk45.y[:, rk45_tail])
-    # from the junction the relative error in a is the phase error in s: the
-    # rounding of s_j + sum h over some 2,000 steps, 2e-13 to 5e-13 for either
-    # stepper, so it is bounded outright
+    # from the junction the relative error in a is the phase error in s:
+    # Radau's own, accumulated over the tail, so it is bounded outright
     assert ours[0] <= 1e-12 and ours[1] <= 1.01 * scipy_rk45[1], (ours, scipy_rk45)
 
 
@@ -359,7 +378,13 @@ def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, n
     # the junction is the shoot's first sample at or below a = 1e-2: the body
     # sample after it in eta, the one before it in the shoot, lies above
     (i,) = np.flatnonzero(series.a == series.a_junction)
-    assert series.a[i] <= 1e-2 < series.a[i + 1]
+    a_n = orbit._slow_manifold(p).reach
+    if series.body_steps:
+        # the body's first step at or below the node series' reach ends it
+        assert series.a[i] <= a_n < series.a[i + 1]
+    else:
+        # the saddle series reaches into the node series' reach
+        assert series.a[i] == series.a_saddle <= a_n
     kappa1 = estimate_kappa1(series)
     assert kappa1 == pytest.approx(estimate_kappa1(shot), rel=1e-12, abs=0)
     # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
@@ -373,7 +398,8 @@ def test_tail_d_over_a2_tends_to_beta1(n, alpha, nu):
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     path = shoot_heteroclinic(p)
     beta1 = (p.n + 1.0) / p.n / (p.lambda2 - 2.0)
-    tail = path.a < path.a_junction
+    series = path.a < path.a_junction
+    tail = path.a < 1e-2    # the series reaches further; its top is no longer near a^2
     a = path.a[tail]
     gap = np.abs(path.d[tail] / a ** 2 / beta1 - 1.0)
     # the gap is |beta2/beta1| a^2 + O(a^4): it falls like a^2, to round-off at the node
@@ -382,13 +408,13 @@ def test_tail_d_over_a2_tends_to_beta1(n, alpha, nu):
     assert gap[0] < 1e-14
     # d matches b - 1/c_nu to b's round-off, and the body's d is exactly that
     assert np.allclose(path.d, path.b - 1.0 / p.c_nu, rtol=0.0, atol=4e-16)
-    assert np.array_equal(path.d[~tail], path.b[~tail] - 1.0 / p.c_nu)
+    assert np.array_equal(path.d[~series], path.b[~series] - 1.0 / p.c_nu)
     assert 0.0 < path.junction_gap < 1e-10
 
 
 def test_fallback_shoots_to_the_node_bit_for_bit():
     # lambda2 = 3 < LAMBDA2_SERIES: below the saddle's series head the orbit is
-    # the plain DOPRI5 shoot from the junction to within tol of the node, and
+    # the plain DOPRI5 shoot from W(zeta_r) to within tol of the node, and
     # kappa1 the plateau of a e^-eta
     p = PlanarParams(n=1.0, alpha=1.0, nu=1.0)
     assert p.lambda2 == 3.0
@@ -403,34 +429,40 @@ def test_fallback_shoots_to_the_node_bit_for_bit():
     def reach_node(s, a, b):
         return math.hypot(a, b - node_b) <= 1e-8
 
-    sol = orbit.solve_ivp(backward, (s_j, 400.0), (a_j, b_j), stop=reach_node,
-                          rtol=1e-10, atol=1e-14, max_step=0.01)
+    sol = orbit.solve_ivp(backward, (s_j, s_j + 400.0), (a_j, b_j), stop=reach_node,
+                          rtol=1e-10, atol=1e-14, max_step=0.01, first_step=1.0 / 3.0)
     body = path.eta <= -s_j
-    assert body.sum() == sol.t.size == 2290 and path.eta.size == 3212
+    assert path.saddle_terms == orbit._SADDLE_TERMS and path.node_terms is None
+    assert body.sum() == sol.t.size == path.body_steps + 1 == 1800 and path.eta.size == 3212
     assert path.eta[body].tobytes() == (-sol.t[::-1]).tobytes()
     assert path.a[body].tobytes() == sol.y[0][::-1].tobytes()
     assert path.b[body].tobytes() == sol.y[1][::-1].tobytes()
     assert path.a_junction is None and path.junction_gap is None
     assert estimate_kappa1(path) == (path.a * np.exp(-path.eta))[0]
-    # a coarse tol falls back too, at any lambda2
-    assert shoot_heteroclinic(REF, tol=1e-2).a_junction is None
+    # tol only ends the series tail: a coarse one keeps the series route
+    coarse = shoot_heteroclinic(REF, tol=1e-2)
+    assert coarse.a_junction is not None and coarse.a[0] == pytest.approx(1e-2, rel=1e-12)
 
 
-def _sweep_nfev(monkeypatch):
-    """The RHS calls of the 12 sweep shoots, one DOPRI5 solve each."""
-    nfev = []
+def _sweep_paths(monkeypatch):
+    """The 12 sweep shoots, and the DOPRI5 solve of each that has a body."""
+    solves = []
 
     def counted(*args, **kwargs):
         sol = solve_dopri(*args, **kwargs)
-        nfev.append(sol.nfev)
+        solves.append(sol)
         return sol
 
     solve_dopri = orbit.solve_ivp
     monkeypatch.setattr(orbit, "solve_ivp", counted)
-    for key in SWEEP:
-        shoot_heteroclinic(PlanarParams(*key))
-    assert len(nfev) == len(SWEEP)
-    return sum(nfev)
+    paths = [shoot_heteroclinic(PlanarParams(*key)) for key in SWEEP]
+    assert len(solves) == sum(path.body_steps > 0 for path in paths)
+    return paths, solves
+
+
+def _sweep_nfev(monkeypatch):
+    """The RHS calls of the 12 sweep shoots, one DOPRI5 solve per body."""
+    return sum(sol.nfev for sol in _sweep_paths(monkeypatch)[1])
 
 
 def test_sweep_shoots_take_at_most_60_percent_of_the_node_shoot_work(monkeypatch):
@@ -446,6 +478,59 @@ def test_sweep_shoots_take_at_most_70_percent_of_the_eps_seed_work(monkeypatch):
     assert nfev <= 0.7 * 126_114, nfev
 
 
+def test_gauss_legendre_table_matches_numpy():
+    # the tabulated rule on [0, 1] against NumPy's, which errs by up to 1.5e-15
+    # in the weights on [-1, 1]
+    from numpy.polynomial.legendre import leggauss
+    ref_x, ref_w = leggauss(orbit._GAUSS_X.size)
+    assert np.allclose(orbit._GAUSS_X, 0.5 * (ref_x + 1.0), rtol=0.0, atol=2e-16)
+    assert np.allclose(orbit._GAUSS_W, 0.5 * ref_w, rtol=0.0, atol=1e-15)
+    assert abs(math.fsum(orbit._GAUSS_W) - 1.0) <= 2e-16
+
+
+@pytest.mark.parametrize("key", [(0.1, 1.0, 0.05), (0.1, 0.5, 0.05), (0.01, 20.0, 0.01)])
+def test_F_matches_a_composite_rule_out_to_the_reach(key):
+    # F by its series up to s_f, by Gauss-Legendre past it, against a composite
+    # 40-point rule on 16 panels of F' = 1/(2 (h - s)), h the same truncated series,
+    # out to the node series' reach
+    from numpy.polynomial.legendre import leggauss
+    node = orbit._slow_manifold(PlanarParams(*key))
+    assert 0.0 < node.s_f < node.reach ** 2
+    s = np.linspace(0.0, node.reach ** 2, 17)[1:]
+    x, w = leggauss(40)
+    ref = []
+    for top in s:
+        edges = np.linspace(0.0, top, 17)
+        t = (0.5 * (edges[1:] - edges[:-1]))[:, None] * (x + 1.0) + edges[:-1, None]
+        f = 0.5 / (node.node_b + np.polyval(node.d_coef, t) - t)
+        ref.append(math.fsum((0.5 * (edges[1:] - edges[:-1])[:, None] * w * f).ravel()))
+    # the series errs by about its first dropped term, _SERIES_TOL, just below s_f
+    assert np.allclose(node.F(s), ref, rtol=2e-15, atol=2 * orbit._SERIES_TOL)
+
+
+@pytest.mark.parametrize("n, alpha, nu", SWEEP)
+def test_samples_lie_at_most_max_step_apart_and_the_tail_on_its_eta(n, alpha, nu):
+    # head, body and tail alike keep the samples within _MAX_STEP in eta, and
+    # each tail sample solves eta = log a + C + F(a^2) with the junction's C
+    p = PlanarParams(n=n, alpha=alpha, nu=nu)
+    path = shoot_heteroclinic(p)
+    assert np.all(np.diff(path.eta) <= orbit._MAX_STEP * (1.0 + 1e-12))
+    tail = path.a <= path.a_junction
+    C = path.eta[tail] - np.log(path.a[tail]) - orbit._slow_manifold(p).F(path.a[tail] ** 2)
+    assert np.ptp(C) <= 1e-13 * abs(C[-1]), np.ptp(C)
+
+
+def test_sweep_bodies_take_at_most_1000_steps(monkeypatch):
+    # DOPRI5 runs only where neither series reaches: over the 12 sweep points
+    # it took 13,433 steps from zeta = 1e-2 down to a = 1e-2
+    paths, solves = _sweep_paths(monkeypatch)
+    steps = [path.body_steps for path in paths]
+    assert sum(sol.t.size - 1 for sol in solves) == sum(steps) <= 1000, steps
+    assert sum(step == 0 for step in steps) >= 4, steps
+    showcase = SWEEP.index((0.1, 0.5, 0.1))
+    assert steps[showcase] <= 150, steps
+
+
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
 def test_saddle_series_is_invariant_at_the_junction(n, alpha, nu):
     # mu_s zeta W'(zeta) = f(W(zeta)), evaluated in exact rational arithmetic on
@@ -454,9 +539,10 @@ def test_saddle_series_is_invariant_at_the_junction(n, alpha, nu):
     # (J_Q's b-b entry), so it is divided by lambda2 to read in state units.
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     path = shoot_heteroclinic(p)
-    assert path.saddle_junction == orbit.SADDLE_JUNCTION
-    assert 0.0 < path.saddle_truncation <= 1e-17
-    mu, a_coef, b_coef = orbit._stable_manifold(p)
+    # the junction is the reach, where the first dropped term is _SERIES_TOL
+    assert path.saddle_truncation == pytest.approx(orbit._SERIES_TOL, rel=1e-12, abs=0)
+    mu, a_coef, b_coef, zeta_r = orbit._stable_manifold(p, orbit._slow_manifold(p).reach)
+    assert zeta_r == path.saddle_junction and len(a_coef) == path.saddle_terms + 2
     mu = Fraction(mu)
     n, alpha, nu = (Fraction(v) for v in (p.n, p.alpha, p.nu))
     g, k = alpha / (nu * n), (n + 1) * nu / alpha
@@ -469,10 +555,14 @@ def test_saddle_series_is_invariant_at_the_junction(n, alpha, nu):
               for coef in (a_coef, b_coef))
     res_a = mu * za - (a - a ** 3 / b)
     res_b = (mu * zb - g * (c * b - 1 - k * a * a)) / Fraction(p.lambda2)
-    assert max(abs(res_a), abs(res_b)) <= 1e-15, (float(res_a), float(res_b))
-    # the shoot starts on W at the junction, to the rounding of its evaluation
+    # the first dropped term's own residual, (M+1) mu_s c_(M+1) zeta_r^(M+1) and so
+    # up to 40 |mu_s| _SERIES_TOL, bounds the rest
+    bound = 2 * (path.saddle_terms + 1) * abs(float(mu)) * path.saddle_truncation
+    assert max(abs(res_a), abs(res_b)) <= bound, (float(res_a), float(res_b), bound)
+    # the shoot starts on W at the junction, to the rounding of its evaluation: a few
+    # ulps for up to 41 terms at zeta_r ~ 0.6
     _, a_j, b_j = _junction(path)
-    assert abs(a_j - float(a)) <= np.spacing(a_j) and abs(b_j - float(b)) <= np.spacing(b_j)
+    assert abs(a_j - float(a)) <= 4 * np.spacing(a_j) and abs(b_j - float(b)) <= 4 * np.spacing(b_j)
 
 
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
@@ -495,9 +585,10 @@ def test_saddle_head_spacing_and_saddle_end(n, alpha, nu):
 
 
 def test_a_head_longer_than_s_max_is_max_steps():
-    # c_nu = 1101 makes mu_s = -2.2e-3: from eps to the junction takes s = 4150
+    # c_nu = 1101 makes mu_s = -2.2e-3: from eps to the series' reach takes s = 5949
     p = PlanarParams(n=0.1, alpha=0.01, nu=10.0)
-    with pytest.raises(MaxStepsError, match=r"did not leave the saddle within s = 400"):
+    with pytest.raises(MaxStepsError, match=r"did not leave the saddle within s = 2000 .*"
+                       r"a larger eps, up to 1e-3, shortens the head"):
         shoot_heteroclinic(p)
 
 
@@ -512,11 +603,44 @@ def test_shooter_rhs_guards_nonpositive_b(monkeypatch, b):
         shoot_heteroclinic(REF)
 
 
-def test_stiff_trial_step_past_b_zero_is_a_region_exit():
-    # lambda2 = 2e5: the first trial step from the junction, at h lambda2 ~ 2e3,
-    # amplifies the junction's rounding off the manifold until b < 0
-    with pytest.raises(RegionExitError, match=r"a trial step left the region R at eta = -1\.15"):
-        shoot_heteroclinic(PlanarParams(n=0.01, alpha=20.0, nu=0.01), eps=1e-3)
+def test_stiff_orbit_needs_no_body():
+    # lambda2 = 2e5: the two series overlap, so no DOPRI5 step runs where a
+    # first step from the junction had h lambda2 ~ 2e3 and reached b < 0
+    for eps in (1e-6, 1e-3):
+        path = shoot_heteroclinic(PlanarParams(n=0.01, alpha=20.0, nu=0.01), eps=eps)
+        assert path.body_steps == 0 and path.a_junction == path.a_saddle
+        assert path.junction_gap <= 1e-11
+
+
+@pytest.mark.parametrize("n, alpha, nu, a_err, b_err", [
+    (0.01, 20.0, 0.01, 1e-12, 1e-14),          # lambda2 = 2e5: the series overlap
+    (0.01982, 0.02816, 2.438, 1e-10, 1e-10),   # mu_s = -0.023: a head of s = 570
+    (0.109, 0.01717, 4.739, 1e-9, 1e-9),       # lambda2 = 10.2, mu_s = -8.1e-3: to the node
+])
+def test_inputs_refused_at_the_junction_of_1e_2_match_radau(n, alpha, nu, a_err, b_err):
+    # Each exited 3 when the series met DOPRI5 1e-2 from Q.  Against SciPy's Radau
+    # (rtol 1e-13) from the head's sample nearest zeta = 1e-2 down to a = 1e-2, the
+    # first is good to the round-off of its series, the others to the body's rtol
+    p = PlanarParams(n=n, alpha=alpha, nu=nu)
+    path = shoot_heteroclinic(p)
+    mu = equilibria(p)[1].eigenvalues[0]
+    i = np.argmin(np.abs(path.eps * np.exp(mu * path.eta) - 1e-2))
+
+    def backward(s, y):
+        da, db = vector_field(p, y)
+        return (-da, -db)
+
+    def reach(s, y):
+        return y[0] - 1e-2
+
+    reach.terminal = True
+    radau = solve_ivp(backward, (-path.eta[i], -path.eta[i] + 1000.0), (path.a[i], path.b[i]),
+                      method="Radau", rtol=1e-13, atol=1e-20, dense_output=True, events=reach,
+                      jac=lambda s, y: -jacobian(p, y))
+    keep = (path.a >= 1e-2) & (path.eta <= path.eta[i])
+    ours = _worst_error(radau, -path.eta[keep], np.array([path.a[keep], path.b[keep]]))
+    assert ours[0] <= a_err and ours[1] <= b_err, ours
+    assert (path.body_steps == 0) == (p.lambda2 > 1e5)
 
 
 def test_a_shoot_is_one_call(monkeypatch):
