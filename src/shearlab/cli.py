@@ -255,7 +255,7 @@ def _localize(p, out):
     # evaluate's outer-window error) leaves none
     x = np.linspace(-xmax, xmax, p["nx"])
     ts = np.linspace(0.0, tmax, p["frames"])
-    u, sigma, theta = (f.ravel() for f in sol.evaluate(x[None, :], ts[:, None]))
+    u, sigma, theta = (f.T.ravel() for f in sol.evaluate_grid(x, ts))
     diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
     study = residual_convergence(sol, x_span=(-xmax, xmax), t_span=(0.0, min(tmax, 10.0)))
     paths = [Path(f"{out}_{name}") for name in (

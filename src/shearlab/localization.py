@@ -105,6 +105,17 @@ class LocalizedSolution:
         theta = (1.0 + na) * base.theta_s - na * self.params.theta0 + Theta
         return u, sigma, theta
 
+    def evaluate_grid(self, x, t):
+        """``evaluate`` on the grid of the 1-D arrays x by t, as arrays of shape
+        (x.size, t.size), with the solution evaluated once per distinct |x|.
+
+        The fields are even in x, and sqrt(lam) |x| phi equals |sqrt(lam) x phi|
+        exactly, so every value is that of ``evaluate(x[:, None], t[None, :])``
+        bit for bit, on any grid, symmetric or not.
+        """
+        ax, back = np.unique(np.abs(x), return_inverse=True)
+        return tuple(f[back] for f in self.evaluate(ax[:, None], t[None, :]))
+
 
 @dataclass(frozen=True)
 class SpaceTimeResidual:
@@ -175,11 +186,11 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
     """Sup residuals under grid refinement and the fitted convergence order.
 
     Doubles both grids per level.  The solution is evaluated once, on the
-    finest grid; each coarser level is its stride-2**k slice, which is the
-    level's own np.linspace grid bit for bit (halving a step is exact), so
-    every level's report is that of ``pde_residual`` on its grid.  The order
-    is fitted from consecutive levels whose residual still sits above the
-    interpolation floor.
+    finest grid and once per distinct |x| (``LocalizedSolution.evaluate_grid``);
+    each coarser level is its stride-2**k slice, which is the level's own
+    np.linspace grid bit for bit (halving a step is exact), so every level's
+    report is that of ``pde_residual`` on its grid.  The order is fitted from
+    consecutive levels whose residual still sits above the interpolation floor.
     """
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
@@ -193,7 +204,7 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
     for k in strides:
         _check_grid(x[::k], "x", MIN_X_POINTS)
         _check_grid(t[::k], "t", MIN_T_POINTS)
-    fields = sol.evaluate(x[:, None], t[None, :])
+    fields = sol.evaluate_grid(x, t)
     reports = [_difference(sol.params, x[::k], t[::k], *(f[::k, ::k] for f in fields))
                for k in strides]
     sups = np.array([max(r.sup[0], r.sup[1]) for r in reports])

@@ -204,8 +204,9 @@ class OrbitPath:
     series, 0 when their reaches overlap.  ``a_junction`` is the a at which
     the slow-manifold series of ``node_terms`` terms takes over, the body's
     end or, with no body, ``a_saddle``, and ``junction_gap`` the
-    |b - h(a^2)| there; these three are None when the orbit was shot to the
-    node.
+    |b - h(a^2)| there; ``node_series`` is that series, which gives F(a^2)
+    for ``estimate_kappa1``.  These four are None when the orbit was shot to
+    the node.
     """
 
     params: PlanarParams
@@ -225,13 +226,17 @@ class OrbitPath:
     saddle_junction: float | None = None
     saddle_truncation: float | None = None
     saddle_terms: int | None = None
-    node_terms: int | None = None
+    node_series: _SlowManifold | None = None
     a_saddle: float | None = None
     body_steps: int = 0
 
     def __post_init__(self):
         if not np.all(np.diff(self.eta) > 0):
             raise ParameterError("eta grid must be strictly increasing")
+
+    @property
+    def node_terms(self) -> int | None:
+        return self.node_series.terms if self.node_series else None
 
     # Interpolation is done on (log a, log b) with the exact field slopes
     # (da/deta)/a and (db/deta)/b: log a is asymptotically linear on the node
@@ -529,8 +534,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                      a_junction=a_junction, junction_gap=junction_gap,
                      saddle_junction=zeta_r, saddle_terms=terms,
                      saddle_truncation=math.hypot(a_coef[0], b_coef[0]) * zeta_r ** (terms + 1),
-                     node_terms=node.terms if node else None, a_saddle=a_saddle,
-                     body_steps=body_steps)
+                     node_series=node, a_saddle=a_saddle, body_steps=body_steps)
 
 
 def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_n: float, tol: float,
@@ -578,14 +582,15 @@ def estimate_kappa1(path: OrbitPath) -> float:
     """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization.
 
     When the deepest sample lies on the slow-manifold tail (at or below
-    a_junction), it is the closed form e^(-C) = a e^(-eta) e^(F(a^2)) there.
+    a_junction), it is the closed form e^(-C) = a e^(-eta) e^(F(a^2)) there,
+    with F from the path's own ``node_series``.
     Otherwise it is the plateau of a e^(-eta) over the deepest decade of a,
     which must be flat to _PLATEAU_RTOL relative variation.
     """
     a = path.a
     a_min = a[0]
     if path.a_junction is not None and a_min <= path.a_junction:
-        f = float(_slow_manifold(path.params).F(np.array([a_min * a_min]))[0])
+        f = float(path.node_series.F(np.array([a_min * a_min]))[0])
         return math.exp(math.log(a_min) - path.eta[0] + f)
     with np.errstate(over="ignore"):   # checked below
         q = a * np.exp(-path.eta)

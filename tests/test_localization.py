@@ -90,6 +90,31 @@ def test_peak_growth_and_evenness(showcase_solution):
         assert left == right
 
 
+@pytest.mark.parametrize("x", [
+    np.linspace(-1.234567, 1.234567, 401),     # linspace is not symmetric in floats
+    np.linspace(-3.7, 3.7, 257),
+    np.concatenate([-np.linspace(0.0, 2.5, 50)[:0:-1], np.linspace(0.0, 2.5, 50)]),
+], ids=["asymmetric-1.234567", "asymmetric-3.7", "symmetric"])
+def test_grid_evaluation_once_per_distinct_abs_x_is_bit_identical(showcase_solution, x):
+    sol = showcase_solution
+    t = np.linspace(0.0, 200.0, 9)
+    distinct = np.unique(np.abs(x)).size
+    symmetric = np.array_equal(x, -x[::-1])
+    assert (distinct == (x.size + 1) // 2) if symmetric else (x.size // 2 < distinct < x.size)
+    sizes = []
+
+    class Sizing(_CountingProfile):
+        def __call__(self, xi):
+            sizes.append(np.size(xi))
+            return super().__call__(xi)
+
+    grid = replace(sol, profile=Sizing(sol.profile)).evaluate_grid(x, t)
+    assert sizes == [distinct * t.size]
+    for ours, full in zip(grid, sol.evaluate(x[:, None], t[None, :])):
+        assert ours.shape == full.shape == (x.size, t.size)
+        assert np.array_equal(ours.view(np.uint64), full.view(np.uint64))
+
+
 def test_theta_arrangements_agree(showcase_solution):
     # theta = (1 + lam(n+1)/alpha) theta_s - lam(n+1)/alpha theta0 + Theta
     # equals theta_s + lam(n+1)/alpha (theta_s - theta0) + Theta

@@ -366,6 +366,16 @@ def test_shooter_matches_vector_field_reference(n, alpha, nu):
     assert ours[0] <= 1e-12 and ours[1] <= 1.01 * scipy_rk45[1], (ours, scipy_rk45)
 
 
+def test_series_kappa1_takes_F_from_the_shoots_own_series(monkeypatch, ref_orbit):
+    # the closed form e^(-C) at the deepest sample, with F from the series the shoot
+    # kept on the path: no slow-manifold series is built again
+    a0 = ref_orbit.a[0]
+    assert ref_orbit.a_junction is not None and a0 <= ref_orbit.a_junction
+    f = float(orbit._slow_manifold(REF).F(np.array([a0 * a0]))[0])
+    monkeypatch.setattr(orbit, "_slow_manifold", None)
+    assert estimate_kappa1(ref_orbit) == math.exp(math.log(a0) - ref_orbit.eta[0] + f)
+
+
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
 def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, nu):
     # the closed form at the series tail against the plateau of a e^-eta on
