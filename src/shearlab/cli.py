@@ -145,7 +145,8 @@ def _modes(p, out):
     meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "j")}
     write_csv(csv, {"tau": traj.taus, "t": t_of_tau(params, traj.taus), "u": traj.u,
                     "theta": traj.theta},
-              {**meta, "frozen_k": p["frozen_k"], "method": traj.method})
+              {**meta, "frozen_k": p["frozen_k"], "method": traj.method,
+               "slow_manifold_tau": traj.slow_manifold_tau})
     return [csv], f"method={traj.method}"
 
 
@@ -169,6 +170,7 @@ def _energy(p, out):
         meta.update({"A": cert.A, "B": cert.B, "C_B": cert.C_B, "Cp": cert.Cp,
                      "T": cert.T, "tau_T": cert.tau_T,
                      "monotone_after_T": report.monotone_after_T})
+    meta.update({f"slow_manifold_tau_{j}": tau for j, tau in report.slow_manifold_taus})
     write_csv(csv, {"tau": report.taus, "t": report.ts, "E": report.E,
                     "monotone_after_T": after.astype(int)}, meta)
     return [csv], ("certificate not applicable (needs kappa > 0 and n > 0)" if cert is None else

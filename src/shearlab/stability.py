@@ -13,7 +13,9 @@ non-autonomous system after a computable stabilization time T.  The mode ODEs
 are integrated by the sixth-order Magnus propagator of ``_magnus`` (three
 Gauss points per substep, fourth order where a substep is too stiff for the
 series), exact for frozen k, with the substeps of each output interval set to
-meet rtol.
+meet rtol.  As k(tau) grows the mode settles on its slow manifold
+theta = m(tau) u, whose series in 1/(k x) has closed-form terms; from the
+first grid point where it holds, the stiff tail is taken in closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._magnus import check_t_eval, solve_ivp
-from .errors import ParameterError, RangeError
+from .errors import ParameterError, RangeError, StiffnessError
 from .material import MaterialParams, t_of_tau, tau_of_t
 
 __all__ = [
@@ -188,6 +190,14 @@ def _mode_entries(params: MaterialParams, k, j: int):
     return -params.n * x, params.alpha * x, params.n + 1.0, -params.alpha - k * x
 
 
+def _varying_entry(params: MaterialParams, j: int, frozen_k: float | None = None):
+    """a22 of mode j as a function of an array of tau, at ``frozen_k`` or at k(tau)."""
+    def a22(tau):   # k = inf past the float range, which the propagator reports
+        return _mode_entries(params, np.full(tau.shape, frozen_k) if frozen_k is not None
+                             else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)[3]
+    return a22
+
+
 def mode_matrix(params: MaterialParams, k, j: int) -> np.ndarray:
     """The 2x2 coefficient matrix of mode j at diffusion k; a stack of them for an array k."""
     k = np.asarray(k, dtype=float)
@@ -238,25 +248,146 @@ def frozen_mode_solution(params: MaterialParams, k: float, j: int, init, tau):
 
 @dataclass(frozen=True)
 class ModeTrajectory:
-    """Sampled trajectory of one mode: (u_j, theta_j) on a tau grid."""
+    """Sampled trajectory of one mode: (u_j, theta_j) on a tau grid.
+
+    ``slow_manifold_tau`` is the grid point from which the slow-manifold closed
+    form took over from the Magnus propagator, or None where it did not run.
+    """
 
     j: int
     taus: np.ndarray
     u: np.ndarray
     theta: np.ndarray
     method: str
+    slow_manifold_tau: float | None = None
+
+
+_ATOL = 1e-14
+# terms of the slow-manifold series, and the shares of rtol that its dropped terms and
+# the first dropped term of the transient's feed may take.  The feed's share is the
+# larger, since w at the propagator's last point carries the propagator's own error: at
+# 1e-3 the propagator went on interval by interval, up to 10 solves for one mode.
+_SERIES_TERMS = 24
+_SERIES_SHARE = 1e-3
+_FEED_SHARE = 0.1
+
+
+def _manifold_series(params: MaterialParams, x: float) -> np.ndarray:
+    """c_1..c_{P+1}, P = _SERIES_TERMS, of the slow manifold m = sum_p c_p eps^p.
+
+    theta = m u is invariant where m' = (n+1) - (alpha + K) m - m (alpha x m - n x),
+    K = k x; with eps = 1/K, eps' = -alpha eps, the powers of eps give
+    c_1 = n+1 and c_{p+1} = (alpha (p-1) + n x) c_p - alpha x sum_{i+j=p} c_i c_j.
+    """
+    n, alpha = params.n, params.alpha
+    c = np.empty(_SERIES_TERMS + 1)
+    c[0] = n + 1.0
+    for p in range(1, _SERIES_TERMS + 1):
+        c[p] = (alpha * (p - 1) + n * x) * c[p - 1] - alpha * x * (c[:p - 1] @ c[:p - 1][::-1])
+    return c
+
+
+def _horner(coeffs, z):
+    """sum_p coeffs[p-1] z^p, p >= 1."""
+    total = np.zeros_like(z)
+    for a in coeffs[::-1]:
+        total = (total + a) * z
+    return total
+
+
+class _SlowManifold:
+    """A mode of non-frozen k on its slow manifold theta = m u, in closed form.
+
+    ``first`` is the first grid point where the series m to P terms may stand
+    for the manifold: its last kept and first dropped terms are below
+    _SERIES_SHARE rtol relative to c_1 eps, and so is their effect on u,
+    x |c_p| eps^p / p.  Past it, w = theta - m u and u solve exactly
+
+        w' = -r w,  r = alpha + K + alpha x m,
+        u' = g u + alpha x w,  g = alpha x m - n x,
+
+    and every eps^p integrates in closed form, to (eps(a)^p - eps(b)^p) / (p alpha)
+    over [a, b], so the integrals G of g and R of r from a point on need no
+    quadrature and no sum over intervals.  The transient w feeds u by
+    alpha x w / r: v = u + alpha x w / r obeys v' = g v up to
+    alpha x w (g r + r') / r^2, so v grows by e^G and w decays by e^-R.  eps is
+    formed in log space, so K may pass the float range; k itself may not
+    (StiffnessError).
+    """
+
+    def __init__(self, params: MaterialParams, j: int, grid: np.ndarray, rtol: float):
+        alpha, x = params.alpha, (j * math.pi) ** 2
+        c = _manifold_series(params, x)
+        # log of the largest eps where the last two terms pass both tests; nan or inf
+        # coefficients give nan, which no eps passes
+        tol = _SERIES_SHARE * rtol
+        self.feed_tol = _FEED_SHARE * rtol
+        p = np.arange(_SERIES_TERMS, _SERIES_TERMS + 2)
+        with np.errstate(divide="ignore"):   # a zero coefficient sets no bound
+            log_c = np.log(np.abs(c[-2:]))
+        log_eps_max = np.min(np.r_[(math.log(tol * c[0]) - log_c) / (p - 1),
+                                   (np.log(tol * p / x) - log_c) / p])
+        log_k = params.log_c0 + alpha * grid
+        log_eps = -log_k - math.log(params.kappa * x)
+        passed = np.flatnonzero(log_eps <= log_eps_max)
+        self.last = grid.size - 1
+        self.first = int(passed[0]) if passed.size else self.last
+        if self.first == self.last:
+            return
+        with np.errstate(over="ignore"):   # k past the float range is reported; K may pass it
+            k = params.kappa * np.exp(log_k)
+            self.K = k[self.first:] * x
+        if not np.isfinite(k[-1]):
+            bad = int(np.argmax(~np.isfinite(k)))
+            raise StiffnessError(f"k(tau) is not finite on [{grid[max(bad - 1, 0)]}, {grid[bad]}]")
+        eps = np.exp(log_eps[self.first:])
+        self.alpha, self.ax, self.nx = alpha, alpha * x, params.n * x
+        self.tau = grid[self.first:]
+        self.m = _horner(c[:-1], eps)
+        # S(eps) = sum_p c_p eps^p / (p alpha): the integral of m over [a, b] is S(a) - S(b)
+        self.S = _horner(c[:-1] / (alpha * np.arange(1, _SERIES_TERMS + 1)), eps)
+        self.g = self.ax * self.m - self.nx
+        self.r = alpha + self.K + self.ax * self.m
+
+    def settle(self, i: int, y):
+        """(q, u, theta): the states on the grid from point i on, taken in closed form
+        from the state ``y`` at i, and q, the first of those points where the feed's
+        first correction, alpha x |w| (|g| + alpha) / r^2, is within _FEED_SHARE rtol of
+        the state (the last point if none is)."""
+        o = i - self.first
+        u0, th0 = y
+        w0 = th0 - self.m[o] * u0
+        d = self.tau[o:] - self.tau[o]
+        m_integral = self.S[o] - self.S[o:]
+        with np.errstate(over="ignore", invalid="ignore"):   # K and r^2 past the float range
+            R = self.alpha * d + self.K[o] * np.expm1(self.alpha * d) / self.alpha \
+                + self.ax * m_integral
+            R[0] = 0.0   # not K * 0, which is nan for K = inf
+            v0 = u0 + self.ax * w0 / self.r[o]
+            w = w0 * np.exp(-R)
+            u = v0 * np.exp(self.ax * m_integral - self.nx * d) - self.ax * w / self.r[o:]
+            theta = self.m[o:] * u + w
+            correction = self.ax * np.abs(w) * (np.abs(self.g[o:]) + self.alpha) / self.r[o:] ** 2
+            size = np.maximum(np.abs(u), np.abs(theta))
+            settled = np.flatnonzero(correction <= self.feed_tol * size + _ATOL)
+        return (i + int(settled[0]) if settled.size else self.last), u, theta
 
 
 def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
                    frozen_k: float | None = None, rtol: float = 1e-10,
                    tau_eval=None) -> ModeTrajectory:
-    """Integrate the mode-j ODE on [0, tau_end] with the Magnus propagator.
+    """Integrate the mode-j ODE on [0, tau_end]: Magnus propagator, then the slow manifold.
 
     With ``frozen_k`` the system is autonomous and propagated exactly; without
     it k(tau) = kappa c0 exp(alpha tau) is evaluated, never tabulated, at the
-    Gauss points of every substep.  The trajectory is sampled at ``tau_eval``
-    (1-D, inside [0, tau_end], strictly increasing; ParameterError otherwise)
-    or at MODE_POINTS uniform points.
+    Gauss points of every substep.  For j >= 1 and kappa > 0 the propagator
+    runs only up to the first grid point where the slow-manifold series of
+    :class:`_SlowManifold` holds and the transient off it is fed to u within
+    rtol; from there on the mode is advanced in closed form, so the stiff tail
+    costs no substeps.  The propagator's states up to that point are those of
+    a solve over the whole grid, bit for bit.  The trajectory is sampled at
+    ``tau_eval`` (1-D, inside [0, tau_end], strictly increasing;
+    ParameterError otherwise) or at MODE_POINTS uniform points.
     """
     if tau_end <= 0.0:
         raise ParameterError(f"tau_end must be > 0, got {tau_end}")
@@ -270,17 +401,32 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     except ValueError as exc:
         raise ParameterError(f"tau_eval: {exc}") from None
 
-    a11, a12, a21, _ = _mode_entries(params, 0.0, j)
-
-    def a22(tau):   # k = inf past the float range, which the propagator reports
-        return _mode_entries(params, np.full(tau.shape, frozen_k) if frozen_k is not None
-                             else params.kappa * np.exp(params.log_c0 + params.alpha * tau), j)[3]
-
     grid = np.union1d(0.0, taus)    # the solution starts at tau = 0, which taus need not hold
-    sol = solve_ivp((a11, a12, a21), a22, grid, init, rtol=rtol, atol=1e-14)
+    last = grid.size - 1
+    fixed, a22 = _mode_entries(params, 0.0, j)[:3], _varying_entry(params, j, frozen_k)
+
+    def magnus(lo, hi, y):   # the propagator on grid points lo..hi
+        return solve_ivp(fixed, a22, grid[lo:hi + 1], y, rtol=rtol, atol=_ATOL).y
+
+    y0 = [float(v) for v in init]
+    manifold = (_SlowManifold(params, j, grid, rtol)
+                if frozen_k is None and j >= 1 and params.kappa > 0.0 and last > 0 else None)
+    s = last if manifold is None else manifold.first
+    if manifold is not None and s == 0:   # a start off the manifold waits out its layer
+        s = manifold.settle(0, y0)[0]
+    ys, switch = [magnus(0, s, y0)], None
+    while s < last:
+        q, u, theta = manifold.settle(s, ys[-1][:, -1])
+        if q == s:
+            ys.append(np.stack([u[1:], theta[1:]]))
+            switch = float(grid[s])
+            break
+        ys.append(magnus(s, q, ys[-1][:, -1])[:, 1:])
+        s = q
+    y = np.concatenate(ys, axis=1)
     skip = grid.size - taus.size
-    return ModeTrajectory(j=j, taus=taus, u=sol.y[0, skip:], theta=sol.y[1, skip:],
-                          method="magnus")
+    return ModeTrajectory(j=j, taus=taus, u=y[0, skip:], theta=y[1, skip:], method="magnus",
+                          slow_manifold_tau=switch)
 
 
 @dataclass(frozen=True)
@@ -352,6 +498,8 @@ class DecayReport:
     E_end_over_E0: float
     certificate_applicable: bool
     monotone_slack: float = _MONOTONE_SLACK
+    # (j, slow_manifold_tau of its ModeTrajectory) for each mode, in the order given
+    slow_manifold_taus: tuple = ()
 
 
 def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
@@ -373,9 +521,11 @@ def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
 
     taus = np.linspace(0.0, tau_end, MODE_POINTS)
     E = np.zeros(MODE_POINTS)
+    switches = []
     for j, init in modes:
         traj = integrate_mode(params, j, init, tau_end, tau_eval=taus)
         E += 0.5 * (0.5 * A * traj.u ** 2 + 0.5 * traj.theta ** 2)
+        switches.append((j, traj.slow_manifold_tau))
     ts = t_of_tau(params, taus)
 
     T = tau_T = max_before = monotone = None
@@ -395,4 +545,5 @@ def energy_decay_check(params: MaterialParams, cert: EnergyCertificate | None,
     return DecayReport(taus=taus, ts=ts, E=E, T=T, tau_T=tau_T,
                        max_E_before_T=max_before, monotone_after_T=monotone,
                        E_end_over_E0=float(E[-1] / E[0]) if E[0] > 0 else math.nan,
-                       certificate_applicable=applicable)
+                       certificate_applicable=applicable,
+                       slow_manifold_taus=tuple(switches))

@@ -248,24 +248,21 @@ def test_modes_past_the_trapezoid_step_bound_is_numerical_failure(tmp_path, caps
 
 
 @pytest.mark.parametrize("j, kappa, theta0, tau_end, code", [
-    ("1", "0.1", "0.3", "100", 0), ("1", "0.1", "0.3", "600", 3), ("40", "0.2", "1", "600", 0)])
+    ("1", "0.1", "0.3", "100", 0), ("1", "0.1", "0.3", "600", 0), ("40", "0.2", "1", "600", 0)])
 def test_modes_on_stiff_horizons(tmp_path, capsys, j, kappa, theta0, tau_end, code):
     """Late in these runs k(tau) (j pi)^2 times an output interval passes 1e20.
 
-    Mode 1 to 100 has decayed below atol where substeps would pass the cap; to 600
-    the cap falls at tau of about 19, while mode 1 is still about 0.1.  Mode 40 is
-    exactly 0 long before its Omega would overflow.
+    The Magnus propagator alone needs more than its cap of 4096 substeps on an
+    interval of mode 1 to 600, at tau of about 19; each mode is taken in closed
+    form on its slow manifold well before that.  Mode 40 is exactly 0 long
+    before its Omega would overflow.
     """
     argv = ("modes", "--n", "0.05", "--alpha", "0.5", "--kappa", kappa, "--theta0", theta0,
             "--j", j, "--tau-end", tau_end, "--out-dir", str(tmp_path))
     assert run_cli(*argv) == code
-    if code == 3:
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "StiffnessError"
-        assert "more than 4096 substeps" in payload["message"]
-        return
-    _, data = read_csv(tmp_path / "modes.csv")
+    meta, data = read_csv(tmp_path / "modes.csv")
     assert all(np.all(np.isfinite(col)) for col in data.values())
+    assert 0.0 < float(meta["slow_manifold_tau"]) < 19.0
     if j == "40":
         assert data["u"][-1] == 0.0 and data["theta"][-1] == 0.0
 
@@ -453,6 +450,28 @@ def test_modes_cmd(tmp_path):
     assert code == 0
     _, data = read_csv(tmp_path / "modes.csv")
     assert data["tau"][-1] == pytest.approx(2.0)
+
+
+def test_slow_manifold_switch_is_recorded(tmp_path):
+    # energy at k(0) of about 3e9 once exited 3 on its first interval; every mode is
+    # now taken in closed form from tau = 0, and each one's switch is a metadata key
+    code = run_cli("energy", "--n", "0.002719", "--alpha", "8.389", "--kappa", "0.01418",
+                   "--theta0", "3.11", "--jmodes", "1,2", "--tau-end", "5.811",
+                   "--out-dir", str(tmp_path))
+    assert code == 0
+    meta, data = read_csv(tmp_path / "energy.csv")
+    assert (meta["slow_manifold_tau_1"], meta["slow_manifold_tau_2"]) == ("0", "0")
+    assert "slow_manifold_tau_3" not in meta and np.all(np.isfinite(data["E"]))
+    # where the propagator runs to tau_end, the key reads none
+    for argv in (("--kappa", "0"), ("--frozen-k", "0.5"), ("--j", "0")):
+        out = tmp_path / argv[0].lstrip("-")
+        assert run_cli("modes", "--tau-end", "1", *argv, "--out-dir", str(out)) == 0
+        meta, _ = read_csv(out / "modes.csv")
+        assert meta["slow_manifold_tau"] == "none", argv
+    assert run_cli("energy", "--kappa", "0", "--tau-end", "1", "--jmodes", "2",
+                   "--out-dir", str(tmp_path / "e0")) == 0
+    meta, _ = read_csv(tmp_path / "e0" / "energy.csv")
+    assert meta["slow_manifold_tau_2"] == "none"
 
 
 def test_energy_cmd(tmp_path):

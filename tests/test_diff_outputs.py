@@ -51,3 +51,19 @@ def test_json_reports_of_one_structure_get_a_figure_over_their_numeric_leaves():
     b["sup"] = [1e-12, 3.0, 4.0]
     assert diff_outputs._largest_shift("r.json", json.dumps(a).encode(),
                                        json.dumps(b).encode()) == ""
+
+
+def test_added_and_removed_metadata_keep_the_column_figure():
+    # a key added and one removed, the columns in another order: matched by name
+    a = _csv({"k": 2.0, "old": 1.0}, [(1.0, 4.0), (2.0, 3.0)])
+    b = "\n".join(["# k = 2.0", "# new_1 = none", "# new_2 = 0.5", "y,x", "4.0,1.0",
+                   "3.0,2.000000000002"]).encode()
+    text = diff_outputs._largest_shift("out.csv", a, b)
+    assert text == " (largest relative shift 1e-12; added new_1, new_2; removed old)"
+    assert diff_outputs._largest_shift("out.csv", b, a) == \
+        " (largest relative shift 1e-12; added old; removed new_1, new_2)"
+    # a column only one version has is listed too; a different row count gets no figure
+    c = _csv({"k": 2.0, "old": 1.0}, [(1.0,), (2.0,)]).replace(b"x,y", b"x")
+    assert diff_outputs._largest_shift("out.csv", a, c) == \
+        " (largest relative shift 0; removed y)"
+    assert diff_outputs._largest_shift("out.csv", a, b + b"\n1.0,2.0") == ""

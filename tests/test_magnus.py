@@ -1,5 +1,8 @@
 """The Magnus propagator against its previous version, kept in ``_magnus_reference``:
-skipping the values it throws away must leave every bit of every result as it was."""
+skipping the values it throws away must leave every bit of every result as it was.
+Where ``integrate_mode`` now takes a mode's stiff tail in closed form, the
+kernels are called directly on the grid and a22 that ``integrate_mode`` gives
+them."""
 
 import math
 
@@ -35,6 +38,30 @@ def _solves(monkeypatch, params, j, tau_end, init=(1.0, 1.0)):
         monkeypatch.setattr(stability, "solve_ivp", recorded)
         integrate_mode(params, j, init, tau_end)
     return results
+
+
+def _kernel_args(params, j, tau_end, init=(1.0, 1.0)):
+    """The arguments of the one solve over the whole default grid of ``integrate_mode``."""
+    grid = np.linspace(0.0, tau_end, stability.MODE_POINTS)
+    return (stability._mode_entries(params, 0.0, j)[:3], stability._varying_entry(params, j),
+            grid, init)
+
+
+def _kernel_solves(params, j, tau_end, init=(1.0, 1.0)):
+    """The package's kernel, then the oracle's, over the whole default grid."""
+    args = _kernel_args(params, j, tau_end, init)
+    return [kernel.solve_ivp(*args, rtol=1e-10, atol=1e-14) for kernel in (_magnus, reference)]
+
+
+def _kernel_errors(params, j, tau_end, init=(1.0, 1.0)):
+    """The StiffnessError texts of the package's kernel, then the oracle's, over the whole
+    default grid."""
+    texts = []
+    for kernel in (_magnus, reference):
+        with pytest.raises(StiffnessError) as info:
+            kernel.solve_ivp(*_kernel_args(params, j, tau_end, init), rtol=1e-10, atol=1e-14)
+        texts.append(str(info.value))
+    return texts
 
 
 def _errors(monkeypatch, params, j, tau_end, init=(1.0, 1.0)):
@@ -90,7 +117,7 @@ def test_oscillating_mode_matches_the_oracle_bit_for_bit(monkeypatch):
         return real(a, b, c, d)
 
     monkeypatch.setattr(reference, "_expm2", counting)
-    ours, ref = _solves(monkeypatch, params, 40, 600.0)
+    ours, ref = _kernel_solves(params, 40, 600.0)
     assert sum(counts) > 1000
     assert ours.nfev == ref.nfev
     assert _same_bits(ours.y, ref.y)
@@ -153,7 +180,7 @@ def test_capped_solve_gives_the_oracle_text(monkeypatch, cap, tau_end):
     # falls while earlier intervals are still being refined
     monkeypatch.setattr(_magnus, "MAX_SUBSTEPS", cap)
     monkeypatch.setattr(reference, "MAX_SUBSTEPS", cap)
-    ours, ref = _errors(monkeypatch, MODE_PARAMS, 1, tau_end)
+    ours, ref = _kernel_errors(MODE_PARAMS, 1, tau_end)
     assert ours == ref and ours.startswith(f"more than {cap} substeps on [")
 
 
@@ -171,8 +198,42 @@ def test_refinement_from_mid_grid_resweeps_to_the_oracle_bits(monkeypatch):
         return real(fixed, a22, lo, hi, m)
 
     monkeypatch.setattr(_magnus, "_propagators", recorded)
-    ours, ref = _solves(monkeypatch, params, 1, tau_end)
+    ours, ref = _kernel_solves(params, 1, tau_end)
     (first,) = np.flatnonzero(ours.t == refined[0])
     assert 100 < first < ours.t.size - 100
     assert ours.nfev == ref.nfev
     assert _same_bits(ours.y, ref.y)
+
+
+def test_non_finite_start_is_named_at_the_first_point():
+    # the oracle quotes the last row for it: "from (nan, nan) at t = 2.0"
+    with pytest.raises(StiffnessError) as info:
+        integrate_mode(MODE_PARAMS, 1, (math.nan, 1.0), 2.0)
+    assert str(info.value) == "the initial state (nan, 1.0) at t = 0.0 is not finite"
+    t = np.linspace(0.5, 3.0, 26)
+    for y0 in ((1.0, math.inf), (-math.inf, math.nan)):
+        with pytest.raises(StiffnessError, match=r"the initial state \(.+\) at t = 0.5 is"):
+            _magnus.solve_ivp((-1.0, 3.0, 1.0), lambda tau: -2.0 - tau, t, y0, rtol=1e-10,
+                              atol=1e-14)
+    # and where the closed form takes the whole grid, from a start k(0) of about 3e9
+    stiff = MaterialParams(n=0.002719, alpha=8.389, kappa=0.01418, theta0=3.11)
+    with pytest.raises(StiffnessError, match=r"the initial state \(1.0, nan\) at t = 0.0 is"):
+        integrate_mode(stiff, 1, (1.0, math.nan), 5.811)
+    assert integrate_mode(stiff, 1, (1.0, 1.0), 5.811).slow_manifold_tau == 0.0
+
+
+@pytest.mark.parametrize("theta0, kappa", BOX)
+def test_states_up_to_the_switch_are_the_full_solve_bit_for_bit(theta0, kappa):
+    # the propagator's states up to each mode's switch are those of the oracle's solve
+    # over the whole grid; only the rows after it are taken in closed form
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    for j, tau_end in ((1, _horizon(params)), (2, _horizon(params)), (3, _horizon(params)),
+                       (40, 10.0)):
+        traj = integrate_mode(params, j, (1.0, 1.0), tau_end)
+        (switch,) = np.flatnonzero(traj.taus == traj.slow_manifold_tau)
+        full = reference.solve_ivp(*_kernel_args(params, j, tau_end), rtol=1e-10, atol=1e-14)
+        assert 0 < switch < traj.taus.size - 1, (j, tau_end)
+        assert _same_bits(traj.u[:switch + 1], full.y[0, :switch + 1]), (j, tau_end)
+        assert _same_bits(traj.theta[:switch + 1], full.y[1, :switch + 1]), (j, tau_end)
+        if j < 40:   # mode 40 may reach exactly 0 on both routes before its switch
+            assert not _same_bits(traj.u[switch + 1:], full.y[0, switch + 1:]), (j, tau_end)

@@ -308,6 +308,16 @@ MODE_PARAMS = MaterialParams(n=0.05, alpha=0.5, kappa=0.1, theta0=0.3)
 BOX = [(-1.0, 0.01), (-1.0, 0.2), (0.0, 0.1), (1.0, 0.01), (1.0, 0.2)]
 
 
+def _kernel(params, j, tau_end, init=(1.0, 1.0), t_eval=None):
+    """The Magnus kernel over the whole default grid of ``integrate_mode`` (or ``t_eval``),
+    with the a22 and tolerances ``integrate_mode`` gives it: the solve it made before it
+    took stiff tails in closed form."""
+    t = np.linspace(0.0, tau_end, stability.MODE_POINTS) if t_eval is None else t_eval
+    return _magnus.solve_ivp(stability._mode_entries(params, 0.0, j)[:3],
+                             stability._varying_entry(params, j), t, init, rtol=1e-10,
+                             atol=1e-14)
+
+
 def test_integrate_mode_stiffness_guard(monkeypatch):
     # k frozen past the float range, a state past it, and a substep count past the cap
     with pytest.raises(StiffnessError, match="not finite on"):
@@ -316,7 +326,7 @@ def test_integrate_mode_stiffness_guard(monkeypatch):
         integrate_mode(MODE_PARAMS, 1, (1e308, 1.0), 2.0)
     monkeypatch.setattr(_magnus, "MAX_SUBSTEPS", 8)
     with pytest.raises(StiffnessError, match="more than 8 substeps"):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 14.0)
+        _kernel(MODE_PARAMS, 1, 14.0)
 
 
 @pytest.mark.parametrize("tau_end", [2000.0])
@@ -485,43 +495,45 @@ def test_substep_is_sixth_order():
 def test_substeps_beyond_the_convergence_bound_take_the_fourth_order_terms(monkeypatch):
     """With its sixth-order terms everywhere, step doubling accepts a wrong state.
 
-    At tau_end = 200 an output interval spans h k x of 100 and more from tau of
-    about 10.  There the truncated series damps both modes alike, so m and 2m
+    On the grid of integrate_mode at tau_end = 200 an output interval spans h k x of
+    100 and more from tau of about 10.  There the truncated series damps both modes alike, so m and 2m
     substeps agree on a state near 0 from tau = 15 on, while mode 1 is still about
     0.4.  The bound sends those substeps to the fourth-order terms, and the solve
     ends at the cap as it did with the fourth-order method.
     """
     with pytest.raises(StiffnessError, match="more than 4096 substeps on"):
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 200.0)
+        _kernel(MODE_PARAMS, 1, 200.0)
     monkeypatch.setattr(_magnus, "CONVERGENT", math.inf)
-    wrong = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 200.0)
-    head = wrong.taus <= 16.0
-    u, _ = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), 16.0, wrong.taus[head])
-    late = wrong.taus[head] >= 15.5
-    assert np.all(u[late] > 0.3) and np.all(np.abs(wrong.u[head][late]) < 1e-6 * u[late])
+    wrong = _kernel(MODE_PARAMS, 1, 200.0)
+    head = wrong.t <= 16.0
+    u, _ = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), 16.0, wrong.t[head])
+    late = wrong.t[head] >= 15.5
+    assert np.all(u[late] > 0.3) and np.all(np.abs(wrong.y[0][head][late]) < 1e-6 * u[late])
 
 
 def test_substep_cap_names_the_first_interval_from_the_solution_at_its_start():
-    # modes --j 1 --kappa 0.1 --theta0 0.3 --tau-end 600: the cap falls on one
-    # interval while earlier ones are still being refined; the error waits for
-    # them, and quotes the state they give at the start of the capped interval
+    # the propagator over the grid of modes --j 1 --kappa 0.1 --theta0 0.3 --tau-end
+    # 600: the cap falls on one interval while earlier ones are still being refined;
+    # the error waits for them, and quotes the state they give at the start of the
+    # capped interval
     with pytest.raises(StiffnessError, match="more than 4096 substeps on") as info:
-        integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 600.0)
+        _kernel(MODE_PARAMS, 1, 600.0)
     quoted = re.search(r"on \[(.+), (.+)\], from \((.+), (.+)\)$", str(info.value))
     lo, hi, u, th = map(float, quoted.groups())
     taus = np.linspace(0.0, 600.0, stability.MODE_POINTS)
     (i,) = np.flatnonzero(taus == lo)
     assert taus[i + 1] == hi
     # every interval before it is solved within the cap, to that state
-    head = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), lo, tau_eval=taus[:i + 1])
-    assert (head.u[-1], head.theta[-1]) == (u, th)
+    head = _kernel(MODE_PARAMS, 1, lo, t_eval=taus[:i + 1])
+    assert tuple(head.y[:, -1]) == (u, th)
     ref = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), lo, taus[:i + 1])
     assert np.abs(ref[:, -1] - (u, th)).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_stiff_horizon_matches_radau():
     # the stiff tail of mode 1 to tau = 100 (h k x reaches 5e20 on an output interval),
-    # at the cap of 4096 substeps in places; compared where the state is above atol
+    # past the propagator's cap of 4096 substeps in places, in closed form from
+    # tau = 5.5; compared where the state is above atol
     traj = integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), 100.0)
     head = traj.taus <= 30.0
     u, th = _radau_mode(MODE_PARAMS, 1, (1.0, 1.0), 30.0, traj.taus[head])
@@ -618,19 +630,11 @@ STACKED_NFEV = {(-1.0, 0.01): (46119, 112287, 42531, 14643),
 
 
 @pytest.mark.parametrize("theta0, kappa", BOX)
-def test_step_doubling_does_the_work_of_the_stacked_kernel(monkeypatch, theta0, kappa):
+def test_step_doubling_does_the_work_of_the_stacked_kernel(theta0, kappa):
     params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
     tau_end = _energy_horizon(params)
-    results = []
-    real = stability.solve_ivp
-
-    def recorded(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(stability, "solve_ivp", recorded)
-    for j, end in ((1, tau_end), (2, tau_end), (3, tau_end), (40, 10.0)):
-        integrate_mode(params, j, (1.0, 1.0), end)
+    results = [_kernel(params, j, end) for j, end in ((1, tau_end), (2, tau_end), (3, tau_end),
+                                                       (40, 10.0))]
     assert tuple(int(r.nfev) for r in results) == STACKED_NFEV[theta0, kappa]
 
 # (mode, tau_end) of the two regimes a cost estimate once sent to different
@@ -797,3 +801,107 @@ def test_eigenvalue_sum_and_product(n, alpha, k, j):
     eps = np.finfo(float).eps
     assert abs((lm + lp) + b) <= 8 * eps * (abs(lm) + abs(lp))
     assert abs(lm * lp - c) <= 8 * eps * abs(c)
+
+
+# the two inputs on which the propagator alone reached its substep cap, and modes 40
+# and 20 from a start off their slow manifold: (params, modes, tau_end)
+STIFF_CASES = {
+    "modes-600": (MODE_PARAMS, (1,), 600.0),
+    "energy-k0-3e9": (MaterialParams(n=0.002719, alpha=8.389, kappa=0.01418, theta0=3.11),
+                      (1, 2), 5.811),
+    "mode-40-layer": (MaterialParams(n=0.05, alpha=0.5, kappa=0.2, theta0=1.0), (40,), 10.0),
+    "mode-20-layer": (MaterialParams(n=0.05, alpha=0.5, kappa=0.1, theta0=1.0), (20,), 5.0),
+}
+
+
+@pytest.mark.parametrize("case", list(STIFF_CASES))
+def test_stiff_cases_match_radau(case):
+    params, modes, tau_end = STIFF_CASES[case]
+    for j in modes:
+        traj = integrate_mode(params, j, (1.0, 1.0), tau_end)
+        assert traj.slow_manifold_tau is not None
+        head = traj.taus <= 30.0
+        u, th = _radau_mode(params, j, (1.0, 1.0), min(tau_end, 30.0), traj.taus[head])
+        scale = np.abs(u).max()
+        assert np.abs(traj.u[head] - u).max() <= 1e-11 * scale, j
+        assert np.abs(traj.theta[head] - th).max() <= 1e-11 * scale, j
+    if case == "modes-600":     # the propagator alone stops at tau = 18.5
+        assert 5.0 < traj.slow_manifold_tau < 6.0
+    elif case == "energy-k0-3e9":   # on the manifold from the start; k(0) = 3e9
+        assert traj.slow_manifold_tau == 0.0
+    elif case == "mode-40-layer":   # the series holds from tau = 0; the switch waits
+        grid = np.linspace(0.0, tau_end, stability.MODE_POINTS)   # out the initial layer
+        assert stability._SlowManifold(params, 40, grid, 1e-10).first == 0
+        assert traj.slow_manifold_tau == grid[1]
+    else:   # the layer outlasts the series' first point: the propagator runs on past it
+        grid = np.linspace(0.0, tau_end, stability.MODE_POINTS)
+        assert stability._SlowManifold(params, 20, grid, 1e-10).first == 2
+        (switch,) = np.flatnonzero(grid == traj.slow_manifold_tau)
+        assert switch > 2
+        full = _kernel(params, 20, tau_end).y[:, :switch + 1]
+        assert np.array_equal(full, np.stack([traj.u, traj.theta])[:, :switch + 1])
+
+
+def test_magnus_work_is_bounded(monkeypatch):
+    # no interval of the 3x3 stability box, or of the stiff cases, takes more than 64
+    # substeps (the propagator alone took up to 4096)
+    substeps = []
+    real = _magnus._propagators
+
+    def recorded(fixed, a22, lo, hi, m):
+        substeps.append(m)
+        return real(fixed, a22, lo, hi, m)
+
+    monkeypatch.setattr(_magnus, "_propagators", recorded)
+    for theta0 in (-1.0, 0.0, 1.0):
+        for kappa in (0.01, 0.1, 0.2):
+            params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+            for j, tau_end in ((1, _energy_horizon(params)), (2, _energy_horizon(params)),
+                               (3, _energy_horizon(params)), (40, 10.0)):
+                integrate_mode(params, j, (1.0, 1.0), tau_end)
+    for params, modes, tau_end in STIFF_CASES.values():
+        for j in modes:
+            integrate_mode(params, j, (1.0, 1.0), tau_end)
+    assert substeps and max(substeps) <= 64
+
+
+@pytest.mark.parametrize("j, tau_span, theta0, kappa", [
+    (2, (8.0, 12.0), 0.3, 0.1),     # K from 250 to 1.4e4
+    (40, (0.0, 2.0), 1.0, 0.2)])    # K from 5.2e3, with alpha x / K up to 1.5
+def test_series_reproduces_the_manifold_of_a_riccati_solve(j, tau_span, theta0, kappa):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=kappa, theta0=theta0)
+    n, alpha, x = params.n, params.alpha, (j * math.pi) ** 2
+    c = stability._manifold_series(params, x)
+    assert c[0] == n + 1.0 and c[1] == n * x * c[0]
+    assert c[2] == (alpha + n * x) * c[1] - alpha * x * (c[0] * c[0])
+
+    def K(tau):
+        return kappa * math.exp(params.log_c0 + alpha * tau) * x
+
+    def riccati(tau, m):
+        return (n + 1.0) - (alpha + K(tau)) * m - m * (alpha * x * m - n * x)
+
+    def jac(tau, m):
+        return [[-(alpha + K(tau)) - 2.0 * alpha * x * m[0] + n * x]]
+
+    # from m = 0, off the manifold, which attracts at rate about K
+    taus = np.linspace(tau_span[0] + 0.5, tau_span[1], 50)
+    sol = scipy_solve_ivp(riccati, tau_span, [0.0], method="Radau", rtol=1e-13, atol=1e-20,
+                          t_eval=taus, jac=jac)
+    eps = np.array([1.0 / K(tau) for tau in taus])
+    series = np.polynomial.polynomial.polyval(eps, np.r_[0.0, c[:-1]])
+    assert np.abs(series / sol.y[0] - 1.0).max() <= 1e-12
+
+
+def test_k_x_past_the_float_range_is_taken_in_closed_form():
+    # mode 40 to tau = 1415: k(tau) x overflows from tau of about 1405 while k stays
+    # finite, where the propagator alone stopped on A h; k past the float range, from
+    # tau of about 1424, is still refused
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.2, theta0=1.0)
+    traj = integrate_mode(params, 40, (1.0, 1.0), 1415.0)
+    assert traj.u[-1] == 0.0 and traj.theta[-1] == 0.0
+    with pytest.raises(StiffnessError, match=r"A\(t\) h is not finite on"):
+        _kernel(params, 40, 1415.0)
+    with pytest.raises(StiffnessError, match=r"k\(tau\) is not finite on"):
+        integrate_mode(params, 40, (1.0, 1.0), 1430.0)

@@ -3,21 +3,25 @@
     python3 tools/diff_outputs.py PARENT_TREE CHANGE_TREE
 
 Runs a fixed set of CLI calls in each tree: every subcommand at its defaults,
-the metastability config at full size and cut down, three stiff ``modes`` runs
-(mode 1 to tau 100 and 600, mode 40 to 600), and the first pass of each
-benchmark workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call
-is a fresh ``python3 -m shearlab.cli`` with the tree's ``src`` on PYTHONPATH
-and the tree as working directory, writing into its own temporary directory.
-The exit codes and every output file must be equal byte for byte; in the
-manifests ``wall_seconds``, ``written_at`` and the output directory are
-masked.  Prints one summary line and exits 1 on any difference.  A differing
-CSV whose two versions have the same lines and fields, or a differing JSON
-file whose two versions have the same structure, is followed by its largest
-relative shift, so a change that moves outputs at solver tolerance can quote
-it.  In a CSV data column each shift |x - y| is taken over the largest |value|
-of that column in either version, so entries near 0 do not set the figure;
-a metadata value or a numeric JSON leaf stands alone and is taken over
-max(|x|, |y|).  A shift to or from a value that is not finite reads nan.
+the metastability config at full size and cut down, four stiff ``modes`` runs
+(mode 1 to tau 100 and 600, mode 40 to 600, and mode 40 to 10 from a start
+off its slow manifold), an ``energy`` run whose k(0) is about 3e9, and the
+first pass of each benchmark workload at seed 11 (argv from
+``perfbench.ops.passes``).  Each call is a fresh ``python3 -m shearlab.cli``
+with the tree's ``src`` on PYTHONPATH and the tree as working directory,
+writing into its own temporary directory.  The exit codes and every output
+file must be equal byte for byte; in the manifests ``wall_seconds``,
+``written_at`` and the output directory are masked.  Prints one summary line
+and exits 1 on any difference.  A differing CSV whose two versions have the
+same number of rows, or a differing JSON file whose two versions have the
+same structure, is followed by its largest relative shift, so a change that
+moves outputs at solver tolerance can quote it.  CSV metadata values are
+matched by key and data columns by header name, and the keys and names that
+only one version has are listed after the shift.  In a CSV data column each
+shift |x - y| is taken over the largest |value| of that column in either
+version, so entries near 0 do not set the figure; a metadata value or a
+numeric JSON leaf stands alone and is taken over max(|x|, |y|).  A shift to
+or from a value that is not finite reads nan.
 """
 
 from __future__ import annotations
@@ -39,11 +43,14 @@ METASTABILITY = ("simulate", "--config", "configs/metastability.json")
 CALLS = [(cmd,) for cmd in ("uniform-shear", "spectrum", "modes", "energy", "heteroclinic",
                             "profile", "localize", "residual", "simulate")]
 CALLS += [METASTABILITY, (*METASTABILITY, "--N", "64", "--t-end", "5", "--frames", "5")]
-# stiff mode runs, where an integrator change moves the exit code first
+# stiff mode and energy runs, where an integrator change moves the exit code first
 STIFF = ("modes", "--n", "0.05", "--alpha", "0.5")
 CALLS += [(*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end", "100"),
           (*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end", "600"),
-          (*STIFF, "--kappa", "0.2", "--theta0", "1", "--j", "40", "--tau-end", "600")]
+          (*STIFF, "--kappa", "0.2", "--theta0", "1", "--j", "40", "--tau-end", "600"),
+          (*STIFF, "--kappa", "0.2", "--theta0", "1", "--j", "40", "--tau-end", "10"),
+          ("energy", "--n", "0.002719", "--alpha", "8.389", "--kappa", "0.01418",
+           "--theta0", "3.11", "--jmodes", "1,2", "--tau-end", "5.811")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
@@ -63,20 +70,34 @@ def _outputs(tree: Path, argv, out: Path) -> tuple[int, dict[str, bytes]]:
     return code, files
 
 
-def _csv_groups(a: bytes, b: bytes):
-    """Each metadata value alone, then each data column, of two CSVs of one shape."""
-    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
-    if [line.count(",") for line in lines_a] != [line.count(",") for line in lines_b]:
-        return None
-    groups, rows = [], ([], [])
-    for x, y in zip(lines_a, lines_b):
-        if x.startswith("#"):
-            groups.append(([x.partition("=")[2]], [y.partition("=")[2]]))
+def _parse_csv(data: bytes):
+    """(metadata by key, data columns by header name, row count) of a CSV, or None if a
+    row's field count is not the header's."""
+    meta, rows = {}, []
+    for line in data.decode().splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
         else:
-            rows[0].append(x.split(","))
-            rows[1].append(y.split(","))
+            rows.append(line.split(","))
     # the first row that is not metadata is the header
-    return groups + list(zip(zip(*rows[0][1:]), zip(*rows[1][1:])))
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return meta, {k: [row[i] for row in rows[1:]] for i, k in enumerate(rows[0])}, len(rows)
+
+
+def _csv_groups(a: bytes, b: bytes):
+    """Each metadata value alone, then each data column, of two CSVs with the same number
+    of rows, matched by key and by header name; then the keys and names only the second
+    has, and those only the first has."""
+    parsed = _parse_csv(a), _parse_csv(b)
+    if None in parsed or parsed[0][2] != parsed[1][2]:
+        return None
+    (meta_a, cols_a, _), (meta_b, cols_b, _) = parsed
+    groups = [([meta_a[k]], [meta_b[k]]) for k in meta_a if k in meta_b]
+    groups += [(cols_a[k], cols_b[k]) for k in cols_a if k in cols_b]
+    a, b = [*meta_a, *cols_a], [*meta_b, *cols_b]
+    return groups, [k for k in b if k not in a], [k for k in a if k not in b]
 
 
 def _is_number(v) -> bool:
@@ -99,9 +120,14 @@ def _json_groups(x, y):
 
 
 def _largest_shift(name: str, a: bytes, b: bytes) -> str:
-    """" (largest relative shift 3.1e-12)" for two CSV or JSON files of one shape, else ""."""
+    """" (largest relative shift 3.1e-12)" for two CSV or JSON files of one shape, else "";
+    for CSVs that differ in their metadata keys or column names, those each has alone
+    follow ("; added k1, k2; removed k3")."""
+    added = removed = ()
     if name.endswith(".csv"):
         groups = _csv_groups(a, b)
+        if groups is not None:
+            groups, added, removed = groups
     elif name.endswith(".json"):
         groups = _json_groups(json.loads(a), json.loads(b))
     else:
@@ -117,7 +143,9 @@ def _largest_shift(name: str, a: bytes, b: bytes) -> str:
         scale = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
         shifts += [abs(x - y) / scale if math.isfinite(x) and math.isfinite(y) else math.nan
                    for x, y in zip(xs, ys) if x != y]
-    return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g})"
+    keys = "".join(f"; {label} {', '.join(names)}"
+                   for label, names in (("added", added), ("removed", removed)) if names)
+    return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g}{keys})"
 
 
 def main(argv) -> int:
