@@ -5,16 +5,17 @@ the orbit shooter uses, with no SciPy import.  The right-hand side takes the
 two components as scalars, ``fun(t, a, b)``, where SciPy passes one array
 ``y``.  The tableau (A, B, C and E) is written out with the same expressions
 as SciPy's RK45 (``scipy/integrate/_ivp/rk.py``), and the tests check it
-against SciPy's arrays bit for bit.  The initial-step rule and the step
-controller (safety 0.9, factors 0.2 and 10, RMS error norm, ``max_step`` and
-a minimum step of 10 spacings of t) are SciPy's too, so it takes SciPy's step
-sequence.  SciPy forms each stage with ``np.dot`` on length-2 arrays, where
-the NumPy overhead is most of the cost of a step; here the stages are
-unrolled sums of Python floats, so the values agree with SciPy's to rounding,
-not bit for bit.  Every sum is written out in a fixed order, so a run gives
-the same bits on every Python version.  The result holds every step, and a
-stop predicate, checked after each accepted step, ends the solve at the
-first step where it holds; there is no dense output and no root finding.
+against SciPy's arrays bit for bit.  The caller always gives the first step;
+there is no initial-step rule.  The step controller (safety 0.9, factors 0.2
+and 10, RMS error norm, ``max_step`` and a minimum step of 10 spacings of t)
+is SciPy's, so from the same ``first_step`` it takes SciPy's step sequence.
+SciPy forms each stage with ``np.dot`` on length-2 arrays, where the NumPy
+overhead is most of the cost of a step; here the stages are unrolled sums of
+Python floats, so the values agree with SciPy's to rounding, not bit for
+bit.  Every sum is written out in a fixed order, so a run gives the same bits
+on every Python version.  The result holds every step, and a stop predicate,
+checked after each accepted step, ends the solve at the first step where it
+holds; there is no dense output and no root finding.
 
 References: Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26; Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.4-II.6.
@@ -83,41 +84,18 @@ class OdeResult:
         return self.status >= 0
 
 
-def _rms(x0, x1):
-    return math.sqrt(x0 * x0 + x1 * x1) / _SQRT2   # as np.linalg.norm(x) / 2 ** 0.5
-
-
-def _initial_step(fun, t, ya, yb, fa, fb, length, rtol, atol, max_step):
-    """(first step, RHS calls so far) by SciPy's rule (Hairer, Norsett & Wanner,
-    sec. II.4); the step is None when the scaled slope overflows."""
-    sa = atol + abs(ya) * rtol
-    sb = atol + abs(yb) * rtol
-    d0 = _rms(ya / sa, yb / sb)
-    d1 = _rms(fa / sa, fb / sb)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    if h0 == 0.0:   # a finite state whose scaled slope overflows: d1 = inf
-        return None, 1
-    ga, gb = fun(t + h0, ya + h0 * fa, yb + h0 * fb)
-    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    return min(100 * h0, h1, length, max_step), 2
-
-
-def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.inf,
-              first_step=None):
+def solve_ivp(fun, t_span, y0, first_step, stop=None, rtol=1e-3, atol=1e-6,
+              max_step=math.inf):
     """Integrate (a, b)' = fun(t, a, b) forward over ``t_span`` from ``y0 = (a, b)``.
 
     ``fun`` gets the two components as floats and returns two numbers.
     ``stop(t, a, b)``, if given, is checked after each accepted step; the
     solve ends at the first step where it is true, with that step's end as
     the last sample (status 1).  ``first_step``, as in SciPy, is the size of
-    the first trial step in place of the initial-step rule's choice.  A step
-    below the minimum, or a first step that is zero or not finite, returns
-    status -1.  The result is the same bits on every Python version.
+    the first trial step, finite, positive and within ``t_span``.  A step
+    below the minimum returns status -1; so does a state that is not finite,
+    whose every trial step is rejected.  The result is the same bits on every
+    Python version.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -130,22 +108,15 @@ def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.in
         warn(f"At least one element of `rtol` is too small. "
              f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.", stacklevel=2)
         rtol = 100 * _EPS
-    length = t_bound - t
-    if first_step is not None and not 0 < first_step <= length:
+    if not 0 < first_step <= t_bound - t or math.isinf(first_step):
         raise ValueError("`first_step` must be positive." if first_step <= 0
                          else "`first_step` exceeds bounds.")
 
     ya, yb = (float(v) for v in y0)
     fa, fb = fun(t, ya, yb)
     ts, ays, bys = [t], [ya], [yb]
-    if first_step is None:
-        h_abs, nfev = _initial_step(fun, t, ya, yb, fa, fb, length, rtol, atol, max_step)
-        if h_abs is None:
-            return OdeResult(t=np.array(ts), y=np.array([ays, bys]), status=-1, nfev=nfev)
-    else:
-        h_abs, nfev = float(first_step), 1
-    # a NaN first step (a NaN or infinite state or slope) would never fall below min_step
-    status = None if math.isfinite(h_abs) else -1
+    h_abs, nfev = float(first_step), 1
+    status = None
     while status is None:
         # In the loop, ``y if y > x else x`` stands for max(x, y) and ``y if y <
         # x else x`` for min(x, y): the comparison the builtins make, so NaN
@@ -180,7 +151,7 @@ def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.in
             ka7, kb7 = fun(t_new, na, nb)
             nfev += 6
 
-            # the RMS error norm, _rms inlined
+            # the RMS error norm, as np.linalg.norm(x) / 2 ** 0.5
             ea = h * (_E1 * fa + _E3 * ka3 + _E4 * ka4 + _E5 * ka5 + _E6 * ka6 + _E7 * ka7)
             eb = h * (_E1 * fb + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6 + _E7 * kb7)
             sa, sb = abs(na), abs(nb)

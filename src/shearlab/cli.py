@@ -181,7 +181,7 @@ def _energy(p, out):
 def _shoot(p, nu):
     """The planar parameters and their orbit; a failure's message names what, if
     anything, helps: a larger --eps for a long saddle head, a looser --tol for a
-    shoot to the node."""
+    body that runs to a = tol (lambda2 < 12)."""
     planar = PlanarParams(n=p["n"], alpha=p["alpha"], nu=nu)
     return planar, shoot_heteroclinic(planar, eps=p["eps"], tol=p["tol"])
 
@@ -202,7 +202,7 @@ def _heteroclinic(p, out):
     if kappa1 is None:
         try:
             kappa1 = estimate_kappa1(orbit)
-        except UnresolvedTailError:   # a coarse --tol on an orbit shot to the node
+        except UnresolvedTailError:   # kappa1 past the float range: a long head and body
             pass
     csv = Path(f"{out}.csv")
     write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},

@@ -40,10 +40,10 @@ lambda2 = (alpha/(n nu)) c_nu,
 where the beta_m follow order by order from the invariance equation
 2 s h'(s) (1 - s/h) = (alpha/(nu n)) (c_nu h - 1 - ((n+1) nu/alpha) s), and the
 fast component is O(a^lambda2).  Only terms m < lambda2/2 are formed, short of
-the resonance lambda2 = 2m, and the truncation that reaches furthest (first
-dropped term 1e-15, a at most 0.9) gives the reach a_n.  F is summed from its
-series at small s and by Gauss-Legendre quadrature of F' at large s, where
-its singularity at Q (h(1) = 1) slows the series.
+the resonance lambda2 = 2m (none when lambda2 <= 2), and the truncation that
+reaches furthest (first dropped term 1e-15, a at most 0.9) gives the reach
+a_n.  F is summed from its series at small s and by Gauss-Legendre quadrature
+of F' at large s, where its singularity at Q (h(1) = 1) slows the series.
 
 When W(zeta_r) lies at or below a_n the reaches overlap: the head's first
 sample is the junction, and C follows from eta there.  Otherwise the shooter
@@ -51,16 +51,15 @@ integrates backward from W(zeta_r) inside the invariant triangle-like region
 R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5 (``_dopri.solve_ivp``: SciPy
 RK45's tableau and step controller on Python floats), from a first step of
 1/lambda2, and stops at its first step that ends at or below a_n, the
-junction.  Below the junction the node tail is sampled from the slow
-manifold down to a = tol, and the node-departure coefficient
-lim a e^(-eta) = e^(-C) is in closed form.  |b - h(a^2)| at the junction is
-its gap.  When lambda2 < 12 (a resonance lambda2 = 2m may be near) the shoot
-runs instead from W(zeta_r) to its first step that ends within tol of P.
-Every stretch, head, body and tail, is sampled no more than 0.01 apart in
-eta.  Between samples the orbit is a cubic Hermite interpolant in
-(log a, log b) evaluated with NumPy; nothing here imports SciPy.
-Reparametrization shifts eta so that the node-departure coefficient of a
-matches a requested amplitude.
+junction.  When lambda2 < 12 (a resonance lambda2 = 2m may be near, and the
+series is short) the body runs on to a = tol instead.  Below the junction
+the node tail is sampled from the slow manifold down to a = tol, and the
+node-departure coefficient lim a e^(-eta) = e^(-C) is in closed form on
+every route.  |b - h(a^2)| at the junction is its gap.  Every stretch,
+head, body and tail, is sampled no more than 0.01 apart in eta.  Between
+samples the orbit is a cubic Hermite interpolant in (log a, log b) evaluated
+with NumPy; nothing here imports SciPy.  Reparametrization shifts eta so that
+the node-departure coefficient of a matches a requested amplitude.
 """
 
 from __future__ import annotations
@@ -201,12 +200,11 @@ class OrbitPath:
     stable-manifold series, of ``saddle_terms`` terms, where the head ends
     at a = ``a_saddle``, and ``saddle_truncation`` the size of its first
     dropped term there.  ``body_steps`` counts the DOPRI5 steps between the
-    series, 0 when their reaches overlap.  ``a_junction`` is the a at which
-    the slow-manifold series of ``node_terms`` terms takes over, the body's
-    end or, with no body, ``a_saddle``, and ``junction_gap`` the
-    |b - h(a^2)| there; ``node_series`` is that series, which gives F(a^2)
-    for ``estimate_kappa1``.  These four are None when the orbit was shot to
-    the node.
+    head and the tail, 0 when the head reaches the tail.  ``a_junction`` is
+    the a at which the slow-manifold series of ``node_terms`` terms takes
+    over, the body's end or, with no body, ``a_saddle``, and
+    ``junction_gap`` the |b - h(a^2)| there; ``node_series`` is that series,
+    which gives F(a^2) for ``estimate_kappa1``.
     """
 
     params: PlanarParams
@@ -218,25 +216,25 @@ class OrbitPath:
     db: np.ndarray
     eps: float
     tol: float
+    a_junction: float
+    junction_gap: float
+    saddle_junction: float
+    saddle_truncation: float
+    saddle_terms: int
+    node_series: _SlowManifold
+    a_saddle: float
+    body_steps: int
     eta0: float = 0.0
     kappa1: float | None = None
     sigma0: float | None = None
-    a_junction: float | None = None
-    junction_gap: float | None = None
-    saddle_junction: float | None = None
-    saddle_truncation: float | None = None
-    saddle_terms: int | None = None
-    node_series: _SlowManifold | None = None
-    a_saddle: float | None = None
-    body_steps: int = 0
 
     def __post_init__(self):
         if not np.all(np.diff(self.eta) > 0):
             raise ParameterError("eta grid must be strictly increasing")
 
     @property
-    def node_terms(self) -> int | None:
-        return self.node_series.terms if self.node_series else None
+    def node_terms(self) -> int:
+        return self.node_series.terms
 
     # Interpolation is done on (log a, log b) with the exact field slopes
     # (da/deta)/a and (db/deta)/b: log a is asymptotically linear on the node
@@ -282,11 +280,10 @@ _SERIES_TOL = 1e-15      # each series is summed out to where its first dropped 
 _SADDLE_TERMS = 40       # the most terms of W
 _NODE_TERMS = 30         # the most terms of h, and fewer than lambda2/2 (the resonance)
 _NODE_REACH_MAX = 0.9    # h is used up to a = 0.9 at most, where F's Gauss rule still converges
-LAMBDA2_SERIES = 12.0    # below this the node series is too short to use: shoot to the node
+LAMBDA2_SERIES = 12.0    # below this the node series is short: the body runs on to a = tol
 _MAX_STEP = 0.01         # the largest spacing in eta of the samples, and of the body's steps
 _S_MAX = 400.0           # the body gives up after this span in s = -eta
 _HEAD_S_MAX = 2000.0     # the longest saddle head in s: 200k samples at _MAX_STEP
-_PLATEAU_RTOL = 1e-4     # the flatness a e^(-eta) must reach over the deepest decade
 
 
 def _polyval(coef, x):
@@ -343,16 +340,20 @@ class _SlowManifold(NamedTuple):
 
 
 def _slow_manifold(p: PlanarParams) -> _SlowManifold:
-    """The slow manifold's series, with as many terms as reach furthest.
+    """The slow manifold's series, with as many terms as reach furthest, for
+    any lambda2 > 1.
 
     beta_m (2 m beta_0 - g) is the s^m coefficient of the invariance
     equation, multiplied by h, with beta_m taken out:
     2 s h' (h - s) = g h (c_nu h - 1 - k s).  Only the beta_m with
     m < lambda2/2 are formed: past the resonance 2 m beta_0 = g they grow.
     Of those, the truncation whose first dropped term reaches furthest is
-    kept, and the terms stop once it reaches _NODE_REACH_MAX.  F' = 1/(2 (h - s))
-    is integrated term by term from the reciprocal series r of h - s; the
-    series serves up to where its first dropped term is _SERIES_TOL.
+    kept, and the terms stop once it reaches _NODE_REACH_MAX; with no beta_m
+    (lambda2 <= 2), or only beta_1 (lambda2 <= 4), h = beta_0 and the reach
+    is 0 or where beta_1 s is _SERIES_TOL.  F' = 1/(2 (h - s)) is integrated
+    term by term from the reciprocal series r of h - s; the series serves up
+    to where its first dropped term is _SERIES_TOL, or everywhere when r
+    terminates.
     """
     g = p.alpha / (p.nu * p.n)
     c = p.c_nu
@@ -373,12 +374,14 @@ def _slow_manifold(p: PlanarParams) -> _SlowManifold:
             if reach >= _NODE_REACH_MAX ** 2:
                 break
     # r = 1/(h - s) to _NODE_TERMS terms, whatever the degree of h
-    q = [beta[0], beta[1] - 1.0, *beta[2:terms + 1]]
+    q = [beta[0], (beta[1] if terms else 0.0) - 1.0, *beta[2:terms + 1]]
     r = [c]
     for m in range(1, _NODE_TERMS + 2):
         r.append(-c * sum(map(mul, q[1:m + 1], r[m - 1::-1])))
     f_coef = [r[m] / (2.0 * (m + 1)) for m in range(_NODE_TERMS, -1, -1)] + [0.0]
-    s_f = (_SERIES_TOL * 2.0 * (_NODE_TERMS + 2) / abs(r[-1])) ** (1.0 / (_NODE_TERMS + 2))
+    # r terminates when h - s is constant (h = 1/c_nu + s): its series is then exact
+    s_f = ((_SERIES_TOL * 2.0 * (_NODE_TERMS + 2) / abs(r[-1])) ** (1.0 / (_NODE_TERMS + 2))
+           if r[-1] else math.inf)
     return _SlowManifold(node_b=beta[0], d_coef=[*beta[terms:0:-1], 0.0], f_coef=f_coef,
                          s_f=min(s_f, reach), reach=math.sqrt(min(reach, _NODE_REACH_MAX ** 2)),
                          terms=terms)
@@ -467,29 +470,28 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                        rtol: float = 1e-10) -> OrbitPath:
     """The heteroclinic from the two manifold series, with DOPRI5 in the gap.
 
-    When lambda2 >= LAMBDA2_SERIES the node's slow-manifold series is summed
-    out to its reach a_n, and Q's stable-manifold series W is given terms
-    until its reach zeta_r lies at or below a = a_n.  The saddle head is
-    sampled from W, from zeta = eps (eta = 0) down to zeta_r.  When W(zeta_r)
-    lies above a_n, the shooter negates the field and integrates from there
-    forward in s = -eta, in steps of at most _MAX_STEP and with a first step
-    of 1/lambda2, and stops at the end of its first step with a <= a_n.  That
+    The node's slow-manifold series is summed out to its reach a_n.  The
+    body stops at a_stop: a_n when lambda2 >= LAMBDA2_SERIES, and tol below
+    it.  Q's stable-manifold series W is given terms until its reach zeta_r
+    lies at or below a = a_stop.  The saddle head is sampled from W, from
+    zeta = eps (eta = 0) down to zeta_r.  When W(zeta_r) lies above a_stop,
+    the shooter negates the field and integrates from there forward in
+    s = -eta, in steps of at most _MAX_STEP and with a first step of
+    1/lambda2, and stops at the end of its first step with a <= a_stop.  That
     step's end, or W(zeta_r) itself when the reaches overlap, is the junction
     (a_junction), and the slow-manifold tail continues below it down to
-    a = tol.  When lambda2 < LAMBDA2_SERIES the shoot from W(zeta_r), with
-    all _SADDLE_TERMS terms, runs instead to its first step that ends within
-    tol of P.  A head longer than _HEAD_S_MAX in s, or a body not done within
-    s = _S_MAX of its start, raises MaxStepsError.  Every sample must stay
-    in R: a trial step that reaches b <= 0, or a sample outside R, raises
-    RegionExitError.
+    a = tol; it is empty when the junction lies at or below tol.  A head
+    longer than _HEAD_S_MAX in s, or a body not done within s = _S_MAX of its
+    start, raises MaxStepsError.  Every sample must stay in R: a trial step
+    that reaches b <= 0, or a sample outside R, raises RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    node = _slow_manifold(p) if p.lambda2 >= LAMBDA2_SERIES else None
-    a_n = node.reach if node else 0.0
-    mu, a_coef, b_coef, zeta_r = _stable_manifold(p, a_n)
+    node = _slow_manifold(p)
+    a_stop = node.reach if p.lambda2 >= LAMBDA2_SERIES else tol
+    mu, a_coef, b_coef, zeta_r = _stable_manifold(p, a_stop)
     s_r = math.log(zeta_r / eps) / -mu
     if s_r > _HEAD_S_MAX:
         raise MaxStepsError(
@@ -501,23 +503,21 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     a, b = _polyval(a_coef[1:], zeta), _polyval(b_coef[1:], zeta)
     a_saddle = float(a[0])
     body_steps = 0
-    if a_saddle > a_n:
-        sol = _body(p, s_r, a_saddle, float(b[0]), a_n, tol, rtol)
+    if a_saddle > a_stop:
+        sol = _body(p, s_r, a_saddle, float(b[0]), a_stop, rtol)
         body_steps = sol.t.size - 1
         # reverse to increasing eta = -s, and append the head past its first sample
         eta = np.concatenate([-sol.t[::-1], eta[1:]])
         a = np.concatenate([sol.y[0][::-1], a[1:]])
         b = np.concatenate([sol.y[1][::-1], b[1:]])
     d = b - p.node[1]
-    a_junction = junction_gap = None
-    if node:
-        a_junction = float(a[0])
-        eta_t, a_t, d_t, d_j = _series_tail(node, float(eta[0]), a_junction, tol)
-        junction_gap = abs(float(d[0]) - d_j)
-        eta = np.concatenate([eta_t, eta])
-        a = np.concatenate([a_t, a])
-        d = np.concatenate([d_t, d])
-        b = np.concatenate([node.node_b + d_t, b])
+    a_junction = float(a[0])
+    eta_t, a_t, d_t, d_j = _series_tail(node, float(eta[0]), a_junction, tol)
+    junction_gap = abs(float(d[0]) - d_j)
+    eta = np.concatenate([eta_t, eta])
+    a = np.concatenate([a_t, a])
+    d = np.concatenate([d_t, d])
+    b = np.concatenate([node.node_b + d_t, b])
 
     inside = ((a >= -_REGION_SLACK) & (a <= 1.0 + _REGION_SLACK) & (b <= 1.0 + _REGION_SLACK)
               & (a * a <= b + _REGION_SLACK))
@@ -537,10 +537,9 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                      node_series=node, a_saddle=a_saddle, body_steps=body_steps)
 
 
-def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_n: float, tol: float,
-          rtol: float):
-    """DOPRI5 from (a_r, b_r) at s = s_r to its first step that ends at a <= a_n,
-    or within tol of the node when a_n = 0; within s = s_r + _S_MAX."""
+def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float, rtol: float):
+    """DOPRI5 from (a_r, b_r) at s = s_r to its first step that ends at a <= a_stop,
+    within s = s_r + _S_MAX."""
     node_a, node_b = p.node.tolist()
     # vector_field's coefficients, hoisted out of the RHS; the scalar arithmetic
     # below keeps vector_field's order of operations
@@ -554,22 +553,18 @@ def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_n: float, tol: 
                                   f"(b = {b:.6g} <= 0)")
         return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
 
-    if a_n > 0.0:
-        def stop(s, a, b):
-            return a <= a_n
-    else:
-        def stop(s, a, b):
-            return math.hypot(a - node_a, b - node_b) <= tol
+    def stop(s, a, b):
+        return a <= a_stop
 
     # a first step of 1/lambda2 keeps h lambda2 <= 1 on the stiff b-direction
     sol = solve_ivp(backward, (s_r, s_r + _S_MAX), (a_r, b_r), stop=stop, rtol=rtol,
                     atol=1e-14, max_step=_MAX_STEP, first_step=1.0 / p.lambda2)
     if sol.status == 0:
         a_end, b_end = sol.y[:, -1]
-        target = f"a = {a_n:.6g}" if a_n > 0.0 else "the node"
-        remedy = "" if a_n > 0.0 else "; a looser tol ends it sooner"
+        # below LAMBDA2_SERIES the body stops at a = tol
+        remedy = "; a looser tol ends it sooner" if p.lambda2 < LAMBDA2_SERIES else ""
         raise MaxStepsError(
-            f"orbit did not reach {target} within s = {_S_MAX:g} of the shoot's start: it "
+            f"orbit did not reach a = {a_stop:.6g} within s = {_S_MAX:g} of the shoot's start: it "
             f"covered s = {s_r:.6g} to {s_r + _S_MAX:.6g}, from a = {a_r:.6g} to a = "
             f"{a_end:.6g} ({math.hypot(a_end - node_a, b_end - node_b):.3e} from the "
             f"node){remedy}")
@@ -581,36 +576,22 @@ def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_n: float, tol: 
 def estimate_kappa1(path: OrbitPath) -> float:
     """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization.
 
-    When the deepest sample lies on the slow-manifold tail (at or below
-    a_junction), it is the closed form e^(-C) = a e^(-eta) e^(F(a^2)) there,
-    with F from the path's own ``node_series``.
-    Otherwise it is the plateau of a e^(-eta) over the deepest decade of a,
-    which must be flat to _PLATEAU_RTOL relative variation.
+    It is the closed form e^(-C) = a e^(-eta) e^(F(a^2)) at the deepest
+    sample, with F from the path's own ``node_series``.  That sample must lie
+    on the slow-manifold tail, at or below a_junction, and e^(-C) within the
+    float range; otherwise UnresolvedTailError.
     """
-    a = path.a
-    a_min = a[0]
-    if path.a_junction is not None and a_min <= path.a_junction:
-        f = float(path.node_series.F(np.array([a_min * a_min]))[0])
-        return math.exp(math.log(a_min) - path.eta[0] + f)
-    with np.errstate(over="ignore"):   # checked below
-        q = a * np.exp(-path.eta)
-    window = a <= 10.0 * a_min
-    if window.sum() < 4:
-        raise UnresolvedTailError(
-            f"only {int(window.sum())} samples in the deepest decade of the tail")
-    qw = q[window]
-    if not np.all(np.isfinite(qw)):
-        raise UnresolvedTailError(f"a(eta)e^-eta overflows on the tail decade (eta down to "
-                                  f"{path.eta[0]:.6g})")
-    spread = (qw.max() - qw.min()) / abs(qw[0])
-    if not np.isfinite(spread) or spread > _PLATEAU_RTOL:
-        raise UnresolvedTailError(
-            f"a(eta)e^-eta varies by {spread:.2e} over the tail decade "
-            f"(> {_PLATEAU_RTOL:.0e}); no plateau")
-    kappa1 = float(qw[0])
-    if kappa1 <= 0.0:
-        raise UnresolvedTailError(f"node-departure coefficient {kappa1:.3e} is not positive")
-    return kappa1
+    a_min = float(path.a[0])
+    if a_min > path.a_junction:
+        raise UnresolvedTailError(f"the deepest sample, a = {a_min:.6g}, lies above the "
+                                  f"junction at a = {path.a_junction:.6g}")
+    f = float(path.node_series.F(np.array([a_min * a_min]))[0])
+    log_kappa1 = math.log(a_min) - path.eta[0] + f
+    try:
+        return math.exp(log_kappa1)
+    except OverflowError:
+        raise UnresolvedTailError(f"a(eta)e^-eta overflows on the tail (log kappa1 = "
+                                  f"{log_kappa1:.6g})") from None
 
 
 def reparametrize(path: OrbitPath, sigma0: float) -> OrbitPath:

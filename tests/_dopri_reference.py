@@ -3,11 +3,11 @@
 ``_rms`` and ``solve_ivp`` below are verbatim copies of the tuple-convention
 version of ``shearlab._dopri``, less the ``t_eval`` sampling and the
 terminal events that the package has since dropped for a stop predicate,
-which the oracle checks in the same place, and plus the ``first_step`` the
-package has since taken from SciPy: ``fun(t, y)`` and ``stop(t, y)`` get
-``y`` as a pair, and the stage tuple is built on every step.  The
-tableau and the result type are imported from the package, whose tests pin
-them to SciPy.  ``reference_solve_ivp`` calls the oracle with the package's
+which the oracle checks in the same place, less the initial-step rule, and
+plus the ``first_step``, now required, that the package has since taken from
+SciPy: ``fun(t, y)`` and ``stop(t, y)`` get ``y`` as a pair, and the stage
+tuple is built on every step.  The tableau and the result type are imported
+from the package, whose tests pin them to SciPy.  ``reference_solve_ivp`` calls the oracle with the package's
 scalar convention ``fun(t, a, b)``.
 """
 
@@ -32,14 +32,14 @@ def _rms(x0, x1):
     return math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)   # as np.linalg.norm(x) / 2 ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.inf,
-              first_step=None):
+def solve_ivp(fun, t_span, y0, first_step, stop=None, rtol=1e-3, atol=1e-6,
+              max_step=math.inf):
     """Integrate y' = fun(t, y) for a 2-component y forward over ``t_span``.
 
     ``fun`` gets a tuple of two floats and returns two numbers.  The solve
     ends after the first accepted step whose end satisfies ``stop(t, y)``
-    (status 1).  ``first_step``, if given, replaces the initial-step rule.  A
-    step below the minimum returns status -1.
+    (status 1), from a first trial step of ``first_step``.  A step below the
+    minimum returns status -1.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -56,25 +56,7 @@ def solve_ivp(fun, t_span, y0, stop=None, rtol=1e-3, atol=1e-6, max_step=math.in
     ya, yb = (float(v) for v in y0)
     fa, fb = fun(t, (ya, yb))
 
-    # initial step (Hairer, Norsett & Wanner, sec. II.4)
-    length = t_bound - t
-    if first_step is not None:
-        return _steps(fun, t, t_bound, ya, yb, fa, fb, first_step, 1, stop, rtol, atol,
-                      max_step)
-    sa = atol + abs(ya) * rtol
-    sb = atol + abs(yb) * rtol
-    d0 = _rms(ya / sa, yb / sb)
-    d1 = _rms(fa / sa, fb / sb)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    ga, gb = fun(t + h0, (ya + h0 * fa, yb + h0 * fb))
-    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    h_abs = min(100 * h0, h1, length, max_step)
-    return _steps(fun, t, t_bound, ya, yb, fa, fb, h_abs, 2, stop, rtol, atol, max_step)
+    return _steps(fun, t, t_bound, ya, yb, fa, fb, first_step, 1, stop, rtol, atol, max_step)
 
 
 def _steps(fun, t, t_bound, ya, yb, fa, fb, h_abs, nfev, stop, rtol, atol, max_step):

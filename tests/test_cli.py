@@ -378,9 +378,9 @@ def _probe_b(b):
     # a body that does not reach the node series in its span says what it covered
     (("residual",), ("_S_MAX", 0.5), r"did not reach a = 0\.\d+ within s = 0\.5 of the shoot's "
      r"start: it covered s = [\d.]+ to [\d.]+, from a = 0\.7\d+ to a = 0\.\d+ ", None),
-    # a shoot to the node (lambda2 = 3) ends sooner at a looser tol
+    # below lambda2 = 12 (here 3) the body runs to a = tol: a looser tol ends it sooner
     (("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1"), ("_S_MAX", 0.5),
-     "did not reach the node within s = 0.5", "; a looser tol ends it sooner"),
+     "did not reach a = 1e-08 within s = 0.5", "; a looser tol ends it sooner"),
     # no option changes where a trial step goes
     (("residual",), ("solve_ivp", _probe_b(-1e-3)),
      r"a trial step left the region R at eta = -[\d.]+ \(b = -0.001 <= 0\)$", None),
@@ -503,20 +503,21 @@ def test_heteroclinic_cmd(tmp_path):
     assert float(meta["saddle_truncation"]) == pytest.approx(1e-15, rel=1e-12)
 
 
-@pytest.mark.parametrize("argv, series, body, rel", [
-    ((), True, True, 1e-6),
-    (("--n", "1", "--alpha", "1", "--nu", "1"), False, True, 1e-6),   # lambda2 = 3
+@pytest.mark.parametrize("argv, body, rel", [
+    ((), True, 1e-6),
+    (("--n", "1", "--alpha", "1", "--nu", "1"), True, 1e-6),   # lambda2 = 3
     # a e^-eta at a = 1e-2 is off from kappa1 by F(a^2), about 6e-5
-    (("--tol", "1e-2"), True, True, 1e-4),
-    (("--n", "0.1", "--alpha", "1", "--nu", "0.05"), True, False, 1e-6),   # lambda2 = 211
+    (("--tol", "1e-2"), True, 1e-4),
+    (("--n", "0.1", "--alpha", "1", "--nu", "0.05"), False, 1e-6),   # lambda2 = 211
 ], ids=["series-tail", "small-lambda2", "coarse-tol", "no-body"])
-def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, series, body, rel):
-    # kappa1 of the shot parametrization; the node series' fields only on a
-    # series tail, at any tol
+def test_heteroclinic_metadata_without_sigma0(tmp_path, argv, body, rel):
+    # kappa1 of the shot parametrization; the node series' fields on every
+    # route, at any tol
     assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == 0
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     for key in ("a_junction", "junction_gap", "node_terms"):
-        assert (meta[key] != "none") == series
+        assert meta[key] != "none"
+    assert float(meta["a_junction"]) in data["a"]
     # every route starts on the saddle's series, out to its reach
     assert float(meta["a_saddle"]) in data["a"] and float(meta["saddle_junction"]) > 0.1
     assert (int(meta["body_steps"]) > 0) == body
@@ -537,6 +538,20 @@ def test_heteroclinic_junction_below_tol_leaves_an_empty_tail(tmp_path):
     assert float(meta["a_junction"]) == data["a"][0] < 0.5
     kappa1 = float(read_csv(tmp_path / "heteroclinic.csv")[0]["kappa1"])
     assert float(meta["kappa1"]) == pytest.approx(kappa1, rel=1e-14, abs=0)
+
+
+def test_localize_at_small_lambda2_takes_a_coarse_tol(tmp_path):
+    # lambda2 = 3: --tol 1e-3 once exited 3 on "no plateau".  The body now stops
+    # at a = 1e-3 and the short series' F gives kappa1, so the fields lie within
+    # 1e-10 of the default tol's over each column's largest value (4.1e-12 in u)
+    argv = ("localize", "--n", "1", "--alpha", "1", "--lambda", "1", "--sigma0", "1")
+    assert run_cli(*argv, "--tol", "1e-3", "--out-dir", str(tmp_path / "coarse")) == 0
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+    _, coarse = read_csv(tmp_path / "coarse" / "localize_spacetime.csv")
+    _, tight = read_csv(tmp_path / "localize_spacetime.csv")
+    for key in ("u", "sigma", "theta"):
+        shift = np.max(np.abs(coarse[key] - tight[key]))
+        assert 0.0 < shift <= 1e-10 * np.max(np.abs(tight[key])), key
 
 
 def test_profile_cmd(tmp_path):

@@ -213,6 +213,14 @@ def test_unresolved_tail_raises(ref_orbit):
         estimate_kappa1(stub)
 
 
+def test_kappa1_past_the_float_range_is_unresolved():
+    # lambda2 = 10.2, mu_s = -8.1e-3: the head and the body span eta down to -1740,
+    # and e^(-C) = e^1721 overflows
+    path = shoot_heteroclinic(PlanarParams(n=0.109, alpha=0.01717, nu=4.739))
+    with pytest.raises(UnresolvedTailError, match=r"overflows .*log kappa1 = 172\d\.\d"):
+        estimate_kappa1(path)
+
+
 def test_reparametrize_fixed_point(ref_orbit):
     kappa1 = estimate_kappa1(ref_orbit)
     path = reparametrize(ref_orbit, 1.0 / kappa1)
@@ -378,13 +386,14 @@ def test_series_kappa1_takes_F_from_the_shoots_own_series(monkeypatch, ref_orbit
 
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
 def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, nu):
-    # the closed form at the series tail against the plateau of a e^-eta on
-    # an orbit shot to within 1e-8 of the node, both at rtol 1e-12
+    # the closed form at the series tail against a e^-eta at the deepest sample
+    # of an orbit whose body is shot on to a = 1e-8, both at rtol 1e-12
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     series = shoot_heteroclinic(p, rtol=1e-12)
     monkeypatch.setattr(orbit, "LAMBDA2_SERIES", math.inf)
     shot = shoot_heteroclinic(p, rtol=1e-12)
-    assert shot.a_junction is None
+    # the body ends below tol, so the tail is empty
+    assert shot.a_junction == shot.a[0] <= 1e-8 < shot.a[1]
     # the junction is the shoot's first sample at or below a = 1e-2: the body
     # sample after it in eta, the one before it in the shoot, lies above
     (i,) = np.flatnonzero(series.a == series.a_junction)
@@ -396,7 +405,7 @@ def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, n
         # the saddle series reaches into the node series' reach
         assert series.a[i] == series.a_saddle <= a_n
     kappa1 = estimate_kappa1(series)
-    assert kappa1 == pytest.approx(estimate_kappa1(shot), rel=1e-12, abs=0)
+    assert kappa1 == pytest.approx((shot.a * np.exp(-shot.eta))[0], rel=1e-12, abs=0)
     # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
     monkeypatch.undo()
     shallow = shoot_heteroclinic(p, rtol=1e-12, tol=5e-4)
@@ -424,34 +433,54 @@ def test_tail_d_over_a2_tends_to_beta1(n, alpha, nu):
 
 def test_fallback_shoots_to_the_node_bit_for_bit():
     # lambda2 = 3 < LAMBDA2_SERIES: below the saddle's series head the orbit is
-    # the plain DOPRI5 shoot from W(zeta_r) to within tol of the node, and
-    # kappa1 the plateau of a e^-eta
+    # the plain DOPRI5 shoot from W(zeta_r) to its first step at or below
+    # a = tol; the series tail below it is empty, and kappa1 the closed form
+    # at the body's end, which is a e^-eta there to rounding
     p = PlanarParams(n=1.0, alpha=1.0, nu=1.0)
     assert p.lambda2 == 3.0
     path = shoot_heteroclinic(p)
     s_j, a_j, b_j = _junction(path)
-    node_b = 1.0 / p.c_nu
 
     def backward(s, a, b):
         da, db = vector_field(p, (a, b))
         return -da, -db
 
-    def reach_node(s, a, b):
-        return math.hypot(a, b - node_b) <= 1e-8
+    def reach_tol(s, a, b):
+        return a <= 1e-8
 
-    sol = orbit.solve_ivp(backward, (s_j, s_j + 400.0), (a_j, b_j), stop=reach_node,
+    sol = orbit.solve_ivp(backward, (s_j, s_j + 400.0), (a_j, b_j), stop=reach_tol,
                           rtol=1e-10, atol=1e-14, max_step=0.01, first_step=1.0 / 3.0)
     body = path.eta <= -s_j
-    assert path.saddle_terms == orbit._SADDLE_TERMS and path.node_terms is None
+    assert path.saddle_terms == orbit._SADDLE_TERMS and path.node_terms == 0
     assert body.sum() == sol.t.size == path.body_steps + 1 == 1800 and path.eta.size == 3212
     assert path.eta[body].tobytes() == (-sol.t[::-1]).tobytes()
     assert path.a[body].tobytes() == sol.y[0][::-1].tobytes()
     assert path.b[body].tobytes() == sol.y[1][::-1].tobytes()
-    assert path.a_junction is None and path.junction_gap is None
-    assert estimate_kappa1(path) == (path.a * np.exp(-path.eta))[0]
+    # h = 1/c_nu with no terms: the gap is b - 1/c_nu, about 2 a^2
+    assert path.a_junction == path.a[0] <= 1e-8 and path.junction_gap == path.d[0]
+    assert path.junction_gap == pytest.approx(2.0 * path.a[0] ** 2, rel=1e-6)
+    a0 = path.a[0]
+    assert estimate_kappa1(path) == math.exp(math.log(a0) - path.eta[0] + 1.5 * (a0 * a0))
+    assert estimate_kappa1(path) == pytest.approx(path.a[0] * math.exp(-path.eta[0]),
+                                                  rel=1e-15, abs=0)
     # tol only ends the series tail: a coarse one keeps the series route
     coarse = shoot_heteroclinic(REF, tol=1e-2)
-    assert coarse.a_junction is not None and coarse.a[0] == pytest.approx(1e-2, rel=1e-12)
+    assert coarse.a_junction > coarse.a[0] == pytest.approx(1e-2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("key", [(5.0, 0.5, 0.5), (1.0, 1.0, 1.0), (1.0, 0.5, 0.25),
+                                 (2.0, 1.0, 0.1)], ids=["1.4", "3", "4", "6.5"])
+def test_coarse_tol_kappa1_matches_the_tight_one(key):
+    # below LAMBDA2_SERIES the body stops at a = tol, and kappa1 is the closed form
+    # there with the short series' F: at tol 1e-2 it is off by the O(a^lambda2)
+    # and O(a^4) terms h leaves out (3.8e-6 at lambda2 = 1.4), at 1e-4 by 4e-13 at
+    # most; a e^-eta alone is off by F(1e-4), about c_nu 5e-5
+    p = PlanarParams(*key)
+    tight = estimate_kappa1(shoot_heteroclinic(p))
+    for tol, rel in ((1e-2, 5e-6), (1e-4, 1e-12)):
+        path = shoot_heteroclinic(p, tol=tol)
+        assert path.a[0] == path.a_junction <= tol < path.a[1]
+        assert estimate_kappa1(path) == pytest.approx(tight, rel=rel, abs=0), tol
 
 
 def _sweep_paths(monkeypatch):
@@ -498,15 +527,10 @@ def test_gauss_legendre_table_matches_numpy():
     assert abs(math.fsum(orbit._GAUSS_W) - 1.0) <= 2e-16
 
 
-@pytest.mark.parametrize("key", [(0.1, 1.0, 0.05), (0.1, 0.5, 0.05), (0.01, 20.0, 0.01)])
-def test_F_matches_a_composite_rule_out_to_the_reach(key):
-    # F by its series up to s_f, by Gauss-Legendre past it, against a composite
-    # 40-point rule on 16 panels of F' = 1/(2 (h - s)), h the same truncated series,
-    # out to the node series' reach
+def _composite_F(node, s):
+    """F at each s by a composite 40-point Gauss-Legendre rule on 16 panels of
+    F' = 1/(2 (h - s)), h the node series' own truncation."""
     from numpy.polynomial.legendre import leggauss
-    node = orbit._slow_manifold(PlanarParams(*key))
-    assert 0.0 < node.s_f < node.reach ** 2
-    s = np.linspace(0.0, node.reach ** 2, 17)[1:]
     x, w = leggauss(40)
     ref = []
     for top in s:
@@ -514,8 +538,50 @@ def test_F_matches_a_composite_rule_out_to_the_reach(key):
         t = (0.5 * (edges[1:] - edges[:-1]))[:, None] * (x + 1.0) + edges[:-1, None]
         f = 0.5 / (node.node_b + np.polyval(node.d_coef, t) - t)
         ref.append(math.fsum((0.5 * (edges[1:] - edges[:-1])[:, None] * w * f).ravel()))
+    return ref
+
+
+@pytest.mark.parametrize("key", [(0.1, 1.0, 0.05), (0.1, 0.5, 0.05), (0.01, 20.0, 0.01)])
+def test_F_matches_a_composite_rule_out_to_the_reach(key):
+    # F by its series up to s_f, by Gauss-Legendre past it, against the composite
+    # rule out to the node series' reach
+    node = orbit._slow_manifold(PlanarParams(*key))
+    assert 0.0 < node.s_f < node.reach ** 2
+    s = np.linspace(0.0, node.reach ** 2, 17)[1:]
     # the series errs by about its first dropped term, _SERIES_TOL, just below s_f
-    assert np.allclose(node.F(s), ref, rtol=2e-15, atol=2 * orbit._SERIES_TOL)
+    assert np.allclose(node.F(s), _composite_F(node, s), rtol=2e-15, atol=2 * orbit._SERIES_TOL)
+
+
+@pytest.mark.parametrize("key, lambda2, terms", [
+    ((5.0, 0.5, 0.5), 1.4, 0),    # no beta_m at all
+    ((1.0, 0.5, 0.25), 4.0, 0),   # beta_1 = 1 gives only the reach
+    ((0.5, 0.2, 0.2), 5.0, 1),    # beta_1 = 1 kept: h - s = 1/c_nu, so r terminates
+    ((2.0, 1.0, 0.1), 6.5, 2),
+])
+def test_slow_manifold_at_small_lambda2(key, lambda2, terms):
+    # below LAMBDA2_SERIES the series is short: its h solves the invariance
+    # equation 2 s h' (h - s) = g h (c_nu h - 1 - k s) through s^terms, in exact
+    # arithmetic on the float coefficients, and F integrates 1/(2 (h - s)) for
+    # that same h out to s = 1e-2, where a coarse tol of 0.1 puts the junction
+    p = PlanarParams(*key)
+    assert p.lambda2 == pytest.approx(lambda2, rel=1e-15, abs=0)
+    node = orbit._slow_manifold(p)
+    assert node.terms == terms < lambda2 / 2 and len(node.d_coef) == terms + 1
+    n, alpha, nu = (Fraction(v) for v in (p.n, p.alpha, p.nu))
+    g, k, c = alpha / (nu * n), (n + 1) * nu / alpha, 1 + nu * (n + 1) / alpha
+    h = [Fraction(node.node_b), *(Fraction(beta) for beta in node.d_coef[-2::-1])]
+    h_s = [h[0], h[1] - 1 if terms else Fraction(-1), *h[2:]]
+
+    def coef(poly_a, poly_b, m):
+        return sum(poly_a[i] * poly_b[m - i] for i in range(m + 1)
+                   if i < len(poly_a) and m - i < len(poly_b))
+
+    inner = [c * h[0] - 1, (c * h[1] if terms else 0) - k, *(c * beta for beta in h[2:])]
+    for m in range(terms + 1):
+        lhs = 2 * coef([i * beta for i, beta in enumerate(h)], h_s, m)
+        assert abs(lhs - g * coef(h, inner, m)) <= 1e-15, m
+    s = np.linspace(0.0, 1e-2, 11)[1:]
+    assert np.allclose(node.F(s), _composite_F(node, s), rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)

@@ -217,15 +217,6 @@ def test_endpoint_report(ref_profile):
     assert rep.tail_theta_dev < 1e-3
 
 
-def test_reparametrize_guards_coarse_tail():
-    # an orbit shot loosely to the node (lambda2 = 3, so no series tail) has no
-    # resolved plateau to estimate the node-departure coefficient from
-    from shearlab import UnresolvedTailError
-    with pytest.raises(UnresolvedTailError):
-        reparametrize(shoot_heteroclinic(PlanarParams(n=1.0, alpha=1.0, nu=1.0), tol=1e-2),
-                      1.88)
-
-
 def test_endpoint_report_requires_resolution(ref_profile):
     from dataclasses import replace
     prof = ref_profile

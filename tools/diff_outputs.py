@@ -5,8 +5,10 @@
 Runs a fixed set of CLI calls in each tree: every subcommand at its defaults,
 the metastability config at full size and cut down, four stiff ``modes`` runs
 (mode 1 to tau 100 and 600, mode 40 to 600, and mode 40 to 10 from a start
-off its slow manifold), an ``energy`` run whose k(0) is about 3e9, and the
-first pass of each benchmark workload at seed 11 (argv from
+off its slow manifold), an ``energy`` run whose k(0) is about 3e9, four runs
+at lambda2 = 3, below the orbit's LAMBDA2_SERIES (``heteroclinic`` and
+``localize``, each at its default tol and a coarse one), and the first pass
+of each benchmark workload at seed 11 (argv from
 ``perfbench.ops.passes``).  Each call is a fresh ``python3 -m shearlab.cli``
 with the tree's ``src`` on PYTHONPATH and the tree as working directory,
 writing into its own temporary directory.  The exit codes and every output
@@ -51,6 +53,10 @@ CALLS += [(*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end",
           (*STIFF, "--kappa", "0.2", "--theta0", "1", "--j", "40", "--tau-end", "10"),
           ("energy", "--n", "0.002719", "--alpha", "8.389", "--kappa", "0.01418",
            "--theta0", "3.11", "--jmodes", "1,2", "--tau-end", "5.811")]
+# lambda2 = 3, where the orbit's body runs down to a = tol; no benchmark op goes there
+ORBIT_3 = ("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1")
+LOCALIZE_3 = ("localize", "--n", "1", "--alpha", "1", "--lambda", "1", "--sigma0", "1")
+CALLS += [ORBIT_3, (*ORBIT_3, "--tol", "1e-2"), LOCALIZE_3, (*LOCALIZE_3, "--tol", "1e-3")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
