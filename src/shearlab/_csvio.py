@@ -3,7 +3,9 @@
 All numbers are written with repr-level precision so reruns of a
 deterministic computation reproduce files bit-for-bit.  Float columns are
 formatted a block of rows at a time in NumPy, to the bytes that
-``'%.17g' % x`` gives for each element (see ``_float_field``).
+``'%.17g' % x`` gives for each element (see ``_float_field``).  Each field
+takes fixed slots of one reused buffer; the byte 0xFF, in no UTF-8 text,
+fills the slots its text leaves, and ``bytearray.translate`` deletes it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def _fmt(value) -> str:
 
 # rows formatted and written at a time: bounds the memory of the text in flight
 _BLOCK_ROWS = 4096
-_COMPACT_ROWS = 256
+_FILL = 0xFF
 
 # 10^p takes |x| into [1e16, 1e17) for p = 16 - E, where E = floor(log10|x|)
 # lies in [-324, 308], or one off it after a retry
@@ -41,12 +43,12 @@ _E_MIN, _E_MAX = -325, 309
 _SPLITTER = 134217729.0           # 2^27 + 1, Veltkamp's split of a double into 26 + 26 bits
 
 # The 48 byte slots of a float field, as six little-endian 64-bit words; a
-# row keeps the slots its form uses:
+# row fills the slots its form does not use:
 #   0 sign | 1-2 "0." and 3-5 the zeros of 0.000ddd | 6 + 2k digit k of 17,
 #   7 + 2k a "." after it | 40 "e", 41 exponent sign, 42-44 exponent digits |
-#   45 the separator | 46-47 unused
+#   45-46 unused | 47 the separator; where no row of a column takes the exponent
+#   form, the last word goes and the separator takes slot 39, a "." never kept
 _FLOAT_WIDTH = 48
-_SEP = 45
 
 
 def _key_slots(e, ndig, neg):
@@ -68,8 +70,7 @@ def _key_slots(e, ndig, neg):
             | (slot >= 3) & (slot <= 5) & small & (e <= 1 - slot)
             | (slot >= 6) & (slot < 40) & ~dot & (digit < np.maximum(ndig, point))
             | (slot >= 6) & (slot < 40) & dot & (digit + 1 == point) & (point < ndig)
-            | (slot >= 40) & (slot <= 44) & ~fixed & ((slot != 42) | (np.abs(e) >= 100))
-            | (slot == _SEP))
+            | (slot >= 40) & (slot <= 44) & ~fixed & ((slot != 42) | (np.abs(e) >= 100)))
 
 
 class _Tables(NamedTuple):
@@ -82,7 +83,7 @@ class _Tables(NamedTuple):
                          # 16 digits after the first, 1..16 (0 for g = 0)
     exp: np.ndarray      # E - _E_MIN -> the word "e+XXX"
     layout: np.ndarray   # E - _E_MIN -> 34 x its layout: E in -4..16, 2 or 3 exponent digits
-    keep: np.ndarray     # 34 layout + 2 last + sign bit -> the six words of keep flags
+    fill: np.ndarray     # 34 layout + 2 last + sign bit -> six words, 0xFF in each slot not kept
 
 
 @functools.cache
@@ -91,7 +92,7 @@ def _tables() -> _Tables:
     ``hi`` split into 26-bit halves, and the exact factor 2^k that scales |x|
     first: k = 512 for tiny |x| and -512 for huge |x|, so every product and
     split stays in the normal range.  Computed in integers only: ``int / int``
-    rounds correctly.  Then the digit, exponent and keep tables.
+    rounds correctly.  Then the digit, exponent and fill tables.
     """
     cols = []
     for e in range(_E_MIN, _E_MAX + 1):
@@ -106,8 +107,7 @@ def _tables() -> _Tables:
         cols.append((hi, hi_h, hi - hi_h, (num * b - a * den) / (den * b), 2.0 ** k))
     pow10 = np.array(cols).T.copy()
 
-    lead = np.zeros((10, 8), dtype=np.uint8)
-    lead[:] = np.frombuffer(b"-0.000\x00.", dtype=np.uint8)
+    lead = np.tile(np.frombuffer(b"-0.000\x00.", dtype=np.uint8), (10, 1))
     lead[:, 6] = np.arange(10) + 48
     digits = _quad_digits()
     quad = np.zeros((10_000, 8), dtype=np.uint8)
@@ -119,14 +119,13 @@ def _tables() -> _Tables:
     exp = np.zeros((e.size, 8), dtype=np.uint8)
     exp[:, 0], exp[:, 1] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
     exp[:, 2:5] = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + 48
-    fixed = (e >= -4) & (e < 17)
-    layout = np.where(fixed, e + 4, np.where(np.abs(e) < 100, 21, 22))
+    layout = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
 
     key = np.arange(23 * 17 * 2)
     rep_e = np.concatenate([np.arange(-4, 17), [17, 100]])[key // 34]
-    keep = _key_slots(rep_e, key // 2 % 17 + 1, key % 2 == 1)
+    fill = np.where(_key_slots(rep_e, key // 2 % 17 + 1, key % 2 == 1), 0, _FILL)
     return _Tables(pow10, lead.view("<u8").ravel(), quad.view("<u8").ravel(), last,
-                   exp.view("<u8").ravel(), layout * 34, keep.view("<u8"))
+                   exp.view("<u8").ravel(), layout * 34, fill.astype(np.uint8).view("<u8"))
 
 
 def _round17(ax, e):
@@ -177,12 +176,13 @@ def _decimal17(x):
     return d, e, fallback
 
 
-def _float_field(x, words, keep, sep: bytes) -> None:
-    """Write the '%.17g' text of float64 ``x`` and ``sep`` into the six-word
-    columns ``words`` and their keep flags ``keep`` (both n x 6 '<u8')."""
+def _float_field(x, decimal, words, sep: bytes) -> None:
+    """Write the '%.17g' text of the float64 value of ``x`` (its ``_decimal17``
+    is ``decimal``) and ``sep`` into ``words``: n x 6 '<u8', or n x 5 where no
+    row takes the exponent form.  0xFF fills each slot the text leaves."""
     t = _tables()
-    d, e, fallback = _decimal17(x)
-    e -= _E_MIN
+    d, e, fallback = decimal
+    e = e - _E_MIN
     # the 17 digits: the first, then four groups of four
     head = d // 10 ** 8
     tail = d - head * 10 ** 8
@@ -190,18 +190,20 @@ def _float_field(x, words, keep, sep: bytes) -> None:
     head -= first * 10 ** 8
     g0, g2 = head // 10 ** 4, tail // 10 ** 4
     g1, g3 = head - g0 * 10 ** 4, tail - g2 * 10 ** 4
-    words[:, 0] = t.lead.take(first)
-    for i, g in enumerate((g0, g1, g2, g3)):
-        words[:, 1 + i] = t.quad.take(g)
-    words[:, 5] = t.exp.take(e) + (ord(sep) << 40)
     last = np.maximum(np.maximum(t.last[0].take(g0), t.last[1].take(g1)),
                       np.maximum(t.last[2].take(g2), t.last[3].take(g3)))
-    keep[...] = t.keep.take(t.layout.take(e) + 2 * last + np.signbit(x), axis=0)
-    chars, flags = words.view(np.uint8), keep.view(bool)
+    fill = t.fill.take(t.layout.take(e) + 2 * last + np.signbit(x), axis=0)
+    words[:, 0] = t.lead.take(first) | fill[:, 0]
+    for i, g in enumerate((g0, g1, g2, g3)):
+        words[:, 1 + i] = t.quad.take(g) | fill[:, 1 + i]
+    if words.shape[1] == 6:
+        words[:, 5] = t.exp.take(e) | fill[:, 5]
+    words[:, -1] ^= (_FILL ^ ord(sep)) << 56      # the separator in the last slot
+    chars = words.view(np.uint8)
     for i in np.flatnonzero(fallback):
         text = b"%.17g" % float(x[i])
+        chars[i, :-1] = _FILL
         chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        flags[i, :_SEP] = np.arange(_SEP) < len(text)
 
 
 @functools.cache
@@ -257,34 +259,32 @@ def _text_field(a):
             np.arange(chars.itemsize) < lengths[:, None])
 
 
-def _block(columns) -> list[np.ndarray]:
-    """The bytes of the CSV lines of equal-length 1-D columns, each ended by "\\n"."""
+def _block(columns, buf: bytearray) -> bytearray:
+    """The bytes of the CSV lines of equal-length 1-D columns, each ended by
+    "\\n", formatted in ``buf`` (resized to fit) and then compacted."""
     n = columns[0].size
-    texts = [None if a.dtype.kind == "f" else _text_field(a) for a in columns]
+    fields = [_decimal17(a.astype(np.float64, copy=False)) if a.dtype.kind == "f"
+              else _text_field(a) for a in columns]
     # every field takes whole words: its text, then its separator in its last slot
-    widths = [_FLOAT_WIDTH if t is None else (t[0].shape[1] + 8) // 8 * 8 for t in texts]
-    chars = np.empty((n, sum(widths)), dtype=np.uint8)
-    keep = np.empty(chars.shape, dtype=np.uint8)
-    words, keep_words = chars.view("<u8"), keep.view("<u8")
+    widths = [_FLOAT_WIDTH - 8 * (f[2] | (f[1] >= -4) & (f[1] < 17)).all() if a.dtype.kind == "f"
+              else (f[0].shape[1] + 8) // 8 * 8 for a, f in zip(columns, fields)]
+    del buf[n * sum(widths):]
+    buf.extend(bytes(n * sum(widths) - len(buf)))
+    chars = np.frombuffer(buf, dtype=np.uint8).reshape(n, -1)
+    words = chars.view("<u8")
     start = 0
-    for i, (a, text, width) in enumerate(zip(columns, texts, widths)):
+    for i, (a, field, width) in enumerate(zip(columns, fields, widths)):
         end = start + width
         sep = b"\n" if i == len(columns) - 1 else b","
-        if text is None:
-            _float_field(a.astype(np.float64, copy=False), words[:, start // 8:end // 8],
-                         keep_words[:, start // 8:end // 8], sep)
+        if a.dtype.kind == "f":
+            _float_field(a, field, words[:, start // 8:end // 8], sep)
         else:
-            body, flags = text
-            chars[:, start:start + body.shape[1]] = body
+            body, flags = field
+            chars[:, start:start + body.shape[1]] = np.where(flags, body, _FILL)
+            chars[:, start + body.shape[1]:end - 1] = _FILL
             chars[:, end - 1] = ord(sep)
-            keep[:, start:end] = 0
-            keep[:, start:start + body.shape[1]] = flags
-            keep[:, end - 1] = 1
         start = end
-    # compacted a slice at a time: np.compress takes an index per kept byte
-    flags = keep.view(bool)
-    return [np.compress(flags[i:i + _COMPACT_ROWS].ravel(), chars[i:i + _COMPACT_ROWS].ravel())
-            for i in range(0, n, _COMPACT_ROWS)]
+    return buf.translate(None, bytes([_FILL]))
 
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
@@ -300,17 +300,16 @@ def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
         raise ValueError("all columns must have equal length")
     header = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     header.append(",".join(names))
+    buf = bytearray()
     with Path(path).open("wb") as f:
         f.write(("\n".join(header) + "\n").encode())
         for start in range(0, length, _BLOCK_ROWS):
-            f.writelines(_block([a[start:start + _BLOCK_ROWS] for a in arrays]))
+            f.write(_block([a[start:start + _BLOCK_ROWS] for a in arrays], buf))
 
 
 def read_csv(path):
     """Inverse of write_csv: (metadata dict of strings, dict of float arrays)."""
-    meta = {}
-    rows = []
-    names = None
+    meta, rows, names = {}, [], None
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")

@@ -181,8 +181,7 @@ class GridTriple:
             raise ParameterError("xi grid must be strictly increasing")
 
 
-def rescale_triple(triple, a: float, n: float, alpha: float,
-                   evaluator=None) -> GridTriple:
+def rescale_triple(triple, a: float, n: float, alpha: float, evaluator) -> GridTriple:
     """Apply the one-parameter scaling map to a profile triple.
 
     Returns (a*U(a xi), (1/a)*Sigma(a xi), (n+1)/alpha * log a + Theta(a xi))
@@ -190,9 +189,8 @@ def rescale_triple(triple, a: float, n: float, alpha: float,
     inside the original domain.  The map sends solutions of the self-similar
     profile system to solutions with amplitude Sigma0/a.
 
-    If ``evaluator`` is given (callable xi -> (U, Sigma, Theta)), it is used to
-    evaluate at a*xi exactly; otherwise cubic interpolation of the sampled
-    data in log(xi) is used.
+    ``evaluator`` (callable xi -> (U, Sigma, Theta)) is the function that
+    ``triple`` samples; it is evaluated at a*xi.
     """
     if a <= 0.0:
         raise ParameterError(f"scale factor must be > 0, got {a}")
@@ -203,15 +201,7 @@ def rescale_triple(triple, a: float, n: float, alpha: float,
         raise EmptyOverlapError(
             f"rescaled grid [{lo / a:g}, {hi / a:g}] does not overlap [{lo:g}, {hi:g}]")
     xs = xi[keep]
-    if evaluator is not None:
-        U, Sigma, Theta = evaluator(a * xs)
-    else:
-        from scipy.interpolate import CubicSpline
-        eta = np.log(xi)
-        target = np.log(a * xs)
-        U = CubicSpline(eta, triple.U)(target)
-        Sigma = CubicSpline(eta, triple.Sigma)(target)
-        Theta = CubicSpline(eta, triple.Theta)(target)
+    U, Sigma, Theta = evaluator(a * xs)
     return GridTriple(
         xi=xs,
         U=a * U,

@@ -159,3 +159,32 @@ def test_only_ties_and_nonfinite_values_leave_the_kernel():
     assert set(np.abs(values[fallback]).tolist()) == {1e15 + 0.25, 1e15 - 0.125, 2.0 ** -25}
     _, _, fallback = _decimal17(np.array([np.nan, np.inf, -np.inf, 1.0]))
     assert fallback.tolist() == [True, True, True, False]
+
+
+def test_write_csv_lays_out_its_buffer_again_when_fields_change_width(tmp_path):
+    # ints widen after the first block, and strs too: ASCII takes 4 bytes a row (the
+    # dtype's width), UTF-8 up to 12; both narrow again in the one-row last block
+    n = 2 * _BLOCK_ROWS + 1
+    i = np.arange(n)
+    ints = np.where(i < _BLOCK_ROWS, i % 7, (i - _BLOCK_ROWS) * 10 ** 12 - 5 * 10 ** 17)
+    ints[-1] = -3
+    strs = np.array(["a", "bb", "ÿé", "€€€€"])[np.where(i < _BLOCK_ROWS, i % 2, 2 + i % 2)]
+    strs[-1] = "ab"
+    # a float column whose rows all take the fixed form has no exponent slots: g has them
+    # in the second block only, and the fallbacks (NaN, inf and a tie) in every block
+    g = -np.cos(i * 1.1)
+    g[[5, 9, _BLOCK_ROWS + 3, n - 1]] = np.nan, 1e15 + 0.25, -np.inf, 1e15 + 0.25
+    g[_BLOCK_ROWS + 100] = 1e-300
+    columns = {"f": np.sin(i * 0.37) * 10.0 ** (i % 40 - 20), "i": ints, "s": strs, "g": g}
+    write_csv(tmp_path / "new.csv", columns)
+    _reference_write(tmp_path / "ref.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_str_bytes_that_meet_the_fill_byte(tmp_path):
+    # U+00FF is 0xFF in Latin-1 and c3 bf in UTF-8; \x7f and NUL are single bytes
+    texts = np.array(["ÿ", "aÿb", "\x7f", "x\x00y", "ÿ\x7fé€😀", "", "\xfe\xff"])
+    write_csv(tmp_path / "s.csv", {"s": texts, "x": np.arange(texts.size) / 3.0})
+    lines = (tmp_path / "s.csv").read_bytes().split(b"\n")[1:-1]
+    assert lines == [_fmt(t).encode("utf-8") + b"," + _fmt(k / 3.0).encode("utf-8")
+                     for k, t in enumerate(texts.tolist())]

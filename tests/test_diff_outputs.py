@@ -67,3 +67,21 @@ def test_added_and_removed_metadata_keep_the_column_figure():
     assert diff_outputs._largest_shift("out.csv", a, c) == \
         " (largest relative shift 0; removed y)"
     assert diff_outputs._largest_shift("out.csv", a, b + b"\n1.0,2.0") == ""
+
+
+def test_a_value_that_is_not_a_number_on_one_side_is_listed_as_changed():
+    def csv(*lines):
+        return "\n".join(lines).encode()
+
+    # none -> 0.01 has no shift to measure, so its key is named
+    a = csv("# k = 2.0", "# gap = none", "# tag = x", "x,y", "1.0,4.0", "2.0,3.0")
+    b = csv("# k = 2.0", "# gap = 0.01", "# tag = x", "x,y", "1.0,4.0", "2.0,3.0")
+    assert diff_outputs._largest_shift("out.csv", a, b) == \
+        " (largest relative shift 0; changed gap)"
+    # beside a numeric shift, an added key and a column that changed to text
+    c = csv("# k = 2.5", "# gap = none", "# tag = y", "# new = 1.0", "x,y", "none,4.0",
+            "2.0,3.0")
+    assert diff_outputs._largest_shift("out.csv", b, c) == \
+        " (largest relative shift 0.2; added new; changed gap, tag, x)"
+    # text that does not change reads as before
+    assert diff_outputs._largest_shift("out.csv", a, a) == " (largest relative shift 0)"

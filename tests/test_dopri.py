@@ -102,7 +102,7 @@ def test_never_exceeds_max_step():
 
 
 @pytest.mark.parametrize("direction, root", [(-1, 0.5 * math.pi), (1, 1.5 * math.pi)])
-def test_terminal_event_is_located_and_appended(direction, root):
+def test_stop_condition_ends_the_solve_one_step_past_the_crossing(direction, root):
     # u = cos t crosses 0 downward at pi/2 and upward at 3 pi/2, where v = -sin t > 0
     def stop(t, u, v):
         return u <= 0.0 if direction < 0 else u >= 0.0 and v > 0.0

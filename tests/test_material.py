@@ -157,10 +157,19 @@ def _sample_out_triple(n, alpha, xi):
     return GridTriple(xi=xi, U=U, Sigma=Sigma, Theta=Theta)
 
 
+def _rescaled(evaluator, a, n, alpha):
+    """The evaluator of rescale_triple's output: xi -> the scaled triple at xi."""
+    def evaluate(xi):
+        U, Sigma, Theta = evaluator(a * np.asarray(xi))
+        return a * U, Sigma / a, (n + 1.0) / alpha * np.log(a) + Theta
+
+    return evaluate
+
+
 def test_rescale_identity():
     xi = np.geomspace(0.1, 10.0, 101)
     tr = _sample_out_triple(0.1, 0.5, xi)
-    out = rescale_triple(tr, 1.0, 0.1, 0.5)
+    out = rescale_triple(tr, 1.0, 0.1, 0.5, evaluator=scale_invariant_solution(0.1, 0.5))
     assert np.allclose(out.U, tr.U, rtol=1e-12)
     assert np.allclose(out.Sigma, tr.Sigma, rtol=1e-12)
     assert np.allclose(out.Theta, tr.Theta, rtol=0, atol=1e-12)
@@ -185,8 +194,9 @@ def test_rescale_roundtrip():
     xi = np.geomspace(0.05, 20.0, 301)
     tr = _sample_out_triple(n, alpha, xi)
     a = 1.7
-    once = rescale_triple(tr, a, n, alpha)
-    back = rescale_triple(once, 1.0 / a, n, alpha)
+    evaluator = scale_invariant_solution(n, alpha)
+    once = rescale_triple(tr, a, n, alpha, evaluator=evaluator)
+    back = rescale_triple(once, 1.0 / a, n, alpha, evaluator=_rescaled(evaluator, a, n, alpha))
     keep = np.isin(xi, back.xi)
     assert np.allclose(back.U, tr.U[keep], rtol=1e-7)
     assert np.allclose(back.Sigma, tr.Sigma[keep], rtol=1e-7)
@@ -196,10 +206,11 @@ def test_rescale_roundtrip():
 def test_rescale_empty_overlap():
     xi = np.geomspace(1.0, 2.0, 50)
     tr = _sample_out_triple(0.1, 0.5, xi)
+    evaluator = scale_invariant_solution(0.1, 0.5)
     with pytest.raises(EmptyOverlapError):
-        rescale_triple(tr, 100.0, 0.1, 0.5)
+        rescale_triple(tr, 100.0, 0.1, 0.5, evaluator=evaluator)
     with pytest.raises(ParameterError):
-        rescale_triple(tr, -1.0, 0.1, 0.5)
+        rescale_triple(tr, -1.0, 0.1, 0.5, evaluator=evaluator)
 
 
 @settings(max_examples=60, deadline=None)

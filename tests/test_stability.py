@@ -330,7 +330,7 @@ def test_integrate_mode_stiffness_guard(monkeypatch):
 
 
 @pytest.mark.parametrize("tau_end", [2000.0])
-def test_trapezoid_step_count_is_bounded(tau_end):
+def test_solve_past_k_overflow_is_refused(tau_end):
     # k(tau_end) overflows to inf at 2000; the solve is refused, not run into NaN
     with pytest.raises(StiffnessError, match="not finite on"):
         integrate_mode(MODE_PARAMS, 1, (1.0, 1.0), tau_end)

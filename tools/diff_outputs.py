@@ -19,10 +19,11 @@ same number of rows, or a differing JSON file whose two versions have the
 same structure, is followed by its largest relative shift, so a change that
 moves outputs at solver tolerance can quote it.  CSV metadata values are
 matched by key and data columns by header name, and the keys and names that
-only one version has are listed after the shift.  In a CSV data column each
-shift |x - y| is taken over the largest |value| of that column in either
-version, so entries near 0 do not set the figure; a metadata value or a
-numeric JSON leaf stands alone and is taken over max(|x|, |y|).  A shift to
+only one version has are listed after the shift, as are those whose values
+changed but are not all numbers (``none`` -> ``0.01``).  In a CSV data
+column each shift |x - y| is taken over the largest |value| of that column in
+either version, so entries near 0 do not set the figure; a metadata value or
+a numeric JSON leaf stands alone and is taken over max(|x|, |y|).  A shift to
 or from a value that is not finite reads nan.
 """
 
@@ -92,18 +93,28 @@ def _parse_csv(data: bytes):
     return meta, {k: [row[i] for row in rows[1:]] for i, k in enumerate(rows[0])}, len(rows)
 
 
+def _floats(values):
+    """The values as floats, or None if one is not a number."""
+    try:
+        return [float(v) for v in values]
+    except ValueError:   # a name or "none"
+        return None
+
+
 def _csv_groups(a: bytes, b: bytes):
     """Each metadata value alone, then each data column, of two CSVs with the same number
     of rows, matched by key and by header name; then the keys and names only the second
-    has, and those only the first has."""
+    has, those only the first has, and those whose values changed but are not all numbers."""
     parsed = _parse_csv(a), _parse_csv(b)
     if None in parsed or parsed[0][2] != parsed[1][2]:
         return None
     (meta_a, cols_a, _), (meta_b, cols_b, _) = parsed
-    groups = [([meta_a[k]], [meta_b[k]]) for k in meta_a if k in meta_b]
-    groups += [(cols_a[k], cols_b[k]) for k in cols_a if k in cols_b]
+    shared = [(k, [meta_a[k]], [meta_b[k]]) for k in meta_a if k in meta_b]
+    shared += [(k, cols_a[k], cols_b[k]) for k in cols_a if k in cols_b]
+    changed = [k for k, xs, ys in shared if xs != ys and None in (_floats(xs), _floats(ys))]
     a, b = [*meta_a, *cols_a], [*meta_b, *cols_b]
-    return groups, [k for k in b if k not in a], [k for k in a if k not in b]
+    return ([(xs, ys) for _, xs, ys in shared], [k for k in b if k not in a],
+            [k for k in a if k not in b], changed)
 
 
 def _is_number(v) -> bool:
@@ -127,13 +138,13 @@ def _json_groups(x, y):
 
 def _largest_shift(name: str, a: bytes, b: bytes) -> str:
     """" (largest relative shift 3.1e-12)" for two CSV or JSON files of one shape, else "";
-    for CSVs that differ in their metadata keys or column names, those each has alone
-    follow ("; added k1, k2; removed k3")."""
-    added = removed = ()
+    for CSVs, the metadata keys and column names each has alone, and those whose values
+    changed but are not all numbers, follow ("; added k1, k2; removed k3; changed k4")."""
+    added = removed = changed = ()
     if name.endswith(".csv"):
         groups = _csv_groups(a, b)
         if groups is not None:
-            groups, added, removed = groups
+            groups, added, removed, changed = groups
     elif name.endswith(".json"):
         groups = _json_groups(json.loads(a), json.loads(b))
     else:
@@ -142,15 +153,14 @@ def _largest_shift(name: str, a: bytes, b: bytes) -> str:
         return ""
     shifts = [0.0]
     for xs, ys in groups:
-        try:
-            xs, ys = [float(v) for v in xs], [float(v) for v in ys]
-        except ValueError:   # a name or "none"
+        xs, ys = _floats(xs), _floats(ys)
+        if xs is None or ys is None:
             continue
         scale = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
         shifts += [abs(x - y) / scale if math.isfinite(x) and math.isfinite(y) else math.nan
                    for x, y in zip(xs, ys) if x != y]
-    keys = "".join(f"; {label} {', '.join(names)}"
-                   for label, names in (("added", added), ("removed", removed)) if names)
+    keys = "".join(f"; {label} {', '.join(names)}" for label, names in
+                   (("added", added), ("removed", removed), ("changed", changed)) if names)
     return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g}{keys})"
 
 
