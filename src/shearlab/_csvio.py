@@ -217,9 +217,9 @@ _POW10 = 10 ** np.arange(20, dtype=np.uint64)    # 1 .. 1e19: uint64 has up to 2
 
 
 def _int_field(a):
-    """The text ``str(int(v))`` of each element of an int column: (n x width
-    bytes, keep flags), a sign slot and then the digits, right-aligned in
-    groups of four, with the leading zeros not kept."""
+    """The text ``str(int(v))`` of each element of an int column, as n x width
+    bytes: a sign slot and then the digits, right-aligned in groups of four,
+    with 0xFF in the sign slot of v >= 0 and in place of the leading zeros."""
     neg = a < 0
     mag = a.astype(np.uint64)                       # 2^64 - |v| for v < 0
     mag = np.where(neg, ~mag + np.uint64(1), mag)   # |v|, the int64 minimum's too
@@ -230,33 +230,33 @@ def _int_field(a):
         rest //= np.uint64(10_000)
     width = 1 + 4 * len(groups)
     chars = np.empty((a.size, width), dtype=np.uint8)
-    keep = np.empty(chars.shape, dtype=bool)
-    chars[:, 0], keep[:, 0] = ord("-"), neg
+    chars[:, 0] = np.where(neg, ord("-"), _FILL)
     for i, g in enumerate(reversed(groups)):
         chars[:, 1 + 4 * i:5 + 4 * i] = _quad_digits().take(g, axis=0)
-    # column by column: NumPy loops slowly over short rows
-    for i, p in enumerate(_POW10[width - 2::-1], start=1):
-        keep[:, i] = mag >= p                       # the digit of p, or of 1 for v = 0
-    keep[:, -1] = True
-    return chars, keep
+    # column by column: NumPy loops slowly over short rows; the last digit, of 1, stays
+    for i, p in enumerate(_POW10[width - 2:0:-1], start=1):
+        np.copyto(chars[:, i], _FILL, where=mag < p)
+    return chars
 
 
 def _text_field(a):
-    """The bytes of each element of a non-float column: (n x width bytes, keep flags)."""
+    """The bytes of each element of a non-float column, as n x width bytes with
+    0xFF past the end of each text."""
     if a.dtype.kind in "iu":
         return _int_field(a)
-    if a.dtype.kind == "U":
-        codes = a.view(np.uint32)       # in a non-native byte order, none is below 128
-        if not (codes >= 128).any():    # ASCII: the UTF-8 bytes are the code points
-            chars = codes.reshape(a.size, a.itemsize // 4).astype(np.uint8)
-            return chars, np.arange(chars.shape[1]) < np.strings.str_len(a)[:, None]
-        texts = [t.encode() for t in a.tolist()]
+    # in a non-native byte order, no code is below 128
+    codes = a.view(np.uint32) if a.dtype.kind == "U" else None
+    if codes is not None and not (codes >= 128).any():   # ASCII: the UTF-8 bytes are the codes
+        chars = codes.reshape(a.size, a.itemsize // 4).astype(np.uint8)
+        lengths = np.strings.str_len(a)
     else:
-        texts = [_fmt(v).encode() for v in a]
-    chars = np.array(texts or [b""], dtype=bytes)[:len(texts)]
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    return (chars.view(np.uint8).reshape(len(texts), chars.itemsize),
-            np.arange(chars.itemsize) < lengths[:, None])
+        texts = [t.encode() for t in a.tolist()] if codes is not None else [
+            _fmt(v).encode() for v in a]
+        chars = np.array(texts or [b""], dtype=bytes)[:len(texts)]
+        chars = chars.view(np.uint8).reshape(len(texts), chars.itemsize)
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    np.copyto(chars, _FILL, where=np.arange(chars.shape[1]) >= lengths[:, None])
+    return chars
 
 
 def _block(columns, buf: bytearray) -> bytearray:
@@ -267,7 +267,7 @@ def _block(columns, buf: bytearray) -> bytearray:
               else _text_field(a) for a in columns]
     # every field takes whole words: its text, then its separator in its last slot
     widths = [_FLOAT_WIDTH - 8 * (f[2] | (f[1] >= -4) & (f[1] < 17)).all() if a.dtype.kind == "f"
-              else (f[0].shape[1] + 8) // 8 * 8 for a, f in zip(columns, fields)]
+              else (f.shape[1] + 8) // 8 * 8 for a, f in zip(columns, fields)]
     del buf[n * sum(widths):]
     buf.extend(bytes(n * sum(widths) - len(buf)))
     chars = np.frombuffer(buf, dtype=np.uint8).reshape(n, -1)
@@ -279,9 +279,8 @@ def _block(columns, buf: bytearray) -> bytearray:
         if a.dtype.kind == "f":
             _float_field(a, field, words[:, start // 8:end // 8], sep)
         else:
-            body, flags = field
-            chars[:, start:start + body.shape[1]] = np.where(flags, body, _FILL)
-            chars[:, start + body.shape[1]:end - 1] = _FILL
+            chars[:, start:start + field.shape[1]] = field
+            chars[:, start + field.shape[1]:end - 1] = _FILL
             chars[:, end - 1] = ord(sep)
         start = end
     return buf.translate(None, bytes([_FILL]))

@@ -35,17 +35,30 @@ tests of the intervals before it, are those of the last sweep bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._dopri import OdeResult
 from .errors import StiffnessError
 
-__all__ = ["check_t_eval", "solve_ivp"]
+__all__ = ["OdeResult", "check_t_eval", "solve_ivp"]
 
 MAX_SUBSTEPS = 4096   # per output interval
 CONVERGENT = math.pi  # the largest h |A| of a substep with the sixth-order terms
 _NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """The fields of SciPy's ``solve_ivp`` result that the callers read; the orbit's
+    Taylor body returns one too."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    nfev: int
+    njev: int = 0   # neither solver forms a Jacobian
+    nlu: int = 0    # or factors a matrix
 
 
 def check_t_eval(t_eval, t_span):

@@ -11,8 +11,8 @@ are the repelling node P = (0, 1/c_nu) and the saddle Q = (1, 1); the orbit
 joining them generates every localizing profile.
 
 The orbit is built from the two invariant manifolds it lies on, each summed
-as far as its truncation bound allows, with DOPRI5 only in the gap between
-them (the parametrization method for connecting orbits: van den Berg,
+as far as its truncation bound allows, with Taylor steps only in the gap
+between them (the parametrization method for connecting orbits: van den Berg,
 Mireles James, Lessard & Mischaikow, SIAM J. Math. Anal. 43, 2011; Lessard,
 Mireles James & Reinhardt, J. Dyn. Diff. Equat. 26, 2014).
 
@@ -48,11 +48,12 @@ of F' at large s, where its singularity at Q (h(1) = 1) slows the series.
 When W(zeta_r) lies at or below a_n the reaches overlap: the head's first
 sample is the junction, and C follows from eta there.  Otherwise the shooter
 integrates backward from W(zeta_r) inside the invariant triangle-like region
-R = {a^2 <= b <= 1, 0 <= a <= 1} with DOPRI5 (``_dopri.solve_ivp``: SciPy
-RK45's tableau and step controller on Python floats), from a first step of
-1/lambda2, and stops at its first step that ends at or below a_n, the
-junction.  When lambda2 < 12 (a resonance lambda2 = 2m may be near, and the
-series is short) the body runs on to a = tol instead.  Below the junction
+R = {a^2 <= b <= 1, 0 <= a <= 1} by Taylor steps: each step's polynomial
+comes from the same recurrences for a^2 and a^3/b as W's terms, and is
+truncated at round-off (Jorba & Zou, Experimental Math. 14, 2005; Corliss &
+Chang, ACM TOMS 8, 1982).  The body ends at its first sample at or below a_n,
+the junction.  When lambda2 < 12 (a resonance lambda2 = 2m may be near, and
+the series is short) the body runs on to a = tol instead.  Below the junction
 the node tail is sampled from the slow manifold down to a = tol, and the
 node-departure coefficient lim a e^(-eta) = e^(-C) is in closed form on
 every route.  |b - h(a^2)| at the junction is its gap.  Every stretch,
@@ -72,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._dopri import solve_ivp
+from ._magnus import OdeResult
 from .errors import ParameterError, RegionExitError, MaxStepsError, UnresolvedTailError
 
 __all__ = [
@@ -199,7 +200,7 @@ class OrbitPath:
     estimated).  ``saddle_junction`` is the reach zeta_r of Q's
     stable-manifold series, of ``saddle_terms`` terms, where the head ends
     at a = ``a_saddle``, and ``saddle_truncation`` the size of its first
-    dropped term there.  ``body_steps`` counts the DOPRI5 steps between the
+    dropped term there.  ``body_steps`` counts the Taylor steps between the
     head and the tail, 0 when the head reaches the tail.  ``a_junction`` is
     the a at which the slow-manifold series of ``node_terms`` terms takes
     over, the body's end or, with no body, ``a_saddle``, and
@@ -281,7 +282,8 @@ _SADDLE_TERMS = 40       # the most terms of W
 _NODE_TERMS = 30         # the most terms of h, and fewer than lambda2/2 (the resonance)
 _NODE_REACH_MAX = 0.9    # h is used up to a = 0.9 at most, where F's Gauss rule still converges
 LAMBDA2_SERIES = 12.0    # below this the node series is short: the body runs on to a = tol
-_MAX_STEP = 0.01         # the largest spacing in eta of the samples, and of the body's steps
+_MAX_STEP = 0.01         # the largest spacing in eta of the samples
+_ORDER = 24              # the degree of the body's Taylor steps
 _S_MAX = 400.0           # the body gives up after this span in s = -eta
 _HEAD_S_MAX = 2000.0     # the longest saddle head in s: 200k samples at _MAX_STEP
 
@@ -387,6 +389,16 @@ def _slow_manifold(p: PlanarParams) -> _SlowManifold:
                          terms=terms)
 
 
+def _nonlinear(A, B, P, R):
+    """The m-th Taylor coefficients of a^2 and a^3/b, m = len(P), from those of a
+    and b up to order m (A, B) and those of a^2 and a^3/b below it (P, R): the
+    Cauchy products a^2 = a a and a^3 = a^2 a, and series division of a^3 by b."""
+    m = len(P)
+    p = sum(map(mul, A, reversed(A)))
+    t = sum(map(mul, P, A[m:0:-1])) + p * A[0]
+    return p, (t - sum(map(mul, B[1:], reversed(R)))) / B[0]
+
+
 def _stable_manifold(p: PlanarParams, a_stop: float = 0.0):
     """mu_s, the np.polyval coefficients, c_(M+1) first, of a(zeta) and b(zeta)
     on Q's stable manifold W(zeta) = Q + sum_{m=1..M+1} c_m zeta^m, and its
@@ -394,8 +406,8 @@ def _stable_manifold(p: PlanarParams, a_stop: float = 0.0):
 
     Terms are added until a(zeta_r) <= a_stop, or up to M = _SADDLE_TERMS.
     With the zeta^m coefficients of the unknown c_m set to 0, the series A, B
-    of a, b give the m-th coefficients P0 of a^2, T0 of a^3 and R0 of a^3/b
-    (series division by B); these are the field's nonlinear part, and
+    of a, b give the m-th coefficients P0 of a^2 and R0 of a^3/b
+    (``_nonlinear``); these are the field's nonlinear part, and
     (m mu_s I - J_Q) c_m = -(R0, g k P0), g = alpha/(nu n), k = (n+1) nu/alpha.
     """
     q = 2.0 * (p.n + 1.0) / p.n       # J_Q = [[-2, 1], [-q, lambda2]]
@@ -408,18 +420,16 @@ def _stable_manifold(p: PlanarParams, a_stop: float = 0.0):
     P = [1.0, 2.0 * A[1]]
     R = [1.0, 3.0 * A[1] - B[1]]
     for m in range(2, _SADDLE_TERMS + 2):
-        back = A[m - 1:0:-1]
-        p0 = sum(map(mul, A[1:m], back))
-        t0 = sum(map(mul, P[1:m], back)) + p0
-        r0 = t0 - sum(map(mul, B[1:m], R[m - 1:0:-1]))
+        A.append(0.0)
+        B.append(0.0)
+        p0, r0 = _nonlinear(A, B, P, R)
         # Cramer's rule on (m mu I - J_Q) c_m = (n0, n1), with g k = q/2
         m00, m11 = m * mu + 2.0, m * mu - lam
         n0, n1 = -r0, -0.5 * q * p0
         det = m00 * m11 + q
         am = (m11 * n0 + n1) / det
         bm = (m00 * n1 - q * n0) / det
-        A.append(am)
-        B.append(bm)
+        A[m], B[m] = am, bm
         P.append(p0 + 2.0 * am)
         R.append(r0 + 3.0 * am - bm)
         zeta_r = (_SERIES_TOL / math.hypot(am, bm)) ** (1.0 / m)
@@ -466,24 +476,23 @@ def _series_tail(node: _SlowManifold, eta_j: float, a_j: float, tol: float):
     return eta, a, _polyval(node.d_coef, a * a), d_j
 
 
-def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
-                       rtol: float = 1e-10) -> OrbitPath:
-    """The heteroclinic from the two manifold series, with DOPRI5 in the gap.
+def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8) -> OrbitPath:
+    """The heteroclinic from the two manifold series, with Taylor steps in the gap.
 
     The node's slow-manifold series is summed out to its reach a_n.  The
     body stops at a_stop: a_n when lambda2 >= LAMBDA2_SERIES, and tol below
     it.  Q's stable-manifold series W is given terms until its reach zeta_r
     lies at or below a = a_stop.  The saddle head is sampled from W, from
     zeta = eps (eta = 0) down to zeta_r.  When W(zeta_r) lies above a_stop,
-    the shooter negates the field and integrates from there forward in
-    s = -eta, in steps of at most _MAX_STEP and with a first step of
-    1/lambda2, and stops at the end of its first step with a <= a_stop.  That
-    step's end, or W(zeta_r) itself when the reaches overlap, is the junction
-    (a_junction), and the slow-manifold tail continues below it down to
-    a = tol; it is empty when the junction lies at or below tol.  A head
-    longer than _HEAD_S_MAX in s, or a body not done within s = _S_MAX of its
-    start, raises MaxStepsError.  Every sample must stay in R: a trial step
-    that reaches b <= 0, or a sample outside R, raises RegionExitError.
+    the body takes Taylor steps from there backward in s = -eta (``_body``),
+    sampled at most _MAX_STEP apart, and stops at its first sample with
+    a <= a_stop.  That sample, or W(zeta_r) itself when the reaches overlap,
+    is the junction (a_junction), and the slow-manifold tail continues below
+    it down to a = tol; it is empty when the junction lies at or below tol.
+    A head longer than _HEAD_S_MAX in s, or a body not done within
+    s = _S_MAX of its start, raises MaxStepsError.  Every sample must stay
+    in R: a step that reaches b <= 0, or a sample outside R, raises
+    RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
@@ -504,8 +513,8 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
     a_saddle = float(a[0])
     body_steps = 0
     if a_saddle > a_stop:
-        sol = _body(p, s_r, a_saddle, float(b[0]), a_stop, rtol)
-        body_steps = sol.t.size - 1
+        sol = _body(p, s_r, a_saddle, float(b[0]), a_stop)
+        body_steps = sol.nfev
         # reverse to increasing eta = -s, and append the head past its first sample
         eta = np.concatenate([-sol.t[::-1], eta[1:]])
         a = np.concatenate([sol.y[0][::-1], a[1:]])
@@ -537,28 +546,92 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8,
                      node_series=node, a_saddle=a_saddle, body_steps=body_steps)
 
 
-def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float, rtol: float):
-    """DOPRI5 from (a_r, b_r) at s = s_r to its first step that ends at a <= a_stop,
-    within s = s_r + _S_MAX."""
+def solve_ivp(fun, t_span, y0, stop):
+    """Taylor steps for (a, b) from ``y0`` at t_span[0] to the first sample where
+    ``stop(a, b)`` holds, or to t_span[1].
+
+    ``fun(t, a, b)`` gives the Taylor coefficients c_0..c_p of a and of b at t, as
+    two lists.  A step h keeps both of its last two terms, |c_j| h^j for j = p - 1
+    and p, within _SERIES_TOL of the size of their component, so each polynomial is
+    truncated at round-off.  Each step's polynomial is sampled at equal spacings
+    of at most _MAX_STEP in t, its end included; ``stop``, which takes arrays as
+    well as floats, is tested at each step's end, and the samples end at the
+    first of the last step's where it holds.  ``status`` is 1 when ``stop``
+    ended the solve, 0 at t_span[1], and -1 where a step fell below the spacing
+    of t.  ``nfev`` counts the calls of ``fun``, one per step: each forms p
+    orders of coefficients.
+    """
+    t, t_end = t_span
+    a, b = y0
+    ends, steps, coefs = [(t, a, b)], [], []
+    status = 0
+    while t < t_end:
+        A, B = fun(t, a, b)
+        h = t_end - t
+        for y, c in ((a, A), (b, B)):
+            for j in (len(c) - 2, len(c) - 1):
+                if c[j]:
+                    h = min(h, (_SERIES_TOL * abs(y) / abs(c[j])) ** (1.0 / j))
+        t_new = t_end if h == t_end - t else t + h
+        if not t_new > t:
+            status = -1
+            break
+        a = b = 0.0
+        for ca, cb in zip(reversed(A), reversed(B)):
+            a = a * h + ca
+            b = b * h + cb
+        t = t_new
+        ends.append((t, a, b))
+        steps.append(h)
+        coefs += A + B
+        if stop(a, b):
+            status = 1
+            break
+    # every step's samples at once: x = h i/count, i = 1..count, from each step's start
+    h = np.array(steps)
+    count = np.ceil(h / _MAX_STEP).astype(np.intp)
+    step = np.repeat(np.arange(h.size), count)
+    x = h[step] * ((np.arange(1, step.size + 1) - np.repeat(np.cumsum(count) - count, count))
+                   / count[step])
+    coef = np.reshape(coefs, (-1, 2, len(A)))[step]
+    y = np.einsum("skj,sj->ks", coef, np.power.outer(x, np.arange(coef.shape[2])))
+    ends = np.array(ends)
+    y[:, np.cumsum(count) - 1] = ends[1:, 1:].T     # the ends as the steps went on from them
+    t = np.concatenate([ends[:1, 0], ends[step, 0] + x])
+    y = np.concatenate([ends[:1, 1:].T, y], axis=1)
+    if status == 1:     # the last step's samples end at the first where stop holds
+        last = int(np.argmax(stop(*y))) + 1
+        t, y = t[:last], y[:, :last]
+    return OdeResult(t=t, y=y, status=status, nfev=len(steps))
+
+
+def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float):
+    """Taylor steps of order _ORDER, backward from (a_r, b_r) at s = s_r, to the first
+    sample at a <= a_stop, within s = s_r + _S_MAX.
+
+    Each step's coefficients follow order by order from the backward field,
+    (m + 1) a_(m+1) = (a^3/b)_m - a_m and (m + 1) b_(m+1) = g (k (a^2)_m - c_nu b_m)
+    plus g at m = 0, with the coefficients of a^2 and a^3/b from ``_nonlinear``.
+    """
     node_a, node_b = p.node.tolist()
-    # vector_field's coefficients, hoisted out of the RHS; the scalar arithmetic
-    # below keeps vector_field's order of operations
     g = p.alpha / (p.nu * p.n)
     c = p.c_nu
     k = (p.n + 1.0) * p.nu / p.alpha
 
-    def backward(s, a, b):
+    def taylor(s, a, b):
         if b <= 0.0:
-            raise RegionExitError(f"a trial step left the region R at eta = {-s:.6g} "
+            raise RegionExitError(f"a step left the region R at eta = {-s:.6g} "
                                   f"(b = {b:.6g} <= 0)")
-        return (-(a * (1.0 - a * a / b)), -(g * (c * b - 1.0 - k * a * a)))
+        A, B, P, R = [a], [b], [], []
+        for m in range(_ORDER):
+            p_m, r_m = _nonlinear(A, B, P, R)
+            P.append(p_m)
+            R.append(r_m)
+            A.append((r_m - A[m]) / (m + 1))
+            B.append(g * (k * p_m - c * B[m] + (m == 0)) / (m + 1))
+        return A, B
 
-    def stop(s, a, b):
-        return a <= a_stop
-
-    # a first step of 1/lambda2 keeps h lambda2 <= 1 on the stiff b-direction
-    sol = solve_ivp(backward, (s_r, s_r + _S_MAX), (a_r, b_r), stop=stop, rtol=rtol,
-                    atol=1e-14, max_step=_MAX_STEP, first_step=1.0 / p.lambda2)
+    sol = solve_ivp(taylor, (s_r, s_r + _S_MAX), (a_r, b_r), stop=lambda a, b: a <= a_stop)
     if sol.status == 0:
         a_end, b_end = sol.y[:, -1]
         # below LAMBDA2_SERIES the body stops at a = tol
@@ -569,7 +642,8 @@ def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float, rt
             f"{a_end:.6g} ({math.hypot(a_end - node_a, b_end - node_b):.3e} from the "
             f"node){remedy}")
     if sol.status < 0:
-        raise MaxStepsError(f"orbit integration failed: {sol.message}")
+        raise MaxStepsError(f"orbit integration failed: the step fell below the spacing "
+                            f"of s at s = {sol.t[-1]:.6g}")
     return sol
 
 

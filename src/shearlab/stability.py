@@ -252,6 +252,8 @@ class ModeTrajectory:
 
     ``slow_manifold_tau`` is the grid point from which the slow-manifold closed
     form took over from the Magnus propagator, or None where it did not run.
+    Where the propagated state is exactly zero before that point, it is the
+    first such point: zero lies on the manifold, and stays zero.
     """
 
     j: int
@@ -415,6 +417,7 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
     if manifold is not None and s == 0:   # a start off the manifold waits out its layer
         s = manifold.settle(0, y0)[0]
     ys, switch = [magnus(0, s, y0)], None
+    zero = np.flatnonzero(~ys[0].any(axis=0))
     while s < last:
         q, u, theta = manifold.settle(s, ys[-1][:, -1])
         if q == s:
@@ -423,6 +426,8 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
             break
         ys.append(magnus(s, q, ys[-1][:, -1])[:, 1:])
         s = q
+    if manifold is not None and zero.size:   # zero is on the manifold, and stays zero
+        switch = float(grid[zero[0]])
     y = np.concatenate(ys, axis=1)
     skip = grid.size - taus.size
     return ModeTrajectory(j=j, taus=taus, u=y[0, skip:], theta=y[1, skip:], method="magnus",

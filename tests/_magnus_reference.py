@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from shearlab._dopri import OdeResult
+from shearlab._magnus import OdeResult
 from shearlab.errors import StiffnessError
 
 MAX_SUBSTEPS = 4096   # per output interval

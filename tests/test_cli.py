@@ -227,12 +227,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tau_end", ["40", "2000"])
-def test_modes_past_the_trapezoid_step_bound_is_numerical_failure(tmp_path, capsys, tau_end):
-    """Both horizons were once past the trapezoid rule's step bound (2.25e10 steps at 40).
-
-    The Magnus propagator finishes tau_end = 40; at 2000 k(tau) overflows, which
-    is a numerical failure before anything is written.
-    """
+def test_modes_until_k_overflows_is_numerical_failure(tmp_path, capsys, tau_end):
+    """The Magnus propagator finishes tau_end = 40; at 2000 k(tau) overflows, which
+    is a numerical failure before anything is written."""
     code = run_cli("modes", "--n", "0.05", "--alpha", "0.5", "--kappa", "0.1", "--theta0",
                    "0.3", "--j", "1", "--tau-end", tau_end, "--out-dir", str(tmp_path))
     if tau_end == "40":
@@ -383,7 +380,7 @@ def _probe_b(b):
      "did not reach a = 1e-08 within s = 0.5", "; a looser tol ends it sooner"),
     # no option changes where a trial step goes
     (("residual",), ("solve_ivp", _probe_b(-1e-3)),
-     r"a trial step left the region R at eta = -[\d.]+ \(b = -0.001 <= 0\)$", None),
+     r"a step left the region R at eta = -[\d.]+ \(b = -0.001 <= 0\)$", None),
 ], ids=["long-head", "short-body", "node-route", "region-exit"])
 def test_shoot_failure_names_what_helps(tmp_path, capsys, monkeypatch, argv, patch, message,
                                         remedy):
@@ -491,11 +488,11 @@ def test_heteroclinic_cmd(tmp_path):
     meta, data = read_csv(tmp_path / "heteroclinic.csv")
     assert float(meta["kappa1"]) == pytest.approx(1.0 / 1.88, rel=1e-9)
     assert np.all(np.diff(data["a"]) > 0)
-    # the body runs from the saddle series' reach to its first step within the
-    # node series' reach, where the junction is
+    # the body runs from the saddle series' reach to its first sample within the
+    # node series' reach, where the junction is: 4 Taylor steps, sampled 0.01 apart
     (i,) = np.flatnonzero(data["a"] == float(meta["a_junction"]))
     (j,) = np.flatnonzero(data["a"] == float(meta["a_saddle"]))
-    assert j - i == int(meta["body_steps"]) == 108
+    assert int(meta["body_steps"]) == 4 and j - i == 70
     assert data["a"][i] < 0.5 < 0.7 < data["a"][j]
     assert int(meta["saddle_terms"]) == 40 and int(meta["node_terms"]) == 22
     assert 0.0 < float(meta["junction_gap"]) < 1e-10
@@ -600,16 +597,38 @@ def test_golden_localization_bundle(tmp_path):
         (tmp_path / "localizationb_diagnostics.csv").read_bytes()
 
 
+def _radau_body(fun, t_span, y0, stop):
+    """A stand-in for the orbit's Taylor body: SciPy's Radau at rtol 1e-13 on the
+    field that the first-order Taylor coefficients ``fun`` gives, sampled 0.01
+    apart up to the first sample where ``stop`` holds."""
+    from scipy.integrate import solve_ivp
+    from shearlab._magnus import OdeResult
+
+    def field(s, y):
+        A, B = fun(s, *y)
+        return A[1], B[1]
+
+    def event(s, y):
+        return 0.5 - stop(*y)
+
+    event.terminal = True
+    sol = solve_ivp(field, t_span, y0, method="Radau", rtol=1e-13, atol=1e-20,
+                    dense_output=True, events=event)
+    t = np.arange(t_span[0], sol.t[-1] + 0.01, 0.01)
+    y = sol.sol(t)
+    last = int(np.argmax(stop(*y))) + 1
+    return OdeResult(t=t[:last], y=y[:, :last], status=1, nfev=sol.nfev)
+
+
 def test_localization_diagnostics_resolve_a_tight_shoot(tmp_path, monkeypatch):
-    # The golden pins the showcase at the shoot's rtol 1e-10.  Independently of
-    # it, the diagnostics lie within 1e-10 of a run whose shoot uses rtol 1e-13
-    # (about 9e-14 away, in halfwidth: the shoot's 108-step body is all it changes)
-    import shearlab.cli as cli
-    from functools import partial
+    # The golden pins the showcase with the shoot's Taylor body.  Independently
+    # of it, the diagnostics lie within 1e-10 of a run whose body is SciPy's
+    # Radau at rtol 1e-13 (the shoot's 4-step body is all it changes)
+    import shearlab.orbit as orbit
 
     config = str(REPO / "configs" / "localization.json")
     assert run_cli("localize", "--config", config, "--out-dir", str(tmp_path / "prod")) == 0
-    monkeypatch.setattr(cli, "shoot_heteroclinic", partial(cli.shoot_heteroclinic, rtol=1e-13))
+    monkeypatch.setattr(orbit, "solve_ivp", _radau_body)
     assert run_cli("localize", "--config", config, "--out-dir", str(tmp_path / "tight")) == 0
     meta_p, data_p = read_csv(tmp_path / "prod" / "localize_diagnostics.csv")
     meta_t, data_t = read_csv(tmp_path / "tight" / "localize_diagnostics.csv")
@@ -866,7 +885,7 @@ def test_outer_window_is_checked_at_the_evaluated_points(tmp_path, capsys, sigma
 
 @pytest.mark.parametrize("cmd, nu", [("heteroclinic", "--nu"), ("localize", "--lambda")])
 def test_stiff_orbit_needs_no_body(tmp_path, cmd, nu):
-    # lambda2 = 2e5: the two series overlap, so no DOPRI5 step runs where a
+    # lambda2 = 2e5: the two series overlap, so no body step runs where a
     # first trial step from a junction 1e-2 from Q once reached b <= 0
     code = run_cli(cmd, "--n", "0.01", "--alpha", "20", nu, "0.01", "--eps", "1e-3",
                    "--out-dir", str(tmp_path))

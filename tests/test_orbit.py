@@ -287,7 +287,7 @@ def test_acceptance_sweep_orbits_exist():
 
 def _junction(path):
     """(s_r, a_r, b_r): the head's first sample, W(zeta_r) at eta = log(zeta_r/eps)/mu_s
-    as the shooter computes it; the first state of the DOPRI5 body, if there is one."""
+    as the shooter computes it; the first state of the Taylor body, if there is one."""
     mu = equilibria(path.params)[1].eigenvalues[0]
     (i,) = np.flatnonzero(path.eta == math.log(path.saddle_junction / path.eps) / mu)
     return -path.eta[i], path.a[i], path.b[i]
@@ -321,15 +321,25 @@ def _worst_error(exact, s, y):
     return np.max(np.abs(y[:, keep] - ref) / np.abs(ref), axis=1)
 
 
+def _body_error(p, path):
+    """The body's largest relative error in a and in b against SciPy's Radau (rtol
+    1e-13, an atol far below every a) from W(zeta_r) to the body's last sample."""
+    start = _junction(path)
+    body = (path.a >= path.a_junction) & (path.eta <= -start[0])
+    radau = solve_ivp(lambda s, y: [-v for v in vector_field(p, y)],
+                      (start[0], -path.eta[body][0]), start[1:], method="Radau",
+                      rtol=1e-13, atol=1e-30, dense_output=True,
+                      jac=lambda s, y: -jacobian(p, y))
+    return _worst_error(radau, -path.eta[body], np.array([path.a[body], path.b[body]]))
+
+
 @pytest.mark.parametrize("n, alpha, nu", [(0.05, 0.5, 0.05), (0.05, 1.0, 0.5),
                                           (0.1, 0.5, 0.1), (0.1, 1.0, 0.05)])
 def test_shooter_matches_vector_field_reference(n, alpha, nu):
-    # Where the two series' reaches leave a gap, the shooter's scalar
-    # Dormand-Prince stepper against SciPy's RK45 on vector_field with the
-    # same settings, both from W(zeta_r).  Bit identity cannot hold (SciPy
-    # sums the stages with np.dot), so: the same steps, the same curve to the
-    # shooter's rtol, and no larger an error than RK45's against a tight
-    # reference.  The first and last cases (lambda2 = 221, 211) have no gap.
+    # Where the two series' reaches leave a gap, the shooter's Taylor body
+    # against SciPy's Radau on vector_field, both from W(zeta_r): within 1e-13
+    # of it, where DOPRI5 at rtol 1e-10 was off by 4e-11 in b.  The first and
+    # last cases (lambda2 = 221, 211) have no gap.
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     path = shoot_heteroclinic(p)
     start = _junction(path)
@@ -337,26 +347,7 @@ def test_shooter_matches_vector_field_reference(n, alpha, nu):
     if path.body_steps == 0:
         assert start[1] == path.a_saddle == path.a_junction <= orbit._slow_manifold(p).reach
     else:
-        body = ~tail & (path.eta <= -start[0])
-        eta_b, a_b, b_b = path.eta[body], path.a[body], path.b[body]
-        rk45 = _reference_shoot(p, start, method="RK45", rtol=1e-10, atol=1e-14,
-                                max_step=0.01, first_step=1.0 / p.lambda2)
-        assert eta_b.size == rk45.t.size == path.body_steps + 1
-
-        # rounding moves the samples along the orbit (eta by ~1e-8), not off it
-        eta = -rk45.t[::-1]
-        inside = (eta >= eta_b[0]) & (eta <= eta_b[-1])
-        a, b = path.states_at(eta[inside])
-        assert np.allclose(a, rk45.y[0][::-1][inside], rtol=1e-10, atol=0.0)
-        assert np.allclose(b, rk45.y[1][::-1][inside], rtol=1e-10, atol=0.0)
-
-        # the body, down to a = a_n, against DOP853
-        exact = _reference_shoot(p, start, method="DOP853", rtol=1e-13, atol=1e-20,
-                                 dense_output=True)
-        ours = _worst_error(exact, -eta_b[::-1], np.array([a_b[::-1], b_b[::-1]]))
-        scipy_rk45 = _worst_error(exact, rk45.t, rk45.y)
-        # the two errors agree to about 4 digits; 1% absorbs the rounding in that
-        assert np.all(ours <= 1.01 * scipy_rk45), (ours, scipy_rk45)
+        assert np.all(_body_error(p, path) <= 1e-13), _body_error(p, path)
 
     # the series tail against Radau, with RK45 shot on to the node, both from
     # the junction: DOP853 is itself off by up to 1e-8 in b on the stiff tail
@@ -374,6 +365,76 @@ def test_shooter_matches_vector_field_reference(n, alpha, nu):
     assert ours[0] <= 1e-12 and ours[1] <= 1.01 * scipy_rk45[1], (ours, scipy_rk45)
 
 
+@pytest.mark.parametrize("key, steps, bound", [
+    ((0.05, 0.5, 0.5), 6, 1e-13),             # the sweep's other three bodies
+    ((0.1, 0.5, 0.5), 5, 1e-13),
+    ((0.1, 1.0, 0.5), 5, 1e-13),
+    ((1.0, 1.0, 1.0), 16, 1e-13),             # lambda2 = 3, to a = 1e-8
+    ((5.0, 0.5, 0.5), 17, 1e-13),             # lambda2 = 1.4, to a = 1e-8
+    ((0.01982, 0.02816, 2.438), 138, 2e-12),  # mu_s = -0.023, from a slow saddle
+    ((0.109, 0.01717, 4.739), 87, 2e-11),     # lambda2 = 10.2, to a = 1e-8
+], ids=["0.05-0.5-0.5", "0.1-0.5-0.5", "0.1-1.0-0.5", "3", "1.4", "slow-saddle", "10.2"])
+def test_taylor_body_matches_radau(key, steps, bound):
+    # DOPRI5 took 213, 229, 183, 1799, 1885, 3269 and 9879 steps on these bodies.
+    # The last two bounds are Radau's own error: against a 26-digit Taylor
+    # solution (mpmath) Radau is off by 3.7e-13 and 7.8e-12 there, the body by
+    # 3.0e-13 and 6.4e-13.
+    p = PlanarParams(*key)
+    path = shoot_heteroclinic(p)
+    assert path.body_steps == steps
+    error = _body_error(p, path)
+    assert np.all(error <= bound), error
+
+
+def test_taylor_step_solves_the_field_to_its_order(monkeypatch):
+    # Each step's polynomial solves the backward field through h^(p - 1), in
+    # exact arithmetic on its float coefficients: a' b + a b - a^3 = 0 (the a
+    # row times b) and b' = g (1 + k a^2 - c_nu b), to the rounding of the sums
+    # that formed each coefficient: 1e-13 of the same sums taken in absolute value
+    p = PlanarParams(n=1.0, alpha=1.0, nu=1.0)
+    funs = []
+
+    def recorded(fun, *args, **kwargs):
+        funs.append(fun)
+        return solve(fun, *args, **kwargs)
+
+    solve = orbit.solve_ivp
+    monkeypatch.setattr(orbit, "solve_ivp", recorded)
+    shoot_heteroclinic(p)
+    n, alpha, nu = (Fraction(v) for v in (p.n, p.alpha, p.nu))
+    g, k, c = alpha / (nu * n), (n + 1) * nu / alpha, 1 + nu * (n + 1) / alpha
+
+    def mul(x, y):
+        return [sum(x[i] * y[m - i] for i in range(m + 1)) for m in range(len(x))]
+
+    def terms(A, B):
+        """The terms of the a row, a' b + a b - a^3, and of the b row,
+        b' - g (1 + k a^2 - c_nu b), as series: their sums are the residuals."""
+        dA = [(m + 1) * A[m + 1] for m in range(len(A) - 1)] + [0]
+        dB = [(m + 1) * B[m + 1] for m in range(len(B) - 1)] + [0]
+        a2 = mul(A, A)
+        one = [1] + [0] * (len(A) - 1)
+        return ((mul(dA, B), mul(A, B), [-v for v in mul(a2, A)]),
+                (dB, [-g * v for v in one], [-g * k * v for v in a2], [g * c * v for v in B]))
+
+    for a, b in ((0.7, 0.6), (1e-3, 0.34), (0.2, 0.05)):
+        A, B = ([Fraction(v) for v in coef] for coef in funs[0](0.0, a, b))
+        assert len(A) == len(B) == orbit._ORDER + 1
+        absolute = terms([abs(v) for v in A], [abs(v) for v in B])
+        for row, size in zip(terms(A, B), absolute):
+            for m in range(orbit._ORDER):
+                residual = sum(series[m] for series in row)
+                assert abs(residual) <= 1e-13 * sum(abs(series[m]) for series in size), (a, b, m)
+
+
+def test_a_step_below_the_spacing_of_s_ends_the_solve():
+    # coefficients this large ask for a step of 5e-316, which s + h cannot take:
+    # the solve returns status -1, where a loop would never end
+    sol = orbit.solve_ivp(lambda s, a, b: ([a, 1e300, 0.0], [b, 0.0, 0.0]), (1.0, 2.0),
+                          (0.5, 0.5), stop=lambda a, b: a <= 0.1)
+    assert sol.status == -1 and sol.nfev == 0 and sol.t.tolist() == [1.0]
+
+
 def test_series_kappa1_takes_F_from_the_shoots_own_series(monkeypatch, ref_orbit):
     # the closed form e^(-C) at the deepest sample, with F from the series the shoot
     # kept on the path: no slow-manifold series is built again
@@ -387,11 +448,11 @@ def test_series_kappa1_takes_F_from_the_shoots_own_series(monkeypatch, ref_orbit
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
 def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, nu):
     # the closed form at the series tail against a e^-eta at the deepest sample
-    # of an orbit whose body is shot on to a = 1e-8, both at rtol 1e-12
+    # of an orbit whose Taylor body is shot on to a = 1e-8
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
-    series = shoot_heteroclinic(p, rtol=1e-12)
+    series = shoot_heteroclinic(p)
     monkeypatch.setattr(orbit, "LAMBDA2_SERIES", math.inf)
-    shot = shoot_heteroclinic(p, rtol=1e-12)
+    shot = shoot_heteroclinic(p)
     # the body ends below tol, so the tail is empty
     assert shot.a_junction == shot.a[0] <= 1e-8 < shot.a[1]
     # the junction is the shoot's first sample at or below a = 1e-2: the body
@@ -408,7 +469,7 @@ def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, n
     assert kappa1 == pytest.approx((shot.a * np.exp(-shot.eta))[0], rel=1e-12, abs=0)
     # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
     monkeypatch.undo()
-    shallow = shoot_heteroclinic(p, rtol=1e-12, tol=5e-4)
+    shallow = shoot_heteroclinic(p, tol=5e-4)
     assert estimate_kappa1(shallow) == pytest.approx(kappa1, rel=1e-14, abs=0)
 
 
@@ -431,38 +492,40 @@ def test_tail_d_over_a2_tends_to_beta1(n, alpha, nu):
     assert 0.0 < path.junction_gap < 1e-10
 
 
-def test_fallback_shoots_to_the_node_bit_for_bit():
+def test_fallback_shoots_to_the_node_bit_for_bit(monkeypatch):
     # lambda2 = 3 < LAMBDA2_SERIES: below the saddle's series head the orbit is
-    # the plain DOPRI5 shoot from W(zeta_r) to its first step at or below
+    # the plain Taylor shoot from W(zeta_r) to its first sample at or below
     # a = tol; the series tail below it is empty, and kappa1 the closed form
     # at the body's end, which is a e^-eta there to rounding
     p = PlanarParams(n=1.0, alpha=1.0, nu=1.0)
     assert p.lambda2 == 3.0
+    funs = []
+
+    def recorded(fun, *args, **kwargs):
+        funs.append(fun)
+        return solve(fun, *args, **kwargs)
+
+    solve = orbit.solve_ivp
+    monkeypatch.setattr(orbit, "solve_ivp", recorded)
     path = shoot_heteroclinic(p)
     s_j, a_j, b_j = _junction(path)
-
-    def backward(s, a, b):
-        da, db = vector_field(p, (a, b))
-        return -da, -db
-
-    def reach_tol(s, a, b):
-        return a <= 1e-8
-
-    sol = orbit.solve_ivp(backward, (s_j, s_j + 400.0), (a_j, b_j), stop=reach_tol,
-                          rtol=1e-10, atol=1e-14, max_step=0.01, first_step=1.0 / 3.0)
+    sol = solve(funs[0], (s_j, s_j + 400.0), (a_j, b_j), stop=lambda a, b: a <= 1e-8)
     body = path.eta <= -s_j
     assert path.saddle_terms == orbit._SADDLE_TERMS and path.node_terms == 0
-    assert body.sum() == sol.t.size == path.body_steps + 1 == 1800 and path.eta.size == 3212
+    assert path.body_steps == sol.nfev == 16
+    assert body.sum() == sol.t.size == 1809 and path.eta.size == 3221
     assert path.eta[body].tobytes() == (-sol.t[::-1]).tobytes()
     assert path.a[body].tobytes() == sol.y[0][::-1].tobytes()
     assert path.b[body].tobytes() == sol.y[1][::-1].tobytes()
-    # h = 1/c_nu with no terms: the gap is b - 1/c_nu, about 2 a^2
-    assert path.a_junction == path.a[0] <= 1e-8 and path.junction_gap == path.d[0]
-    assert path.junction_gap == pytest.approx(2.0 * path.a[0] ** 2, rel=1e-6)
+    # h = 1/c_nu with no terms: the gap is b - 1/c_nu, about 2 a^2 to b's rounding
+    assert path.a_junction == path.a[0] <= 1e-8 < path.a[1]
+    assert path.junction_gap == path.d[0]
+    assert abs(path.junction_gap - 2.0 * path.a[0] ** 2) <= np.spacing(path.b[0])
     a0 = path.a[0]
     assert estimate_kappa1(path) == math.exp(math.log(a0) - path.eta[0] + 1.5 * (a0 * a0))
+    # to the rounding of the exponent, 13.7: its spacing is 1.8e-15
     assert estimate_kappa1(path) == pytest.approx(path.a[0] * math.exp(-path.eta[0]),
-                                                  rel=1e-15, abs=0)
+                                                  rel=4e-15, abs=0)
     # tol only ends the series tail: a coarse one keeps the series route
     coarse = shoot_heteroclinic(REF, tol=1e-2)
     assert coarse.a_junction > coarse.a[0] == pytest.approx(1e-2, rel=1e-12, abs=0)
@@ -484,15 +547,15 @@ def test_coarse_tol_kappa1_matches_the_tight_one(key):
 
 
 def _sweep_paths(monkeypatch):
-    """The 12 sweep shoots, and the DOPRI5 solve of each that has a body."""
+    """The 12 sweep shoots, and the Taylor solve of each that has a body."""
     solves = []
 
     def counted(*args, **kwargs):
-        sol = solve_dopri(*args, **kwargs)
+        sol = solve_taylor(*args, **kwargs)
         solves.append(sol)
         return sol
 
-    solve_dopri = orbit.solve_ivp
+    solve_taylor = orbit.solve_ivp
     monkeypatch.setattr(orbit, "solve_ivp", counted)
     paths = [shoot_heteroclinic(PlanarParams(*key)) for key in SWEEP]
     assert len(solves) == sum(path.body_steps > 0 for path in paths)
@@ -500,8 +563,9 @@ def _sweep_paths(monkeypatch):
 
 
 def _sweep_nfev(monkeypatch):
-    """The RHS calls of the 12 sweep shoots, one DOPRI5 solve per body."""
-    return sum(sol.nfev for sol in _sweep_paths(monkeypatch)[1])
+    """The work of the 12 sweep shoots in RHS calls: each Taylor step forms _ORDER
+    orders of coefficients, and each order costs about one RHS call."""
+    return sum(sol.nfev for sol in _sweep_paths(monkeypatch)[1]) * orbit._ORDER
 
 
 def test_sweep_shoots_take_at_most_60_percent_of_the_node_shoot_work(monkeypatch):
@@ -597,14 +661,15 @@ def test_samples_lie_at_most_max_step_apart_and_the_tail_on_its_eta(n, alpha, nu
 
 
 def test_sweep_bodies_take_at_most_1000_steps(monkeypatch):
-    # DOPRI5 runs only where neither series reaches: over the 12 sweep points
-    # it took 13,433 steps from zeta = 1e-2 down to a = 1e-2
+    # The body runs only where neither series reaches: over the 12 sweep points
+    # DOPRI5 took 13,433 steps from zeta = 1e-2 down to a = 1e-2, and 884 from
+    # the series' reaches; Taylor steps take 25
     paths, solves = _sweep_paths(monkeypatch)
     steps = [path.body_steps for path in paths]
-    assert sum(sol.t.size - 1 for sol in solves) == sum(steps) <= 1000, steps
+    assert sum(sol.nfev for sol in solves) == sum(steps) <= 40, steps
     assert sum(step == 0 for step in steps) >= 4, steps
     showcase = SWEEP.index((0.1, 0.5, 0.1))
-    assert steps[showcase] <= 150, steps
+    assert steps[showcase] <= 8, steps
 
 
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
@@ -680,7 +745,7 @@ def test_shooter_rhs_guards_nonpositive_b(monkeypatch, b):
 
 
 def test_stiff_orbit_needs_no_body():
-    # lambda2 = 2e5: the two series overlap, so no DOPRI5 step runs where a
+    # lambda2 = 2e5: the two series overlap, so no body step runs where a
     # first step from the junction had h lambda2 ~ 2e3 and reached b < 0
     for eps in (1e-6, 1e-3):
         path = shoot_heteroclinic(PlanarParams(n=0.01, alpha=20.0, nu=0.01), eps=eps)
@@ -694,9 +759,10 @@ def test_stiff_orbit_needs_no_body():
     (0.109, 0.01717, 4.739, 1e-9, 1e-9),       # lambda2 = 10.2, mu_s = -8.1e-3: to the node
 ])
 def test_inputs_refused_at_the_junction_of_1e_2_match_radau(n, alpha, nu, a_err, b_err):
-    # Each exited 3 when the series met DOPRI5 1e-2 from Q.  Against SciPy's Radau
+    # Each exited 3 when the series met the body 1e-2 from Q.  Against SciPy's Radau
     # (rtol 1e-13) from the head's sample nearest zeta = 1e-2 down to a = 1e-2, the
-    # first is good to the round-off of its series, the others to the body's rtol
+    # first is good to the round-off of its series, the others to Radau's own
+    # error over their long heads (5e-11 and 3e-10)
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     path = shoot_heteroclinic(p)
     mu = equilibria(p)[1].eigenvalues[0]

@@ -637,12 +637,12 @@ def test_step_doubling_does_the_work_of_the_stacked_kernel(theta0, kappa):
                                                        (40, 10.0))]
     assert tuple(int(r.nfev) for r in results) == STACKED_NFEV[theta0, kappa]
 
-# (mode, tau_end) of the two regimes a cost estimate once sent to different
-# integrators: a non-stiff mode, and a stiff one (over 2e4 explicit steps)
-ROUTES = {"rk45": (1, 2.0), "trapezoid": (40, 5.0)}
+# (mode, tau_end) of two regimes: a non-stiff mode, and a stiff one (over 2e4
+# explicit steps)
+ROUTES = {"nonstiff": (1, 2.0), "stiff": (40, 5.0)}
 
 
-@pytest.mark.parametrize("route", ["rk45", "trapezoid"])
+@pytest.mark.parametrize("route", ["nonstiff", "stiff"])
 @pytest.mark.parametrize("tau_eval, match", [
     ([2.0, 1.0, 0.5], "sorted"), ([0.5, 1.0, 1.0], "sorted"), ([0.5, 1.0, 7.0], "within"),
     ([-1.0, 0.5], "within"), ([0.5, math.nan], "within"), ([[0.5, 1.0]], "1-dimensional"),
@@ -653,7 +653,7 @@ def test_tau_eval_is_checked_on_both_routes(route, tau_eval, match):
         integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=tau_eval)
 
 
-@pytest.mark.parametrize("route", ["rk45", "trapezoid"])
+@pytest.mark.parametrize("route", ["nonstiff", "stiff"])
 def test_tau_eval_samples_every_point(route):
     j, tau_end = ROUTES[route]
     tau_eval = [0.0, 0.5, 1.0, tau_end]
@@ -663,13 +663,25 @@ def test_tau_eval_samples_every_point(route):
     scale = max(np.abs(u).max(), np.abs(th).max())
     assert np.abs(traj.u - u).max() <= 1e-9 * scale
     assert np.abs(traj.theta - th).max() <= 1e-9 * scale
-    if route == "rk45":
+    if route == "nonstiff":
         assert traj.u[-1] == pytest.approx(13.93364, rel=1e-5)
     # without tau = 0 the solve still starts there; the values are solved for, not interpolated
     later = integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=tau_eval[1:])
     assert later.taus.tolist() == tau_eval[1:]
     assert np.allclose(later.u, traj.u[1:], rtol=1e-9, atol=0.0)
     assert integrate_mode(MODE_PARAMS, j, (1.0, 1.0), tau_end, tau_eval=[]).u.size == 0
+
+
+def test_a_mode_switches_where_its_state_is_exactly_zero():
+    # modes --kappa 0.01 --theta0 -1 --j 40 --tau-end 10: the propagated state is
+    # exactly (+0, +0) from tau = 3.286, though the slow-manifold series holds only
+    # from 6.706; zero lies on the manifold
+    params = MaterialParams(n=0.05, alpha=0.5, kappa=0.01, theta0=-1.0)
+    traj = integrate_mode(params, 40, (1.0, 1.0), 10.0)
+    zero = np.flatnonzero((traj.u == 0.0) & (traj.theta == 0.0))
+    assert zero.size and zero[-1] == traj.taus.size - 1 and np.all(np.diff(zero) == 1)
+    assert not np.signbit(traj.u[zero]).any() and not np.signbit(traj.theta[zero]).any()
+    assert traj.slow_manifold_tau == traj.taus[zero[0]] == pytest.approx(3.286, abs=1e-3)
 
 
 def test_t_eval_is_checked_as_scipy_checks_it():

@@ -7,14 +7,15 @@ the metastability config at full size and cut down, four stiff ``modes`` runs
 (mode 1 to tau 100 and 600, mode 40 to 600, and mode 40 to 10 from a start
 off its slow manifold), an ``energy`` run whose k(0) is about 3e9, four runs
 at lambda2 = 3, below the orbit's LAMBDA2_SERIES (``heteroclinic`` and
-``localize``, each at its default tol and a coarse one), and the first pass
-of each benchmark workload at seed 11 (argv from
-``perfbench.ops.passes``).  Each call is a fresh ``python3 -m shearlab.cli``
-with the tree's ``src`` on PYTHONPATH and the tree as working directory,
-writing into its own temporary directory.  The exit codes and every output
-file must be equal byte for byte; in the manifests ``wall_seconds``,
-``written_at`` and the output directory are masked.  Prints one summary line
-and exits 1 on any difference.  A differing CSV whose two versions have the
+``localize``, each at its default tol and a coarse one), two ``heteroclinic``
+runs with the longest orbit bodies (from a slow saddle, mu_s = -0.023, and
+at lambda2 = 10.2 down to the node), and the first pass of each benchmark
+workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call is a
+fresh ``python3 -m shearlab.cli`` with the tree's ``src`` on PYTHONPATH and
+the tree as working directory, writing into its own temporary directory.
+The exit codes and every output file must be equal byte for byte; in the
+manifests ``wall_seconds``, ``written_at`` and the output directory are
+masked.  Prints one summary line and exits 1 on any difference.  A differing CSV whose two versions have the
 same number of rows, or a differing JSON file whose two versions have the
 same structure, is followed by its largest relative shift, so a change that
 moves outputs at solver tolerance can quote it.  CSV metadata values are
@@ -58,6 +59,9 @@ CALLS += [(*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end",
 ORBIT_3 = ("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1")
 LOCALIZE_3 = ("localize", "--n", "1", "--alpha", "1", "--lambda", "1", "--sigma0", "1")
 CALLS += [ORBIT_3, (*ORBIT_3, "--tol", "1e-2"), LOCALIZE_3, (*LOCALIZE_3, "--tol", "1e-3")]
+# the longest bodies between the orbit's two series: from a slow saddle, and to the node
+CALLS += [("heteroclinic", "--n", "0.01982", "--alpha", "0.02816", "--nu", "2.438"),
+          ("heteroclinic", "--n", "0.109", "--alpha", "0.01717", "--nu", "4.739")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
