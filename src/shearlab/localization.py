@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .material import MaterialParams, ScalingParams, power_law_stress, uniform_shear
-from .profile import _d4
+from .material import MaterialParams, ScalingParams, uniform_shear
+from .profile import _d4, _is_uniform
 
 __all__ = [
     "LocalizedSolution",
@@ -130,18 +130,17 @@ class SpaceTimeResidual:
 
 
 def _check_grid(g, name, least):
-    if g.size < least or not np.allclose(np.diff(g), g[1] - g[0], rtol=1e-9, atol=1e-15):
+    if g.size < least or not _is_uniform(g, rtol=1e-9, atol=1e-15):
         raise ParameterError(f"{name} grid must be uniform with >= {least} points")
 
 
 def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
     """Evaluate the solution on the grid and difference it against the PDE.
 
-    x and t must be uniform 1-D grids of at least ``MIN_X_POINTS`` and
-    ``MIN_T_POINTS`` points.  Residuals are u_t - sigma_xx,
-    theta_t - sigma u and sigma - e^(-alpha theta) u^n, reported on the
-    interior where the 4th-order stencils (and their stride-2 Richardson
-    companions) fit.
+    x and t must be uniform 1-D grids of at least ``MIN_X_POINTS`` and ``MIN_T_POINTS``
+    points.  Residuals are u_t - sigma_xx, theta_t - sigma u and sigma - e^(-alpha theta)
+    u^n, each formed on the interior where the 4th-order stencils (and their stride-2
+    Richardson companions) fit, and reduced to its norms before the next is formed.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -151,31 +150,28 @@ def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
 
 
 def _difference(params: MaterialParams, x, t, u, sigma, theta) -> SpaceTimeResidual:
-    """The residual norms of fields (u, sigma, theta) given on the grid x by t."""
-    hx = x[1] - x[0]
-    ht = t[1] - t[0]
+    """The residual norms of fields (u, sigma, theta) given on the grid x by t: each stencil
+    formed on the interior points its residual uses, each residual formed and reduced in
+    turn, in the two interior-size arrays a and b."""
+    hx, ht = x[1] - x[0], t[1] - t[0]
+    b = _d4(_d4(sigma[:, 4:-4], hx, axis=0), hx, axis=0)     # sigma_xx
+    a = _d4(u[4:-4, 2:-2], ht, axis=1)                        # u_t
 
-    du_dt = _d4(u, ht, axis=1)
-    dth_dt = _d4(theta, ht, axis=1)
-    dsig_dx = _d4(sigma, hx, axis=0)
-    d2sig_dx2 = _d4(dsig_dx, hx, axis=0)
+    # stride-2 Richardson estimate of the differentiation error, at the even interior points
+    est = (np.abs(_d4(u[4:-4:2, ::2], 2 * ht, axis=1) - a[::2, ::2]),
+           np.abs(_d4(_d4(sigma[::2, 4:-4:2], 2 * hx, axis=0), 2 * hx, axis=0) - b[4:-4:2, ::2]))
+    fd_err = float(max(np.nanmax(e / 15.0) for e in est))
 
-    r1 = du_dt - d2sig_dx2
-    r2 = dth_dt - sigma * u
-    r3 = sigma - power_law_stress(params.alpha, params.n, theta, u)
-
-    # stride-2 Richardson estimate of the differentiation error
-    u2, sigma2 = u[::2, ::2], sigma[::2, ::2]
-    du_dt2 = _d4(u2, 2 * ht, axis=1)
-    dsig_dx2c = _d4(_d4(sigma2, 2 * hx, axis=0), 2 * hx, axis=0)
-    est1 = np.abs(du_dt2 - du_dt[::2, ::2]) / 15.0
-    est2 = np.abs(dsig_dx2c - d2sig_dx2[::2, ::2]) / 15.0
-    fd_err = float(max(np.nanmax(est1[2:-2, 2:-2]), np.nanmax(est2[2:-2, 2:-2])))
-
-    interior = (slice(4, -4), slice(4, -4))
-    res = (r1[interior], r2[interior], r3[interior])
-    sup = tuple(float(np.max(np.abs(r))) for r in res)
-    l2 = tuple(float(np.sqrt(np.mean(r * r))) for r in res)
+    def residuals():   # each formed in a, with b free again by the time it is reduced
+        yield np.subtract(a, b, out=a)
+        yield np.subtract(_d4(theta[4:-4, 2:-2], ht, axis=1, out=a),
+                          np.multiply(sigma[4:-4, 4:-4], u[4:-4, 4:-4], out=b), out=a)
+        # sigma - power_law_stress(alpha, n, theta, u), its expression formed in b and a
+        s = np.multiply(-params.alpha, theta[4:-4, 4:-4], out=b)
+        s += np.multiply(params.n, np.log(u[4:-4, 4:-4], out=a), out=a)
+        yield np.subtract(sigma[4:-4, 4:-4], np.exp(s, out=b), out=a)
+    sup, l2 = zip(*((float(np.max(np.abs(r, out=b))),
+                     float(np.sqrt(np.mean(np.multiply(r, r, out=b))))) for r in residuals()))
     return SpaceTimeResidual(sup=sup, l2=l2, fd_error_estimate=fd_err,
                              at_interpolation_floor=fd_err < max(sup[0], sup[1]) / 3.0,
                              nx=x.size, nt=t.size)
@@ -189,8 +185,8 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
     finest grid and once per distinct |x| (``LocalizedSolution.evaluate_grid``);
     each coarser level is its stride-2**k slice, which is the level's own
     np.linspace grid bit for bit (halving a step is exact), so every level's
-    report is that of ``pde_residual`` on its grid.  The order is fitted from
-    consecutive levels whose residual still sits above the interpolation floor.
+    report is that of ``pde_residual`` on its grid, each residual formed on the
+    interior in turn.  The order is fitted from consecutive levels above the interpolation floor.
     """
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")

@@ -85,3 +85,16 @@ def test_a_value_that_is_not_a_number_on_one_side_is_listed_as_changed():
         " (largest relative shift 0.2; added new; changed gap, tag, x)"
     # text that does not change reads as before
     assert diff_outputs._largest_shift("out.csv", a, a) == " (largest relative shift 0)"
+
+
+def test_a_value_that_is_nan_in_both_versions_is_unchanged():
+    # a nan on both sides is no shift, so the real largest shift is quoted
+    a = {"sup": [1.0, 2.0], "fitted_order": math.nan}
+    b = {"sup": [1.0, 2.5], "fitted_order": math.nan}
+    assert _shift("r.json", json.dumps(a).encode(), json.dumps(b).encode()) == 0.2
+    c = _csv({"k": math.nan}, [(1.0, math.nan), (4.0, 3.0)])
+    d = _csv({"k": math.nan}, [(1.0, math.nan), (5.0, 3.0)])
+    assert _shift("out.csv", c, d) == 0.2
+    # a shift to or from nan still reads nan
+    e = _csv({"k": math.nan}, [(1.0, 2.0), (5.0, 3.0)])
+    assert math.isnan(_shift("out.csv", c, e))

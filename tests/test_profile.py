@@ -263,12 +263,13 @@ def test_d4_exact_on_quartics(coef, x0, h, size, axis):
     values = np.outer([1.0, 2.0], poly(x))
     exact = np.outer([1.0, 2.0], poly.deriv()(x))
     d = _d4(values, h, 1) if axis == 1 else _d4(values.T, h, 0).T
-    assert np.all(np.isnan(d[:, :2])) and np.all(np.isnan(d[:, -2:]))
+    # formed on the interior only: two points shorter at each end of the axis
+    assert d.shape == (2, size - 4)
     # the stencil is exact through degree 4; what is left is round-off of values / h
     # (and underflow, for tiny coefficients)
     tol = 64 * np.finfo(float).eps * (np.max(np.abs(values)) / h + np.max(np.abs(exact))) \
         + np.finfo(float).tiny
-    assert np.max(np.abs(d[:, 2:-2] - exact[:, 2:-2])) <= tol
+    assert np.max(np.abs(d - exact[:, 2:-2])) <= tol
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,10 +9,12 @@ off its slow manifold), an ``energy`` run whose k(0) is about 3e9, four runs
 at lambda2 = 3, below the orbit's LAMBDA2_SERIES (``heteroclinic`` and
 ``localize``, each at its default tol and a coarse one), two ``heteroclinic``
 runs with the longest orbit bodies (from a slow saddle, mu_s = -0.023, and
-at lambda2 = 10.2 down to the node), and the first pass of each benchmark
-workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call is a
-fresh ``python3 -m shearlab.cli`` with the tree's ``src`` on PYTHONPATH and
-the tree as working directory, writing into its own temporary directory.
+at lambda2 = 10.2 down to the node), a ``residual`` study at the least grids
+with steps that are not binary fractions (``--xmax 3.7 --tmax 7.1 --nx0 17
+--nt0 9 --levels 3``), and the first pass of each benchmark workload at seed
+11 (argv from ``perfbench.ops.passes``).  Each call is a fresh ``python3 -m
+shearlab.cli`` with the tree's ``src`` on PYTHONPATH and the tree as working
+directory, writing into its own temporary directory.
 The exit codes and every output file must be equal byte for byte; in the
 manifests ``wall_seconds``, ``written_at`` and the output directory are
 masked.  Prints one summary line and exits 1 on any difference.  A differing CSV whose two versions have the
@@ -25,7 +27,8 @@ changed but are not all numbers (``none`` -> ``0.01``).  In a CSV data
 column each shift |x - y| is taken over the largest |value| of that column in
 either version, so entries near 0 do not set the figure; a metadata value or
 a numeric JSON leaf stands alone and is taken over max(|x|, |y|).  A shift to
-or from a value that is not finite reads nan.
+or from a value that is not finite reads nan; a value that is nan in both
+versions is unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ CALLS += [ORBIT_3, (*ORBIT_3, "--tol", "1e-2"), LOCALIZE_3, (*LOCALIZE_3, "--tol
 # the longest bodies between the orbit's two series: from a slow saddle, and to the node
 CALLS += [("heteroclinic", "--n", "0.01982", "--alpha", "0.02816", "--nu", "2.438"),
           ("heteroclinic", "--n", "0.109", "--alpha", "0.01717", "--nu", "4.739")]
+# grid steps that are not binary fractions, so no level's grid is a slice of a dyadic one
+CALLS += [("residual", "--xmax", "3.7", "--tmax", "7.1", "--nx0", "17", "--nt0", "9",
+           "--levels", "3")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
@@ -162,7 +168,7 @@ def _largest_shift(name: str, a: bytes, b: bytes) -> str:
             continue
         scale = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
         shifts += [abs(x - y) / scale if math.isfinite(x) and math.isfinite(y) else math.nan
-                   for x, y in zip(xs, ys) if x != y]
+                   for x, y in zip(xs, ys) if x != y and not (math.isnan(x) and math.isnan(y))]
     keys = "".join(f"; {label} {', '.join(names)}" for label, names in
                    (("added", added), ("removed", removed), ("changed", changed)) if names)
     return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g}{keys})"
