@@ -69,7 +69,7 @@ NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
 INT_LIST = _checked(str, lambda t: min(_ints(t), default=0) > 0, "a comma list of positive ints")
 # rows that several subcommands share
 EPS_TOL = (Param("eps", _checked(float, lambda v: 0 < v <= 1e-3, "in (0, 1e-3]"), 1e-6),
-           Param("tol", POS, 1e-8))
+           Param("tol", _checked(float, lambda v: 0 < v < 1, "in (0, 1)"), 1e-8))
 MATERIAL = (Param("n", NONNEG, 0.05), Param("alpha", POS, 0.5), Param("kappa", NONNEG, 0.5),
             Param("theta0", FINITE, 0.0))
 ORBIT = (Param("n", POS, 0.1), Param("alpha", POS, 0.5), Param("nu", POS, 0.1), *EPS_TOL)
@@ -181,7 +181,7 @@ def _energy(p, out):
 def _shoot(p, nu):
     """The planar parameters and their orbit; a failure's message names what, if
     anything, helps: a larger --eps for a long saddle head, a looser --tol for a
-    body that runs to a = tol (lambda2 < 12)."""
+    body that runs to a = tol (where tol lies above the node series' reach)."""
     planar = PlanarParams(n=p["n"], alpha=p["alpha"], nu=nu)
     return planar, shoot_heteroclinic(planar, eps=p["eps"], tol=p["tol"])
 
@@ -198,12 +198,10 @@ def _heteroclinic(p, out):
     planar, orbit = _shoot(p, p["nu"])
     if p["sigma0"] is not None:
         orbit = reparametrize(orbit, p["sigma0"])
-    kappa1 = orbit.kappa1
-    if kappa1 is None:
-        try:
-            kappa1 = estimate_kappa1(orbit)
-        except UnresolvedTailError:   # kappa1 past the float range: a long head and body
-            pass
+    try:
+        kappa1 = estimate_kappa1(orbit)
+    except UnresolvedTailError:   # kappa1 past the float range, where its log is not
+        kappa1 = None
     csv = Path(f"{out}.csv")
     write_csv(csv, {"eta": orbit.eta, "a": orbit.a, "b": orbit.b},
               {"n": planar.n, "alpha": planar.alpha, "nu": planar.nu, "c_nu": planar.c_nu,

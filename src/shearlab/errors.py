@@ -22,7 +22,7 @@ class MaxStepsError(ShearlabError):
 
 
 class UnresolvedTailError(ShearlabError):
-    """The node tail of an orbit is not resolved well enough to reparametrize."""
+    """The node-departure coefficient of an orbit lies past the float range."""
 
 
 class StiffnessError(ShearlabError):

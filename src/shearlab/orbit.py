@@ -51,16 +51,16 @@ integrates backward from W(zeta_r) inside the invariant triangle-like region
 R = {a^2 <= b <= 1, 0 <= a <= 1} by Taylor steps: each step's polynomial
 comes from the same recurrences for a^2 and a^3/b as W's terms, and is
 truncated at round-off (Jorba & Zou, Experimental Math. 14, 2005; Corliss &
-Chang, ACM TOMS 8, 1982).  The body ends at its first sample at or below a_n,
-the junction.  When lambda2 < 12 (a resonance lambda2 = 2m may be near, and
-the series is short) the body runs on to a = tol instead.  Below the junction
-the node tail is sampled from the slow manifold down to a = tol, and the
-node-departure coefficient lim a e^(-eta) = e^(-C) is in closed form on
-every route.  |b - h(a^2)| at the junction is its gap.  Every stretch,
-head, body and tail, is sampled no more than 0.01 apart in eta.  Between
-samples the orbit is a cubic Hermite interpolant in (log a, log b) evaluated
-with NumPy; nothing here imports SciPy.  Reparametrization shifts eta so that
-the node-departure coefficient of a matches a requested amplitude.
+Chang, ACM TOMS 8, 1982).  The body ends at its first sample at or below a_n
+or a = tol, whichever is higher (tol when there is no series, lambda2 <= 2):
+the junction.  Below it the node tail is sampled from the slow manifold down
+to a = tol, and the node-departure coefficient kappa1 = lim a e^(-eta) =
+e^(-C) is in closed form; the orbit carries log kappa1 = -C, finite where
+kappa1 need not be.  |b - h(a^2)| at the junction is its gap.  Every stretch, head, body and tail, is sampled no
+more than 0.01 apart in eta.  Between samples the orbit is a cubic Hermite
+interpolant in (log a, log b) evaluated with NumPy; nothing here imports
+SciPy.  Reparametrization shifts eta so that kappa1 matches a requested
+amplitude, in logs: no product of the two is formed.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._magnus import OdeResult
-from .errors import ParameterError, RegionExitError, MaxStepsError, UnresolvedTailError
+from .errors import ParameterError, RangeError, RegionExitError, MaxStepsError, UnresolvedTailError
 
 __all__ = [
     "PlanarParams",
@@ -165,12 +165,13 @@ def equilibria(p: PlanarParams):
         kind="repelling-node",
     )
     # the roots of lambda^2 - m lambda - 2 alpha/(n nu); the smaller one in size from
-    # their product, as 0.5 (m - root) loses digits to cancellation when m >> 1
+    # their product, as 0.5 (m - root) loses digits to cancellation when m >> 1; where
+    # m^2 overflows, -4 product < 8 (m + 1) is far below its rounding: the root is m
     m = lam2 - 2.0
     product = -2.0 * p.alpha / (p.n * p.nu)
     root = math.sqrt(m * m - 4.0 * product)
     if m >= 0.0:
-        lam_plus = 0.5 * (m + root)
+        lam_plus = 0.5 * (m + root) if root < math.inf else m
         lam_minus = product / lam_plus
     else:
         lam_minus = 0.5 * (m - root)
@@ -194,18 +195,17 @@ class OrbitPath:
     CubicHermiteSpline's coefficients) is 4th-order accurate between
     samples.  ``d`` is b - 1/c_nu; on a series tail it is the series
     sum_{m>=1} beta_m a^(2m) itself, so it keeps its relative precision as
-    a -> 0.  ``eta0`` is the shift applied to match an amplitude sigma0 (0
-    for a freshly shot orbit) and ``kappa1`` the node-departure coefficient
-    lim a(eta) e^(-eta) in the current parametrization (None until
-    estimated).  ``saddle_junction`` is the reach zeta_r of Q's
-    stable-manifold series, of ``saddle_terms`` terms, where the head ends
-    at a = ``a_saddle``, and ``saddle_truncation`` the size of its first
+    a -> 0.  ``log_kappa1`` is the log of the node-departure coefficient
+    lim a(eta) e^(-eta) in the current parametrization, -C from the
+    junction, and ``eta0`` the shift applied to match an amplitude sigma0 (0
+    for a freshly shot orbit).  ``saddle_junction`` is the reach zeta_r of
+    Q's stable-manifold series, of ``saddle_terms`` terms, where the head
+    ends at a = ``a_saddle``, and ``saddle_truncation`` the size of its first
     dropped term there.  ``body_steps`` counts the Taylor steps between the
     head and the tail, 0 when the head reaches the tail.  ``a_junction`` is
     the a at which the slow-manifold series of ``node_terms`` terms takes
     over, the body's end or, with no body, ``a_saddle``, and
-    ``junction_gap`` the |b - h(a^2)| there; ``node_series`` is that series,
-    which gives F(a^2) for ``estimate_kappa1``.
+    ``junction_gap`` the |b - h(a^2)| there.
     """
 
     params: PlanarParams
@@ -222,20 +222,16 @@ class OrbitPath:
     saddle_junction: float
     saddle_truncation: float
     saddle_terms: int
-    node_series: _SlowManifold
+    node_terms: int
     a_saddle: float
     body_steps: int
+    log_kappa1: float
     eta0: float = 0.0
-    kappa1: float | None = None
     sigma0: float | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.eta) > 0):
             raise ParameterError("eta grid must be strictly increasing")
-
-    @property
-    def node_terms(self) -> int:
-        return self.node_series.terms
 
     # Interpolation is done on (log a, log b) with the exact field slopes
     # (da/deta)/a and (db/deta)/b: log a is asymptotically linear on the node
@@ -281,7 +277,6 @@ _SERIES_TOL = 1e-15      # each series is summed out to where its first dropped 
 _SADDLE_TERMS = 40       # the most terms of W
 _NODE_TERMS = 30         # the most terms of h, and fewer than lambda2/2 (the resonance)
 _NODE_REACH_MAX = 0.9    # h is used up to a = 0.9 at most, where F's Gauss rule still converges
-LAMBDA2_SERIES = 12.0    # below this the node series is short: the body runs on to a = tol
 _MAX_STEP = 0.01         # the largest spacing in eta of the samples
 _ORDER = 24              # the degree of the body's Taylor steps
 _S_MAX = 400.0           # the body gives up after this span in s = -eta
@@ -442,8 +437,8 @@ def _stable_manifold(p: PlanarParams, a_stop: float = 0.0):
 
 
 def _series_tail(node: _SlowManifold, eta_j: float, a_j: float, tol: float):
-    """(eta, a, d) of the slow-manifold tail below the junction (eta_j, a_j), and
-    d(a_j^2) = h(a_j^2) - 1/c_nu.
+    """(eta, a, d) of the slow-manifold tail below the junction (eta_j, a_j),
+    d(a_j^2) = h(a_j^2) - 1/c_nu and C.
 
     C = eta_j - log a_j - F(a_j^2) comes from the junction.  The samples lie
     at equal steps of at most _MAX_STEP in eta, from the eta of a = tol up
@@ -473,34 +468,39 @@ def _series_tail(node: _SlowManifold, eta_j: float, a_j: float, tol: float):
         # the error after a step is of the order of its square
         active = active[np.abs(step) > 1e-9 * np.maximum(1.0, np.abs(u[active]))]
     a = np.exp(la)
-    return eta, a, _polyval(node.d_coef, a * a), d_j
+    return eta, a, _polyval(node.d_coef, a * a), d_j, C
 
 
 def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8) -> OrbitPath:
     """The heteroclinic from the two manifold series, with Taylor steps in the gap.
 
-    The node's slow-manifold series is summed out to its reach a_n.  The
-    body stops at a_stop: a_n when lambda2 >= LAMBDA2_SERIES, and tol below
-    it.  Q's stable-manifold series W is given terms until its reach zeta_r
-    lies at or below a = a_stop.  The saddle head is sampled from W, from
-    zeta = eps (eta = 0) down to zeta_r.  When W(zeta_r) lies above a_stop,
-    the body takes Taylor steps from there backward in s = -eta (``_body``),
-    sampled at most _MAX_STEP apart, and stops at its first sample with
-    a <= a_stop.  That sample, or W(zeta_r) itself when the reaches overlap,
-    is the junction (a_junction), and the slow-manifold tail continues below
-    it down to a = tol; it is empty when the junction lies at or below tol.
-    A head longer than _HEAD_S_MAX in s, or a body not done within
-    s = _S_MAX of its start, raises MaxStepsError.  Every sample must stay
-    in R: a step that reaches b <= 0, or a sample outside R, raises
+    The node's slow-manifold series is summed out to its reach a_n, and the
+    body stops at a_stop = max(a_n, tol).  Q's stable-manifold series W is
+    given terms until its reach zeta_r lies at or below a = a_stop.  The
+    saddle head is sampled from W, from zeta = eps (eta = 0) down to zeta_r;
+    a reach below eps, or a stable eigenvalue mu_s that is not negative,
+    raises RangeError.  When W(zeta_r) lies above a_stop, the body takes
+    Taylor steps from there backward in s = -eta (``_body``), sampled at most
+    _MAX_STEP apart, and stops at its first sample with a <= a_stop.  That
+    sample, or W(zeta_r) itself when the reaches overlap, is the junction
+    (a_junction), and the slow-manifold tail continues below it down to
+    a = tol; it is empty when the junction lies at or below tol.  The
+    junction's C, with eta = log a + C + F(a^2) on the tail, gives
+    log_kappa1 = -C.  A head longer than _HEAD_S_MAX in s, or a body not
+    done within s = _S_MAX of its start, raises MaxStepsError.  Every sample
+    must stay in R: a step that reaches b <= 0, or a sample outside R, raises
     RegionExitError.
     """
     if not (0.0 < eps <= 1e-3):
         raise ParameterError(f"eps must be in (0, 1e-3], got {eps}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"tol must be in (0, 1), got {tol}")
     node = _slow_manifold(p)
-    a_stop = node.reach if p.lambda2 >= LAMBDA2_SERIES else tol
+    a_stop = max(node.reach, tol)
     mu, a_coef, b_coef, zeta_r = _stable_manifold(p, a_stop)
+    if not (mu < 0.0 and zeta_r >= eps):
+        raise RangeError(f"the saddle's stable-manifold series reaches zeta = {zeta_r:.3g} "
+                         f"against eps = {eps:g}, with mu_s = {mu:.3e}: no head to sample")
     s_r = math.log(zeta_r / eps) / -mu
     if s_r > _HEAD_S_MAX:
         raise MaxStepsError(
@@ -513,7 +513,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8) ->
     a_saddle = float(a[0])
     body_steps = 0
     if a_saddle > a_stop:
-        sol = _body(p, s_r, a_saddle, float(b[0]), a_stop)
+        sol = _body(p, s_r, a_saddle, float(b[0]), a_stop, tol)
         body_steps = sol.nfev
         # reverse to increasing eta = -s, and append the head past its first sample
         eta = np.concatenate([-sol.t[::-1], eta[1:]])
@@ -521,7 +521,7 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8) ->
         b = np.concatenate([sol.y[1][::-1], b[1:]])
     d = b - p.node[1]
     a_junction = float(a[0])
-    eta_t, a_t, d_t, d_j = _series_tail(node, float(eta[0]), a_junction, tol)
+    eta_t, a_t, d_t, d_j, C = _series_tail(node, float(eta[0]), a_junction, tol)
     junction_gap = abs(float(d[0]) - d_j)
     eta = np.concatenate([eta_t, eta])
     a = np.concatenate([a_t, a])
@@ -543,7 +543,8 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8) ->
                      a_junction=a_junction, junction_gap=junction_gap,
                      saddle_junction=zeta_r, saddle_terms=terms,
                      saddle_truncation=math.hypot(a_coef[0], b_coef[0]) * zeta_r ** (terms + 1),
-                     node_series=node, a_saddle=a_saddle, body_steps=body_steps)
+                     node_terms=node.terms, a_saddle=a_saddle, body_steps=body_steps,
+                     log_kappa1=-C)
 
 
 def solve_ivp(fun, t_span, y0, stop):
@@ -605,9 +606,9 @@ def solve_ivp(fun, t_span, y0, stop):
     return OdeResult(t=t, y=y, status=status, nfev=len(steps))
 
 
-def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float):
+def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float, tol: float):
     """Taylor steps of order _ORDER, backward from (a_r, b_r) at s = s_r, to the first
-    sample at a <= a_stop, within s = s_r + _S_MAX.
+    sample at a <= a_stop, within s = s_r + _S_MAX (a looser tol helps if a_stop is tol).
 
     Each step's coefficients follow order by order from the backward field,
     (m + 1) a_(m+1) = (a^3/b)_m - a_m and (m + 1) b_(m+1) = g (k (a^2)_m - c_nu b_m)
@@ -634,8 +635,7 @@ def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float):
     sol = solve_ivp(taylor, (s_r, s_r + _S_MAX), (a_r, b_r), stop=lambda a, b: a <= a_stop)
     if sol.status == 0:
         a_end, b_end = sol.y[:, -1]
-        # below LAMBDA2_SERIES the body stops at a = tol
-        remedy = "; a looser tol ends it sooner" if p.lambda2 < LAMBDA2_SERIES else ""
+        remedy = "; a looser tol ends it sooner" if a_stop == tol else ""
         raise MaxStepsError(
             f"orbit did not reach a = {a_stop:.6g} within s = {_S_MAX:g} of the shoot's start: it "
             f"covered s = {s_r:.6g} to {s_r + _S_MAX:.6g}, from a = {a_r:.6g} to a = "
@@ -648,36 +648,26 @@ def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float):
 
 
 def estimate_kappa1(path: OrbitPath) -> float:
-    """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization.
-
-    It is the closed form e^(-C) = a e^(-eta) e^(F(a^2)) at the deepest
-    sample, with F from the path's own ``node_series``.  That sample must lie
-    on the slow-manifold tail, at or below a_junction, and e^(-C) within the
-    float range; otherwise UnresolvedTailError.
-    """
-    a_min = float(path.a[0])
-    if a_min > path.a_junction:
-        raise UnresolvedTailError(f"the deepest sample, a = {a_min:.6g}, lies above the "
-                                  f"junction at a = {path.a_junction:.6g}")
-    f = float(path.node_series.F(np.array([a_min * a_min]))[0])
-    log_kappa1 = math.log(a_min) - path.eta[0] + f
+    """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization:
+    e^(log_kappa1), or UnresolvedTailError where that leaves the float range."""
     try:
-        return math.exp(log_kappa1)
+        return math.exp(path.log_kappa1)
     except OverflowError:
         raise UnresolvedTailError(f"a(eta)e^-eta overflows on the tail (log kappa1 = "
-                                  f"{log_kappa1:.6g})") from None
+                                  f"{path.log_kappa1:.6g})") from None
 
 
 def reparametrize(path: OrbitPath, sigma0: float) -> OrbitPath:
     """Shift eta so the parametrization matches the amplitude sigma0.
 
-    With kappa1 the current node-departure coefficient of a(eta)e^(-eta), the
-    shift eta0 = log(1/(kappa1 sigma0)) makes the new parametrization satisfy
-    a(eta) ~ (1/sigma0) e^eta on the node tail; the grid moves by -eta0.
+    The shift eta0 = -log kappa1 - log sigma0 makes the new parametrization
+    satisfy a(eta) ~ (1/sigma0) e^eta on the node tail, with log kappa1 =
+    -log sigma0; the grid moves by -eta0.  Both are formed from logs, so
+    they stay finite for every sigma0 > 0 and every orbit.
     """
     if sigma0 <= 0.0:
         raise ParameterError(f"sigma0 must be > 0, got {sigma0}")
-    kappa1 = estimate_kappa1(path)
-    eta0 = math.log(1.0 / (kappa1 * sigma0))
-    return replace(path, eta=path.eta - eta0, eta0=eta0,
-                   kappa1=kappa1 * math.exp(eta0), sigma0=float(sigma0))
+    log_sigma0 = math.log(sigma0)
+    eta0 = -path.log_kappa1 - log_sigma0
+    return replace(path, eta=path.eta - eta0, eta0=eta0, log_kappa1=-log_sigma0,
+                   sigma0=float(sigma0))

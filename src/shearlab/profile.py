@@ -136,6 +136,7 @@ class Profile:
 # fields with sigma0 or 1/sigma0: inside this range the inner extension's xi^2
 # and the residual norms' r^2 stay finite
 SIGMA0_RANGE = (1e-150, 1e150)
+_LOG_MAX = math.log(np.finfo(float).max)   # xi = e^eta overflows above it
 
 
 def reconstruct(path: OrbitPath) -> Profile:
@@ -143,7 +144,8 @@ def reconstruct(path: OrbitPath) -> Profile:
 
     Samples at xi = e^eta over the path's own grid; endpoint data follow from
     U0 Sigma0 = c_nu and Theta0 = ((n+1)/alpha) log U0 - (1/alpha) log c_nu.
-    Raises RangeError for a sigma0 outside SIGMA0_RANGE.
+    Raises RangeError for a sigma0 outside SIGMA0_RANGE, and for an orbit
+    whose eta passes log of the largest float, where xi = e^eta overflows.
     """
     if path.sigma0 is None:
         raise ParameterError("path must be reparametrized (sigma0 fixed) first")
@@ -153,6 +155,9 @@ def reconstruct(path: OrbitPath) -> Profile:
     if not lo <= sigma0 <= hi:
         raise RangeError(f"sigma0 = {sigma0:.3e} is outside [{lo:g}, {hi:g}], "
                          "where the profile and its residuals stay finite")
+    if path.eta[-1] > _LOG_MAX:
+        raise RangeError(f"the orbit at sigma0 = {sigma0:.3e} reaches eta = {path.eta[-1]:.6g}, "
+                         f"past log of the largest float, {_LOG_MAX:.6g}: xi = e^eta overflows")
     U0 = p.c_nu / sigma0
     Theta0 = (p.n + 1.0) / p.alpha * math.log(U0) - math.log(p.c_nu) / p.alpha
     xi = np.exp(path.eta)

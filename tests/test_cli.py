@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -72,6 +74,8 @@ USAGE_ERRORS = [
     ("heteroclinic", "eps", 0),
     ("heteroclinic", "eps", 0.01),
     ("profile", "tol", 0),
+    ("heteroclinic", "tol", 1e300),    # tol in (0, 1): tol^2 once overflowed
+    ("localize", "tol", 1),
     ("simulate", "N", 8),
     ("simulate", "frames", 1),
     ("simulate", "atol", -1),
@@ -375,16 +379,19 @@ def _probe_b(b):
     # a body that does not reach the node series in its span says what it covered
     (("residual",), ("_S_MAX", 0.5), r"did not reach a = 0\.\d+ within s = 0\.5 of the shoot's "
      r"start: it covered s = [\d.]+ to [\d.]+, from a = 0\.7\d+ to a = 0\.\d+ ", None),
-    # below lambda2 = 12 (here 3) the body runs to a = tol: a looser tol ends it sooner
-    (("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1"), ("_S_MAX", 0.5),
+    # with no node series (lambda2 = 1.4) the body runs to a = tol: a looser tol ends
+    # it sooner
+    (("heteroclinic", "--n", "5", "--alpha", "0.5", "--nu", "0.5"), ("_S_MAX", 0.5),
      "did not reach a = 1e-08 within s = 0.5", "; a looser tol ends it sooner"),
+    # at lambda2 = 3 it runs to the series' reach, 2.2e-8, whatever the tol below it
+    (("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1"), ("_S_MAX", 0.5),
+     r"did not reach a = 2\.23607e-08 within s = 0\.5 ", None),
     # no option changes where a trial step goes
     (("residual",), ("solve_ivp", _probe_b(-1e-3)),
      r"a step left the region R at eta = -[\d.]+ \(b = -0.001 <= 0\)$", None),
-], ids=["long-head", "short-body", "node-route", "region-exit"])
+], ids=["long-head", "short-body", "node-route", "reach-route", "region-exit"])
 def test_shoot_failure_names_what_helps(tmp_path, capsys, monkeypatch, argv, patch, message,
                                         remedy):
-    import re
     import shearlab.orbit as orbit
 
     if patch is not None:
@@ -535,6 +542,62 @@ def test_heteroclinic_junction_below_tol_leaves_an_empty_tail(tmp_path):
     assert float(meta["a_junction"]) == data["a"][0] < 0.5
     kappa1 = float(read_csv(tmp_path / "heteroclinic.csv")[0]["kappa1"])
     assert float(meta["kappa1"]) == pytest.approx(kappa1, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("argv, kappa1", [
+    (("--sigma0", "1e306"), 1e-306),
+    # log kappa1 = 596.8 before the shift: kappa1 sigma0 would be 1e359
+    (("--n", "0.109", "--alpha", "0.05", "--nu", "4.739", "--sigma0", "1e100"), 1e-100),
+    # a subnormal sigma0: kappa1 = 1/sigma0 lies past the float range
+    (("--sigma0", "1e-310"), None),
+], ids=["sigma0-1e306", "log-kappa1-596.8", "sigma0-1e-310"])
+def test_heteroclinic_shifts_by_logs_at_any_sigma0(tmp_path, argv, kappa1):
+    # eta0 = -log kappa1 - log sigma0 and log kappa1 = -log sigma0 after the shift:
+    # no product kappa1 sigma0 is formed, and kappa1 reads none past the float range
+    assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == 0
+    meta, data = read_csv(tmp_path / "heteroclinic.csv")
+    log_sigma0 = math.log(float(argv[-1]))
+    if kappa1 is None:
+        assert meta["kappa1"] == "none"
+    else:
+        assert float(meta["kappa1"]) == pytest.approx(kappa1, rel=1e-12, abs=0)
+    # a e^-eta at the deepest sample, in logs, is log kappa1 to F(a^2) ~ 1e-16
+    assert math.log(data["a"][0]) - data["eta"][0] == pytest.approx(-log_sigma0, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", "--n", "0.109", "--alpha", "0.01717", "--nu", "4.739"),
+    ("localize", "--n", "0.109", "--alpha", "0.01717", "--lambda", "4.739"),
+], ids=["profile", "localize"])
+def test_profile_past_the_float_range_of_xi_is_refused(tmp_path, capsys, argv):
+    # lambda2 = 10.2: log kappa1 = 1721.4, so the orbit shifted to sigma0 reaches
+    # eta = 1721 at its saddle end, where xi = e^eta overflows; once this exited 3
+    # on kappa1's overflow, and without a guard it writes inf rows and exits 0
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "RangeError"
+    assert re.search(r"reaches eta = 172\d\.\d+, past log of the largest float, 709\.783: "
+                     r"xi = e\^eta overflows$", payload["message"]), payload
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--n", "1e-300"), 0),       # m^2 overflows; mu_s = -5/3 from the larger root m
+    (("--alpha", "1e300"), 3),    # mu_s = -2, and W's terms overflow: its reach is nan
+    (("--nu", "1e-300"), 3),
+    (("--nu", "1e300"), 3),       # mu_s = -1.1e-300: W reaches zeta = 3.3e-8 < eps
+    (("--alpha", "1e-30"), 3),    # mu_s = -2.2e-29: zeta_r = 2.3e-8
+], ids=["n-1e-300", "alpha-1e300", "nu-1e-300", "nu-1e300", "alpha-1e-30"])
+def test_extreme_saddle_is_shot_or_named(tmp_path, capsys, argv, code):
+    # each once exited 1: mu_s = -0.0 from an overflowing m^2, or a negative or
+    # nan count of head samples
+    assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == code
+    if code == 3:
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RangeError"
+        assert re.search(r"series reaches zeta = \S+ against eps = 1e-06, with mu_s = -\d",
+                         payload["message"]), payload
+        assert not list(tmp_path.iterdir())
 
 
 def test_localize_at_small_lambda2_takes_a_coarse_tol(tmp_path):
@@ -838,7 +901,7 @@ def test_overflowing_endpoint_fits_are_numerical_failure(tmp_path, sigma0):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("sigma0", ["1e300", "1e-300"])
+@pytest.mark.parametrize("sigma0", ["1e300", "1e-300", "1e306"])
 @pytest.mark.parametrize("cmd", ["profile", "localize", "residual"])
 def test_extreme_sigma0_is_rejected_before_any_output(tmp_path, cmd, sigma0):
     proc = subprocess.run([sys.executable, "-m", "shearlab.cli", cmd, "--sigma0", sigma0,

@@ -108,6 +108,29 @@ def test_stable_eigenvalue_keeps_its_digits_at_large_lambda2():
             assert abs(char) <= 4e-16 * (abs(m * lam) + abs(product)), float(char)
 
 
+def test_stable_eigenvalue_where_m_squared_overflows():
+    # n = 1e-300, alpha = 1e300 and nu = 1e-300 put m = lambda2 - 2 at 6e300, 1e302
+    # and 5e300, where m^2 overflows: the larger root is m to its rounding (4 |product|
+    # < 8 (m + 1)), and both roots satisfy the characteristic polynomial, evaluated
+    # exactly on the floats, to round-off.  Where m^2 is finite, the roots keep the
+    # bits of 0.5 (m + sqrt(m^2 - 4 product)) and product over it
+    for key in ((1e-300, 0.5, 0.1), (0.1, 1e300, 0.1), (0.1, 0.5, 1e-300)):
+        p = PlanarParams(*key)
+        m = Fraction(p.alpha) / (Fraction(p.n) * Fraction(p.nu)) * (
+            1 + Fraction(p.nu) * (Fraction(p.n) + 1) / Fraction(p.alpha)) - 2
+        product = -2 * Fraction(p.alpha) / (Fraction(p.n) * Fraction(p.nu))
+        lam_minus, lam_plus = equilibria(p)[1].eigenvalues
+        assert lam_plus == p.lambda2 - 2.0 and -2.0 <= lam_minus < -1.6
+        for lam in (Fraction(lam_minus), Fraction(lam_plus)):
+            char = lam * lam - m * lam + product
+            assert abs(char) <= Fraction("4e-16") * (abs(m * lam) + abs(product)), key
+    for p in (REF, *(PlanarParams(*key) for key in SWEEP)):
+        m = p.lambda2 - 2.0
+        product = -2.0 * p.alpha / (p.n * p.nu)
+        lam_plus = 0.5 * (m + math.sqrt(m * m - 4.0 * product))
+        assert equilibria(p)[1].eigenvalues == (product / lam_plus, lam_plus)
+
+
 def test_stable_direction_points_into_region():
     # 0 < 2 + lambda_minus < 2 across a parameter sweep
     for n in (0.05, 0.1, 0.5):
@@ -136,7 +159,8 @@ def test_shooter_rejects_bad_eps():
         shoot_heteroclinic(REF, eps=1e-2)
     with pytest.raises(ParameterError):
         shoot_heteroclinic(REF, eps=0.0)
-    for tol in (0.0, -1e-8, math.nan):
+    # tol in (0, 1): at 1 and above, tol^2 leaves the node series' range
+    for tol in (0.0, -1e-8, math.nan, 1.0, 1e300):
         with pytest.raises(ParameterError, match="tol"):
             shoot_heteroclinic(REF, tol=tol)
 
@@ -204,15 +228,6 @@ def test_kappa1_plateau_and_positivity(ref_orbit):
     assert kappa1 == pytest.approx(q[0], rel=1e-6)
 
 
-def test_unresolved_tail_raises(ref_orbit):
-    from dataclasses import replace
-    stub = replace(ref_orbit, eta=ref_orbit.eta[-200:], a=ref_orbit.a[-200:],
-                   b=ref_orbit.b[-200:], da=ref_orbit.da[-200:],
-                   db=ref_orbit.db[-200:])
-    with pytest.raises(UnresolvedTailError):
-        estimate_kappa1(stub)
-
-
 def test_kappa1_past_the_float_range_is_unresolved():
     # lambda2 = 10.2, mu_s = -8.1e-3: the head and the body span eta down to -1740,
     # and e^(-C) = e^1721 overflows
@@ -233,7 +248,10 @@ def test_reparametrize_matches_amplitude(ref_orbit):
     path = reparametrize(ref_orbit, sigma0)
     q = path.a * np.exp(-path.eta)
     assert q[0] == pytest.approx(1.0 / sigma0, rel=1e-3)
-    assert path.kappa1 == pytest.approx(1.0 / sigma0, rel=1e-12, abs=0)
+    # the shift and the new coefficient come from logs alone
+    assert path.log_kappa1 == -math.log(sigma0)
+    assert path.eta0 == -ref_orbit.log_kappa1 - math.log(sigma0)
+    assert estimate_kappa1(path) == pytest.approx(1.0 / sigma0, rel=1e-12, abs=0)
     assert path.sigma0 == sigma0
     with pytest.raises(ParameterError):
         reparametrize(ref_orbit, -1.0)
@@ -369,10 +387,10 @@ def test_shooter_matches_vector_field_reference(n, alpha, nu):
     ((0.05, 0.5, 0.5), 6, 1e-13),             # the sweep's other three bodies
     ((0.1, 0.5, 0.5), 5, 1e-13),
     ((0.1, 1.0, 0.5), 5, 1e-13),
-    ((1.0, 1.0, 1.0), 16, 1e-13),             # lambda2 = 3, to a = 1e-8
-    ((5.0, 0.5, 0.5), 17, 1e-13),             # lambda2 = 1.4, to a = 1e-8
+    ((1.0, 1.0, 1.0), 16, 1e-13),             # lambda2 = 3, to the node series' reach 2.2e-8
+    ((5.0, 0.5, 0.5), 17, 1e-13),             # lambda2 = 1.4, no node series: to a = 1e-8
     ((0.01982, 0.02816, 2.438), 138, 2e-12),  # mu_s = -0.023, from a slow saddle
-    ((0.109, 0.01717, 4.739), 87, 2e-11),     # lambda2 = 10.2, to a = 1e-8
+    ((0.109, 0.01717, 4.739), 75, 2e-11),     # lambda2 = 10.2, to the reach 1.8e-3
 ], ids=["0.05-0.5-0.5", "0.1-0.5-0.5", "0.1-1.0-0.5", "3", "1.4", "slow-saddle", "10.2"])
 def test_taylor_body_matches_radau(key, steps, bound):
     # DOPRI5 took 213, 229, 183, 1799, 1885, 3269 and 9879 steps on these bodies.
@@ -436,25 +454,25 @@ def test_a_step_below_the_spacing_of_s_ends_the_solve():
 
 
 def test_series_kappa1_takes_F_from_the_shoots_own_series(monkeypatch, ref_orbit):
-    # the closed form e^(-C) at the deepest sample, with F from the series the shoot
-    # kept on the path: no slow-manifold series is built again
-    a0 = ref_orbit.a[0]
-    assert ref_orbit.a_junction is not None and a0 <= ref_orbit.a_junction
-    f = float(orbit._slow_manifold(REF).F(np.array([a0 * a0]))[0])
+    # log kappa1 is -C, formed at the junction with F from the series the shoot
+    # built; estimate_kappa1 builds no slow-manifold series again, nor evaluates F
+    a_j = ref_orbit.a_junction
+    (i,) = np.flatnonzero(ref_orbit.a == a_j)
+    f = float(orbit._slow_manifold(REF).F(np.array([a_j * a_j]))[0])
+    assert ref_orbit.log_kappa1 == -(ref_orbit.eta[i] - math.log(a_j) - f)
     monkeypatch.setattr(orbit, "_slow_manifold", None)
-    assert estimate_kappa1(ref_orbit) == math.exp(math.log(a0) - ref_orbit.eta[0] + f)
+    assert estimate_kappa1(ref_orbit) == math.exp(ref_orbit.log_kappa1)
 
 
 @pytest.mark.parametrize("n, alpha, nu", SWEEP)
-def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, nu):
-    # the closed form at the series tail against a e^-eta at the deepest sample
-    # of an orbit whose Taylor body is shot on to a = 1e-8
+def test_series_kappa1_matches_a_tight_shot_to_the_node(n, alpha, nu):
+    # the closed form at the series tail against a e^-eta at the end of a Taylor
+    # body shot from the saddle junction on to a = 1e-8
     p = PlanarParams(n=n, alpha=alpha, nu=nu)
     series = shoot_heteroclinic(p)
-    monkeypatch.setattr(orbit, "LAMBDA2_SERIES", math.inf)
-    shot = shoot_heteroclinic(p)
-    # the body ends below tol, so the tail is empty
-    assert shot.a_junction == shot.a[0] <= 1e-8 < shot.a[1]
+    s_r, a_r, b_r = _junction(series)
+    shot = orbit._body(p, s_r, a_r, b_r, 1e-8, 1e-8)
+    assert shot.y[0][-1] <= 1e-8 < shot.y[0][-2]
     # the junction is the shoot's first sample at or below a = 1e-2: the body
     # sample after it in eta, the one before it in the shoot, lies above
     (i,) = np.flatnonzero(series.a == series.a_junction)
@@ -466,9 +484,8 @@ def test_series_kappa1_matches_a_tight_shot_to_the_node(monkeypatch, n, alpha, n
         # the saddle series reaches into the node series' reach
         assert series.a[i] == series.a_saddle <= a_n
     kappa1 = estimate_kappa1(series)
-    assert kappa1 == pytest.approx((shot.a * np.exp(-shot.eta))[0], rel=1e-12, abs=0)
+    assert kappa1 == pytest.approx(shot.y[0][-1] * math.exp(shot.t[-1]), rel=1e-12, abs=0)
     # from a shallower tail, where e^F(a^2) differs from 1 by ~1e-7
-    monkeypatch.undo()
     shallow = shoot_heteroclinic(p, tol=5e-4)
     assert estimate_kappa1(shallow) == pytest.approx(kappa1, rel=1e-14, abs=0)
 
@@ -493,12 +510,15 @@ def test_tail_d_over_a2_tends_to_beta1(n, alpha, nu):
 
 
 def test_fallback_shoots_to_the_node_bit_for_bit(monkeypatch):
-    # lambda2 = 3 < LAMBDA2_SERIES: below the saddle's series head the orbit is
-    # the plain Taylor shoot from W(zeta_r) to its first sample at or below
-    # a = tol; the series tail below it is empty, and kappa1 the closed form
-    # at the body's end, which is a e^-eta there to rounding
+    # lambda2 = 3: the node series has no terms (h = 1/c_nu), only a reach of
+    # 2.2e-8.  Below the saddle's series head the orbit is the plain Taylor shoot
+    # from W(zeta_r) to its first sample at or below that reach, the junction;
+    # the series tail runs on below it to a = tol, and kappa1 is the closed form
+    # at the junction, which is a e^-eta at the deepest sample to rounding
     p = PlanarParams(n=1.0, alpha=1.0, nu=1.0)
     assert p.lambda2 == 3.0
+    a_n = orbit._slow_manifold(p).reach
+    assert a_n == pytest.approx(2.236e-8, rel=1e-3, abs=0)
     funs = []
 
     def recorded(fun, *args, **kwargs):
@@ -509,20 +529,23 @@ def test_fallback_shoots_to_the_node_bit_for_bit(monkeypatch):
     monkeypatch.setattr(orbit, "solve_ivp", recorded)
     path = shoot_heteroclinic(p)
     s_j, a_j, b_j = _junction(path)
-    sol = solve(funs[0], (s_j, s_j + 400.0), (a_j, b_j), stop=lambda a, b: a <= 1e-8)
+    sol = solve(funs[0], (s_j, s_j + 400.0), (a_j, b_j), stop=lambda a, b: a <= a_n)
+    (i,) = np.flatnonzero(path.a == path.a_junction)
     body = path.eta <= -s_j
+    body[:i] = False
     assert path.saddle_terms == orbit._SADDLE_TERMS and path.node_terms == 0
     assert path.body_steps == sol.nfev == 16
-    assert body.sum() == sol.t.size == 1809 and path.eta.size == 3221
+    assert body.sum() == sol.t.size == 1728 and i == 81 and path.eta.size == 3221
     assert path.eta[body].tobytes() == (-sol.t[::-1]).tobytes()
     assert path.a[body].tobytes() == sol.y[0][::-1].tobytes()
     assert path.b[body].tobytes() == sol.y[1][::-1].tobytes()
+    assert path.a_junction <= a_n < path.a[i + 1]
+    assert path.a[0] == pytest.approx(1e-8, rel=1e-12, abs=0)
     # h = 1/c_nu with no terms: the gap is b - 1/c_nu, about 2 a^2 to b's rounding
-    assert path.a_junction == path.a[0] <= 1e-8 < path.a[1]
-    assert path.junction_gap == path.d[0]
-    assert abs(path.junction_gap - 2.0 * path.a[0] ** 2) <= np.spacing(path.b[0])
-    a0 = path.a[0]
-    assert estimate_kappa1(path) == math.exp(math.log(a0) - path.eta[0] + 1.5 * (a0 * a0))
+    assert path.junction_gap == path.d[i]
+    assert abs(path.junction_gap - 2.0 * path.a_junction ** 2) <= np.spacing(path.b[i])
+    a_j = path.a_junction
+    assert estimate_kappa1(path) == math.exp(math.log(a_j) - path.eta[i] + 1.5 * (a_j * a_j))
     # to the rounding of the exponent, 13.7: its spacing is 1.8e-15
     assert estimate_kappa1(path) == pytest.approx(path.a[0] * math.exp(-path.eta[0]),
                                                   rel=4e-15, abs=0)
@@ -534,15 +557,21 @@ def test_fallback_shoots_to_the_node_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("key", [(5.0, 0.5, 0.5), (1.0, 1.0, 1.0), (1.0, 0.5, 0.25),
                                  (2.0, 1.0, 0.1)], ids=["1.4", "3", "4", "6.5"])
 def test_coarse_tol_kappa1_matches_the_tight_one(key):
-    # below LAMBDA2_SERIES the body stops at a = tol, and kappa1 is the closed form
-    # there with the short series' F: at tol 1e-2 it is off by the O(a^lambda2)
-    # and O(a^4) terms h leaves out (3.8e-6 at lambda2 = 1.4), at 1e-4 by 4e-13 at
-    # most; a e^-eta alone is off by F(1e-4), about c_nu 5e-5
+    # the body stops at a_stop = max(reach, tol): at tol 1e-2, above each of these
+    # node series' reaches, it stops at a = tol, and kappa1 is the closed form
+    # there with the short series' F, off by the O(a^lambda2) and O(a^4) terms h
+    # leaves out (3.8e-6 at lambda2 = 1.4); at 1e-4, below the reach at
+    # lambda2 = 6.5 (2.5e-3), by 4e-13 at most; a e^-eta alone is off by F(1e-4),
+    # about c_nu 5e-5
     p = PlanarParams(*key)
+    reach = orbit._slow_manifold(p).reach
     tight = estimate_kappa1(shoot_heteroclinic(p))
     for tol, rel in ((1e-2, 5e-6), (1e-4, 1e-12)):
         path = shoot_heteroclinic(p, tol=tol)
-        assert path.a[0] == path.a_junction <= tol < path.a[1]
+        (i,) = np.flatnonzero(path.a == path.a_junction)
+        assert path.a_junction <= max(reach, tol) < path.a[i + 1]
+        # the deepest sample, a body's or the tail's, lies within 0.01 in eta of tol
+        assert path.a[0] == pytest.approx(tol, rel=1e-2, abs=0)
         assert estimate_kappa1(path) == pytest.approx(tight, rel=rel, abs=0), tol
 
 
@@ -623,7 +652,7 @@ def test_F_matches_a_composite_rule_out_to_the_reach(key):
     ((2.0, 1.0, 0.1), 6.5, 2),
 ])
 def test_slow_manifold_at_small_lambda2(key, lambda2, terms):
-    # below LAMBDA2_SERIES the series is short: its h solves the invariance
+    # at small lambda2 the series is short: its h solves the invariance
     # equation 2 s h' (h - s) = g h (c_nu h - 1 - k s) through s^terms, in exact
     # arithmetic on the float coefficients, and F integrates 1/(2 (h - s)) for
     # that same h out to s = 1e-2, where a coarse tol of 0.1 puts the junction

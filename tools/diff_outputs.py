@@ -6,12 +6,15 @@ Runs a fixed set of CLI calls in each tree: every subcommand at its defaults,
 the metastability config at full size and cut down, four stiff ``modes`` runs
 (mode 1 to tau 100 and 600, mode 40 to 600, and mode 40 to 10 from a start
 off its slow manifold), an ``energy`` run whose k(0) is about 3e9, four runs
-at lambda2 = 3, below the orbit's LAMBDA2_SERIES (``heteroclinic`` and
+at lambda2 = 3, where the node series has no terms (``heteroclinic`` and
 ``localize``, each at its default tol and a coarse one), two ``heteroclinic``
 runs with the longest orbit bodies (from a slow saddle, mu_s = -0.023, and
-at lambda2 = 10.2 down to the node), a ``residual`` study at the least grids
-with steps that are not binary fractions (``--xmax 3.7 --tmax 7.1 --nx0 17
---nt0 9 --levels 3``), and the first pass of each benchmark workload at seed
+at lambda2 = 10.2), a ``residual`` study at the least grids with steps that
+are not binary fractions (``--xmax 3.7 --tmax 7.1 --nx0 17 --nt0 9
+--levels 3``), three calls at the edges of the float range (``heteroclinic
+--sigma0 1e306``, ``profile`` at lambda2 = 10.2, where log kappa1 = 1721,
+and ``heteroclinic --n 1e-300``, where m^2 overflows in the saddle's
+eigenvalues), and the first pass of each benchmark workload at seed
 11 (argv from ``perfbench.ops.passes``).  Each call is a fresh ``python3 -m
 shearlab.cli`` with the tree's ``src`` on PYTHONPATH and the tree as working
 directory, writing into its own temporary directory.
@@ -58,13 +61,18 @@ CALLS += [(*STIFF, "--kappa", "0.1", "--theta0", "0.3", "--j", "1", "--tau-end",
           (*STIFF, "--kappa", "0.2", "--theta0", "1", "--j", "40", "--tau-end", "10"),
           ("energy", "--n", "0.002719", "--alpha", "8.389", "--kappa", "0.01418",
            "--theta0", "3.11", "--jmodes", "1,2", "--tau-end", "5.811")]
-# lambda2 = 3, where the orbit's body runs down to a = tol; no benchmark op goes there
+# lambda2 = 3, where the node series has no terms; no benchmark op goes there
 ORBIT_3 = ("heteroclinic", "--n", "1", "--alpha", "1", "--nu", "1")
 LOCALIZE_3 = ("localize", "--n", "1", "--alpha", "1", "--lambda", "1", "--sigma0", "1")
 CALLS += [ORBIT_3, (*ORBIT_3, "--tol", "1e-2"), LOCALIZE_3, (*LOCALIZE_3, "--tol", "1e-3")]
-# the longest bodies between the orbit's two series: from a slow saddle, and to the node
+# the longest bodies between the orbit's two series: from a slow saddle, and at
+# lambda2 = 10.2
+ORBIT_10 = ("--n", "0.109", "--alpha", "0.01717", "--nu", "4.739")
 CALLS += [("heteroclinic", "--n", "0.01982", "--alpha", "0.02816", "--nu", "2.438"),
-          ("heteroclinic", "--n", "0.109", "--alpha", "0.01717", "--nu", "4.739")]
+          ("heteroclinic", *ORBIT_10)]
+# the edges of the float range: sigma0 near its top, xi = e^eta past it, and m^2 past it
+CALLS += [("heteroclinic", "--sigma0", "1e306"), ("profile", *ORBIT_10),
+          ("heteroclinic", "--n", "1e-300")]
 # grid steps that are not binary fractions, so no level's grid is a slice of a dyadic one
 CALLS += [("residual", "--xmax", "3.7", "--tmax", "7.1", "--nx0", "17", "--nt0", "9",
            "--levels", "3")]
