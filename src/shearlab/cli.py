@@ -5,12 +5,16 @@ comes from its flag, else the ``--config`` JSON (same validators, unknown keys
 rejected), else the default; the resolved values are the manifest's
 ``parameters`` and, fed back as ``--config``, reproduce the run bit-for-bit.
 
+Importing this module loads, of shearlab, only ``errors``, ``_csvio`` and ``material``;
+a subcommand imports the computing modules it ``uses`` when it runs (``_LAZY``).
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure (error JSON on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import re
@@ -24,14 +28,31 @@ import numpy as np
 from . import __version__
 from ._csvio import write_csv, write_manifest
 from .errors import ShearlabError, UnresolvedTailError
-from .material import (MaterialParams, ScalingParams, power_law_stress, uniform_shear,
-                       tau_of_t, t_of_tau)
-from .stability import spectrum, integrate_mode, energy_certificate, energy_decay_check
-from .orbit import PlanarParams, estimate_kappa1, shoot_heteroclinic, reparametrize
-from .profile import reconstruct, ode_residual, endpoint_report
-from .localization import (MIN_T_POINTS, MIN_X_POINTS, LocalizedSolution, band_diagnostics,
-                           residual_convergence)
-from .pdesim import MIN_SPAN, SimConfig, run as run_sim
+from .material import (MIN_SPAN, MIN_T_POINTS, MIN_X_POINTS, MaterialParams, ScalingParams,
+                       SimSettings, power_law_stress, uniform_shear, tau_of_t, t_of_tau)
+
+# the names the bodies call, by computing module; run_sim is pdesim's run
+_LAZY = {"stability": ("spectrum", "integrate_mode", "energy_certificate", "energy_decay_check"),
+         "orbit": ("PlanarParams", "estimate_kappa1", "shoot_heteroclinic", "reparametrize"),
+         "profile": ("reconstruct", "ode_residual", "endpoint_report"),
+         "localization": ("LocalizedSolution", "band_diagnostics", "residual_convergence"),
+         "pdesim": ("SimConfig", "run_sim")}
+
+
+def _bind(module: str) -> None:
+    """Bind here the names of ``module`` not bound yet (a tracer's stays), all at once."""
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, "run" if name == "run_sim" else name))
+
+
+def __getattr__(name):
+    """A name of ``_LAZY``, bound on first use (PEP 562)."""
+    module = next((m for m, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 class Param(NamedTuple):
@@ -89,11 +110,16 @@ def _choice(*options):
 COMMANDS: dict[str, tuple] = {}
 
 
-def command(name: str, help: str, *params: Param):
-    """Register ``body(p, out) -> (output paths, summary line)`` as ``name``;
-    a body may fill in a value of ``p`` it derived, for the manifest to record."""
+def command(name: str, help: str, *params: Param, uses: tuple[str, ...] = ()):
+    """Register ``body(p, out) -> (output paths, summary line)`` as ``name``; it runs
+    once the ``_LAZY`` names of the modules in ``uses``, which it calls, are bound.
+    A body may fill in a value of ``p`` it derived, for the manifest to record."""
     def register(body):
-        COMMANDS[name] = (help, params, body)
+        def run(p, out):
+            for module in uses:
+                _bind(module)
+            return body(p, out)
+        COMMANDS[name] = (help, params, run)
         return body
     return register
 
@@ -122,7 +148,7 @@ _REGIMES = {(True, True): "hadamard", (True, False): "turing",
 
 @command("spectrum", "frozen-coefficient mode spectrum",
          Param("n", NONNEG, 0.1), Param("alpha", POS, 0.5), Param("k", NONNEG, 0.0),
-         Param("jmax", POS_INT, 64))
+         Param("jmax", POS_INT, 64), uses=("stability",))
 def _spectrum(p, out):
     sp = spectrum(_material(p), p["k"], p["jmax"])
     regime = _REGIMES[(p["k"] == 0.0, p["n"] == 0.0)]
@@ -136,7 +162,7 @@ def _spectrum(p, out):
 @command("modes", "integrate one perturbation mode in rescaled time",
          *MATERIAL, Param("j", NONNEG_INT, 1), Param("init_u", FINITE, 1.0),
          Param("init_theta", FINITE, 1.0), Param("tau_end", POS, 5.0),
-         Param("frozen_k", NONNEG, None))
+         Param("frozen_k", NONNEG, None), uses=("stability",))
 def _modes(p, out):
     params = _material(p)
     traj = integrate_mode(params, p["j"], (p["init_u"], p["init_theta"]), p["tau_end"],
@@ -151,7 +177,8 @@ def _modes(p, out):
 
 
 @command("energy", "energy certificate and decay check",
-         *MATERIAL, Param("jmodes", INT_LIST, "1,2,3"), Param("tau_end", POS, None))
+         *MATERIAL, Param("jmodes", INT_LIST, "1,2,3"), Param("tau_end", POS, None),
+         uses=("stability",))
 def _energy(p, out):
     params = _material(p)
     cert = energy_certificate(params) if p["kappa"] > 0 and p["n"] > 0 else None
@@ -193,7 +220,7 @@ def _profile_csv(prof, csv_path):
 
 
 @command("heteroclinic", "shoot the heteroclinic orbit",
-         *ORBIT, Param("sigma0", POS, None))
+         *ORBIT, Param("sigma0", POS, None), uses=("orbit",))
 def _heteroclinic(p, out):
     planar, orbit = _shoot(p, p["nu"])
     if p["sigma0"] is not None:
@@ -213,7 +240,7 @@ def _heteroclinic(p, out):
 
 
 @command("profile", "self-similar profile with residual report",
-         *ORBIT, Param("sigma0", POS, 1.0))
+         *ORBIT, Param("sigma0", POS, 1.0), uses=("orbit", "profile"))
 def _profile(p, out):
     planar, orbit = _shoot(p, p["nu"])
     prof = reconstruct(reparametrize(orbit, p["sigma0"]))
@@ -247,7 +274,7 @@ def _write_residual_study(path, reports, orders, order):
 
 @command("localize", "full localizing-solution pipeline",
          *SOLUTION, Param("tmax", POS, 200.0), Param("frames", POS_INT, 9),
-         Param("nx", POS_INT, 401), *EPS_TOL)
+         Param("nx", POS_INT, 401), *EPS_TOL, uses=("orbit", "profile", "localization"))
 def _localize(p, out):
     xmax, tmax = p["xmax"], p["tmax"]
     prof, sol = _solution(p, _shoot(p, p["lam"])[1])
@@ -274,7 +301,8 @@ def _localize(p, out):
 
 @command("residual", "space-time residual convergence study",
          *SOLUTION, Param("tmax", POS, 10.0), Param("nx0", _at_least(MIN_X_POINTS), 33),
-         Param("nt0", _at_least(MIN_T_POINTS), 17), Param("levels", POS_INT, 4), *EPS_TOL)
+         Param("nt0", _at_least(MIN_T_POINTS), 17), Param("levels", POS_INT, 4), *EPS_TOL,
+         uses=("orbit", "profile", "localization"))
 def _residual(p, out):
     _, sol = _solution(p, _shoot(p, p["lam"])[1])
     study = residual_convergence(sol, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
@@ -285,7 +313,7 @@ def _residual(p, out):
 
 
 @command("simulate", "direct nonlinear simulation",
-         *(Param(key, kind, getattr(SimConfig, key)) for key, kind in (
+         *(Param(key, kind, getattr(SimSettings, key)) for key, kind in (
              ("n", NONNEG), ("alpha", POS), ("kappa", NONNEG), ("theta0", FINITE),
              ("N", _at_least(16)),
              ("t_end", _checked(float, lambda v: math.isfinite(v) and v >= MIN_SPAN,
@@ -294,7 +322,7 @@ def _residual(p, out):
              ("init", _choice("uniform", "gaussian-bump", "from-file")), ("center", FINITE),
              ("width", POS), ("amplitude", FINITE), ("noise_amp", FINITE), ("seed", int),
              ("init_path", _checked(str, lambda v: Path(v).is_file(), "an existing file")),
-             ("rtol", POS), ("atol", NONNEG), ("log_frames", bool))))
+             ("rtol", POS), ("atol", NONNEG), ("log_frames", bool))), uses=("pdesim",))
 def _simulate(p, out):
     config = SimConfig.from_dict(p)
     result = run_sim(config)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .material import MaterialParams, ScalingParams, uniform_shear
+from .material import MIN_T_POINTS, MIN_X_POINTS, MaterialParams, ScalingParams, uniform_shear
 from .profile import _d4, _is_uniform
 
 __all__ = [
@@ -38,9 +38,6 @@ __all__ = [
 # evaluate raises RangeError where |xi| exceeds the profile's resolved range
 # xi_max by more than this factor; in between it uses the asymptotic forms
 OUTER_WINDOW_FACTOR = 1e8
-# the fewest grid points a residual grid takes: the 4th-order stencils need 9,
-# and in x the stride-2 sigma_xx estimate, a stencil of a stencil, 17
-MIN_X_POINTS, MIN_T_POINTS = 17, 9
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ simulation) is expressed relative to the uniform shearing solution
 
 with c0 = exp(alpha*theta0); ``uniform_shear`` evaluates it at a scalar or an
 array of t.  Closed forms are evaluated in log space so that large t or large
-alpha*theta0 cannot overflow.
+alpha*theta0 cannot overflow.  The simulator's settings and the least time span and
+residual grids live here too, where the CLI reads them without importing the solvers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ __all__ = [
 
 # exp() argument beyond which float64 overflows
 _EXP_MAX = 709.0
+# the shortest time span the simulator gives LSODA; SciPy's LSODA never returns on a
+# span from t = 0 below about 1e-151, so spans below this floor, far above that, are
+# rejected
+MIN_SPAN = 1e-100
+# the fewest grid points a residual grid of a localizing solution takes: the 4th-order
+# stencils need 9, and in x the stride-2 sigma_xx estimate, a stencil of a stencil, 17
+MIN_X_POINTS, MIN_T_POINTS = 17, 9
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,44 @@ class MaterialParams:
     def c0(self) -> float:
         """exp(alpha*theta0); always recomputed, never stored independently."""
         return float(np.exp(self.log_c0))
+
+
+@dataclass
+class SimSettings:
+    """The settings of a direct simulation, with their defaults and checks;
+    ``pdesim.SimConfig`` adds how to build the initial state from them."""
+
+    n: float = 0.05
+    alpha: float = 0.5
+    kappa: float = 0.5
+    theta0: float = -4.0
+    N: int = 512
+    t_end: float = 500.0              # >= MIN_SPAN
+    frames: int = 201
+    init: str = "gaussian-bump"       # uniform | gaussian-bump | from-file
+    center: float = 0.5
+    width: float = 0.1
+    amplitude: float = 0.1
+    noise_amp: float = 0.0
+    seed: int | None = None
+    init_path: str | None = None      # for init = from-file: npz with v, theta
+    rtol: float = 1e-8
+    atol: float = 1e-10
+    log_frames: bool = False          # geometric frame spacing (early transient)
+
+    def __post_init__(self):
+        if not self.t_end >= MIN_SPAN:
+            raise ParameterError(f"t_end must be >= {MIN_SPAN:g}, got {self.t_end}")
+        if self.frames < 2:
+            raise ParameterError(f"frames must be >= 2, got {self.frames}")
+        if not self.rtol > 0.0:
+            raise ParameterError(f"rtol must be > 0, got {self.rtol}")
+        if not self.atol >= 0.0:
+            raise ParameterError(f"atol must be >= 0, got {self.atol}")
+
+    def material(self) -> MaterialParams:
+        return MaterialParams(n=self.n, alpha=self.alpha, kappa=self.kappa,
+                              theta0=self.theta0)
 
 
 @dataclass(frozen=True)

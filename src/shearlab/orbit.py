@@ -649,7 +649,10 @@ def _body(p: PlanarParams, s_r: float, a_r: float, b_r: float, a_stop: float, to
 
 def estimate_kappa1(path: OrbitPath) -> float:
     """Node-departure coefficient lim a(eta) e^(-eta) of the path's parametrization:
+    1/sigma0 on a path reparametrized to sigma0, where that is finite, else
     e^(log_kappa1), or UnresolvedTailError where that leaves the float range."""
+    if path.sigma0 is not None and 1.0 / path.sigma0 < math.inf:
+        return 1.0 / path.sigma0
     try:
         return math.exp(path.log_kappa1)
     except OverflowError:

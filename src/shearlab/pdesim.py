@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PositivityError, StiffnessError
-from .material import MaterialParams, power_law_stress, uniform_shear
+from .material import MIN_SPAN, MaterialParams, SimSettings, power_law_stress, uniform_shear
 
 __all__ = [
     "Grid1D",
@@ -40,11 +40,6 @@ __all__ = [
     "step",
     "run",
 ]
-
-# the shortest time span LSODA is given; SciPy's LSODA never returns on a span
-# from t = 0 below about 1e-151, so spans below this floor, far above that, are
-# rejected
-MIN_SPAN = 1e-100
 
 
 @dataclass(frozen=True)
@@ -243,37 +238,8 @@ def initial_gaussian_bump(grid: Grid1D, params: MaterialParams, center: float = 
     return FieldState(grid, 0.0, x.copy(), theta)
 
 
-@dataclass
-class SimConfig:
-    """Run configuration; JSON-serializable and reproducible."""
-
-    n: float = 0.05
-    alpha: float = 0.5
-    kappa: float = 0.5
-    theta0: float = -4.0
-    N: int = 512
-    t_end: float = 500.0              # >= MIN_SPAN
-    frames: int = 201
-    init: str = "gaussian-bump"       # uniform | gaussian-bump | from-file
-    center: float = 0.5
-    width: float = 0.1
-    amplitude: float = 0.1
-    noise_amp: float = 0.0
-    seed: int | None = None
-    init_path: str | None = None      # for init = from-file: npz with v, theta
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    log_frames: bool = False          # geometric frame spacing (early transient)
-
-    def __post_init__(self):
-        if not self.t_end >= MIN_SPAN:
-            raise ParameterError(f"t_end must be >= {MIN_SPAN:g}, got {self.t_end}")
-        if self.frames < 2:
-            raise ParameterError(f"frames must be >= 2, got {self.frames}")
-        if not self.rtol > 0.0:
-            raise ParameterError(f"rtol must be > 0, got {self.rtol}")
-        if not self.atol >= 0.0:
-            raise ParameterError(f"atol must be >= 0, got {self.atol}")
+class SimConfig(SimSettings):
+    """Run configuration (``material.SimSettings``); JSON-serializable and reproducible."""
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -287,10 +253,6 @@ class SimConfig:
     def from_json(cls, path) -> "SimConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def material(self) -> MaterialParams:
-        return MaterialParams(n=self.n, alpha=self.alpha, kappa=self.kappa,
-                              theta0=self.theta0)
 
     def initial_state(self) -> FieldState:
         grid = Grid1D(self.N)

@@ -851,6 +851,45 @@ def test_cli_start_loads_no_polynomial_module_or_scipy():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+MODULES_PROBE = """
+import json, sys
+from shearlab.cli import build_parser, main
+
+if sys.argv[2:] == ["parser"]:
+    build_parser()
+elif main([*sys.argv[2:], "--out-dir", sys.argv[1]]) != 0:
+    raise SystemExit(f"{sys.argv[2:]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "shearlab")))
+"""
+
+
+OWN_MODULES = [
+    (("parser",), ()),
+    (("uniform-shear",), ()),
+    (("spectrum",), ("_magnus", "stability")),
+    (("modes",), ("_magnus", "stability")),
+    (("energy",), ("_magnus", "stability")),
+    (("heteroclinic", "--sigma0", "1.3"), ("_magnus", "orbit")),
+    (("profile",), ("_magnus", "orbit", "profile")),
+    (("localize",), ("_magnus", "localization", "orbit", "profile")),
+    (("residual", "--levels", "2"), ("_magnus", "localization", "orbit", "profile")),
+    # the energy weight of the run comes from stability's certificate
+    (("simulate", "--N", "32", "--t-end", "1", "--frames", "2"),
+     ("_magnus", "pdesim", "stability")),
+]
+
+
+@pytest.mark.parametrize("argv, own", OWN_MODULES, ids=[argv[0] for argv, _ in OWN_MODULES])
+def test_each_call_loads_only_its_own_modules(tmp_path, argv, own):
+    # start-up: a fresh process loads the base modules and those its subcommand runs
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, str(tmp_path), *argv],
+                          env=_cli_env(), capture_output=True, text=True, timeout=300,
+                          check=True)
+    base = ("", "._csvio", ".cli", ".errors", ".material")
+    assert json.loads(proc.stdout.splitlines()[-1]) == sorted(
+        [f"shearlab{m}" for m in base] + [f"shearlab.{m}" for m in own])
+
+
 # a non-finite initial state once sent the mode solver into a loop without end
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("cmd, key, value", [

@@ -257,6 +257,12 @@ def test_reparametrize_matches_amplitude(ref_orbit):
         reparametrize(ref_orbit, -1.0)
 
 
+@pytest.mark.parametrize("sigma0", [1.88, 1.0, 1e-300, 1e306, 1.7e308])
+def test_reparametrized_kappa1_is_one_over_sigma0(ref_orbit, sigma0):
+    # e^(-log sigma0) is 3.3e-14 off at 1e306: log sigma0's rounding turns relative
+    assert estimate_kappa1(reparametrize(ref_orbit, sigma0)) == 1.0 / sigma0
+
+
 def test_shooting_stable_in_eps(ref_orbit):
     # halving eps changes the orbit, as a function a -> b, by < 1e-6
     other = shoot_heteroclinic(REF, eps=5e-7)
