@@ -6,7 +6,8 @@ rejected), else the default; the resolved values are the manifest's
 ``parameters`` and, fed back as ``--config``, reproduce the run bit-for-bit.
 
 Importing this module loads, of shearlab, only ``errors``, ``_csvio`` and ``material``;
-a subcommand imports the computing modules it ``uses`` when it runs (``_LAZY``).
+a subcommand imports the computing modules it ``uses`` when it runs (``_LAZY``).  Each
+subcommand's parser is built on its first call and kept for the process (``_parser``).
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (error JSON on stderr).
 """
@@ -14,6 +15,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure (error JSON on stderr)
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -344,7 +346,9 @@ def _simulate(p, out):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _parser(COMMANDS)
+    """The parser of every subcommand; built once per process and shared, so not to be
+    modified."""
+    return _parser(tuple(COMMANDS))
 
 
 # a flag value such as -2E-1 is a number, not an option; argparse's own pattern
@@ -352,9 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _parser(names) -> argparse.ArgumentParser:
+@functools.cache
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
     """The parser with the subparsers of ``names`` only; its usage and error
-    text name all the subcommands, as the full parser's do."""
+    text name all the subcommands, as the full parser's do.  Parsing leaves a
+    parser as it was, so each is built once per process and reused."""
     ap = argparse.ArgumentParser(prog="shearlab", description="Shear-band stability analysis, "
                                  "exact localizing solutions, and direct nonlinear simulation")
     ap.add_argument("--version", action="version", version=f"shearlab {__version__}")
@@ -406,7 +412,7 @@ def _resolve(args, params) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a call builds only the subparser it runs; help, --version and errors get all
-    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    names = (argv[0],) if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     args = _parser(names).parse_args(argv)
     _, params, body = COMMANDS[args.command]
     p = _resolve(args, params)

@@ -146,10 +146,15 @@ def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
     return _difference(sol.params, x, t, *sol.evaluate(x[:, None], t[None, :]))
 
 
+_RESIDUALS = ("momentum", "heating", "constitutive")
+
+
+@np.errstate(all="ignore")
 def _difference(params: MaterialParams, x, t, u, sigma, theta) -> SpaceTimeResidual:
     """The residual norms of fields (u, sigma, theta) given on the grid x by t: each stencil
     formed on the interior points its residual uses, each residual formed and reduced in
-    turn, in the two interior-size arrays a and b."""
+    turn, in the two interior-size arrays a and b.  Floating-point warnings are
+    suppressed: a norm that is not finite is for the caller to judge."""
     hx, ht = x[1] - x[0], t[1] - t[0]
     b = _d4(_d4(sigma[:, 4:-4], hx, axis=0), hx, axis=0)     # sigma_xx
     a = _d4(u[4:-4, 2:-2], ht, axis=1)                        # u_t
@@ -157,7 +162,8 @@ def _difference(params: MaterialParams, x, t, u, sigma, theta) -> SpaceTimeResid
     # stride-2 Richardson estimate of the differentiation error, at the even interior points
     est = (np.abs(_d4(u[4:-4:2, ::2], 2 * ht, axis=1) - a[::2, ::2]),
            np.abs(_d4(_d4(sigma[::2, 4:-4:2], 2 * hx, axis=0), 2 * hx, axis=0) - b[4:-4:2, ::2]))
-    fd_err = float(max(np.nanmax(e / 15.0) for e in est))
+    # np.nanmax's own reduction, without its warning where every entry is nan
+    fd_err = float(max(np.fmax.reduce(e / 15.0, axis=None) for e in est))
 
     def residuals():   # each formed in a, with b free again by the time it is reduced
         yield np.subtract(a, b, out=a)
@@ -184,6 +190,8 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
     np.linspace grid bit for bit (halving a step is exact), so every level's
     report is that of ``pde_residual`` on its grid, each residual formed on the
     interior in turn.  The order is fitted from consecutive levels above the interpolation floor.
+    A level whose sup, l2 or error estimate is not finite raises RangeError, naming the
+    level's grid, its steps and the quantity.
     """
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
@@ -200,6 +208,15 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
     fields = sol.evaluate_grid(x, t)
     reports = [_difference(sol.params, x[::k], t[::k], *(f[::k, ::k] for f in fields))
                for k in strides]
+    for k, r in zip(strides, reports):
+        norms = {f"{name} residual's {norm}": v for norm in ("sup", "l2")
+                 for name, v in zip(_RESIDUALS, getattr(r, norm))}
+        norms["fd_error_estimate"] = r.fd_error_estimate
+        bad = next((what for what, v in norms.items() if not math.isfinite(v)), None)
+        if bad:
+            raise RangeError(f"residual study on the {r.nx}x{r.nt} grid (hx = {x[k] - x[0]:.3e}, "
+                             f"ht = {t[k] - t[0]:.3e}): the {bad} is {norms[bad]}, "
+                             "not a finite float")
     sups = np.array([max(r.sup[0], r.sup[1]) for r in reports])
     orders = np.log2(sups[:-1] / sups[1:])
     valid = [o for o, ra, rb in zip(orders, reports[:-1], reports[1:])

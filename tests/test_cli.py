@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shearlab._csvio import read_csv, write_csv
-from shearlab.cli import COMMANDS, build_parser, main
+from shearlab.cli import COMMANDS, _parser, build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,7 +190,8 @@ def test_root_usage_keeps_its_exit_codes_and_messages(capsys, argv, code, text):
 
 
 def test_main_builds_only_the_subparser_it_runs(tmp_path, monkeypatch):
-    import argparse
+    # from a cold cache: an earlier test of the process may have built any parser
+    _parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
@@ -199,6 +200,40 @@ def test_main_builds_only_the_subparser_it_runs(tmp_path, monkeypatch):
     assert built == ["spectrum"]
     build_parser()
     assert built[1:] == list(COMMANDS)
+    # each parser is built once per process: later calls build no subparser
+    assert run_cli("spectrum", "--jmax", "4", "--out-dir", str(tmp_path)) == 0
+    build_parser()
+    assert built == ["spectrum", *COMMANDS]
+
+
+def test_calls_in_a_row_take_only_their_own_values(tmp_path):
+    # the reused parser carries no value from one call into the next
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"jmax": 3}))
+    assert run_cli("spectrum", "--prefix", "a", "--config", str(cfg), "--k", "0.5",
+                   "--out-dir", str(tmp_path)) == 0
+    assert run_cli("spectrum", "--out-dir", str(tmp_path)) == 0
+    first = json.loads((tmp_path / "a.manifest.json").read_text())["parameters"]
+    second = json.loads((tmp_path / "spectrum.manifest.json").read_text())["parameters"]
+    assert (first["jmax"], first["k"]) == (3, 0.5)
+    assert (second["jmax"], second["k"]) == (64, 0.0)
+    assert read_csv(tmp_path / "spectrum.csv")[1]["j"].size == 65
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--jmax", "0"), ("modes", "--config"),
+                                  ("bogus",), ("energy", "--bogus")])
+def test_usage_error_is_the_same_on_a_cold_and_a_warm_cache(capsys, argv):
+    _parser.cache_clear()
+    cold = _parse(main, list(argv), capsys)
+    assert cold[0] == 2 and "error:" in cold[2]
+    assert _parse(main, list(argv), capsys) == cold
+
+
+def test_build_parser_twice_gives_the_same_help(capsys):
+    _parser.cache_clear()
+    first = _parse(build_parser().parse_args, ["--help"], capsys)
+    assert build_parser() is build_parser()
+    assert _parse(build_parser().parse_args, ["--help"], capsys) == first
 
 
 @pytest.mark.parametrize("cmd", ["heteroclinic", "simulate"])
@@ -950,6 +985,23 @@ def test_extreme_sigma0_is_rejected_before_any_output(tmp_path, cmd, sigma0):
     assert json.loads(proc.stderr) == {
         "error": "RangeError", "message": f"sigma0 = {float(sigma0):.3e} is outside "
         "[1e-150, 1e+150], where the profile and its residuals stay finite"}
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, grid, norm", [
+    (("residual", "--tmax", "1e-300"), "(hx = 3.125e-01, ht = 6.250e-302)", "l2"),
+    (("residual", "--xmax", "1e-300"), "(hx = 6.250e-302, ht = 6.250e-01)", "sup"),
+    (("localize", "--tmax", "1e-200"), "(hx = 3.125e-01, ht = 6.250e-202)", "l2")])
+def test_nonfinite_residual_norm_is_numerical_failure(tmp_path, argv, grid, norm):
+    # a step near the bottom of the float range overflows the stencils' division; the
+    # study once wrote Infinity into its JSON, with RuntimeWarnings, and exited 0
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "shearlab.cli", *argv,
+                           "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "RangeError", "message": f"residual study on the 33x17 grid {grid}: "
+        f"the momentum residual's {norm} is inf, not a finite float"}
     assert not list(tmp_path.iterdir())
 
 

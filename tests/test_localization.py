@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,21 @@ def test_residual_study_checks_its_arguments_before_evaluating(showcase_solution
     with pytest.raises(ParameterError, match="t grid must be uniform with >= 9 points"):
         residual_convergence(sol, nt0=0)
     assert counting.calls == 0
+
+
+@pytest.mark.parametrize("span, grid, what", [
+    ({"t_span": (0.0, 1e-300)}, "hx = 3.125e-01, ht = 6.250e-302", "momentum residual's l2"),
+    ({"x_span": (-1e-300, 1e-300)}, "hx = 6.250e-302, ht = 6.250e-01", "momentum residual's sup"),
+])
+def test_residual_study_refuses_a_norm_that_is_not_finite(showcase_solution, span, grid, what):
+    # a step near the bottom of the float range overflows the stencils' division;
+    # the study once reported inf, with RuntimeWarnings, and fitted no order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError) as exc:
+            residual_convergence(showcase_solution, levels=2, **span)
+    assert str(exc.value) == f"residual study on the 33x17 grid ({grid}): the {what} is inf, " \
+        "not a finite float"
 
 
 def test_out_of_window_guard(showcase_solution):
