@@ -51,7 +51,7 @@ class LocalizedSolution:
 
     params: MaterialParams
     scaling: ScalingParams
-    profile: object            # Profile or any evaluator with .nu
+    profile: object            # any evaluator with .nu; band_diagnostics needs a Profile
 
     def __post_init__(self):
         if self.params.kappa != 0.0:
@@ -235,63 +235,17 @@ class BandDiagnostics:
     theta_excess: np.ndarray
 
 
-def _heap_midpoints(lo: float, hi: float, depth: int) -> list:
-    """The midpoints ``depth`` halvings of [lo, hi] can reach, as a heap: node i
-    halves a bracket whose lower half is node 2i+1 and upper half node 2i+2."""
-    ends, mids = [(lo, hi)], []
-    while len(mids) < 2 ** depth - 1:
-        a, b = ends[len(mids)]
-        m = 0.5 * (a + b)
-        mids.append(m)
-        ends += [(a, m), (m, b)]
-    return mids
-
-
-_HALVINGS = 80          # the bisection's step cap
-_HALVINGS_PER_CALL = 6  # 63 midpoints per profile call
-
-
-def _bisect_down(profile, level: float, lo: float, hi: float):
-    """Bisect [lo, hi] toward the point where profile U falls through ``level``.
-
-    Each profile call evaluates the midpoints of the next ``_HALVINGS_PER_CALL``
-    halvings; the walk through them takes the same midpoints and comparisons as
-    one scalar call per halving, so the bracket is the same bit for bit.
-    """
-    for done in range(0, _HALVINGS, _HALVINGS_PER_CALL):
-        mids = _heap_midpoints(lo, hi, min(_HALVINGS_PER_CALL, _HALVINGS - done))
-        above = profile(np.array(mids))[0] > level
-        node = 0
-        while node < len(mids):
-            mid = mids[node]
-            if mid == lo or mid == hi:
-                return lo, hi   # lo and hi are adjacent floats: no later step can move them
-            if above[node]:
-                lo, node = mid, 2 * node + 2
-            else:
-                hi, node = mid, 2 * node + 1
-    return lo, hi
-
-
 def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
     """peak_u = u(0,t); halfwidth solves u(x,t) = peak/2; theta_excess = theta(0,t) - theta_s(t).
 
     Since u = phi U(sqrt(lam) x phi), the half width is xi_half / (sqrt(lam) phi(t))
-    with xi_half the root of U(xi) = U(0)/2, found once by bisection on the
-    profile: at most 80 halvings, stopping once the bracket ends are adjacent
-    floats.  The midpoints of six halvings go to the profile in one call; the
-    bracket, and so every output bit, is that of one scalar call per halving.
+    with xi_half the root of U(xi) = U(0)/2, a property of the profile alone, so
+    the solution's profile must be a ``Profile``: its ``xi_at_U`` solves it once.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or np.any(t_grid < 0):
         raise ParameterError("t grid must be positive and increasing")
-    half = 0.5 * sol.profile(0.0)[0]
-    # U decays like 1/xi, so doubling from xi = 1 brackets the root
-    hi = 1.0
-    while sol.profile(hi)[0] > half:
-        hi *= 2.0
-    lo, hi = _bisect_down(sol.profile, half, 0.0, hi)
-    xi_half = 0.5 * (lo + hi)
+    xi_half = sol.profile.xi_at_U(0.5 * sol.profile.U0)
     peaks, _, theta0 = sol.evaluate(0.0, t_grid)
     widths = xi_half / (math.sqrt(sol.scaling.lam) * sol.phi(t_grid))
     return BandDiagnostics(t=t_grid, peak_u=peaks, halfwidth=widths,

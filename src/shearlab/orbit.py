@@ -266,6 +266,13 @@ class OrbitPath:
         a0, a1, a2, a3, b0, b1, b2, b3 = self._hermite[:, i]
         return a3 + a2 * s + a1 * s2 + a0 * s3, b3 + b2 * s + b1 * s2 + b0 * s3
 
+    def log_ratio_cubics(self) -> np.ndarray:
+        """Rows c0..c3, constant first: on interval i the interpolant of
+        ``log_states_at`` gives log a - log b = c0 + c1 s + c2 s^2 + c3 s^3 at
+        eta = eta[i] + s, so row c0 is log a - log b at the samples but the last."""
+        h = self._hermite
+        return h[3::-1] - h[7:3:-1]
+
     def states_at(self, eta):
         """Interpolated (a, b) inside the sampled eta range: exp of ``log_states_at``."""
         la, lb = self.log_states_at(eta)

@@ -131,6 +131,41 @@ class Profile:
             U[outer], Sigma[outer], Theta[outer] = _triple_from_ab(
                 self.p, np.log(xi[outer]), la_end, lb_end)
 
+    def xi_at_U(self, level: float) -> float:
+        """The xi > 0 where the evaluator's U falls through ``level``, for 0 < level < U0.
+
+        The first sample k where g = log a - log b - eta - log(level) is not positive
+        closes the interval; on it g is a cubic in s = eta - eta_i, read from the
+        interpolant the evaluator uses, and Newton's method solves it inside a
+        shrinking bracket, halving it where a step leaves it, until an iterate
+        repeats.  Past xi_max the root is the frozen outer form's; at k = 0 it is xi_min.
+        """
+        if not 0.0 < level < self.U0:
+            raise ParameterError(f"U takes the level {level!r} nowhere: "
+                                 f"it must lie in (0, U0 = {self.U0!r})")
+        eta, target = self.path.eta, math.log(level)
+        ratio, (la_end, lb_end) = self.path.log_ratio_cubics(), self._outer_state
+        g = np.append(ratio[0] - eta[:-1], la_end - lb_end - eta[-1]) - target
+        k = int(np.argmax(g <= 0.0))
+        if g[k] > 0.0:
+            return math.exp(la_end - lb_end - target)
+        if k == 0:
+            return self.xi_min
+        i = k - 1
+        (gi, gk), (eta_i, eta_k) = g[i:k + 1].tolist(), eta[i:k + 1].tolist()
+        c0, c1, c2, c3 = ratio[:, i].tolist()
+        c0, c1 = c0 - (eta_i + target), c1 - 1.0
+        lo, hi = 0.0, eta_k - eta_i
+        s, seen = hi * gi / (gi - gk), set()
+        while s not in seen:
+            seen.add(s)
+            f = c0 + s * (c1 + s * (c2 + s * c3))
+            lo, hi = (s, hi) if f > 0.0 else (lo, s)
+            slope = c1 + s * (2.0 * c2 + 3.0 * s * c3)
+            step = s - f / slope if slope else math.nan
+            s = step if lo < step < hi else 0.5 * (lo + hi)
+        return math.exp(eta_i + s)
+
 
 # xi scales with sigma0 (Sigma ~ sigma0 near the origin), and the solution's
 # fields with sigma0 or 1/sigma0: inside this range the inner extension's xi^2

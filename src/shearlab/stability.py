@@ -95,8 +95,7 @@ class ModeSpectrum:
 
 def _quadratic_coeffs(params: MaterialParams, k: float, j):
     """x = (j pi)^2, b and c of the modes ``j`` (an int array, or an int), shaped as ``j``."""
-    # x by C pow per mode, which differs from (j pi) * (j pi) in the last bit for some j
-    x = np.array([(i * math.pi) ** 2 for i in np.ravel(j).tolist()]).reshape(np.shape(j))
+    x = np.float_power(np.multiply(j, math.pi, dtype=float), 2.0)
     b = params.alpha + (params.n + k) * x
     c = params.n * k * x * x - params.alpha * x
     return x, b, c

@@ -98,3 +98,44 @@ def test_a_value_that_is_nan_in_both_versions_is_unchanged():
     # a shift to or from nan still reads nan
     e = _csv({"k": math.nan}, [(1.0, 2.0), (5.0, 3.0)])
     assert math.isnan(_shift("out.csv", c, e))
+
+
+def test_record_and_against_two_calls(tmp_path, capsys):
+    calls = [("heteroclinic", "--tol", "1e-6"), ("localize", "--nx", "41", "--frames", "3")]
+    record = tmp_path / "OUTPUTS.json"
+    assert diff_outputs.main(["--record", str(record), str(TOOL.parents[1])], calls) == 0
+    old = json.loads(record.read_text())
+    assert set(old["environment"]) == {"python", "numpy", "scipy", "cpu_features"}
+    assert [(c["argv"], c["exit"]) for c in old["calls"]] == [(list(c), 0) for c in calls]
+    orbit, local = (c["files"] for c in old["calls"])
+    assert set(orbit["heteroclinic.csv"]["pinned"]) == {"kappa1"}
+    assert local["localize_diagnostics.csv"]["rows"] == 2
+    assert set(local["localize_diagnostics.csv"]["pinned"]) == {"halfwidth"}
+    assert set(local["localize_residual.json"]["pinned"]) == {"fitted_order"}
+    assert all(len(f["sha256"]) == 64 for f in local.values())
+    capsys.readouterr()
+    assert diff_outputs.main(["--against", str(record), str(TOOL.parents[1])], calls) == 0
+    assert capsys.readouterr().out == "2 calls, 7 files: all identical\n"
+
+    # a moved file names its rows and pinned scalars, a moved exit code both codes
+    new = json.loads(record.read_text())
+    diag = new["calls"][1]["files"]["localize_diagnostics.csv"]
+    diag.update(sha256="0" * 64, rows=3, pinned={"halfwidth": "1.5"})
+    new["calls"][0]["exit"] = 3
+    differ, count, moved = diff_outputs._compare(old, new)
+    halfwidth = old["calls"][1]["files"]["localize_diagnostics.csv"]["pinned"]["halfwidth"]
+    assert differ == ["heteroclinic --tol 1e-6: exit 0 vs 3",
+                      "localize --nx 41 --frames 3: localize_diagnostics.csv "
+                      f"(rows 2 vs 3; halfwidth {halfwidth} vs 1.5)"]
+    assert (count, moved) == (7, [])
+    # in another environment the differences are listed, and --against passes
+    new["environment"]["numpy"] = "0.0"
+    assert diff_outputs._compare(old, new)[2] == [f"numpy {old['environment']['numpy']} vs 0.0"]
+    new["environment"] = old["environment"]
+    record.write_text(json.dumps(new))
+    assert diff_outputs.main(["--against", str(record), str(TOOL.parents[1])], calls) == 1
+    new["environment"] = {**old["environment"], "scipy": "0.0"}
+    record.write_text(json.dumps(new))
+    assert diff_outputs.main(["--against", str(record), str(TOOL.parents[1])], calls) == 0
+    out = capsys.readouterr().out
+    assert "2 differ" in out and "another environment" in out and "scipy" in out

@@ -21,6 +21,7 @@ from shearlab import (
     band_diagnostics,
 )
 from shearlab.localization import OUTER_WINDOW_FACTOR
+from shearlab.profile import Profile
 
 N, ALPHA, THETA0, LAM, SIGMA0 = 0.1, 0.5, 10.0, 0.1, 1.88
 
@@ -299,7 +300,8 @@ def test_band_halfwidth_matches_space_bisection(showcase_solution):
 
 
 def _full_bisection_xi_half(profile):
-    """The root of U(xi) = U(0)/2 by all 80 bisection steps, without the early exit."""
+    """The root of U(xi) = U(0)/2 by 80 bisection steps on the evaluated U: the oracle
+    of ``Profile.xi_at_U``."""
     half = 0.5 * profile(0.0)[0]
     hi = 1.0
     while profile(hi)[0] > half:
@@ -328,26 +330,80 @@ SWEEP = [(n, alpha, nu) for n in (0.05, 0.1) for alpha in (0.5, 1.0)
 
 
 @pytest.mark.parametrize("n, alpha, lam", SWEEP)
-def test_band_bisection_early_exit_is_bit_identical(n, alpha, lam):
-    prof = reconstruct(reparametrize(shoot_heteroclinic(PlanarParams(n, alpha, lam)), SIGMA0))
-    sol = LocalizedSolution(params=MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=THETA0),
-                            scaling=ScalingParams(lam=lam, sigma0=SIGMA0), profile=prof)
+def test_band_halfwidth_agrees_with_bisection(n, alpha, lam):
+    # the benchmark's sweep points, at the sigma0 it draws from
+    orbit = shoot_heteroclinic(PlanarParams(n, alpha, lam))
     ts = np.linspace(0.0, 200.0, 9)
-    expected = _full_bisection_xi_half(prof) / (math.sqrt(lam) * sol.phi(ts))
-    assert np.array_equal(band_diagnostics(sol, ts).halfwidth, expected)
+    for sigma0 in (1.0, 1.7, 2.4):
+        prof = reconstruct(reparametrize(orbit, sigma0))
+        sol = LocalizedSolution(params=MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=THETA0),
+                                scaling=ScalingParams(lam=lam, sigma0=sigma0), profile=prof)
+        xi_half = prof.xi_at_U(0.5 * prof.U0)
+        expected = _full_bisection_xi_half(prof)
+        assert abs(xi_half - expected) <= 16 * math.ulp(expected)
+        assert np.array_equal(band_diagnostics(sol, ts).halfwidth,
+                              xi_half / (math.sqrt(lam) * sol.phi(ts)))
 
 
-def test_band_bisection_stops_at_adjacent_floats(showcase_solution):
-    """The showcase bracket shrinks to adjacent floats after 53 halvings, so the
-    54th midpoint ends the walk in the ninth profile call of six halvings each;
-    without the stop the 80 halvings would take 14 calls."""
-    full = _CountingProfile(showcase_solution.profile)
-    _full_bisection_xi_half(full)
-    doubling = full.calls - 1 - 80   # less the U(0) call and the 80 halvings
-    counting = _CountingProfile(showcase_solution.profile)
-    band_diagnostics(replace(showcase_solution, profile=counting), np.linspace(0.0, 200.0, 9))
-    # U(0), the doubling, nine batches and the grid evaluation
-    assert counting.calls == 1 + doubling + 9 + 1
+@pytest.mark.parametrize("n, alpha, lam, sigma0", [
+    (0.5133, 0.13, 1.783, 0.01234), (0.68, 0.2085, 0.7858, 0.0359),
+    (1.226, 0.3959, 0.1055, 0.04611), (N, ALPHA, LAM, 1e-3), (N, ALPHA, LAM, 1e3)],
+    ids=["survey-1", "survey-2", "survey-3", "sigma0-1e-3", "sigma0-1e3"])
+def test_xi_half_agrees_with_bisection_off_the_sweep(n, alpha, lam, sigma0):
+    # the three unresolved residual studies of the survey, and sigma0 far from 1
+    prof = reconstruct(reparametrize(shoot_heteroclinic(PlanarParams(n, alpha, lam)), sigma0))
+    expected = _full_bisection_xi_half(prof)
+    assert abs(prof.xi_at_U(0.5 * prof.U0) - expected) <= 16 * math.ulp(expected)
+
+
+def test_showcase_halfwidth_is_the_bisections(showcase_solution):
+    # the showcase golden's halfwidth column rests on this root
+    prof = showcase_solution.profile
+    assert prof.xi_at_U(0.5 * prof.U0) == _full_bisection_xi_half(prof)
+
+
+def test_xi_at_U_solves_U_equals_level(showcase_solution):
+    prof = showcase_solution.profile
+    u_end = prof(prof.xi_max)[0]
+    for level in np.geomspace(1.01 * u_end, 0.99 * prof.U0, 25):
+        xi = prof.xi_at_U(level)
+        assert prof.xi_min < xi < prof.xi_max
+        assert math.isclose(prof(xi)[0], level, rel_tol=1e-14)
+        assert prof(math.nextafter(xi, 0.0))[0] >= prof(xi)[0]
+
+
+def test_xi_at_U_past_xi_max_is_the_outer_forms_root(showcase_solution):
+    prof = showcase_solution.profile
+    la_end, lb_end = math.log(prof.path.a[-1]), math.log(prof.path.b[-1])
+    for level in (0.5 * prof(prof.xi_max)[0], 1e-300):
+        xi = prof.xi_at_U(level)
+        assert xi == math.exp(la_end - lb_end - math.log(level)) > prof.xi_max
+        assert math.isclose(prof(xi)[0], level, rel_tol=1e-13)
+
+
+def test_xi_at_U_between_U_at_xi_min_and_U0_is_xi_min(showcase_solution):
+    # U0 raised above U(xi_min): the evaluator's U falls through the level at xi_min
+    prof = replace(showcase_solution.profile, U0=1.5 * showcase_solution.profile.U0)
+    level = 1.2 * showcase_solution.profile.U0
+    assert prof.xi_at_U(level) == prof.xi_min
+    assert prof(math.nextafter(prof.xi_min, 0.0))[0] > level >= prof(prof.xi_min)[0]
+
+
+@pytest.mark.parametrize("times_U0", [0.0, -1.0, 1.0, 2.0, math.inf, math.nan],
+                         ids=["zero", "negative", "U0", "above-U0", "inf", "nan"])
+def test_xi_at_U_refuses_a_level_outside_0_U0(showcase_solution, times_U0):
+    prof = showcase_solution.profile
+    with pytest.raises(ParameterError, match="U takes the level"):
+        prof.xi_at_U(times_U0 * prof.U0)
+
+
+def test_band_diagnostics_calls_the_profile_once(showcase_solution, monkeypatch):
+    # the root needs no profile call: only the peak and temperature at x = 0 do
+    sizes, call = [], Profile.__call__
+    monkeypatch.setattr(Profile, "__call__", lambda self, xi: sizes.append(np.size(xi))
+                        or call(self, xi))
+    band_diagnostics(showcase_solution, np.linspace(0.0, 200.0, 9))
+    assert sizes == [9]
 
 
 def test_larger_lambda_localizes_faster():

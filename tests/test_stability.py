@@ -131,6 +131,15 @@ def test_spectrum_arrays_are_the_scalar_roots_bit_for_bit(n, alpha, k):
         assert vars(mode_eigen(params, k, j)) == vars(ref[j])
 
 
+def test_mode_wavenumbers_are_c_pows_of_j_pi():
+    # (j pi)^2 as Python's float power forms it; (j pi) * (j pi) misses its last bit for some j
+    j = np.arange(65537)
+    x, _, _ = _quadratic_coeffs(MaterialParams(n=0.5, alpha=1.0), 2.0, j)
+    expected = np.array([(i * math.pi) ** 2 for i in j.tolist()])
+    assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+    assert _quadratic_coeffs(MaterialParams(n=0.5, alpha=1.0), 2.0, 7)[0] == (7 * math.pi) ** 2
+
+
 def test_spectrum_marks_a_zero_product_marginal():
     params = MaterialParams(n=0.5, alpha=(3 * math.pi) ** 2)
     _, _, c = _quadratic_coeffs(params, 2.0, 3)

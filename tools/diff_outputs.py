@@ -1,6 +1,8 @@
-"""Compare the CLI outputs of two source trees, file by file.
+"""Compare the CLI outputs of two source trees, file by file, or of one tree and a record.
 
     python3 tools/diff_outputs.py PARENT_TREE CHANGE_TREE
+    python3 tools/diff_outputs.py --record OUTPUTS.json TREE
+    python3 tools/diff_outputs.py --against OUTPUTS.json TREE
 
 Runs a fixed set of CLI calls in each tree: every subcommand at its defaults,
 the metastability config at full size and cut down, four stiff ``modes`` runs
@@ -32,16 +34,31 @@ either version, so entries near 0 do not set the figure; a metadata value or
 a numeric JSON leaf stands alone and is taken over max(|x|, |y|).  A shift to
 or from a value that is not finite reads nan; a value that is nan in both
 versions is unchanged.
+
+``--record`` runs the calls in one tree and writes, for each, its exit code
+and, for each file, the SHA-256 of its masked bytes, the data row count of a
+CSV and the pinned scalars that summarize a run: a CSV's ``kappa1`` metadata,
+the first ``halfwidth`` of a diagnostics table and a report's
+``fitted_order``.  The record also keeps the Python, NumPy and SciPy versions
+and the CPU features NumPy dispatches on, since each can move a last bit.
+``--against`` runs the calls again and compares them with the record: exit
+codes, file names, digests, and for a file that differs its rows and pinned
+scalars.  It prints one summary line and exits 1 on a difference, unless the
+record was made under other versions or CPU features: then it prints those
+too and exits 0.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from itertools import chain
 from pathlib import Path
 
@@ -182,13 +199,98 @@ def _largest_shift(name: str, a: bytes, b: bytes) -> str:
     return f" (largest relative shift {max(shifts, key=lambda v: (math.isnan(v), v)):.2g}{keys})"
 
 
-def main(argv) -> int:
-    if len(argv) != 2:
+def _environment() -> dict:
+    """The interpreter and libraries the calls run under, and NumPy's CPU features."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return {"python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy"),
+            "cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}
+
+
+def _fingerprint(name: str, data: bytes) -> dict:
+    """The SHA-256 of a file's bytes, with a CSV's data row count and pinned scalars."""
+    entry = {"sha256": hashlib.sha256(data).hexdigest()}
+    pinned = {}
+    if name.endswith(".csv"):
+        parsed = _parse_csv(data)
+        if parsed is not None:
+            meta, cols, rows = parsed
+            entry["rows"] = rows - 1
+            if "kappa1" in meta:
+                pinned["kappa1"] = meta["kappa1"]
+            if cols.get("halfwidth"):
+                pinned["halfwidth"] = cols["halfwidth"][0]
+    elif name.endswith(".json") and not name.endswith(".manifest.json"):
+        report = json.loads(data)
+        if isinstance(report, dict) and "fitted_order" in report:
+            pinned["fitted_order"] = repr(report["fitted_order"])
+    if pinned:
+        entry["pinned"] = pinned
+    return entry
+
+
+def _record(tree: Path, calls, tmp: str) -> dict:
+    """The environment and, for each call in ``tree``, its exit code and file fingerprints."""
+    runs = []
+    for i, call in enumerate(calls):
+        code, files = _outputs(tree, call, Path(tmp, str(i)))
+        runs.append({"argv": list(call), "exit": code,
+                     "files": {name: _fingerprint(name, data) for name, data in files.items()}})
+    return {"environment": _environment(), "calls": runs}
+
+
+def _compare(old: dict, new: dict) -> tuple[list, int, list]:
+    """The differences of two records, their file count, and the environment keys that differ."""
+    differ, count = [], 0
+    if [c["argv"] for c in old["calls"]] != [c["argv"] for c in new["calls"]]:
+        return ["the record holds other calls"], 0, []
+    for a, b in zip(old["calls"], new["calls"]):
+        call = " ".join(a["argv"])
+        count += len(a["files"])
+        if a["exit"] != b["exit"]:
+            differ.append(f"{call}: exit {a['exit']} vs {b['exit']}")
+        for name in sorted(a["files"].keys() | b["files"]):
+            x, y = a["files"].get(name), b["files"].get(name)
+            if x is None or y is None:
+                differ.append(f"{call}: {name} only in the {'record' if y is None else 'tree'}")
+            elif x["sha256"] != y["sha256"]:
+                xs, ys = ({"rows": f.get("rows"), **f.get("pinned", {})} for f in (x, y))
+                shifts = [f"{k} {xs.get(k)} vs {ys.get(k)}" for k in {**xs, **ys}
+                          if xs.get(k) != ys.get(k)]
+                differ.append(f"{call}: {name}" + (f" ({'; '.join(shifts)})" if shifts else ""))
+    env_a, env_b = old["environment"], new["environment"]
+    moved = [f"{k} {env_a.get(k)} vs {env_b.get(k)}" if k != "cpu_features" else k
+             for k in sorted(env_a.keys() | env_b) if env_a.get(k) != env_b.get(k)]
+    return differ, count, moved
+
+
+def _summary(ncalls: int, count: int, differ) -> str:
+    return f"{ncalls} calls, {count} files: " + (
+        f"{len(differ)} differ: " + "; ".join(differ) if differ else "all identical")
+
+
+def main(argv, calls=CALLS) -> int:
+    if len(argv) == 3 and argv[0] in ("--record", "--against"):
+        mode, record, tree = argv[0], Path(argv[1]), Path(argv[2]).resolve()
+        with tempfile.TemporaryDirectory() as tmp:
+            new = _record(tree, calls, tmp)
+        if mode == "--record":
+            record.write_text(json.dumps(new, indent=1) + "\n")
+            print(f"recorded {len(calls)} calls, "
+                  f"{sum(len(c['files']) for c in new['calls'])} files to {record}")
+            return 0
+        differ, count, moved = _compare(json.loads(record.read_text()), new)
+        print(_summary(len(calls), count, differ))
+        if moved:
+            print("the record was made in another environment, so differences do not fail: "
+                  + "; ".join(moved))
+        return 1 if differ and not moved else 0
+    if len(argv) != 2 or argv[0].startswith("--"):
         sys.exit(__doc__)
     trees = [Path(t).resolve() for t in argv]
     differ, count = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, call in enumerate(CALLS):
+        for i, call in enumerate(calls):
             (code_a, files_a), (code_b, files_b) = (
                 _outputs(tree, call, Path(tmp, side, str(i)))
                 for side, tree in zip(("parent", "change"), trees))
@@ -200,8 +302,7 @@ def main(argv) -> int:
                 if a != b:
                     shift = _largest_shift(name, a, b) if a and b else ""
                     differ.append(f"{' '.join(call)}: {name}{shift}")
-    print(f"{len(CALLS)} calls, {count} files: "
-          + (f"{len(differ)} differ: " + "; ".join(differ) if differ else "all identical"))
+    print(_summary(len(calls), count, differ))
     return 1 if differ else 0
 
 
