@@ -10,7 +10,7 @@ _EXPORTS = {
     "errors": ("ShearlabError", "ParameterError", "EmptyOverlapError", "RegionExitError",
                "MaxStepsError", "UnresolvedTailError", "StiffnessError", "PositivityError",
                "RangeError"),
-    "material": ("MaterialParams", "UniformShearState", "ScalingParams", "GridTriple",
+    "material": ("MaterialParams", "UniformShearState", "GridTriple",
                  "uniform_shear", "tau_of_t", "t_of_tau", "constitutive_stress",
                  "rescale_triple"),
     "stability": ("ModeEigen", "ModeSpectrum", "ModeTrajectory", "EnergyCertificate",

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from ._csvio import write_csv, write_manifest
 from .errors import ShearlabError, UnresolvedTailError
-from .material import (MIN_SPAN, MIN_T_POINTS, MIN_X_POINTS, MaterialParams, ScalingParams,
-                       SimSettings, power_law_stress, uniform_shear, tau_of_t, t_of_tau)
+from .material import (MIN_SPAN, MIN_T_POINTS, MIN_X_POINTS, MaterialParams, SimSettings,
+                       power_law_stress, uniform_shear, tau_of_t, t_of_tau)
 
 # the names the bodies call, by computing module; run_sim is pdesim's run
 _LAZY = {"stability": ("spectrum", "integrate_mode", "energy_certificate", "energy_decay_check"),
@@ -261,8 +261,7 @@ def _profile(p, out):
 def _solution(p, orbit):
     """The profile of ``orbit`` at ``sigma0`` and the localizing solution built on it."""
     prof = reconstruct(reparametrize(orbit, p["sigma0"]))
-    scaling = ScalingParams(lam=p["lam"], sigma0=p["sigma0"])
-    return prof, LocalizedSolution(params=_material(p), scaling=scaling, profile=prof)
+    return prof, LocalizedSolution(profile=prof, theta0=p["theta0"])
 
 
 def _write_residual_study(path, reports, orders, order):

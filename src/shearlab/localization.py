@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .material import MIN_T_POINTS, MIN_X_POINTS, MaterialParams, ScalingParams, uniform_shear
-from .profile import _d4, _is_uniform
+from .material import MIN_T_POINTS, MIN_X_POINTS, MaterialParams, uniform_shear
+from .profile import Profile, _d4, _is_uniform
 
 __all__ = [
     "LocalizedSolution",
@@ -42,30 +43,25 @@ OUTER_WINDOW_FACTOR = 1e8
 
 @dataclass(frozen=True)
 class LocalizedSolution:
-    """An exact localizing solution: material + scaling + matching profile.
+    """An exact localizing solution: a profile and the initial base temperature theta0.
 
-    The model must be adiabatic (kappa = 0: the focusing ansatz only exists
-    there, so a nonzero kappa is a constructor error) and the profile's
-    similarity parameter must equal the localization rate lam.
+    The profile was shot at (n, alpha, nu) and fixed to amplitude sigma0; the
+    solution's lam is nu, and its material is adiabatic (kappa = 0: the focusing
+    ansatz only exists there), so every value but theta0 is the profile's.
     """
 
-    params: MaterialParams
-    scaling: ScalingParams
-    profile: object            # any evaluator with .nu; band_diagnostics needs a Profile
+    profile: Profile
+    theta0: float
 
-    def __post_init__(self):
-        if self.params.kappa != 0.0:
-            raise ParameterError(
-                f"localizing solutions require kappa = 0, got {self.params.kappa}")
-        nu = getattr(self.profile, "nu", None)
-        if nu is None or not math.isclose(nu, self.scaling.lam, rel_tol=1e-12):
-            raise ParameterError(
-                f"profile similarity parameter {nu} must equal lam = {self.scaling.lam}")
+    @cached_property
+    def params(self) -> MaterialParams:
+        """The material the solution solves: the profile's n and alpha, kappa = 0, theta0."""
+        return MaterialParams(self.profile.p.n, self.profile.p.alpha, 0.0, self.theta0)
 
     def phi(self, t):
         """Time amplification (alpha t / c0 + 1)^(lam/alpha), evaluated in log space."""
         t = np.asarray(t, dtype=float)
-        out = np.exp(self.scaling.lam / self.params.alpha
+        out = np.exp(self.profile.nu / self.params.alpha
                      * np.log1p(self.params.alpha * t * np.exp(-self.params.log_c0)))
         return float(out) if out.ndim == 0 else out
 
@@ -82,17 +78,17 @@ class LocalizedSolution:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ParameterError("t must be >= 0")
-        lam = self.scaling.lam
+        lam = self.profile.nu
         phi = self.phi(t)
         xi = np.sqrt(lam) * x * phi
-        cap = getattr(self.profile, "xi_max", np.inf) * OUTER_WINDOW_FACTOR
+        cap = self.profile.xi_max * OUTER_WINDOW_FACTOR
         if np.any(np.abs(xi) > cap):
             xs, ts, xis = np.broadcast_arrays(np.abs(x), t, np.abs(xi))
             i = np.argmax(xis)
             raise RangeError(f"xmax = {xs.flat[i]:g} reaches xi = {xis.flat[i]:.3e} by "
                              f"t = {ts.flat[i]:g}, beyond the outer validity window "
                              f"({cap:.3e}) of the profile at sigma0 = "
-                             f"{self.scaling.sigma0:.3e}; raise sigma0 or lower xmax")
+                             f"{self.profile.sigma0:.3e}; raise sigma0 or lower xmax")
         U, Sigma, Theta = self.profile(xi)
 
         base = uniform_shear(self.params, t)
@@ -239,14 +235,14 @@ def band_diagnostics(sol: LocalizedSolution, t_grid) -> BandDiagnostics:
     """peak_u = u(0,t); halfwidth solves u(x,t) = peak/2; theta_excess = theta(0,t) - theta_s(t).
 
     Since u = phi U(sqrt(lam) x phi), the half width is xi_half / (sqrt(lam) phi(t))
-    with xi_half the root of U(xi) = U(0)/2, a property of the profile alone, so
-    the solution's profile must be a ``Profile``: its ``xi_at_U`` solves it once.
+    with xi_half the root of U(xi) = U(0)/2, a property of the profile alone, which
+    its ``xi_at_U`` solves once.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or np.any(t_grid < 0):
         raise ParameterError("t grid must be positive and increasing")
     xi_half = sol.profile.xi_at_U(0.5 * sol.profile.U0)
     peaks, _, theta0 = sol.evaluate(0.0, t_grid)
-    widths = xi_half / (math.sqrt(sol.scaling.lam) * sol.phi(t_grid))
+    widths = xi_half / (math.sqrt(sol.profile.nu) * sol.phi(t_grid))
     return BandDiagnostics(t=t_grid, peak_u=peaks, halfwidth=widths,
                            theta_excess=theta0 - uniform_shear(sol.params, t_grid).theta_s)

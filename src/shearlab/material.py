@@ -10,11 +10,13 @@ simulation) is expressed relative to the uniform shearing solution
 with c0 = exp(alpha*theta0); ``uniform_shear`` evaluates it at a scalar or an
 array of t.  Closed forms are evaluated in log space so that large t or large
 alpha*theta0 cannot overflow.  The simulator's settings and the least time span and
-residual grids live here too, where the CLI reads them without importing the solvers.
+residual grids live here too, where the CLI reads them without importing the solvers,
+and so does the energy weight A, which the simulator reads without the stability analysis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ from .errors import ParameterError, EmptyOverlapError
 __all__ = [
     "MaterialParams",
     "UniformShearState",
-    "ScalingParams",
     "GridTriple",
     "uniform_shear",
     "tau_of_t",
@@ -35,6 +36,8 @@ __all__ = [
 
 # exp() argument beyond which float64 overflows
 _EXP_MAX = 709.0
+# the energy certificate's weights are the least that meet their inequalities, times this
+_HEADROOM = 1.1
 # the shortest time span the simulator gives LSODA; SciPy's LSODA never returns on a
 # span from t = 0 below about 1e-151, so spans below this floor, far above that, are
 # rejected
@@ -125,24 +128,6 @@ class UniformShearState:
     sigma_s: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Similarity scaling of a localizing solution: focusing rate and amplitude.
-
-    lam    -- localization rate (> 0), the time scaling is r(tau) = exp(-lam*tau)
-    sigma0 -- stress-profile amplitude at the band center (> 0)
-    """
-
-    lam: float
-    sigma0: float
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ParameterError(f"lam must be > 0, got {self.lam}")
-        if self.sigma0 <= 0.0:
-            raise ParameterError(f"sigma0 must be > 0, got {self.sigma0}")
-
-
 def uniform_shear(params: MaterialParams, t) -> UniformShearState:
     """Uniform shearing base state (theta_s, sigma_s) at time(s) t >= 0.
 
@@ -189,6 +174,16 @@ def t_of_tau(params: MaterialParams, tau):
         raise OverflowError("alpha*tau exceeds the floating-point exponent range")
     out = np.exp(params.log_c0) * np.expm1(params.alpha * tau) / params.alpha
     return float(out) if out.ndim == 0 else out
+
+
+def energy_weight(n, alpha):
+    """The energy certificate's weight on the strain-rate part, the least A with
+    A n/(2 Cp) >= (n+1)^2/alpha (Cp = 1/pi^2, the Poincare constant) times the
+    headroom; the simulator weights its energy diagnostic by it too.  Formed in
+    np.float64 without warnings: an overflow gives inf, for the caller to judge."""
+    n, alpha = np.float64(n), np.float64(alpha)
+    with np.errstate(all="ignore"):
+        return _HEADROOM * 2.0 * (1.0 / math.pi ** 2) * (n + 1.0) ** 2 / (alpha * n)
 
 
 def power_law_stress(alpha, n, theta, u):

@@ -431,6 +431,10 @@ def _stable_manifold(p: PlanarParams, a_stop: float = 0.0):
         det = m00 * m11 + q
         am = (m11 * n0 + n1) / det
         bm = (m00 * n1 - q * n0) / det
+        if not math.isfinite(am) or not math.isfinite(bm):
+            # a product overflowed (m11 n0 near lambda2 = 1e300): each row over det first
+            am = m11 / det * n0 + n1 / det
+            bm = m00 / det * n1 - q / det * n0
         A[m], B[m] = am, bm
         P.append(p0 + 2.0 * am)
         R.append(r0 + 3.0 * am - bm)

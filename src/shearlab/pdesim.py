@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PositivityError, StiffnessError
-from .material import MIN_SPAN, MaterialParams, SimSettings, power_law_stress, uniform_shear
+from .errors import ParameterError, PositivityError, RangeError, StiffnessError
+from .material import (MIN_SPAN, MaterialParams, SimSettings, energy_weight, power_law_stress,
+                       uniform_shear)
 
 __all__ = [
     "Grid1D",
@@ -309,8 +310,8 @@ def run(config: SimConfig) -> SimResult:
     frame's strain rate must be positive: the first frame where it is not
     raises PositivityError, with that frame's state attached.  The energy
     diagnostic is the weighted relative-perturbation energy
-    int (A/2)(u-1)^2 + (1/2)(theta - theta_s)^2 dx with A from the energy
-    certificate when kappa > 0 and n > 0 (A = 1 otherwise).
+    int (A/2)(u-1)^2 + (1/2)(theta - theta_s)^2 dx with A = ``material.energy_weight``
+    (RangeError where it is not finite) when kappa > 0 and n > 0, A = 1 otherwise.
     """
     params = config.material()
     state0 = config.initial_state()
@@ -329,8 +330,10 @@ def run(config: SimConfig) -> SimResult:
 
     A = 1.0
     if params.kappa > 0.0 and params.n > 0.0:
-        from .stability import energy_certificate
-        A = energy_certificate(params).A
+        A = float(energy_weight(params.n, params.alpha))
+        if not np.isfinite(A):
+            raise RangeError(f"energy weight A = {A} at n = {params.n}, alpha = "
+                             f"{params.alpha} is not a finite float")
 
     x = state0.grid.x
     u = _strain_rate(v.T, state0.grid.h).T

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._magnus import check_t_eval, solve_ivp
 from .errors import ParameterError, RangeError, StiffnessError
-from .material import MaterialParams, t_of_tau, tau_of_t
+from .material import _HEADROOM, MaterialParams, energy_weight, t_of_tau, tau_of_t
 
 __all__ = [
     "ModeEigen",
@@ -456,7 +456,6 @@ class EnergyCertificate:
         return tau_of_t(self.params, self.T)
 
 
-_HEADROOM = 1.1
 _MONOTONE_SLACK = 1e-9
 
 
@@ -472,7 +471,7 @@ def energy_certificate(params: MaterialParams) -> EnergyCertificate:
     cp = 1.0 / math.pi ** 2
     with np.errstate(all="ignore"):   # inf and nan, checked below
         n, alpha, kappa = np.float64(n), np.float64(alpha), np.float64(kappa)
-        A = _HEADROOM * 2.0 * cp * (n + 1.0) ** 2 / (alpha * n)
+        A = energy_weight(n, alpha)
         c0 = np.exp(params.log_c0)
         sigma_s0 = 1.0 / c0
         B = _HEADROOM * alpha ** 2 * sigma_s0 / (2.0 * n * kappa)

@@ -36,10 +36,7 @@ def showcase_bundle():
     p = sl.PlanarParams(n=0.1, alpha=0.5, nu=0.1)
     path = sl.reparametrize(sl.shoot_heteroclinic(p), 1.88)
     prof = sl.reconstruct(path)
-    params = sl.MaterialParams(n=0.1, alpha=0.5, kappa=0.0, theta0=10.0)
-    sol = sl.LocalizedSolution(params=params,
-                               scaling=sl.ScalingParams(lam=0.1, sigma0=1.88),
-                               profile=prof)
+    sol = sl.LocalizedSolution(profile=prof, theta0=10.0)
     return p, path, prof, sol
 
 
@@ -240,10 +237,7 @@ def test_criterion_6_exact_solution_verification():
     start = time.perf_counter()
     p = sl.PlanarParams(n=0.1, alpha=0.5, nu=0.1)
     prof = sl.reconstruct(sl.reparametrize(sl.shoot_heteroclinic(p), 1.88))
-    params = sl.MaterialParams(n=0.1, alpha=0.5, kappa=0.0, theta0=10.0)
-    sol = sl.LocalizedSolution(params=params,
-                               scaling=sl.ScalingParams(lam=0.1, sigma0=1.88),
-                               profile=prof)
+    sol = sl.LocalizedSolution(profile=prof, theta0=10.0)
     reports, orders, order = sl.residual_convergence(sol)
     finest = [r for r in reports if not r.at_interpolation_floor][-1]
     floor_sup = max(reports[-1].sup[0], reports[-1].sup[1])

@@ -13,6 +13,7 @@ import pytest
 
 from shearlab._csvio import read_csv, write_csv
 from shearlab.cli import COMMANDS, _parser, build_parser, main
+from shearlab.material import energy_weight
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -618,14 +619,15 @@ def test_profile_past_the_float_range_of_xi_is_refused(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, code", [
     (("--n", "1e-300"), 0),       # m^2 overflows; mu_s = -5/3 from the larger root m
-    (("--alpha", "1e300"), 3),    # mu_s = -2, and W's terms overflow: its reach is nan
-    (("--nu", "1e-300"), 3),
+    (("--alpha", "1e300"), 0),    # mu_s = -2, and W's Cramer products overflow at m = 19
+    (("--nu", "1e-300"), 0),
     (("--nu", "1e300"), 3),       # mu_s = -1.1e-300: W reaches zeta = 3.3e-8 < eps
     (("--alpha", "1e-30"), 3),    # mu_s = -2.2e-29: zeta_r = 2.3e-8
 ], ids=["n-1e-300", "alpha-1e300", "nu-1e-300", "nu-1e300", "alpha-1e-30"])
 def test_extreme_saddle_is_shot_or_named(tmp_path, capsys, argv, code):
     # each once exited 1: mu_s = -0.0 from an overflowing m^2, or a negative or
-    # nan count of head samples
+    # nan count of head samples; alpha = 1e300 and nu = 1e-300 then exited 3 on a
+    # nan reach
     assert run_cli("heteroclinic", *argv, "--out-dir", str(tmp_path)) == code
     if code == 3:
         payload = json.loads(capsys.readouterr().err)
@@ -633,6 +635,18 @@ def test_extreme_saddle_is_shot_or_named(tmp_path, capsys, argv, code):
         assert re.search(r"series reaches zeta = \S+ against eps = 1e-06, with mu_s = -\d",
                          payload["message"]), payload
         assert not list(tmp_path.iterdir())
+
+
+def test_saddle_terms_past_the_float_range_keep_kappa1(tmp_path):
+    # near lambda2 = 1e300 the Cramer products m11 n0 of the saddle series overflow at
+    # m = 19; those terms are formed again with each row over det first, and the orbit
+    # writes the kappa1 that alpha = 1e50 ... 1e290 write
+    kappa1 = set()
+    for flag, value in (("--alpha", "1e290"), ("--alpha", "1e300"), ("--nu", "1e-300")):
+        out = tmp_path / flag.strip("-")
+        assert run_cli("heteroclinic", flag, value, "--out-dir", str(out)) == 0
+        kappa1.add(read_csv(out / "heteroclinic.csv")[0]["kappa1"])
+    assert kappa1 == {"707.10678118655107"}
 
 
 def test_localize_at_small_lambda2_takes_a_coarse_tol(tmp_path):
@@ -908,9 +922,8 @@ OWN_MODULES = [
     (("profile",), ("_magnus", "orbit", "profile")),
     (("localize",), ("_magnus", "localization", "orbit", "profile")),
     (("residual", "--levels", "2"), ("_magnus", "localization", "orbit", "profile")),
-    # the energy weight of the run comes from stability's certificate
-    (("simulate", "--N", "32", "--t-end", "1", "--frames", "2"),
-     ("_magnus", "pdesim", "stability")),
+    # the energy weight of the run is material's closed form, not stability's certificate
+    (("simulate", "--N", "32", "--t-end", "1", "--frames", "2"), ("pdesim",)),
 ]
 
 
@@ -947,6 +960,26 @@ def test_nonfinite_initial_state_is_usage_error(tmp_path, cmd, key, value, via):
 
 # SciPy's LSODA never returns on a span from t = 0 below about 1e-151: run in a
 # subprocess, so that a regression fails rather than hangs
+@pytest.mark.parametrize("argv, message", [
+    (("--kappa", "1e-310"), None),
+    (("--n", "1e-310"), "energy weight A = inf at n = 1e-310, alpha = 0.5 is not a finite float"),
+], ids=["kappa-1e-310", "n-1e-310"])
+def test_simulate_needs_only_its_energy_weight_finite(tmp_path, capsys, argv, message):
+    # the run weights its energy by A alone; at kappa = 1e-310 it once exited 3 on the
+    # certificate's B = inf, and an A that overflows still fails it
+    code = run_cli("simulate", "--init", "uniform", *argv, "--N", "32", "--t-end", "1",
+                   "--frames", "3", "--out-dir", str(tmp_path))
+    if message is None:
+        assert code == 0
+        meta, _ = read_csv(tmp_path / "simulate_diagnostics.csv")
+        assert meta["energy_weight_A"] == "9.8301812369796124"   # the metastability golden's
+        assert float(meta["energy_weight_A"]) == energy_weight(0.05, 0.5)
+    else:
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "RangeError", "message": message}
+        assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_tiny_t_end_is_usage_error(tmp_path, via):
     if via == "flag":

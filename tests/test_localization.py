@@ -1,13 +1,12 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from shearlab import (
     MaterialParams,
-    ScalingParams,
     ParameterError,
     RangeError,
     PlanarParams,
@@ -30,18 +29,14 @@ N, ALPHA, THETA0, LAM, SIGMA0 = 0.1, 0.5, 10.0, 0.1, 1.88
 def showcase_solution():
     p = PlanarParams(n=N, alpha=ALPHA, nu=LAM)
     prof = reconstruct(reparametrize(shoot_heteroclinic(p), SIGMA0))
-    params = MaterialParams(n=N, alpha=ALPHA, kappa=0.0, theta0=THETA0)
-    return LocalizedSolution(params=params,
-                             scaling=ScalingParams(lam=LAM, sigma0=SIGMA0),
-                             profile=prof)
+    return LocalizedSolution(profile=prof, theta0=THETA0)
 
 
 class _ConstantProfile:
     """Uniform-shear stand-in: U = 1, Sigma = 1, Theta = 0."""
 
-    def __init__(self, nu):
-        self.nu = nu
-        self.xi_max = np.inf
+    def __init__(self, p):
+        self.p, self.nu, self.sigma0, self.xi_max = p, p.nu, 1.0, np.inf
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -49,19 +44,35 @@ class _ConstantProfile:
 
 
 def test_constructor_guards(showcase_solution):
-    prof = showcase_solution.profile
-    with pytest.raises(ParameterError):
-        LocalizedSolution(params=MaterialParams(n=N, alpha=ALPHA, kappa=0.5,
-                                                theta0=THETA0),
-                          scaling=ScalingParams(lam=LAM, sigma0=SIGMA0),
-                          profile=prof)
-    with pytest.raises(ParameterError):
-        LocalizedSolution(params=MaterialParams(n=N, alpha=ALPHA, kappa=0.0,
-                                                theta0=THETA0),
-                          scaling=ScalingParams(lam=0.2, sigma0=SIGMA0),
-                          profile=prof)
-    with pytest.raises(ParameterError):
-        ScalingParams(lam=0.0, sigma0=1.0)
+    # n, alpha, lam and sigma0 are the profile's and kappa is 0, so the solution takes
+    # none of them: once it took all seven values again and passed a mismatched n or alpha
+    assert [f.name for f in fields(LocalizedSolution)] == ["profile", "theta0"]
+    with pytest.raises(TypeError, match="params"):
+        LocalizedSolution(profile=showcase_solution.profile, theta0=THETA0,
+                          params=MaterialParams(n=0.05, alpha=ALPHA, kappa=0.0, theta0=THETA0))
+
+
+@pytest.mark.parametrize("n, alpha, lam, sigma0", [
+    (N, ALPHA, LAM, SIGMA0), (0.05, ALPHA, LAM, SIGMA0), (N, 0.4, 0.2, 1.3)],
+    ids=["showcase", "n-0.05", "alpha-0.4"])
+def test_solution_takes_its_values_from_the_profile(n, alpha, lam, sigma0):
+    # the showcase profile with n = 0.05 or alpha = 0.4 once gave a constitutive
+    # residual of 6.9e-4 or 8.3e-3 on this grid; a profile shot there gives round-off
+    prof = reconstruct(reparametrize(shoot_heteroclinic(PlanarParams(n, alpha, lam)), sigma0))
+    sol = LocalizedSolution(profile=prof, theta0=THETA0)
+    assert sol.params == MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=THETA0)
+    for t in (0.0, 10.0, 200.0):
+        phi = (alpha * t / math.exp(alpha * THETA0) + 1.0) ** (lam / alpha)
+        assert sol.phi(t) == pytest.approx(phi, rel=1e-14, abs=0)
+    x_bad = 2.0 * OUTER_WINDOW_FACTOR * prof.xi_max / math.sqrt(lam)
+    with pytest.raises(RangeError) as exc:
+        sol.evaluate(x_bad, 0.0)
+    assert str(exc.value) == (
+        f"xmax = {x_bad:g} reaches xi = {math.sqrt(lam) * x_bad:.3e} by t = 0, beyond the "
+        f"outer validity window ({OUTER_WINDOW_FACTOR * prof.xi_max:.3e}) of the profile at "
+        f"sigma0 = {sigma0:.3e}; raise sigma0 or lower xmax")
+    rep = pde_residual(sol, np.linspace(-5.0, 5.0, 257), np.linspace(0.0, 10.0, 129))
+    assert rep.sup[2] < 1e-15
 
 
 def test_initial_data_reduction(showcase_solution):
@@ -165,11 +176,8 @@ def test_uniform_shear_degenerate_solution():
     # constants (U, Sigma, Theta) = (1, 1, 0) with lam -> 0 reproduce the
     # uniform shearing solution, which solves the system exactly; theta0 = 10
     # keeps the base state slow so the t-differencing is exact to round-off
-    lam = 1e-14
-    params = MaterialParams(n=0.1, alpha=0.5, kappa=0.0, theta0=10.0)
-    sol = LocalizedSolution(params=params,
-                            scaling=ScalingParams(lam=lam, sigma0=1.0),
-                            profile=_ConstantProfile(lam))
+    sol = LocalizedSolution(profile=_ConstantProfile(PlanarParams(n=0.1, alpha=0.5, nu=1e-14)),
+                            theta0=10.0)
     x = np.linspace(-2.0, 2.0, 33)
     t = np.linspace(0.0, 5.0, 33)
     rep = pde_residual(sol, x, t)
@@ -318,7 +326,9 @@ def _full_bisection_xi_half(profile):
 
 class _CountingProfile:
     def __init__(self, profile):
-        self.profile, self.nu, self.xi_max, self.calls = profile, profile.nu, profile.xi_max, 0
+        self.profile, self.calls = profile, 0
+        self.p, self.nu, self.sigma0, self.xi_max = (profile.p, profile.nu, profile.sigma0,
+                                                     profile.xi_max)
 
     def __call__(self, xi):
         self.calls += 1
@@ -336,8 +346,7 @@ def test_band_halfwidth_agrees_with_bisection(n, alpha, lam):
     ts = np.linspace(0.0, 200.0, 9)
     for sigma0 in (1.0, 1.7, 2.4):
         prof = reconstruct(reparametrize(orbit, sigma0))
-        sol = LocalizedSolution(params=MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=THETA0),
-                                scaling=ScalingParams(lam=lam, sigma0=sigma0), profile=prof)
+        sol = LocalizedSolution(profile=prof, theta0=THETA0)
         xi_half = prof.xi_at_U(0.5 * prof.U0)
         expected = _full_bisection_xi_half(prof)
         assert abs(xi_half - expected) <= 16 * math.ulp(expected)
@@ -407,14 +416,11 @@ def test_band_diagnostics_calls_the_profile_once(showcase_solution, monkeypatch)
 
 
 def test_larger_lambda_localizes_faster():
-    params = MaterialParams(n=N, alpha=ALPHA, kappa=0.0, theta0=THETA0)
     sols = {}
     for lam in (0.1, 0.4):
         p = PlanarParams(n=N, alpha=ALPHA, nu=lam)
         prof = reconstruct(reparametrize(shoot_heteroclinic(p), 1.0))
-        sols[lam] = LocalizedSolution(params=params,
-                                      scaling=ScalingParams(lam=lam, sigma0=1.0),
-                                      profile=prof)
+        sols[lam] = LocalizedSolution(profile=prof, theta0=THETA0)
     ts = np.array([50.0, 200.0])
     d1 = band_diagnostics(sols[0.1], ts)
     d4 = band_diagnostics(sols[0.4], ts)

@@ -10,7 +10,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from shearlab import (
     MaterialParams,
-    ScalingParams,
     ParameterError,
     PositivityError,
     Grid1D,
@@ -398,10 +397,7 @@ def test_tracks_exact_localizing_solution():
     n, alpha, theta0, lam, sigma0 = 0.1, 0.5, 10.0, 0.1, 1.88
     p = PlanarParams(n=n, alpha=alpha, nu=lam)
     prof = reconstruct(reparametrize(shoot_heteroclinic(p), sigma0))
-    params = MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=theta0)
-    sol = LocalizedSolution(params=params,
-                            scaling=ScalingParams(lam=lam, sigma0=sigma0),
-                            profile=prof)
+    sol = LocalizedSolution(profile=prof, theta0=theta0)
 
     # antiderivative of U on a fine grid (odd in xi)
     xi_fine = np.linspace(0.0, 0.5, 20001)
@@ -422,7 +418,7 @@ def test_tracks_exact_localizing_solution():
     state = FieldState(g, 0.0, v0, theta0_arr)
     bc_v = (lambda t: float(v_exact(0.0, t)), lambda t: float(v_exact(1.0, t)))
     t_end = 5.0
-    t, v, theta = _solve(state, params, [t_end], rtol=1e-10, atol=1e-12, bc_v=bc_v)
+    t, v, theta = _solve(state, sol.params, [t_end], rtol=1e-10, atol=1e-12, bc_v=bc_v)
     out = FieldState(g, float(t[-1]), v[-1], theta[-1])
 
     interior = (g.x >= 1.0 / 3.0) & (g.x <= 2.0 / 3.0)

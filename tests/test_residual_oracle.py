@@ -10,9 +10,7 @@ import pytest
 import _residual_reference as reference
 from shearlab import (
     LocalizedSolution,
-    MaterialParams,
     PlanarParams,
-    ScalingParams,
     ode_residual,
     reconstruct,
     reparametrize,
@@ -32,8 +30,7 @@ LOCALIZE_STUDY = dict(x_span=(-5.0, 5.0), t_span=(0.0, 10.0))
 
 def _solution(n, alpha, lam, sigma0, theta0=10.0):
     prof = reconstruct(reparametrize(shoot_heteroclinic(PlanarParams(n, alpha, lam)), sigma0))
-    return LocalizedSolution(params=MaterialParams(n=n, alpha=alpha, kappa=0.0, theta0=theta0),
-                             scaling=ScalingParams(lam=lam, sigma0=sigma0), profile=prof)
+    return LocalizedSolution(profile=prof, theta0=theta0)
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ from shearlab import (
     energy_decay_check,
 )
 from shearlab import _magnus, stability
+from shearlab.material import energy_weight
 from shearlab.stability import STABLE, UNSTABLE, MARGINAL, ModeEigen, _quadratic_coeffs
 
 
@@ -748,6 +749,16 @@ def test_certificate_selection_rules():
     sigma_T = 1.0 / (params.alpha * cert.T + params.c0)
     assert cert.A * params.alpha ** 2 / (2 * params.n) * sigma_T == pytest.approx(
         params.kappa, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, alpha, kappa", [(0.05, 0.5, 0.5), (0.002719, 8.389, 0.01418),
+                                             (1.226, 0.3959, 1e-300)])
+def test_certificate_weight_is_the_simulators(n, alpha, kappa):
+    # the certificate and the simulator's energy diagnostic take A from one closed form;
+    # the energy column and the metastability golden's energy_weight_A rest on its bits
+    A = energy_certificate(MaterialParams(n=n, alpha=alpha, kappa=kappa)).A
+    assert A == float(energy_weight(n, alpha))
+    assert A == 1.1 * 2.0 * (1.0 / math.pi ** 2) * (n + 1.0) ** 2 / (alpha * n)
 
 
 def test_certificate_requires_diffusion_and_sensitivity():

@@ -13,11 +13,13 @@ at lambda2 = 3, where the node series has no terms (``heteroclinic`` and
 runs with the longest orbit bodies (from a slow saddle, mu_s = -0.023, and
 at lambda2 = 10.2), a ``residual`` study at the least grids with steps that
 are not binary fractions (``--xmax 3.7 --tmax 7.1 --nx0 17 --nt0 9
---levels 3``), three calls at the edges of the float range (``heteroclinic
+--levels 3``), six calls at the edges of the float range (``heteroclinic
 --sigma0 1e306``, ``profile`` at lambda2 = 10.2, where log kappa1 = 1721,
-and ``heteroclinic --n 1e-300``, where m^2 overflows in the saddle's
-eigenvalues), and the first pass of each benchmark workload at seed
-11 (argv from ``perfbench.ops.passes``).  Each call is a fresh ``python3 -m
+``heteroclinic --n 1e-300``, where m^2 overflows in the saddle's
+eigenvalues, ``heteroclinic --alpha 1e300`` and ``--nu 1e-300``, where the
+saddle series' Cramer products overflow, and ``simulate --kappa 1e-310``,
+whose energy certificate's B overflows), and the first pass of each
+benchmark workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call is a fresh ``python3 -m
 shearlab.cli`` with the tree's ``src`` on PYTHONPATH and the tree as working
 directory, writing into its own temporary directory.
 The exit codes and every output file must be equal byte for byte; in the
@@ -87,9 +89,14 @@ CALLS += [ORBIT_3, (*ORBIT_3, "--tol", "1e-2"), LOCALIZE_3, (*LOCALIZE_3, "--tol
 ORBIT_10 = ("--n", "0.109", "--alpha", "0.01717", "--nu", "4.739")
 CALLS += [("heteroclinic", "--n", "0.01982", "--alpha", "0.02816", "--nu", "2.438"),
           ("heteroclinic", *ORBIT_10)]
-# the edges of the float range: sigma0 near its top, xi = e^eta past it, and m^2 past it
+# the edges of the float range: sigma0 near its top, xi = e^eta past it, m^2 past it,
+# the saddle series' Cramer products past it (lambda2 near 1e300), and a certificate whose
+# B overflows in a run that weights its energy by A alone
 CALLS += [("heteroclinic", "--sigma0", "1e306"), ("profile", *ORBIT_10),
-          ("heteroclinic", "--n", "1e-300")]
+          ("heteroclinic", "--n", "1e-300"), ("heteroclinic", "--alpha", "1e300"),
+          ("heteroclinic", "--nu", "1e-300"),
+          ("simulate", "--init", "uniform", "--kappa", "1e-310", "--N", "32", "--t-end", "1",
+           "--frames", "3")]
 # grid steps that are not binary fractions, so no level's grid is a slice of a dyadic one
 CALLS += [("residual", "--xmax", "3.7", "--tmax", "7.1", "--nx0", "17", "--nt0", "9",
            "--levels", "3")]
