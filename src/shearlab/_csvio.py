@@ -1,11 +1,22 @@
 """CSV output with a '#'-prefixed metadata header block, and run manifests.
 
 All numbers are written with repr-level precision so reruns of a
-deterministic computation reproduce files bit-for-bit.  Float columns are
-formatted a block of rows at a time in NumPy, to the bytes that
-``'%.17g' % x`` gives for each element (see ``_float_field``).  Each field
-takes fixed slots of one reused buffer; the byte 0xFF, in no UTF-8 text,
-fills the slots its text leaves, and ``bytearray.translate`` deletes it.
+deterministic computation reproduce files bit-for-bit: every element is
+written as ``_fmt`` gives it, a float as ``'%.17g' % x``.  Three rules spare
+work that writes no bytes:
+
+* A table of fewer than ``_SMALL_CELLS`` rows x columns is formatted one
+  element at a time by ``_fmt``, whose cost per value is below NumPy's set-up
+  cost per block.
+* A larger table is formatted a block of rows at a time in NumPy (see
+  ``_float_field``).  Each field takes fixed slots of one buffer, allocated
+  for the call's first block and reused by the next ones (shortened for the
+  last, allocated again only for a wider block); the byte 0xFF, in no UTF-8
+  text, fills the slots its text leaves, and ``bytearray.translate`` deletes
+  it.
+* An ``Indexed`` float column, whose rows are ``values[index]``, has each
+  value formatted once, for the whole call; each block gathers its rows'
+  fields.
 """
 
 from __future__ import annotations
@@ -36,6 +47,10 @@ def _fmt(value) -> str:
 # rows formatted and written at a time: bounds the memory of the text in flight
 _BLOCK_ROWS = 4096
 _FILL = 0xFF
+# a table of fewer cells (rows x columns) than this is formatted one element at a time:
+# NumPy's set-up costs about 0.25 ms a table and _fmt about 0.9 us a float, and an
+# 8 x 4 table took 31 us against 245 us; the two met near 75 rows of 4 floats
+_SMALL_CELLS = 300
 
 # 10^p takes |x| into [1e16, 1e17) for p = 16 - E, where E = floor(log10|x|)
 # lies in [-324, 308], or one off it after a retry
@@ -176,10 +191,11 @@ def _decimal17(x):
     return d, e, fallback
 
 
-def _float_field(x, decimal, words, sep: bytes) -> None:
+def _float_field(x, decimal, words) -> None:
     """Write the '%.17g' text of the float64 value of ``x`` (its ``_decimal17``
-    is ``decimal``) and ``sep`` into ``words``: n x 6 '<u8', or n x 5 where no
-    row takes the exponent form.  0xFF fills each slot the text leaves."""
+    is ``decimal``) into ``words``: n x 6 '<u8', or n x 5 where no row takes the
+    exponent form.  0xFF fills each slot the text leaves, the last one too: the
+    separator's."""
     t = _tables()
     d, e, fallback = decimal
     e = e - _E_MIN
@@ -198,12 +214,17 @@ def _float_field(x, decimal, words, sep: bytes) -> None:
         words[:, 1 + i] = t.quad.take(g) | fill[:, 1 + i]
     if words.shape[1] == 6:
         words[:, 5] = t.exp.take(e) | fill[:, 5]
-    words[:, -1] ^= (_FILL ^ ord(sep)) << 56      # the separator in the last slot
     chars = words.view(np.uint8)
     for i in np.flatnonzero(fallback):
         text = b"%.17g" % float(x[i])
-        chars[i, :-1] = _FILL
+        chars[i] = _FILL
         chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+def _exponent_form(decimal):
+    """Whether each value of ``_decimal17`` ``decimal`` takes '%.17g''s exponent form."""
+    _, e, fallback = decimal
+    return ~fallback & ((e < -4) | (e >= 17))
 
 
 @functools.cache
@@ -259,51 +280,117 @@ def _text_field(a):
     return chars
 
 
-def _block(columns, buf: bytearray) -> bytearray:
-    """The bytes of the CSV lines of equal-length 1-D columns, each ended by
-    "\\n", formatted in ``buf`` (resized to fit) and then compacted."""
-    n = columns[0].size
-    fields = [_decimal17(a.astype(np.float64, copy=False)) if a.dtype.kind == "f"
-              else _text_field(a) for a in columns]
-    # every field takes whole words: its text, then its separator in its last slot
-    widths = [_FLOAT_WIDTH - 8 * (f[2] | (f[1] >= -4) & (f[1] < 17)).all() if a.dtype.kind == "f"
-              else (f.shape[1] + 8) // 8 * 8 for a, f in zip(columns, fields)]
-    del buf[n * sum(widths):]
-    buf.extend(bytes(n * sum(widths) - len(buf)))
+class Indexed:
+    """A column whose rows are ``values[index]``; the writer formats each value once.
+
+    ``size`` is the row count, as for an array column.
+    """
+
+    def __init__(self, values, index):
+        self.values = np.asarray(values).ravel()
+        self.index = np.asarray(index, dtype=np.intp).ravel()
+
+    @property
+    def size(self) -> int:
+        return self.index.size
+
+
+class _Laid(NamedTuple):
+    """An ``Indexed`` float column with its values formatted once: row i of ``words``
+    is the field of value i (n x 6 '<u8'), its last slot left for the separator, and
+    ``wide[i]`` says whether value i takes the exponent form."""
+
+    words: np.ndarray
+    wide: np.ndarray
+    index: np.ndarray
+
+
+def _lay_out(column: Indexed):
+    """A float ``Indexed`` column as a ``_Laid``; any other, as its rows."""
+    if column.values.dtype.kind != "f":
+        return column.values[column.index]
+    x = column.values.astype(np.float64, copy=False)
+    decimal = _decimal17(x)
+    words = np.empty((x.size, _FLOAT_WIDTH // 8), dtype="<u8")
+    _float_field(x, decimal, words)
+    return _Laid(words, _exponent_form(decimal), column.index)
+
+
+def _field(column, rows: slice):
+    """The field of ``column`` (an array or a ``_Laid``) over ``rows``: its width in
+    bytes, whole words, and its text, as a float array and its ``_decimal17`` or
+    as n x up to width bytes.  A float field is 40 bytes in a block whose rows take
+    no exponent form."""
+    if isinstance(column, _Laid):
+        index = column.index[rows]
+        width = _FLOAT_WIDTH - 8 * (not column.wide.take(index).any())
+        return width, column.words.take(index, axis=0)[:, :width // 8].view(np.uint8)
+    a = column[rows]
+    if a.dtype.kind == "f":
+        x = a.astype(np.float64, copy=False)
+        decimal = _decimal17(x)
+        return _FLOAT_WIDTH - 8 * (not _exponent_form(decimal).any()), (x, decimal)
+    text = _text_field(a)
+    return (text.shape[1] + 8) // 8 * 8, text
+
+
+def _block(fields, n: int, buf: bytearray) -> bytearray:
+    """Lay out the ``n`` CSV lines of ``fields``, the ``_field``\\s of the columns over
+    the same rows, each line ended by "\\n", in ``buf`` resized to fit, or in a new
+    buffer where ``buf`` is too short; returns the buffer."""
+    size = n * sum(width for width, _ in fields)
+    if size > len(buf):
+        buf = bytearray(size)
+    del buf[size:]
     chars = np.frombuffer(buf, dtype=np.uint8).reshape(n, -1)
     words = chars.view("<u8")
     start = 0
-    for i, (a, field, width) in enumerate(zip(columns, fields, widths)):
+    for i, (width, text) in enumerate(fields):
         end = start + width
-        sep = b"\n" if i == len(columns) - 1 else b","
-        if a.dtype.kind == "f":
-            _float_field(a, field, words[:, start // 8:end // 8], sep)
+        if isinstance(text, tuple):
+            _float_field(*text, words[:, start // 8:end // 8])
         else:
-            chars[:, start:start + field.shape[1]] = field
-            chars[:, start + field.shape[1]:end - 1] = _FILL
-            chars[:, end - 1] = ord(sep)
+            chars[:, start:start + text.shape[1]] = text
+            chars[:, start + text.shape[1]:end] = _FILL
+        chars[:, end - 1] = ord("\n" if i == len(fields) - 1 else ",")
         start = end
-    return buf.translate(None, bytes([_FILL]))
+    return buf
+
+
+def _per_element(columns) -> bytes:
+    """The CSV lines of the columns, each element formatted by ``_fmt``."""
+    texts = [[_fmt(v) for v in (c.values[c.index] if isinstance(c, Indexed) else c)]
+             for c in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*texts)).encode()
 
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
     """Write named columns with an optional metadata header, as UTF-8 text.
 
+    A column is an array (or anything ``np.asarray`` takes) or an ``Indexed``.
     Floats are written with round-trip precision: each is the text
     ``'%.17g' % x`` of the float64 value.
     """
+    if not columns:
+        raise ValueError("write_csv needs at least one column")
     names = list(columns)
-    arrays = [np.asarray(columns[k]).ravel() for k in names]
+    arrays = [c if isinstance(c, Indexed) else np.asarray(c).ravel() for c in columns.values()]
     length = arrays[0].size
     if any(a.size != length for a in arrays):
         raise ValueError("all columns must have equal length")
     header = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     header.append(",".join(names))
-    buf = bytearray()
     with Path(path).open("wb") as f:
         f.write(("\n".join(header) + "\n").encode())
+        if length * len(arrays) < _SMALL_CELLS:
+            f.write(_per_element(arrays))
+            return
+        arrays = [_lay_out(a) if isinstance(a, Indexed) else a for a in arrays]
+        buf = bytearray()
         for start in range(0, length, _BLOCK_ROWS):
-            f.write(_block([a[start:start + _BLOCK_ROWS] for a in arrays], buf))
+            rows = slice(start, start + _BLOCK_ROWS)
+            buf = _block([_field(a, rows) for a in arrays], min(_BLOCK_ROWS, length - start), buf)
+            f.write(buf.translate(None, bytes([_FILL])))
 
 
 def read_csv(path):

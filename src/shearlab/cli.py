@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._csvio import write_csv, write_manifest
+from ._csvio import Indexed, write_csv, write_manifest
 from .errors import ShearlabError, UnresolvedTailError
 from .material import (MIN_SPAN, MIN_T_POINTS, MIN_X_POINTS, MaterialParams, SimSettings,
                        power_law_stress, uniform_shear, tau_of_t, t_of_tau)
@@ -283,7 +283,7 @@ def _localize(p, out):
     # evaluate's outer-window error) leaves none
     x = np.linspace(-xmax, xmax, p["nx"])
     ts = np.linspace(0.0, tmax, p["frames"])
-    u, sigma, theta = (f.T.ravel() for f in sol.evaluate_grid(x, ts))
+    back, fields = sol.evaluate_distinct(x, ts)
     diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
     study = residual_convergence(sol, x_span=(-xmax, xmax), t_span=(0.0, min(tmax, 10.0)))
     paths = [Path(f"{out}_{name}") for name in (
@@ -291,8 +291,11 @@ def _localize(p, out):
     _profile_csv(prof, paths[0])
     meta = {"n": p["n"], "alpha": p["alpha"], "theta0": p["theta0"], "lambda": p["lam"],
             "sigma0": p["sigma0"]}
-    write_csv(paths[1], {"x": np.tile(x, ts.size), "t": np.repeat(ts, x.size),
-                         "u": u, "sigma": sigma, "theta": theta},
+    # frame-major rows, each field's value taken from the row of its |x|
+    at_x, at_t = np.tile(np.arange(x.size), ts.size), np.repeat(np.arange(ts.size), x.size)
+    cell = back[at_x] * ts.size + at_t
+    write_csv(paths[1], {"x": Indexed(x, at_x), "t": Indexed(ts, at_t),
+                         **{k: Indexed(f, cell) for k, f in zip(("u", "sigma", "theta"), fields)}},
               {**meta, "xmax": xmax, "tmax": tmax})
     write_csv(paths[2], vars(diag), meta)
     _write_residual_study(paths[3], *study)
@@ -332,7 +335,9 @@ def _simulate(p, out):
     meta = {k: p[k] for k in ("n", "alpha", "kappa", "theta0", "N")}
     snaps, diag = Path(f"{out}_snapshots.csv"), Path(f"{out}_diagnostics.csv")
     # long format, frame-major; run has checked that every u is positive
-    write_csv(snaps, {"t": np.repeat(result.times, x.size), "x": np.tile(x, result.times.size),
+    frames = result.times.size
+    write_csv(snaps, {"t": Indexed(result.times, np.repeat(np.arange(frames), x.size)),
+                      "x": Indexed(x, np.tile(np.arange(x.size), frames)),
                       "v": result.v, "u": u, "theta": theta,
                       "sigma": power_law_stress(params.alpha, params.n, theta, u)}, meta)
     write_csv(diag, {"t": result.times, "inhomogeneity": result.inhomogeneity,

@@ -106,8 +106,14 @@ class LocalizedSolution:
         exactly, so every value is that of ``evaluate(x[:, None], t[None, :])``
         bit for bit, on any grid, symmetric or not.
         """
+        back, fields = self.evaluate_distinct(x, t)
+        return tuple(f[back] for f in fields)
+
+    def evaluate_distinct(self, x, t):
+        """(back, fields): ``evaluate`` on the grid of the distinct |x| by t, and the row
+        of each x in it, so that ``evaluate_grid(x, t)`` is ``f[back]`` of each field."""
         ax, back = np.unique(np.abs(x), return_inverse=True)
-        return tuple(f[back] for f in self.evaluate(ax[:, None], t[None, :]))
+        return back, self.evaluate(ax[:, None], t[None, :])
 
 
 @dataclass(frozen=True)

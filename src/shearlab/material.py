@@ -64,12 +64,14 @@ class MaterialParams:
     theta0: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
-        if self.kappa < 0.0:
-            raise ParameterError(f"kappa must be >= 0, got {self.kappa}")
-        if self.n < 0.0:
-            raise ParameterError(f"n must be >= 0, got {self.n}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ParameterError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not (math.isfinite(self.n) and self.n >= 0.0):
+            raise ParameterError(f"n must be finite and >= 0, got {self.n}")
+        if not math.isfinite(self.theta0):
+            raise ParameterError(f"theta0 must be finite, got {self.theta0}")
 
     @property
     def log_c0(self) -> float:

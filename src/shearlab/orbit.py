@@ -98,12 +98,12 @@ class PlanarParams:
     nu: float
 
     def __post_init__(self):
-        if self.n <= 0.0:
-            raise ParameterError(f"n must be > 0 for the planar system, got {self.n}")
-        if self.alpha <= 0.0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
-        if self.nu <= 0.0:
-            raise ParameterError(f"nu must be > 0, got {self.nu}")
+        if not (math.isfinite(self.n) and self.n > 0.0):
+            raise ParameterError(f"n must be finite and > 0 for the planar system, got {self.n}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not (math.isfinite(self.nu) and self.nu > 0.0):
+            raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
 
     @property
     def c_nu(self) -> float:

@@ -13,7 +13,10 @@ def test_a_against_itself_runs_and_reports():
                            "--workload", "stability", "--passes", "2", "--seed", "3"],
                           capture_output=True, text=True, timeout=300, check=True)
     line = proc.stdout.strip()
-    match = re.fullmatch(r"stability, 2 passes, seed 3: median pass A ([\d.]+) ms, "
-                         r"B ([\d.]+) ms, ratio B/A ([\d.]+), B faster in ([012])/2", line)
+    side = r"([\d.]+) ms \(quartiles ([\d.]+)-([\d.]+)\)"
+    match = re.fullmatch(rf"stability, 2 passes, seed 3: median pass A {side}, B {side}, "
+                         r"ratio B/A ([\d.]+), B faster in ([012])/2", line)
     assert match, line
-    assert float(match[1]) > 0 and float(match[2]) > 0 and float(match[3]) > 0
+    for median, q1, q3 in (match.group(1, 2, 3), match.group(4, 5, 6)):
+        assert 0 < float(q1) <= float(median) <= float(q3)
+    assert float(match[7]) > 0

@@ -876,7 +876,8 @@ from shearlab import _csvio
 cli.build_parser()
 seen = {"tables_built": _csvio._tables.cache_info().currsize,
         "imported": [m for m in ("fractions", "decimal") if m in sys.modules]}
-_csvio.write_csv(sys.argv[1], {"x": [0.1]})
+# a table too large for the per-element path: the first write in NumPy builds the tables
+_csvio.write_csv(sys.argv[1], {"x": [0.1] * _csvio._SMALL_CELLS})
 seen["tables_after_write"] = _csvio._tables.cache_info().currsize
 print(json.dumps(seen))
 """

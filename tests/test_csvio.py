@@ -1,12 +1,27 @@
+import math
 from pathlib import Path
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from shearlab._csvio import _BLOCK_ROWS, _decimal17, _fmt, read_csv, write_csv
+from shearlab import _csvio
+from shearlab._csvio import (_BLOCK_ROWS, _SMALL_CELLS, Indexed, _decimal17, _fmt, read_csv,
+                             write_csv)
+
+
+def _numpy_path():
+    """write_csv with every table, however small, formatted in NumPy."""
+    return mock.patch.object(_csvio, "_SMALL_CELLS", 0)
+
+
+@pytest.fixture
+def numpy_path():
+    with _numpy_path():
+        yield
 
 
 def _reference_write(path, columns, metadata=None):
@@ -24,7 +39,11 @@ FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1, -1.0 / 3.0,
 FLOAT32 = np.array([np.nan, -np.inf, -0.0, 1e-40, 0.1, 3.4e38], dtype=np.float32)
 
 
-@pytest.mark.parametrize("length", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+# the table below has 7 columns: the last length formatted per element, then the first in NumPy
+SMALL, LARGE = math.ceil(_SMALL_CELLS / 7) - 1, math.ceil(_SMALL_CELLS / 7)
+
+
+@pytest.mark.parametrize("length", [0, 1, SMALL, LARGE, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_write_csv_matches_per_element_format(tmp_path, length):
     i = np.arange(length)
     columns = {
@@ -34,11 +53,16 @@ def test_write_csv_matches_per_element_format(tmp_path, length):
         "int": (i - length // 2) * 3_000_000_007,
         "bool": i % 3 == 0,
         "str": np.array(["unstable", "marginal", "asymptotically-stable"])[i % 3],
+        "utf8": np.array(["naïve", "", "日本語 ÿ"])[i % 3],
     }
+    assert (length * len(columns) < _SMALL_CELLS) == (length <= SMALL)
     meta = {"x": 0.1, "k": np.int64(3), "flag": np.True_, "label": "none"}
     write_csv(tmp_path / "new.csv", columns, meta)
+    with _numpy_path():
+        write_csv(tmp_path / "numpy.csv", columns, meta)
     _reference_write(tmp_path / "ref.csv", columns, meta)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()
     if length:
         _, data = read_csv(tmp_path / "new.csv")
         assert np.array_equal(data["f"], columns["f"], equal_nan=True)
@@ -74,7 +98,7 @@ def test_write_csv_int_columns_are_str_per_element(tmp_path, length):
     ["plain", "ascii", ""],
     np.array(["ab", "c", ""], dtype=">U2"),                   # non-native byte order
 ])
-def test_write_csv_str_columns_are_utf8_per_element(tmp_path, texts):
+def test_write_csv_str_columns_are_utf8_per_element(tmp_path, numpy_path, texts):
     texts = np.asarray(texts)
     columns = {"s": texts, "x": np.arange(texts.size) * 0.5, "t": texts[::-1]}
     write_csv(tmp_path / "new.csv", columns)
@@ -89,12 +113,20 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("columns", [{}, {"a": [1.0, 2.0], "b": Indexed([1.0, 2.0], [0])}],
+                         ids=["none", "ragged-indexed"])
+def test_write_csv_rejects_no_columns_and_a_ragged_indexed_column(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", columns)
+    assert not (tmp_path / "x.csv").exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 30).flatmap(lambda rows: st.lists(
     hnp.arrays(np.float64, rows, elements=st.floats(width=64)), min_size=1, max_size=4)))
 def test_read_csv_inverts_write_csv_on_float64(columns):
     named = {f"c{i}": c for i, c in enumerate(columns)}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _numpy_path():
         path = Path(tmp) / "rt.csv"
         write_csv(path, named, {"k": 1.5})
         meta, data = read_csv(path)
@@ -109,8 +141,9 @@ def test_read_csv_inverts_write_csv_on_float64(columns):
 
 
 def _written_floats(tmp_path, values) -> list[bytes]:
-    """The data lines write_csv gives for one float column."""
-    write_csv(tmp_path / "f.csv", {"x": values})
+    """The data lines write_csv gives for one float column, formatted in NumPy."""
+    with _numpy_path():
+        write_csv(tmp_path / "f.csv", {"x": values})
     return (tmp_path / "f.csv").read_bytes().split(b"\n")[1:-1]
 
 
@@ -181,10 +214,38 @@ def test_write_csv_lays_out_its_buffer_again_when_fields_change_width(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_write_csv_str_bytes_that_meet_the_fill_byte(tmp_path):
+def test_write_csv_str_bytes_that_meet_the_fill_byte(tmp_path, numpy_path):
     # U+00FF is 0xFF in Latin-1 and c3 bf in UTF-8; \x7f and NUL are single bytes
     texts = np.array(["ÿ", "aÿb", "\x7f", "x\x00y", "ÿ\x7fé€😀", "", "\xfe\xff"])
     write_csv(tmp_path / "s.csv", {"s": texts, "x": np.arange(texts.size) / 3.0})
     lines = (tmp_path / "s.csv").read_bytes().split(b"\n")[1:-1]
     assert lines == [_fmt(t).encode("utf-8") + b"," + _fmt(k / 3.0).encode("utf-8")
                      for k, t in enumerate(texts.tolist())]
+
+
+# fixed-form values and fallbacks (NaN, +-inf, -0, a tie), then exponent forms, a subnormal too
+INDEXED_VALUES = np.array([0.5, -1.0 / 3.0, 12345678.9, np.nan, np.inf, -np.inf, -0.0,
+                           1e15 + 0.25, 5e-324, 1e-300, -2.5e20, 1.2345e-5])
+FIRST_EXPONENT = 8
+
+
+@pytest.mark.parametrize("length", [0, 5, 2 * _BLOCK_ROWS + 5])
+def test_indexed_columns_write_their_materialized_rows(tmp_path, length):
+    i = np.arange(length)
+    # the first block takes no exponent form, so its float fields are 40 bytes, the rest 48
+    at = np.where(i < _BLOCK_ROWS, i % FIRST_EXPONENT, i % INDEXED_VALUES.size)
+    ints = np.array([-7, 0, 3 * 10 ** 17, 42])
+    texts = np.array(["a", "日本語", "", "ÿ"])
+    columns = {"f": Indexed(INDEXED_VALUES, at), "i": Indexed(ints, i % 4),
+               "s": Indexed(texts, i[::-1] % 4), "g": np.sin(i * 0.37),
+               "f32": Indexed(INDEXED_VALUES.astype(np.float32), at[::-1])}
+    assert all(c.size == length for c in columns.values())
+    wide = _csvio._exponent_form(_decimal17(INDEXED_VALUES))
+    assert not wide[:FIRST_EXPONENT].any() and wide[FIRST_EXPONENT:].all()
+    materialized = {k: c.values[c.index] if isinstance(c, Indexed) else c
+                    for k, c in columns.items()}
+    write_csv(tmp_path / "indexed.csv", columns, {"k": 1})
+    write_csv(tmp_path / "arrays.csv", materialized, {"k": 1})
+    _reference_write(tmp_path / "ref.csv", materialized, {"k": 1})
+    assert (tmp_path / "indexed.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()

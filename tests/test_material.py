@@ -29,6 +29,14 @@ def test_params_validation():
     MaterialParams(n=0.0, alpha=1.0)
 
 
+@pytest.mark.parametrize("field", ["n", "alpha", "kappa", "theta0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_material_parameter_is_named(field, value):
+    # NaN is neither < 0 nor <= 0: uniform_shear returned NaN with a RuntimeWarning
+    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+        uniform_shear(MaterialParams(**{field: value}), 1.0)
+
+
 def test_c0_is_derived():
     mp = MaterialParams(alpha=0.5, theta0=10.0)
     assert mp.c0 == pytest.approx(np.exp(5.0), rel=0, abs=0)

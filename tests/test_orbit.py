@@ -38,6 +38,15 @@ def test_params_validation():
     assert REF.c_nu > 1.0
 
 
+@pytest.mark.parametrize("field", ["n", "alpha", "nu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_planar_parameter_is_named(field, value):
+    # NaN passes every "<= 0" test; inf overflowed later, in the shoot
+    values = {"n": 0.1, "alpha": 0.5, "nu": 0.1, field: value}
+    with pytest.raises(ParameterError, match=f"^{field} must be finite and > 0"):
+        shoot_heteroclinic(PlanarParams(**values))
+
+
 def test_field_vanishes_at_equilibria():
     for p in (REF, PlanarParams(n=0.05, alpha=1.0, nu=0.5)):
         for point in (p.node, p.saddle):

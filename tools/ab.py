@@ -8,9 +8,10 @@ imports both into this process, and runs the seeded passes of
 ``perfbench/ops.py`` through each tree's ``cli.main``: each pass through both
 trees, the tree that goes first swapped every pass, after one untimed warm-up
 pass each.  Every op must exit 0 and pass its checks.  Prints each tree's
-median pass time, the median of the per-pass ratio B / A and the number of
-passes in which B was faster.  One process: no threads, no subprocesses.  The
-ops' config and golden paths are read from the repository holding this script.
+median pass time and its first and third quartiles, the median of the
+per-pass ratio B / A and the number of passes in which B was faster.  One
+process: no threads, no subprocesses.  The ops' config and golden paths are
+read from the repository holding this script.
 """
 
 from __future__ import annotations
@@ -83,10 +84,18 @@ def main(argv=None) -> None:
             for side in (0, 1) if i % 2 == 0 else (1, 0):
                 times[side].append(_pass(mains[side], pass_ops, out))
     a, b = times
-    print(f"{args.workload}, {args.passes} passes, seed {args.seed}: median pass "
-          f"A {statistics.median(a) * 1e3:.3f} ms, B {statistics.median(b) * 1e3:.3f} ms, "
+    sides = ", ".join(f"{side} {_quartiles(t)}" for side, t in zip("AB", times))
+    print(f"{args.workload}, {args.passes} passes, seed {args.seed}: median pass {sides}, "
           f"ratio B/A {statistics.median(y / x for x, y in zip(a, b)):.4f}, "
           f"B faster in {sum(y < x for x, y in zip(a, b))}/{len(a)}")
+
+
+def _quartiles(times) -> str:
+    """The median of ``times`` in ms, with the first and third quartiles (the claim rule
+    compares a gain with the distance between the parent's)."""
+    q1, q2, q3 = (statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1
+                  else times * 3)
+    return f"{q2 * 1e3:.3f} ms (quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f})"
 
 
 if __name__ == "__main__":
