@@ -190,10 +190,10 @@ class OrbitPath:
     """The computed heteroclinic with its eta-parametrization.
 
     eta increases along the orbit from the node end to the saddle end; a is
-    strictly increasing.  da/deta and db/deta at the samples come from the
-    exact vector field, so the cubic Hermite interpolant (NumPy arrays of
-    CubicHermiteSpline's coefficients) is 4th-order accurate between
-    samples.  ``d`` is b - 1/c_nu; on a series tail it is the series
+    strictly increasing.  The cubic Hermite interpolant (NumPy arrays of
+    CubicHermiteSpline's coefficients) takes its slopes da/deta and db/deta
+    at the samples from the exact vector field, so it is 4th-order accurate
+    between samples.  ``d`` is b - 1/c_nu; on a series tail it is the series
     sum_{m>=1} beta_m a^(2m) itself, so it keeps its relative precision as
     a -> 0.  ``log_kappa1`` is the log of the node-departure coefficient
     lim a(eta) e^(-eta) in the current parametrization, -C from the
@@ -213,8 +213,6 @@ class OrbitPath:
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    da: np.ndarray
-    db: np.ndarray
     eps: float
     tol: float
     a_junction: float
@@ -242,8 +240,9 @@ class OrbitPath:
         """Rows c0..c3 of log a, then of log b, per interval: the cubic Hermite
         coefficients of scipy.interpolate.CubicHermiteSpline, same formulas."""
         dx = np.diff(self.eta)
+        da, db = vector_field(self.params, (self.a, self.b))
         rows = []
-        for y, dydx in ((np.log(self.a), self.da / self.a), (np.log(self.b), self.db / self.b)):
+        for y, dydx in ((np.log(self.a), da / self.a), (np.log(self.b), db / self.b)):
             slope = np.diff(y) / dx
             t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
             rows += [t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]]
@@ -547,10 +546,8 @@ def shoot_heteroclinic(p: PlanarParams, eps: float = 1e-6, tol: float = 1e-8) ->
             f"sample {bad} at (a={a[bad]:.6g}, b={b[bad]:.6g}) left the region R")
     if not np.all(np.diff(a) > 0):
         raise RegionExitError("a(eta) is not strictly increasing along the orbit")
-    # derivatives revert to the forward field
-    da, db = vector_field(p, (a, b))
     terms = len(a_coef) - 2
-    return OrbitPath(params=p, eta=eta, a=a, b=b, d=d, da=da, db=db, eps=eps, tol=tol,
+    return OrbitPath(params=p, eta=eta, a=a, b=b, d=d, eps=eps, tol=tol,
                      a_junction=a_junction, junction_gap=junction_gap,
                      saddle_junction=zeta_r, saddle_terms=terms,
                      saddle_truncation=math.hypot(a_coef[0], b_coef[0]) * zeta_r ** (terms + 1),

@@ -13,7 +13,7 @@ constitutive relation holds to round-off at every evaluated point; they are
 formed from (log a, log b) and eta, as U = e^(log a - log b - eta) and
 Sigma = e^(eta - log a), the variables the orbit is interpolated in.  Below the
 resolved range the second-order Taylor data at the origin is used; above it,
-the limiting large-xi forms with the endpoint orbit state frozen.  The
+the orbit read at its last sample, so U ~ 1/xi and Sigma ~ xi there.  The
 evaluator is even in xi by construction.
 """
 
@@ -56,27 +56,68 @@ def _triple_from_ab(p: PlanarParams, eta, la, lb):
 _BLOCK = 4096
 _TAIL_XI = 1e3   # where endpoint_report takes the tail deviations, if below xi_max
 
+# xi scales with sigma0 (Sigma ~ sigma0 near the origin), and the solution's
+# fields with sigma0 or 1/sigma0: inside this range the inner extension's xi^2
+# and the residual norms' r^2 stay finite
+SIGMA0_RANGE = (1e-150, 1e150)
+_LOG_MAX = math.log(np.finfo(float).max)   # xi = e^eta overflows above it
+
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled localizing profile with an evaluator valid on all of R (even in xi).
+    """The localizing profile of a reparametrized orbit, its one field, with an
+    evaluator valid on all of R (even in xi).  A path that is not reparametrized
+    raises ParameterError; a sigma0 outside SIGMA0_RANGE, or an eta past log of
+    the largest float, where xi = e^eta overflows, raises RangeError."""
 
-    Immutable after construction.
-    """
-
-    p: PlanarParams
-    sigma0: float
-    U0: float
-    Theta0: float
-    xi: np.ndarray
-    U: np.ndarray
-    Sigma: np.ndarray
-    Theta: np.ndarray
     path: OrbitPath
+
+    def __post_init__(self):
+        path, sigma0 = self.path, self.path.sigma0
+        if sigma0 is None:
+            raise ParameterError("path must be reparametrized (sigma0 fixed) first")
+        lo, hi = SIGMA0_RANGE
+        if not lo <= sigma0 <= hi:
+            raise RangeError(f"sigma0 = {sigma0:.3e} is outside [{lo:g}, {hi:g}], "
+                             "where the profile and its residuals stay finite")
+        if path.eta[-1] > _LOG_MAX:
+            raise RangeError(f"the orbit at sigma0 = {sigma0:.3e} reaches eta = "
+                             f"{path.eta[-1]:.6g}, past log of the largest float, "
+                             f"{_LOG_MAX:.6g}: xi = e^eta overflows")
+
+    @property
+    def p(self) -> PlanarParams:
+        return self.path.params
+
+    @property
+    def sigma0(self) -> float:
+        return self.path.sigma0
 
     @property
     def nu(self) -> float:
         return self.p.nu
+
+    @cached_property
+    def U0(self) -> float:
+        return self.p.c_nu / self.sigma0
+
+    @cached_property
+    def Theta0(self) -> float:
+        p = self.p
+        return (p.n + 1.0) / p.alpha * math.log(self.U0) - math.log(p.c_nu) / p.alpha
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return np.exp(self.path.eta)
+
+    @cached_property
+    def _samples(self):
+        path = self.path
+        return _triple_from_ab(self.p, path.eta, np.log(path.a), np.log(path.b))
+
+    U = property(lambda self: self._samples[0], doc="U at the samples")
+    Sigma = property(lambda self: self._samples[1], doc="Sigma at the samples")
+    Theta = property(lambda self: self._samples[2], doc="Theta at the samples")
 
     @property
     def xi_min(self) -> float:
@@ -85,12 +126,8 @@ class Profile:
 
     @property
     def xi_max(self) -> float:
-        """Outer end of the orbit-resolved range; limiting forms above."""
+        """Outer end of the orbit-resolved range; the last sample's state above."""
         return float(self.xi[-1])
-
-    @cached_property
-    def _outer_state(self):
-        return math.log(self.path.a[-1]), math.log(self.path.b[-1])
 
     def __call__(self, xi):
         """Evaluate (U, Sigma, Theta) at any xi; the extension is even.
@@ -114,22 +151,14 @@ class Profile:
         """Write (U, Sigma, Theta) at the points of a 1-D array of xi >= 0 into the
         arrays given."""
         inner = xi < self.xi_min
-        outer = xi > self.xi_max
-        mid = ~(inner | outer)
-
-        if np.any(mid):
-            eta = np.log(xi[mid])
-            # log(exp(eta)) can overshoot the sampled range by one ulp
-            la, lb = self.path.log_states_at(np.clip(eta, self.path.eta[0], self.path.eta[-1]))
-            U[mid], Sigma[mid], Theta[mid] = _triple_from_ab(self.p, eta, la, lb)
-        if np.any(inner):
-            U[inner] = self.U0
-            Sigma[inner] = self.sigma0 + 0.5 * self.U0 * xi[inner] ** 2
-            Theta[inner] = self.Theta0
-        if np.any(outer):
-            la_end, lb_end = self._outer_state
-            U[outer], Sigma[outer], Theta[outer] = _triple_from_ab(
-                self.p, np.log(xi[outer]), la_end, lb_end)
+        orbit = ~inner
+        eta = np.log(xi[orbit])
+        # past xi_max, and where log(exp(eta)) overshoots by one ulp, the last sample
+        la, lb = self.path.log_states_at(np.clip(eta, self.path.eta[0], self.path.eta[-1]))
+        U[orbit], Sigma[orbit], Theta[orbit] = _triple_from_ab(self.p, eta, la, lb)
+        U[inner] = self.U0
+        Sigma[inner] = self.sigma0 + 0.5 * self.U0 * xi[inner] ** 2
+        Theta[inner] = self.Theta0
 
     def xi_at_U(self, level: float) -> float:
         """The xi > 0 where the evaluator's U falls through ``level``, for 0 < level < U0.
@@ -138,13 +167,13 @@ class Profile:
         closes the interval; on it g is a cubic in s = eta - eta_i, read from the
         interpolant the evaluator uses, and Newton's method solves it inside a
         shrinking bracket, halving it where a step leaves it, until an iterate
-        repeats.  Past xi_max the root is the frozen outer form's; at k = 0 it is xi_min.
+        repeats.  Past xi_max it is the root at the last sample's state; at k = 0, xi_min.
         """
         if not 0.0 < level < self.U0:
             raise ParameterError(f"U takes the level {level!r} nowhere: "
                                  f"it must lie in (0, U0 = {self.U0!r})")
         eta, target = self.path.eta, math.log(level)
-        ratio, (la_end, lb_end) = self.path.log_ratio_cubics(), self._outer_state
+        ratio, (la_end, lb_end) = self.path.log_ratio_cubics(), self.path.log_states_at(eta[-1])
         g = np.append(ratio[0] - eta[:-1], la_end - lb_end - eta[-1]) - target
         k = int(np.argmax(g <= 0.0))
         if g[k] > 0.0:
@@ -167,38 +196,9 @@ class Profile:
         return math.exp(eta_i + s)
 
 
-# xi scales with sigma0 (Sigma ~ sigma0 near the origin), and the solution's
-# fields with sigma0 or 1/sigma0: inside this range the inner extension's xi^2
-# and the residual norms' r^2 stay finite
-SIGMA0_RANGE = (1e-150, 1e150)
-_LOG_MAX = math.log(np.finfo(float).max)   # xi = e^eta overflows above it
-
-
 def reconstruct(path: OrbitPath) -> Profile:
-    """Convert a reparametrized orbit into its profile triple.
-
-    Samples at xi = e^eta over the path's own grid; endpoint data follow from
-    U0 Sigma0 = c_nu and Theta0 = ((n+1)/alpha) log U0 - (1/alpha) log c_nu.
-    Raises RangeError for a sigma0 outside SIGMA0_RANGE, and for an orbit
-    whose eta passes log of the largest float, where xi = e^eta overflows.
-    """
-    if path.sigma0 is None:
-        raise ParameterError("path must be reparametrized (sigma0 fixed) first")
-    p = path.params
-    sigma0 = path.sigma0
-    lo, hi = SIGMA0_RANGE
-    if not lo <= sigma0 <= hi:
-        raise RangeError(f"sigma0 = {sigma0:.3e} is outside [{lo:g}, {hi:g}], "
-                         "where the profile and its residuals stay finite")
-    if path.eta[-1] > _LOG_MAX:
-        raise RangeError(f"the orbit at sigma0 = {sigma0:.3e} reaches eta = {path.eta[-1]:.6g}, "
-                         f"past log of the largest float, {_LOG_MAX:.6g}: xi = e^eta overflows")
-    U0 = p.c_nu / sigma0
-    Theta0 = (p.n + 1.0) / p.alpha * math.log(U0) - math.log(p.c_nu) / p.alpha
-    xi = np.exp(path.eta)
-    U, Sigma, Theta = _triple_from_ab(p, path.eta, np.log(path.a), np.log(path.b))
-    return Profile(p=p, sigma0=sigma0, U0=U0, Theta0=Theta0,
-                   xi=xi, U=U, Sigma=Sigma, Theta=Theta, path=path)
+    """The profile of a reparametrized orbit: ``Profile(path)``."""
+    return Profile(path)
 
 
 def equilibrium_closed_form(sigma0: float, n: float, alpha: float):

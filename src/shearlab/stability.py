@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._magnus import check_t_eval, solve_ivp
 from .errors import ParameterError, RangeError, StiffnessError
 from .material import _HEADROOM, MaterialParams, energy_weight, t_of_tau, tau_of_t
 
@@ -374,6 +373,13 @@ class _SlowManifold:
         return (i + int(settled[0]) if settled.size else self.last), u, theta
 
 
+def solve_ivp(*args, **kwargs):
+    """``_magnus.solve_ivp``, imported on the first call, so that a run that
+    integrates no mode (``spectrum``) does not load the kernel."""
+    from ._magnus import solve_ivp as magnus_solve_ivp
+    return magnus_solve_ivp(*args, **kwargs)
+
+
 def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
                    frozen_k: float | None = None, rtol: float = 1e-10,
                    tau_eval=None) -> ModeTrajectory:
@@ -396,6 +402,8 @@ def integrate_mode(params: MaterialParams, j: int, init, tau_end: float,
         raise ParameterError(f"mode index must be >= 0, got {j}")
     if frozen_k is not None and frozen_k < 0.0:
         raise ParameterError(f"frozen_k must be >= 0, got {frozen_k}")
+    from ._magnus import check_t_eval
+
     try:
         taus = (np.linspace(0.0, tau_end, MODE_POINTS) if tau_eval is None
                 else check_t_eval(tau_eval, (0.0, tau_end)))

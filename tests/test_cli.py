@@ -916,7 +916,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "shearlab")
 OWN_MODULES = [
     (("parser",), ()),
     (("uniform-shear",), ()),
-    (("spectrum",), ("_magnus", "stability")),
+    (("spectrum",), ("stability",)),
     (("modes",), ("_magnus", "stability")),
     (("energy",), ("_magnus", "stability")),
     (("heteroclinic", "--sigma0", "1.3"), ("_magnus", "orbit")),

@@ -390,10 +390,12 @@ def test_xi_at_U_past_xi_max_is_the_outer_forms_root(showcase_solution):
         assert math.isclose(prof(xi)[0], level, rel_tol=1e-13)
 
 
-def test_xi_at_U_between_U_at_xi_min_and_U0_is_xi_min(showcase_solution):
-    # U0 raised above U(xi_min): the evaluator's U falls through the level at xi_min
-    prof = replace(showcase_solution.profile, U0=1.5 * showcase_solution.profile.U0)
-    level = 1.2 * showcase_solution.profile.U0
+def test_xi_at_U_between_U_at_xi_min_and_U0_is_xi_min():
+    # a coarse tol ends the orbit at xi_min with U(xi_min) about 1e-4 below U0: the
+    # evaluator's U falls through a level between them at xi_min
+    orbit = shoot_heteroclinic(PlanarParams(n=N, alpha=ALPHA, nu=LAM), tol=1e-2)
+    prof = reconstruct(reparametrize(orbit, SIGMA0))
+    level = 0.5 * (prof(prof.xi_min)[0] + prof.U0)
     assert prof.xi_at_U(level) == prof.xi_min
     assert prof(math.nextafter(prof.xi_min, 0.0))[0] > level >= prof(prof.xi_min)[0]
 

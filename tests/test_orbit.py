@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_region_negatively_invariant_on_boundaries():
 
 def test_interior_monotonicity_excludes_cycles(ref_orbit):
     # da/deta > 0 at every accepted interior sample
-    da = ref_orbit.da
+    da, _ = vector_field(REF, (ref_orbit.a, ref_orbit.b))
     assert np.all(da[1:-1] > 0)
 
 
@@ -281,6 +282,14 @@ def test_shooting_stable_in_eps(ref_orbit):
     assert np.max(np.abs(b1 - b2)) < 1e-6
 
 
+def test_orbit_path_keeps_no_slopes():
+    # the interpolant forms da/deta and db/deta from the field; the path stores none
+    assert [f.name for f in fields(orbit.OrbitPath)] == [
+        "params", "eta", "a", "b", "d", "eps", "tol", "a_junction", "junction_gap",
+        "saddle_junction", "saddle_truncation", "saddle_terms", "node_terms", "a_saddle",
+        "body_steps", "log_kappa1", "eta0", "sigma0"]
+
+
 def test_hermite_interpolation_preserves_monotonicity(ref_orbit):
     eta = np.linspace(ref_orbit.eta[0], ref_orbit.eta[-1], 20001)
     a, b = ref_orbit.states_at(eta)
@@ -300,8 +309,9 @@ def test_hermite_matches_scipy_cubic_hermite_spline(n, alpha, nu):
         eta, 0.5 * (eta[:-1] + eta[1:]), rng.uniform(eta[0], eta[-1], 2000),
         [eta[0], np.nextafter(eta[0], np.inf), np.nextafter(eta[-1], -np.inf), eta[-1]]])
     a, b = path.states_at(points)
-    la = CubicHermiteSpline(eta, np.log(path.a), path.da / path.a)
-    lb = CubicHermiteSpline(eta, np.log(path.b), path.db / path.b)
+    da, db = vector_field(path.params, (path.a, path.b))
+    la = CubicHermiteSpline(eta, np.log(path.a), da / path.a)
+    lb = CubicHermiteSpline(eta, np.log(path.b), db / path.b)
     assert np.array_equal(a, np.exp(la(points)))
     assert np.array_equal(b, np.exp(lb(points)))
     # a scalar gives a 0-d result, as the spline does

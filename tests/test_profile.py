@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from shearlab import (
     rescale_triple,
     GridTriple,
 )
-from shearlab.profile import _d4
+from shearlab.profile import Profile, _d4, _triple_from_ab
 
 REF = PlanarParams(n=0.1, alpha=0.5, nu=0.1)
 
@@ -60,6 +61,18 @@ def test_scale_invariant_solution_residual(nu):
 def test_reconstruct_requires_reparametrized_path():
     with pytest.raises(ParameterError):
         reconstruct(shoot_heteroclinic(REF))
+
+
+def test_profile_refuses_a_path_that_is_not_reparametrized():
+    with pytest.raises(ParameterError, match="reparametrized"):
+        Profile(shoot_heteroclinic(REF))
+
+
+def test_profile_is_its_path(ref_profile):
+    # every other value is read from the orbit, so none can disagree with it
+    assert [f.name for f in fields(Profile)] == ["path"]
+    with pytest.raises(TypeError):
+        replace(ref_profile, U0=2.0 * ref_profile.U0)
 
 
 def test_profile_endpoint_data(ref_profile):
@@ -122,6 +135,13 @@ def test_profile_is_even_bit_for_bit(ref_profile, points):
     assert _bits(ref_profile(-xi)) == _bits(ref_profile(xi))
     for x in xi:
         assert _bits(ref_profile(-x)) == _bits(ref_profile(x))
+
+
+def test_past_xi_max_the_orbit_is_read_at_its_last_sample(ref_profile):
+    prof, path = ref_profile, ref_profile.path
+    xi = prof.xi_max * (1.0 + np.geomspace(1e-12, 1e6, 200))
+    la, lb = path.log_states_at(np.full(xi.shape, path.eta[-1]))
+    assert _bits(prof(xi)) == _bits(_triple_from_ab(prof.p, np.log(xi), la, lb))
 
 
 @pytest.mark.parametrize("shape", [(1,), (4095,), (4096,), (4097,), (3 * 4096 + 7,), (3, 4097)],
@@ -218,11 +238,10 @@ def test_endpoint_report(ref_profile):
 
 
 def test_endpoint_report_requires_resolution(ref_profile):
-    from dataclasses import replace
-    prof = ref_profile
-    keep = prof.xi >= 0.1 * prof.sigma0
-    stub = replace(prof, xi=prof.xi[keep], U=prof.U[keep],
-                   Sigma=prof.Sigma[keep], Theta=prof.Theta[keep])
+    path = ref_profile.path
+    keep = ref_profile.xi >= 0.1 * ref_profile.sigma0
+    stub = Profile(replace(path, eta=path.eta[keep], a=path.a[keep], b=path.b[keep],
+                           d=path.d[keep]))
     with pytest.raises(RangeError):
         endpoint_report(stub)
 

@@ -13,12 +13,13 @@ at lambda2 = 3, where the node series has no terms (``heteroclinic`` and
 runs with the longest orbit bodies (from a slow saddle, mu_s = -0.023, and
 at lambda2 = 10.2), a ``residual`` study at the least grids with steps that
 are not binary fractions (``--xmax 3.7 --tmax 7.1 --nx0 17 --nt0 9
---levels 3``), six calls at the edges of the float range (``heteroclinic
---sigma0 1e306``, ``profile`` at lambda2 = 10.2, where log kappa1 = 1721,
-``heteroclinic --n 1e-300``, where m^2 overflows in the saddle's
-eigenvalues, ``heteroclinic --alpha 1e300`` and ``--nu 1e-300``, where the
-saddle series' Cramer products overflow, and ``simulate --kappa 1e-310``,
-whose energy certificate's B overflows), and the first pass of each
+--levels 3``), a ``localize`` at ``--sigma0 1e-4``, which evaluates most of
+its grid past the orbit's last sample, six calls at the edges of the float
+range (``heteroclinic --sigma0 1e306``, ``profile`` at lambda2 = 10.2, where
+log kappa1 = 1721, ``heteroclinic --n 1e-300``, where m^2 overflows in the
+saddle's eigenvalues, ``heteroclinic --alpha 1e300`` and ``--nu 1e-300``,
+where the saddle series' Cramer products overflow, and ``simulate --kappa
+1e-310``, whose energy certificate's B overflows), and the first pass of each
 benchmark workload at seed 11 (argv from ``perfbench.ops.passes``).  Each call is a fresh ``python3 -m
 shearlab.cli`` with the tree's ``src`` on PYTHONPATH and the tree as working
 directory, writing into its own temporary directory.
@@ -100,6 +101,9 @@ CALLS += [("heteroclinic", "--sigma0", "1e306"), ("profile", *ORBIT_10),
 # grid steps that are not binary fractions, so no level's grid is a slice of a dyadic one
 CALLS += [("residual", "--xmax", "3.7", "--tmax", "7.1", "--nx0", "17", "--nt0", "9",
            "--levels", "3")]
+# a small sigma0 puts most of the space-time grid past xi_max, where the orbit's last
+# sample is read
+CALLS += [("localize", "--sigma0", "1e-4")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
