@@ -31,7 +31,7 @@ from . import __version__
 from ._csvio import Indexed, write_csv, write_manifest
 from .errors import ShearlabError, UnresolvedTailError
 from .material import (MIN_SPAN, MIN_T_POINTS, MIN_X_POINTS, MaterialParams, SimSettings,
-                       power_law_stress, uniform_shear, tau_of_t, t_of_tau)
+                       half_line, power_law_stress, uniform_shear, tau_of_t, t_of_tau)
 
 # the names the bodies call, by computing module; run_sim is pdesim's run
 _LAZY = {"stability": ("spectrum", "integrate_mode", "energy_certificate", "energy_decay_check"),
@@ -277,24 +277,25 @@ def _write_residual_study(path, reports, orders, order):
          *SOLUTION, Param("tmax", POS, 200.0), Param("frames", POS_INT, 9),
          Param("nx", POS_INT, 401), *EPS_TOL, uses=("orbit", "profile", "localization"))
 def _localize(p, out):
-    xmax, tmax = p["xmax"], p["tmax"]
+    xmax, tmax, nx = p["xmax"], p["tmax"], p["nx"]
     prof, sol = _solution(p, _shoot(p, p["lam"])[1])
     # everything is computed before the first file is written, so a failure (such as
-    # evaluate's outer-window error) leaves none
-    x = np.linspace(-xmax, xmax, p["nx"])
+    # evaluate's outer-window error) leaves none; the fields, even in x, on x >= 0 alone
+    half = half_line(xmax, nx)[0]
     ts = np.linspace(0.0, tmax, p["frames"])
-    back, fields = sol.evaluate_distinct(x, ts)
+    fields = sol.evaluate(half[:, None], ts[None, :])
     diag = band_diagnostics(sol, ts[1:] if ts.size > 1 else np.array([tmax]))
-    study = residual_convergence(sol, x_span=(-xmax, xmax), t_span=(0.0, min(tmax, 10.0)))
+    study = residual_convergence(sol, xmax=xmax, t_span=(0.0, min(tmax, 10.0)))
     paths = [Path(f"{out}_{name}") for name in (
         "profile.csv", "spacetime.csv", "diagnostics.csv", "residual.json")]
     _profile_csv(prof, paths[0])
     meta = {"n": p["n"], "alpha": p["alpha"], "theta0": p["theta0"], "lambda": p["lam"],
             "sigma0": p["sigma0"]}
-    # frame-major rows, each field's value taken from the row of its |x|
-    at_x, at_t = np.tile(np.arange(x.size), ts.size), np.repeat(np.arange(ts.size), x.size)
-    cell = back[at_x] * ts.size + at_t
-    write_csv(paths[1], {"x": Indexed(x, at_x), "t": Indexed(ts, at_t),
+    # frame-major rows on the half's mirror image (0 - x keeps +0), |x| a row of the fields
+    at_x, at_t = np.tile(np.arange(nx), ts.size), np.repeat(np.arange(ts.size), nx)
+    cell = np.abs(2 * at_x - (nx - 1)) // 2 * ts.size + at_t
+    write_csv(paths[1], {"x": Indexed(np.concatenate((0.0 - half[::-1], half[nx % 2:])), at_x),
+                         "t": Indexed(ts, at_t),
                          **{k: Indexed(f, cell) for k, f in zip(("u", "sigma", "theta"), fields)}},
               {**meta, "xmax": xmax, "tmax": tmax})
     write_csv(paths[2], vars(diag), meta)
@@ -309,7 +310,7 @@ def _localize(p, out):
          uses=("orbit", "profile", "localization"))
 def _residual(p, out):
     _, sol = _solution(p, _shoot(p, p["lam"])[1])
-    study = residual_convergence(sol, x_span=(-p["xmax"], p["xmax"]), t_span=(0.0, p["tmax"]),
+    study = residual_convergence(sol, xmax=p["xmax"], t_span=(0.0, p["tmax"]),
                                  nx0=p["nx0"], nt0=p["nt0"], levels=p["levels"])
     path = Path(f"{out}.json")
     _write_residual_study(path, *study)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .material import MIN_T_POINTS, MIN_X_POINTS, MaterialParams, uniform_shear
+from .material import MIN_T_POINTS, MIN_X_POINTS, MaterialParams, half_line, uniform_shear
 from .profile import Profile, _d4, _is_uniform
 
 __all__ = [
@@ -98,23 +98,6 @@ class LocalizedSolution:
         theta = (1.0 + na) * base.theta_s - na * self.params.theta0 + Theta
         return u, sigma, theta
 
-    def evaluate_grid(self, x, t):
-        """``evaluate`` on the grid of the 1-D arrays x by t, as arrays of shape
-        (x.size, t.size), with the solution evaluated once per distinct |x|.
-
-        The fields are even in x, and sqrt(lam) |x| phi equals |sqrt(lam) x phi|
-        exactly, so every value is that of ``evaluate(x[:, None], t[None, :])``
-        bit for bit, on any grid, symmetric or not.
-        """
-        back, fields = self.evaluate_distinct(x, t)
-        return tuple(f[back] for f in fields)
-
-    def evaluate_distinct(self, x, t):
-        """(back, fields): ``evaluate`` on the grid of the distinct |x| by t, and the row
-        of each x in it, so that ``evaluate_grid(x, t)`` is ``f[back]`` of each field."""
-        ax, back = np.unique(np.abs(x), return_inverse=True)
-        return back, self.evaluate(ax[:, None], t[None, :])
-
 
 @dataclass(frozen=True)
 class SpaceTimeResidual:
@@ -145,24 +128,27 @@ def pde_residual(sol: LocalizedSolution, x, t) -> SpaceTimeResidual:
     t = np.asarray(t, dtype=float)
     _check_grid(x, "x", MIN_X_POINTS)
     _check_grid(t, "t", MIN_T_POINTS)
-    return _difference(sol.params, x, t, *sol.evaluate(x[:, None], t[None, :]))
-
-
-_RESIDUALS = ("momentum", "heating", "constitutive")
+    return _difference(sol.params, x[1] - x[0], t[1] - t[0], *sol.evaluate(x[:, None], t[None, :]))
 
 
 @np.errstate(all="ignore")
-def _difference(params: MaterialParams, x, t, u, sigma, theta) -> SpaceTimeResidual:
-    """The residual norms of fields (u, sigma, theta) given on the grid x by t: each stencil
-    formed on the interior points its residual uses, each residual formed and reduced in
-    turn, in the two interior-size arrays a and b.  Floating-point warnings are
-    suppressed: a norm that is not finite is for the caller to judge."""
-    hx, ht = x[1] - x[0], t[1] - t[0]
+def _difference(params: MaterialParams, hx, ht, u, sigma, theta, nx=None) -> SpaceTimeResidual:
+    """The residual norms of fields (u, sigma, theta) given on a grid of steps hx by ht:
+    each stencil formed on the interior points its residual uses, each residual formed and
+    reduced in turn, in the two interior-size arrays a and b.  With ``nx``, the fields are
+    at the points x >= 0 of nx points symmetric about 0 and the norms the whole grid's, on
+    that half (docs/formats.md): 8 or 7 ghost rows x < 0 from the mirror give each row its
+    mirror image's parity.  Floating-point warnings are suppressed: a norm that is not
+    finite is for the caller to judge."""
+    nx, ghosts, once = (nx, 8 - (nx - 1) // 2 % 2, nx % 2) if nx else (len(sigma), 0, len(sigma))
+    u, sigma, theta = (np.concatenate((f[once:once + ghosts][::-1], f)) if ghosts else f
+                       for f in (u, sigma, theta))
     b = _d4(_d4(sigma[:, 4:-4], hx, axis=0), hx, axis=0)     # sigma_xx
     a = _d4(u[4:-4, 2:-2], ht, axis=1)                        # u_t
 
     # stride-2 Richardson estimate of the differentiation error, at the even interior points
-    est = (np.abs(_d4(u[4:-4:2, ::2], 2 * ht, axis=1) - a[::2, ::2]),
+    lo = 8 if ghosts else 4     # u_t's first, on the half the first even row x >= 0
+    est = (np.abs(_d4(u[lo:-4:2, ::2], 2 * ht, axis=1) - a[lo - 4::2, ::2]),
            np.abs(_d4(_d4(sigma[::2, 4:-4:2], 2 * hx, axis=0), 2 * hx, axis=0) - b[4:-4:2, ::2]))
     # np.nanmax's own reduction, without its warning where every entry is nan
     fd_err = float(max(np.fmax.reduce(e / 15.0, axis=None) for e in est))
@@ -175,23 +161,24 @@ def _difference(params: MaterialParams, x, t, u, sigma, theta) -> SpaceTimeResid
         s = np.multiply(-params.alpha, theta[4:-4, 4:-4], out=b)
         s += np.multiply(params.n, np.log(u[4:-4, 4:-4], out=a), out=a)
         yield np.subtract(sigma[4:-4, 4:-4], np.exp(s, out=b), out=a)
-    sup, l2 = zip(*((float(np.max(np.abs(r, out=b))),
-                     float(np.sqrt(np.mean(np.multiply(r, r, out=b))))) for r in residuals()))
+    first = max(ghosts - 4, 0)   # the row x = 0 or least x > 0; in l2, the rest count twice
+    sup, l2 = zip(*((float(np.max(np.abs(r, out=o))), float(np.sqrt(
+        (2 * np.sum(np.multiply(r, r, out=o)[once:]) + np.sum(o[:once]))
+        / ((nx - 8) * (sigma.shape[1] - 8)))))
+        for r, o in ((r[first:], b[first:]) for r in residuals())))
     return SpaceTimeResidual(sup=sup, l2=l2, fd_error_estimate=fd_err,
                              at_interpolation_floor=fd_err < max(sup[0], sup[1]) / 3.0,
-                             nx=x.size, nt=t.size)
+                             nx=nx, nt=sigma.shape[1])
 
 
-def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0, 10.0),
+def residual_convergence(sol: LocalizedSolution, xmax=5.0, t_span=(0.0, 10.0),
                          nx0: int = 33, nt0: int = 17, levels: int = 4):
     """Sup residuals under grid refinement and the fitted convergence order.
 
-    Doubles both grids per level.  The solution is evaluated once, on the
-    finest grid and once per distinct |x| (``LocalizedSolution.evaluate_grid``);
-    each coarser level is its stride-2**k slice, which is the level's own
-    np.linspace grid bit for bit (halving a step is exact), so every level's
-    report is that of ``pde_residual`` on its grid, each residual formed on the
-    interior in turn.  The order is fitted from consecutive levels above the interpolation floor.
+    Level k has (nx0 - 1) 2**k + 1 points on [-xmax, xmax] by (nt0 - 1) 2**k + 1 on t_span.
+    The solution, even in x, is evaluated once, on the finest grid's points x >= 0
+    (``half_line``); each level's are a stride-2**j slice of them, which ``_difference``
+    reports on.  The order is fitted from consecutive levels above the interpolation floor.
     A level whose sup, l2 or error estimate is not finite raises RangeError, naming the
     level's grid, its steps and the quantity.
     """
@@ -201,24 +188,24 @@ def residual_convergence(sol: LocalizedSolution, x_span=(-5.0, 5.0), t_span=(0.0
         if n0 < least:
             raise ParameterError(f"{name} grid must be uniform with >= {least} points")
     top = levels - 1
-    x = np.linspace(*x_span, (nx0 - 1) * 2 ** top + 1)
+    nx = (nx0 - 1) * 2 ** top + 1
+    x, hx = half_line(xmax, nx)
     t = np.linspace(*t_span, (nt0 - 1) * 2 ** top + 1)
     strides = [2 ** (top - lev) for lev in range(levels)]
     for k in strides:
-        _check_grid(x[::k], "x", MIN_X_POINTS)
         _check_grid(t[::k], "t", MIN_T_POINTS)
-    fields = sol.evaluate_grid(x, t)
-    reports = [_difference(sol.params, x[::k], t[::k], *(f[::k, ::k] for f in fields))
-               for k in strides]
-    for k, r in zip(strides, reports):
-        norms = {f"{name} residual's {norm}": v for norm in ("sup", "l2")
-                 for name, v in zip(_RESIDUALS, getattr(r, norm))}
-        norms["fd_error_estimate"] = r.fd_error_estimate
-        bad = next((what for what, v in norms.items() if not math.isfinite(v)), None)
-        if bad:
-            raise RangeError(f"residual study on the {r.nx}x{r.nt} grid (hx = {x[k] - x[0]:.3e}, "
-                             f"ht = {t[k] - t[0]:.3e}): the {bad} is {norms[bad]}, "
-                             "not a finite float")
+    fields = sol.evaluate(x[:, None], t[None, :])
+    reports = []
+    for k in strides:   # the level's points x >= 0: the finest half's from (-(nx-1)/2) % k on
+        r = _difference(sol.params, k * hx, t[k] - t[0],
+                        *(f[-((nx - 1) // 2) % k::k, ::k] for f in fields), nx=(nx - 1) // k + 1)
+        norms = [(f"{name} residual's {norm}", v) for norm in ("sup", "l2")
+                 for name, v in zip(("momentum", "heating", "constitutive"), getattr(r, norm))]
+        for what, v in norms + [("fd_error_estimate", r.fd_error_estimate)]:
+            if not math.isfinite(v):
+                raise RangeError(f"residual study on the {r.nx}x{r.nt} grid (hx = {k * hx:.3e}, "
+                                 f"ht = {t[k] - t[0]:.3e}): the {what} is {v}, not a finite float")
+        reports.append(r)
     sups = np.array([max(r.sup[0], r.sup[1]) for r in reports])
     orders = np.log2(sups[:-1] / sups[1:])
     valid = [o for o, ra, rb in zip(orders, reports[:-1], reports[1:])

@@ -9,8 +9,8 @@ simulation) is expressed relative to the uniform shearing solution
 
 with c0 = exp(alpha*theta0); ``uniform_shear`` evaluates it at a scalar or an
 array of t.  Closed forms are evaluated in log space so that large t or large
-alpha*theta0 cannot overflow.  The simulator's settings and the least time span and
-residual grids live here too, where the CLI reads them without importing the solvers,
+alpha*theta0 cannot overflow.  The simulator's settings, the least time span and the
+residual grids and their halves x >= 0 live here too, for the CLI without the solvers,
 and so does the energy weight A, which the simulator reads without the stability analysis.
 """
 
@@ -176,6 +176,17 @@ def t_of_tau(params: MaterialParams, tau):
         raise OverflowError("alpha*tau exceeds the floating-point exponent range")
     out = np.exp(params.log_c0) * np.expm1(params.alpha * tau) / params.alpha
     return float(out) if out.ndim == 0 else out
+
+
+def half_line(xmax, n):
+    """(x, h): the points x >= 0 of n points uniform on [-xmax, xmax], and their step; point
+    i is (i - (n-1)/2) h, h = xmax / ((n-1)/2), the last xmax (the one of n <= 2), so the grid,
+    x's mirror image, is symmetric in floats and, for n >= 3, never forms 2 xmax."""
+    q = (n - 1) / 2
+    h = xmax / q if q else 0.0
+    x = (np.arange(n // 2, n) - q) * h
+    x[-1] = xmax
+    return x, h
 
 
 def energy_weight(n, alpha):

@@ -7,7 +7,9 @@ version of ``shearlab.profile._d4``, ``shearlab.localization._difference`` and
 at the two points of each edge, ``difference`` forms the three space-time
 residuals and both stride-2 estimates on the whole grid before it slices out
 the interior, and ``ode_residual`` does the same on the profile grid.  The
-package must give the same bits.
+package must give the same bits.  ``difference`` forms its arrays in
+``arrays``, with the same operations; ``half_line_difference`` reduces them
+over x >= 0, as the residual study reports a grid symmetric about x = 0.
 """
 
 import numpy as np
@@ -26,8 +28,9 @@ def _d4(values, h, axis):
     return np.moveaxis(d, 0, axis)
 
 
-def difference(params, x, t, u, sigma, theta) -> SpaceTimeResidual:
-    """The residual norms of fields (u, sigma, theta) given on the grid x by t."""
+def arrays(params, x, t, u, sigma, theta):
+    """The three residuals on the interior and the two error estimates at the even
+    interior points, each divided by 15, that ``difference`` reduces."""
     hx = x[1] - x[0]
     ht = t[1] - t[0]
 
@@ -46,15 +49,42 @@ def difference(params, x, t, u, sigma, theta) -> SpaceTimeResidual:
     dsig_dx2c = _d4(_d4(sigma2, 2 * hx, axis=0), 2 * hx, axis=0)
     est1 = np.abs(du_dt2 - du_dt[::2, ::2]) / 15.0
     est2 = np.abs(dsig_dx2c - d2sig_dx2[::2, ::2]) / 15.0
-    fd_err = float(max(np.nanmax(est1[2:-2, 2:-2]), np.nanmax(est2[2:-2, 2:-2])))
 
     interior = (slice(4, -4), slice(4, -4))
-    res = (r1[interior], r2[interior], r3[interior])
+    return (r1[interior], r2[interior], r3[interior]), (est1[2:-2, 2:-2], est2[2:-2, 2:-2])
+
+
+def difference(params, x, t, u, sigma, theta) -> SpaceTimeResidual:
+    """The residual norms of fields (u, sigma, theta) given on the grid x by t."""
+    res, (est1, est2) = arrays(params, x, t, u, sigma, theta)
+    fd_err = float(max(np.nanmax(est1), np.nanmax(est2)))
     sup = tuple(float(np.max(np.abs(r))) for r in res)
     l2 = tuple(float(np.sqrt(np.mean(r * r))) for r in res)
     return SpaceTimeResidual(sup=sup, l2=l2, fd_error_estimate=fd_err,
                              at_interpolation_floor=fd_err < max(sup[0], sup[1]) / 3.0,
                              nx=x.size, nt=t.size)
+
+
+def half_line_difference(params, x, t, u, sigma, theta) -> SpaceTimeResidual:
+    """``difference`` on a grid x symmetric about 0, with each norm taken over x >= 0 by
+    the rule of docs/formats.md: ``sup`` over the interior rows x >= 0; ``l2`` with the
+    row x = 0 (present when x.size is odd) counted once and every row x > 0 twice, over
+    the interior's point count; the error estimate at the points x >= 0 that mirror the
+    grid's even points.  For an even x.size those are its odd points, whose estimate is
+    the even points' of the grid without its first row."""
+    nx, half, once = x.size, x.size // 2, x.size % 2     # half: the first row x >= 0
+    res, _ = arrays(params, x, t, u, sigma, theta)
+    _, est = arrays(params, x[1 - once:], t, *(f[1 - once:] for f in (u, sigma, theta)))
+    res = [np.ascontiguousarray(r[half - 4:]) for r in res]
+    # each estimate's row i is at the row 2 i + 4 of the grid it was formed on
+    start = max(-(-(half - 1 + once) // 2) - 2, 0)
+    fd_err = float(np.nanmax(np.concatenate([e[start:].ravel() for e in est])))
+    sup = tuple(float(np.max(np.abs(r))) for r in res)
+    l2 = tuple(float(np.sqrt((2 * np.sum((r * r)[once:]) + np.sum((r * r)[:once]))
+                             / ((nx - 8) * (t.size - 8)))) for r in res)
+    return SpaceTimeResidual(sup=sup, l2=l2, fd_error_estimate=fd_err,
+                             at_interpolation_floor=fd_err < max(sup[0], sup[1]) / 3.0,
+                             nx=nx, nt=t.size)
 
 
 def ode_residual(evaluator, nu: float, n: float, alpha: float, xi) -> ResidualReport:

@@ -782,6 +782,75 @@ def test_residual_cmd(tmp_path):
     assert report["fitted_order"] == pytest.approx(4.0, abs=0.3)
 
 
+def _spacetime_frames(path, nx):
+    """The rows of a spacetime CSV as strings, one list of (x, u, sigma, theta) per frame."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    names = lines[0].split(",")
+    rows = [dict(zip(names, line.split(","))) for line in lines[1:]]
+    rows = [tuple(r[k] for k in ("x", "u", "sigma", "theta")) for r in rows]
+    return [rows[i:i + nx] for i in range(0, len(rows), nx)]
+
+
+@pytest.mark.parametrize("nx, frames", [(1, 3), (2, 3), (4, 1), (400, 3)])
+def test_localize_grid_at_its_edge_counts(tmp_path, nx, frames):
+    # one point, no interior point, no x = 0 row: the table is still frame-major on
+    # [-xmax, xmax], and a row at -x has the fields of the row at x, character for character
+    assert run_cli("localize", "--nx", str(nx), "--frames", str(frames),
+                   "--out-dir", str(tmp_path)) == 0
+    table = _spacetime_frames(tmp_path / "localize_spacetime.csv", nx)
+    assert len(table) == frames and all(len(rows) == nx for rows in table)
+    for rows in table:
+        x = [float(r[0]) for r in rows]
+        assert x[0] == -5.0 and (nx == 1 or x[-1] == 5.0) and np.all(np.diff(x) > 0)
+        fields = {r[0]: r[1:] for r in rows}
+        for r in rows:
+            if r[0].startswith("-") and r[0][1:] in fields:
+                assert fields[r[0][1:]] == r[1:]
+
+
+@pytest.mark.parametrize("nx", [401, 400])
+def test_localize_grid_is_mirror_exact(tmp_path, nx):
+    # np.linspace(-5, 5, 401) has 335 distinct |x|; the grid is its half x >= 0 mirrored
+    assert run_cli("localize", "--nx", str(nx), "--frames", "2", "--out-dir", str(tmp_path)) == 0
+    for rows in _spacetime_frames(tmp_path / "localize_spacetime.csv", nx):
+        x = np.array([float(r[0]) for r in rows])
+        assert np.array_equal(x, -x[::-1]) and np.unique(np.abs(x)).size == (nx + 1) // 2
+        assert [r[1:] for r in rows] == [r[1:] for r in rows[::-1]]
+        assert "-0" not in [r[0] for r in rows]
+
+
+@pytest.mark.parametrize("nx0, levels", [(18, 1), (19, 2)], ids=["even", "zero-on-an-odd-row"])
+def test_residual_study_at_counts_that_start_off_centre(tmp_path, nx0, levels):
+    # 18 points have no x = 0 row; at 19 the coarsest grid's x = 0 is its row 9, which is
+    # not among the even points of its error estimate
+    assert run_cli("residual", "--nx0", str(nx0), "--levels", str(levels),
+                   "--out-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "residual.json").read_text())
+    assert [(lev["nx"], lev["nt"]) for lev in report["levels"]] == [
+        ((nx0 - 1) * 2 ** k + 1, 16 * 2 ** k + 1) for k in range(levels)]
+    for lev in report["levels"]:
+        assert all(map(math.isfinite, lev["sup"] + lev["l2"] + [lev["fd_error_estimate"]]))
+        assert not lev["at_interpolation_floor"]
+    if levels > 1:
+        assert report["fitted_order"] == pytest.approx(4.0, abs=0.3)
+
+
+@pytest.mark.parametrize("argv, t", [(("localize", "--xmax", "1.7e308"), "200"),
+                                     (("residual", "--xmax", "1e308"), "10")])
+def test_xmax_above_half_the_float_range_is_an_outer_window_error(tmp_path, argv, t):
+    # the grid once formed 2 xmax, which is inf: localize warned and then named
+    # "xmax = nan", residual exited 3 with a false "x grid must be uniform"
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "shearlab.cli", *argv,
+                           "--out-dir", str(tmp_path)], env=_cli_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "RangeError"
+    assert error["message"].startswith(f"xmax = {float(argv[2]):g} reaches xi = ")
+    assert f" by t = {t}, beyond the outer validity window" in error["message"]
+    assert not list(tmp_path.iterdir())
+
+
 # one small run per subcommand, each off the defaults that a config could miss
 ROUND_TRIP = [
     ("uniform-shear", "--theta0", "3", "--samples", "7"),
@@ -1025,7 +1094,8 @@ def test_extreme_sigma0_is_rejected_before_any_output(tmp_path, cmd, sigma0):
 @pytest.mark.parametrize("argv, grid, norm", [
     (("residual", "--tmax", "1e-300"), "(hx = 3.125e-01, ht = 6.250e-302)", "l2"),
     (("residual", "--xmax", "1e-300"), "(hx = 6.250e-302, ht = 6.250e-01)", "sup"),
-    (("localize", "--tmax", "1e-200"), "(hx = 3.125e-01, ht = 6.250e-202)", "l2")])
+    (("localize", "--tmax", "1e-200"), "(hx = 3.125e-01, ht = 6.250e-202)", "l2"),
+    (("localize", "--xmax", "1e-300"), "(hx = 6.250e-302, ht = 6.250e-01)", "sup")])
 def test_nonfinite_residual_norm_is_numerical_failure(tmp_path, argv, grid, norm):
     # a step near the bottom of the float range overflows the stencils' division; the
     # study once wrote Infinity into its JSON, with RuntimeWarnings, and exited 0

@@ -2,7 +2,8 @@
 key, each JSON report key and each manifest key appears in backticks in the section
 that documents its file.  And every key it documents for a file is written: the items
 of the `Metadata:` and `Columns:` lists of a CSV, and the first column of the key
-table of a JSON file."""
+table of a JSON file.  The manifest's `parameters` and `tolerances` hold the keys its
+list for the subcommand names, and that list is the subcommand's `Param` table."""
 
 import json
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from shearlab._csvio import read_csv
-from shearlab.cli import main
+from shearlab.cli import COMMANDS, main
 from test_perfbench_hooks import CLI_CALLS
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
@@ -135,3 +136,29 @@ def test_every_documented_key_is_written(tmp_path, argv):
         assert keys, f"{path.name}: no key documented for it"
         absent = sorted(keys - set(_written_keys(path)))
         assert not absent, f"{path.name}: documented keys not written: {absent}"
+
+
+def _parameter_keys() -> dict[str, list[str]]:
+    """The keys the Manifest section lists for each subcommand's ``parameters``, by its
+    bullet ``* `name`: `key`, ....``."""
+    text = DOC.read_text(encoding="utf-8")
+    section = text[text.index("## Manifest"):]
+    section = section[:section.index("\n## ")]
+    return {m.group(1): re.findall(r"`([^`]+)`", m.group(2))
+            for m in re.finditer(r"^\* `([a-z-]+)`: (.*)\.$", section, re.MULTILINE)}
+
+
+def test_the_parameter_keys_listed_are_each_subcommands_param_table():
+    assert _parameter_keys() == {name: [prm.key for prm in params]
+                                 for name, (_, params, _) in COMMANDS.items()}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CLI_CALLS],
+                         ids=[argv[0] for argv, _ in CLI_CALLS])
+def test_manifest_parameters_and_tolerances_are_the_keys_listed(tmp_path, argv):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads(next(tmp_path.glob("*.manifest.json")).read_text())
+    listed = _parameter_keys()[argv[0]]
+    assert sorted(manifest["parameters"]) == sorted(listed)
+    assert sorted(manifest["tolerances"]) == sorted(
+        k for k in listed if k in ("eps", "tol", "rtol", "atol"))

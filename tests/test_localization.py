@@ -20,7 +20,9 @@ from shearlab import (
     band_diagnostics,
 )
 from shearlab.localization import OUTER_WINDOW_FACTOR
+from shearlab.material import half_line
 from shearlab.profile import Profile
+from test_residual_oracle import reference_level
 
 N, ALPHA, THETA0, LAM, SIGMA0 = 0.1, 0.5, 10.0, 0.1, 1.88
 
@@ -103,17 +105,20 @@ def test_peak_growth_and_evenness(showcase_solution):
         assert left == right
 
 
-@pytest.mark.parametrize("x", [
-    np.linspace(-1.234567, 1.234567, 401),     # linspace is not symmetric in floats
-    np.linspace(-3.7, 3.7, 257),
-    np.concatenate([-np.linspace(0.0, 2.5, 50)[:0:-1], np.linspace(0.0, 2.5, 50)]),
-], ids=["asymmetric-1.234567", "asymmetric-3.7", "symmetric"])
-def test_grid_evaluation_once_per_distinct_abs_x_is_bit_identical(showcase_solution, x):
+@pytest.mark.parametrize("xmax, n", [(1.234567, 401), (3.7, 257), (2.5, 99), (5.0, 400),
+                                     (5.0, 4), (5.0, 2), (5.0, 1)])
+def test_fields_on_the_half_line_are_the_grids_bit_for_bit(showcase_solution, xmax, n):
+    # the grid on [-xmax, xmax] is the mirror image of its half x >= 0, so the solution,
+    # even in x, is evaluated once per distinct |x|; np.linspace is not symmetric in floats
     sol = showcase_solution
+    half, h = half_line(xmax, n)
+    assert half.size == (n + 1) // 2 and half[-1] == xmax and np.all(half >= 0.0)
+    x = np.concatenate((0.0 - half[::-1], half[n % 2:]))
+    assert x.size == n and x[0] == -xmax and (n == 1 or np.array_equal(x, -x[::-1]))
+    if n > 2:
+        assert half[0] == (0.0 if n % 2 else h / 2)
+        assert np.allclose(x, np.linspace(-xmax, xmax, n), rtol=0, atol=4 * np.spacing(xmax))
     t = np.linspace(0.0, 200.0, 9)
-    distinct = np.unique(np.abs(x)).size
-    symmetric = np.array_equal(x, -x[::-1])
-    assert (distinct == (x.size + 1) // 2) if symmetric else (x.size // 2 < distinct < x.size)
     sizes = []
 
     class Sizing(_CountingProfile):
@@ -121,11 +126,12 @@ def test_grid_evaluation_once_per_distinct_abs_x_is_bit_identical(showcase_solut
             sizes.append(np.size(xi))
             return super().__call__(xi)
 
-    grid = replace(sol, profile=Sizing(sol.profile)).evaluate_grid(x, t)
-    assert sizes == [distinct * t.size]
-    for ours, full in zip(grid, sol.evaluate(x[:, None], t[None, :])):
-        assert ours.shape == full.shape == (x.size, t.size)
-        assert np.array_equal(ours.view(np.uint64), full.view(np.uint64))
+    fields = replace(sol, profile=Sizing(sol.profile)).evaluate(half[:, None], t[None, :])
+    assert sizes == [half.size * t.size]
+    row = np.abs(2 * np.arange(n) - (n - 1)) // 2       # the row of each x's |x| in half
+    assert np.array_equal(half[row], np.abs(x))
+    for ours, full in zip(fields, sol.evaluate(x[:, None], t[None, :])):
+        assert np.array_equal(ours[row].view(np.uint64), full.view(np.uint64))
 
 
 def test_theta_arrangements_agree(showcase_solution):
@@ -191,23 +197,26 @@ def test_residual_fourth_order_convergence(showcase_solution):
     assert max(finest.sup[0], finest.sup[1]) < 1e-6
 
 
-DEFAULT_STUDY = dict(x_span=(-5.0, 5.0), t_span=(0.0, 10.0), nx0=33, nt0=17, levels=4)
+DEFAULT_STUDY = dict(xmax=5.0, t_span=(0.0, 10.0), nx0=33, nt0=17, levels=4)
 
 
 @pytest.mark.parametrize("study", [
     {},
     # steps that are not binary fractions; nx0 = 17 is the least for which the
     # coarsest level's stride-2 sigma_xx estimate has an interior point
-    dict(x_span=(-3.7, 2.9), t_span=(0.3, 7.1), nx0=17, nt0=9, levels=3),
+    dict(xmax=3.7, t_span=(0.3, 7.1), nx0=17, nt0=9, levels=3),
 ], ids=["default", "odd-spans"])
 def test_residual_levels_equal_independent_grids_bit_for_bit(showcase_solution, study):
+    # each level is a slice of the finest grid's half x >= 0, given its ghost rows from the
+    # mirror; its report is the reference's on the level's own symmetric grid, evaluated
+    # there in full and reduced over x >= 0
     reports, _, _ = residual_convergence(showcase_solution, **study)
     s = {**DEFAULT_STUDY, **study}
     assert len(reports) == s["levels"]
     for lev, report in enumerate(reports):
-        x = np.linspace(*s["x_span"], (s["nx0"] - 1) * 2 ** lev + 1)
         t = np.linspace(*s["t_span"], (s["nt0"] - 1) * 2 ** lev + 1)
-        assert report == pde_residual(showcase_solution, x, t)
+        assert report == reference_level(showcase_solution, s["xmax"], t,
+                                         (s["nx0"] - 1) * 2 ** lev + 1)
 
 
 def test_residual_study_checks_its_arguments_before_evaluating(showcase_solution):
@@ -227,7 +236,7 @@ def test_residual_study_checks_its_arguments_before_evaluating(showcase_solution
 
 @pytest.mark.parametrize("span, grid, what", [
     ({"t_span": (0.0, 1e-300)}, "hx = 3.125e-01, ht = 6.250e-302", "momentum residual's l2"),
-    ({"x_span": (-1e-300, 1e-300)}, "hx = 6.250e-302, ht = 6.250e-01", "momentum residual's sup"),
+    ({"xmax": 1e-300}, "hx = 6.250e-302, ht = 6.250e-01", "momentum residual's sup"),
 ])
 def test_residual_study_refuses_a_norm_that_is_not_finite(showcase_solution, span, grid, what):
     # a step near the bottom of the float range overflows the stencils' division;

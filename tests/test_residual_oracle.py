@@ -1,6 +1,8 @@
 """The interior-only residuals against their previous version, kept in
 ``_residual_reference``: every report must be the same, bit for bit, signed
-zeros and NaNs included."""
+zeros and NaNs included.  A residual study's level, differenced on x >= 0, is
+the oracle's full-grid differencing of the level's mirror-exact grid, reduced
+over x >= 0 by the rule of docs/formats.md."""
 
 from dataclasses import astuple
 
@@ -18,6 +20,7 @@ from shearlab import (
     shoot_heteroclinic,
 )
 from shearlab.localization import _difference
+from shearlab.material import half_line
 from shearlab.profile import _is_uniform
 
 SHOWCASE = (0.1, 0.5, 0.1, 1.88)   # n, alpha, lambda, sigma0 of configs/localization.json
@@ -25,7 +28,7 @@ SHOWCASE = (0.1, 0.5, 0.1, 1.88)   # n, alpha, lambda, sigma0 of configs/localiz
 SWEEP = [(n, alpha, lam, sigma0) for (n, alpha, lam), sigma0 in zip(
     [(n, alpha, lam) for n in (0.05, 0.1) for alpha in (0.5, 1.0) for lam in (0.05, 0.1, 0.5)],
     np.linspace(1.0, 2.5, 12))]
-LOCALIZE_STUDY = dict(x_span=(-5.0, 5.0), t_span=(0.0, 10.0))
+LOCALIZE_STUDY = dict(xmax=5.0, t_span=(0.0, 10.0))
 
 
 def _solution(n, alpha, lam, sigma0, theta0=10.0):
@@ -44,14 +47,26 @@ def _bits(report):
                  for v in astuple(report))
 
 
-def _reference_study(sol, x_span, t_span, nx0=33, nt0=17, levels=4):
-    """The reports of ``residual_convergence``, each level differenced by the reference."""
-    top = levels - 1
-    x = np.linspace(*x_span, (nx0 - 1) * 2 ** top + 1)
-    t = np.linspace(*t_span, (nt0 - 1) * 2 ** top + 1)
-    fields = sol.evaluate_grid(x, t)
-    return [reference.difference(sol.params, x[::k], t[::k], *(f[::k, ::k] for f in fields))
-            for k in (2 ** (top - lev) for lev in range(levels))]
+def mirror_grid(xmax, n):
+    """n points uniform on [-xmax, xmax], the mirror image of their half x >= 0, and
+    the step the study differences them with, xmax / ((n - 1)/2)."""
+    half = half_line(xmax, n)[0]
+    return np.concatenate((0.0 - half[::-1], half[n % 2:])), xmax / ((n - 1) / 2)
+
+
+def reference_level(sol, xmax, t, n):
+    """The report of the study's level of n points in x on [-xmax, xmax] by t: the
+    solution evaluated on the level's whole grid and differenced by the reference."""
+    x, hx = mirror_grid(xmax, n)
+    # the reference reads only its x's step and size
+    return reference.half_line_difference(sol.params, hx * np.arange(n), t,
+                                          *sol.evaluate(x[:, None], t[None, :]))
+
+
+def _reference_study(sol, xmax, t_span, nx0=33, nt0=17, levels=4):
+    """The reports of ``residual_convergence``, each level evaluated on its own grid."""
+    return [reference_level(sol, xmax, np.linspace(*t_span, (nt0 - 1) * 2 ** lev + 1),
+                            (nx0 - 1) * 2 ** lev + 1) for lev in range(levels)]
 
 
 def _assert_study_matches(sol, study):
@@ -68,19 +83,24 @@ def test_localize_study_matches_the_oracle_bit_for_bit(point):
 
 @pytest.mark.parametrize("study", [
     # the odd-spans study of test_residual_levels_equal_independent_grids_bit_for_bit
-    dict(x_span=(-3.7, 2.9), t_span=(0.3, 7.1), nx0=17, nt0=9, levels=3),
+    dict(xmax=3.7, t_span=(0.3, 7.1), nx0=17, nt0=9, levels=3),
     # the minimum grids, alone and refined; an even point count on the finest grid
-    dict(x_span=(-5.0, 5.0), t_span=(0.0, 10.0), nx0=17, nt0=9, levels=1),
-    dict(x_span=(-5.0, 5.0), t_span=(0.0, 10.0), nx0=17, nt0=9, levels=3),
-    dict(x_span=(-3.7, 3.7), t_span=(0.0, 7.1), nx0=18, nt0=10, levels=1),
-], ids=["odd-spans", "minimum", "minimum-refined", "even-counts"])
+    dict(xmax=5.0, t_span=(0.0, 10.0), nx0=17, nt0=9, levels=1),
+    dict(xmax=5.0, t_span=(0.0, 10.0), nx0=17, nt0=9, levels=3),
+    dict(xmax=3.7, t_span=(0.0, 7.1), nx0=18, nt0=10, levels=1),
+    # an even count on the coarsest grid alone, so its points x >= 0 start at a half
+    # step; and x = 0 on an odd row of the coarsest grid, with no even point there
+    dict(xmax=3.7, t_span=(0.0, 7.1), nx0=18, nt0=10, levels=3),
+    dict(xmax=5.0, t_span=(0.0, 10.0), nx0=19, nt0=9, levels=2),
+], ids=["odd-spans", "minimum", "minimum-refined", "even-counts", "even-coarsest",
+        "zero-on-an-odd-row"])
 def test_other_studies_match_the_oracle_bit_for_bit(showcase, study):
     _assert_study_matches(showcase, study)
 
 
 def _grid_fields(sol, nx=41, nt=21):
     x, t = np.linspace(-5.0, 5.0, nx), np.linspace(0.0, 10.0, nt)
-    return x, t, [np.array(f) for f in sol.evaluate_grid(x, t)]
+    return x, t, list(sol.evaluate(x[:, None], t[None, :]))
 
 
 @pytest.mark.parametrize("plant", [
@@ -94,8 +114,26 @@ def test_fields_holding_nan_and_inf_match_the_oracle(showcase, plant):
     for which, at, value in plant:
         fields[which][at] = value
     with np.errstate(all="ignore"):
-        got = _difference(showcase.params, x, t, *fields)
+        got = _difference(showcase.params, x[1] - x[0], t[1] - t[0], *fields)
         expected = reference.difference(showcase.params, x, t, *fields)
+    assert _bits(got) == _bits(expected)
+
+
+@pytest.mark.parametrize("n, row", [(18, 12), (18, 13), (17, 12), (17, 11)],
+                         ids=["even-count-even-row", "even-count-odd-row", "odd-count-even-row",
+                              "odd-count-odd-row"])
+def test_the_half_lines_estimate_is_at_the_mirror_images_of_even_points(showcase, n, row):
+    # noise in t on a row x > 0 and its mirror image: the estimate of u_t takes the row
+    # only where its mirror image is an even point, so the oracle's reduction and the half
+    # line agree, bit for bit, on which rows it sees (row 12 of 18 mirrors row 5)
+    x, hx = mirror_grid(5.0, n)
+    t = np.linspace(0.0, 10.0, 17)
+    fields = list(showcase.evaluate(x[:, None], t[None, :]))
+    noise = 1e-3 * np.random.default_rng(row).standard_normal(t.size)
+    for i in (row, n - 1 - row):
+        fields[0][i] *= 1.0 + noise
+    got = _difference(showcase.params, hx, t[1] - t[0], *(f[n // 2:] for f in fields), nx=n)
+    expected = reference.half_line_difference(showcase.params, hx * np.arange(n), t, *fields)
     assert _bits(got) == _bits(expected)
 
 
@@ -105,7 +143,7 @@ def test_residuals_that_are_all_zero_give_positive_zero_norms(showcase):
     u, sigma, theta = np.full_like(fields[0], -0.0), np.full_like(fields[1], -0.0), \
         np.ones_like(fields[2])
     with np.errstate(all="ignore"):
-        got = _difference(showcase.params, x, t, u, sigma, theta)
+        got = _difference(showcase.params, x[1] - x[0], t[1] - t[0], u, sigma, theta)
         expected = reference.difference(showcase.params, x, t, u, sigma, theta)
     assert _bits(got) == _bits(expected)
     assert got.sup == (0.0, 0.0, 0.0) and all(np.copysign(1.0, s) == 1.0 for s in got.sup)

@@ -14,7 +14,10 @@ runs with the longest orbit bodies (from a slow saddle, mu_s = -0.023, and
 at lambda2 = 10.2), a ``residual`` study at the least grids with steps that
 are not binary fractions (``--xmax 3.7 --tmax 7.1 --nx0 17 --nt0 9
 --levels 3``), a ``localize`` at ``--sigma0 1e-4``, which evaluates most of
-its grid past the orbit's last sample, six calls at the edges of the float
+its grid past the orbit's last sample, nine calls at the edges of the grids'
+half x >= 0 (``localize --nx`` 1, 2, 4 and 400, ``residual --nx0 18 --levels 1``
+and ``--nx0 19 --levels 2``, and ``--xmax`` 1e-300, 1.7e308 and 1e308, which exit
+3), six calls at the edges of the float
 range (``heteroclinic --sigma0 1e306``, ``profile`` at lambda2 = 10.2, where
 log kappa1 = 1721, ``heteroclinic --n 1e-300``, where m^2 overflows in the
 saddle's eigenvalues, ``heteroclinic --alpha 1e300`` and ``--nu 1e-300``,
@@ -104,6 +107,14 @@ CALLS += [("residual", "--xmax", "3.7", "--tmax", "7.1", "--nx0", "17", "--nt0",
 # a small sigma0 puts most of the space-time grid past xi_max, where the orbit's last
 # sample is read
 CALLS += [("localize", "--sigma0", "1e-4")]
+# grids at the edges of their half x >= 0: one and two points, no x = 0 row, x = 0 on an
+# odd row of the coarsest level, and xmax near each end of the float range
+CALLS += [("localize", "--nx", "1"), ("localize", "--nx", "2"),
+          ("localize", "--nx", "4", "--frames", "1"), ("localize", "--nx", "400"),
+          ("residual", "--nx0", "18", "--levels", "1"),
+          ("residual", "--nx0", "19", "--levels", "2"),
+          ("localize", "--xmax", "1e-300"), ("localize", "--xmax", "1.7e308"),
+          ("residual", "--xmax", "1e308")]
 CALLS += [op.argv for workload in WORKLOADS for op in next(passes(workload, SEED))]
 
 
